@@ -60,7 +60,7 @@ def make_plan():
     )
 
 
-def run(faults=None, trace=False):
+def run(faults=None):
     def make_vol(ctx, role, peer):
         def factory():
             vol = DistMetadataVOL(comm=ctx.comm, under=NativeVOL(PFSStore()))
@@ -94,7 +94,7 @@ def run(faults=None, trace=False):
     wf.add_task("producer", NPROD, producer)
     wf.add_task("consumer", NCONS, consumer)
     wf.add_link("producer", "consumer")
-    return wf.run(faults=faults, trace=trace)
+    return wf.run(faults=faults)
 
 
 def injected(res):
@@ -111,7 +111,7 @@ def main():
     clean = run()
     print(f"fault-free baseline: {clean.vtime * 1e3:9.3f} simulated ms")
 
-    chaotic = run(faults=make_plan(), trace=True)
+    chaotic = run(faults=make_plan())
     print(f"under the plan:      {chaotic.vtime * 1e3:9.3f} simulated ms")
     assert chaotic.returns["consumer"] == clean.returns["consumer"], \
         "recoverable faults must not change the data"
@@ -140,7 +140,7 @@ def main():
           f"{slow.stripe_peak() / 1e9:.1f} GB/s")
 
     out = "chaos_run_trace.json"
-    chaotic.obs.write_chrome_trace(out, chaotic.trace)
+    chaotic.obs.write_chrome_trace(out)
     print(f"\nChrome trace written to {out} -- fault.* instants mark "
           "every injection (open at https://ui.perfetto.dev)")
 

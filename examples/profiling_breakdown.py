@@ -35,7 +35,7 @@ SHAPE = WL.grid_shape(NPROD)
 RANKS = {"producer": range(NPROD), "consumer": range(NPROD, NPROD + NCONS)}
 
 
-def run(push: bool, trace: bool = False):
+def run(push: bool):
     def make_vol(ctx, role, peer):
         def factory():
             vol = DistMetadataVOL(comm=ctx.comm, under=NativeVOL(PFSStore()))
@@ -72,7 +72,7 @@ def run(push: bool, trace: bool = False):
     wf.add_task("producer", NPROD, producer)
     wf.add_task("consumer", NCONS, consumer)
     wf.add_link("producer", "consumer")
-    return wf.run(trace=trace)
+    return wf.run()
 
 
 def show(label, res):
@@ -94,7 +94,7 @@ def show(label, res):
 
 
 def main():
-    res_q = run(push=False, trace=True)
+    res_q = run(push=False)
     show("index-serve-query (paper protocol)", res_q)
     res_p = run(push=True)
     show("producer push (extension)", res_p)
@@ -111,18 +111,18 @@ def main():
     )
 
     nprocs = NPROD + NCONS
-    events = res_q.obs.spans.spans(cat="lowfive") + res_q.trace
     print()
-    print(render_timeline(events, nprocs, width=64,
-                          title="Transport timeline (query protocol)"))
-    m = communication_matrix(res_q.trace, nprocs)
+    print(render_timeline(res_q.obs, nprocs, width=64,
+                          title="Transport timeline (query protocol)",
+                          spans=res_q.obs.spans.spans(cat="lowfive")))
+    m = communication_matrix(res_q.obs, nprocs)
     print(render_matrix(m, title="Bytes sent rank-to-rank "
                                  f"(ranks 0-{NPROD - 1} produce, "
                                  f"{NPROD}-{nprocs - 1} consume)"))
 
     # ... and as a Chrome/Perfetto trace for interactive digging.
     out = "profiling_breakdown_trace.json"
-    res_q.obs.write_chrome_trace(out, res_q.trace)
+    res_q.obs.write_chrome_trace(out)
     print(f"Chrome trace written to {out} "
           "(open at https://ui.perfetto.dev)")
 

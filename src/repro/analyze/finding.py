@@ -46,5 +46,6 @@ class Finding:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
+        """JSON-able form: kind, rank and summary, ``detail`` inlined."""
         return {"kind": self.kind, "rank": self.rank,
                 "summary": self.summary, **self.detail}

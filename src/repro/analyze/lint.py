@@ -102,6 +102,7 @@ class Violation:
     message: str
 
     def render(self) -> str:
+        """The ``path:line:col: CODE message`` line the CLI prints."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} " \
                f"{self.message}"
 

@@ -107,6 +107,7 @@ class CFG:
     blocks: list[Block] = field(default_factory=list)
 
     def new_block(self, except_to: tuple[int, ...] = ()) -> Block:
+        """Append an empty block (``Unsupported`` past ``MAX_BLOCKS``)."""
         if len(self.blocks) >= MAX_BLOCKS:
             raise Unsupported(f"{self.name}: too many blocks")
         b = Block(bid=len(self.blocks), except_to=except_to)

@@ -67,6 +67,7 @@ class Decision:
     line: int
 
     def render(self) -> str:
+        """One witness line: where the path forked and which way."""
         if self.kind == D_EXCEPT:
             return f"line {self.line}: exception raised"
         return f"line {self.line}: {self.text} -> {self.value}"

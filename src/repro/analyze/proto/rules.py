@@ -64,11 +64,13 @@ class ProtoFinding:
     witness: tuple[str, ...] = ()
 
     def render(self) -> str:
+        """The finding line with its path witness indented below."""
         head = (f"{self.path}:{self.line}:{self.col}: {self.rule} "
                 f"[{self.func}] {self.message}")
         return "\n".join([head] + [f"    {w}" for w in self.witness])
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form (one row of the ``--json`` report)."""
         return {"rule": self.rule, "path": self.path, "line": self.line,
                 "col": self.col, "func": self.func,
                 "message": self.message, "witness": list(self.witness)}

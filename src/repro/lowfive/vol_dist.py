@@ -22,7 +22,7 @@ proceeds in three phases:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 import numpy as np
@@ -31,12 +31,44 @@ from repro.diy import Bounds, RegularDecomposer
 from repro.h5 import format as h5format
 from repro.h5.errors import NotFoundError
 from repro.h5.objects import DatasetNode, FileNode, GroupNode
-from repro.lowfive.profile import PhaseStats, Profiler
 from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
 from repro.obs import obs_of, span as obs_span
 from repro.lowfive.rpc import Defer, Reply, RetryPolicy, RPCClient, RPCServer
 from repro.simmpi import payload_nbytes
 from repro.lowfive.vol_metadata import LFFile, LFToken, MetadataVOL
+
+
+@dataclass
+class PhaseStats:
+    """Accumulated per-rank phase costs (virtual seconds + counters)."""
+
+    seconds: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
+
+    def add(self, phase: str, seconds: float) -> None:
+        """Accumulate ``seconds`` under ``phase``."""
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
+        self.counts[phase] = self.counts.get(phase, 0) + 1
+
+    def total(self) -> float:
+        """Total profiled seconds across phases."""
+        return sum(self.seconds.values())
+
+    def breakdown(self) -> dict:
+        """Phase -> fraction of profiled time."""
+        tot = self.total()
+        if tot <= 0:
+            return {k: 0.0 for k in self.seconds}
+        return {k: v / tot for k, v in self.seconds.items()}
+
+    def merge(self, other: "PhaseStats") -> "PhaseStats":
+        """Combined stats of ``self`` and ``other`` (pure)."""
+        out = PhaseStats(dict(self.seconds), dict(self.counts))
+        for k, v in other.seconds.items():
+            out.seconds[k] = out.seconds.get(k, 0.0) + v
+        for k, v in other.counts.items():
+            out.counts[k] = out.counts.get(k, 0) + v
+        return out
 
 
 @dataclass
@@ -123,8 +155,6 @@ class DistMetadataVOL(MetadataVOL):
         self._rank_states: dict[int, _RankState] = {}
         self._state_lock = threading.Lock()
         self._push_patterns: list[str] = []
-        #: Fine-grained per-phase profiling (paper Sec. V-C future work).
-        self.profiler = Profiler()
 
     # -- wiring -----------------------------------------------------------
 
@@ -206,8 +236,8 @@ class DistMetadataVOL(MetadataVOL):
         """Collective over the producer comm: exchange written bounding
         boxes so each rank indexes its common-decomposition block."""
         comm = self.comm
-        with self.profiler.phase(self._rank_key(comm), "index", comm,
-                                 file=fname):
+        with obs_span(comm, "lowfive.index", cat="lowfive", phase="index",
+                      file=fname):
             self._index_file_impl(fname)
 
     def _index_file_impl(self, fname: str) -> None:
@@ -256,8 +286,8 @@ class DistMetadataVOL(MetadataVOL):
         root = self.get_tree(comm, fname)
         if root is None:
             return
-        with self.profiler.phase(self._rank_key(comm), "push", comm,
-                                 file=fname):
+        with obs_span(comm, "lowfive.push", cat="lowfive", phase="push",
+                      file=fname):
             for inter in inters:
                 ncons = inter.remote_size
                 for crank in range(ncons):
@@ -400,8 +430,8 @@ class DistMetadataVOL(MetadataVOL):
         st.served_files.add(fname)
         for inter in inters:
             st.server.attach(inter)
-        with self.profiler.phase(self._rank_key(self.comm), "serve",
-                                 self.comm, file=fname):
+        with obs_span(self.comm, "lowfive.serve", cat="lowfive",
+                      phase="serve", file=fname):
             st.server.serve()
 
     def _stream_register(self, fname: str, inters) -> None:
@@ -426,8 +456,8 @@ class DistMetadataVOL(MetadataVOL):
     # -- consumer side: query (Algorithm 3) -----------------------------------------
 
     def _remote_open(self, fname: str, mode, fapl, comm, inter):
-        with self.profiler.phase(self._rank_key(comm), "metadata_open",
-                                 comm, file=fname):
+        with obs_span(comm, "lowfive.metadata_open", cat="lowfive",
+                      phase="metadata_open", file=fname):
             return self._remote_open_impl(fname, mode, fapl, comm, inter)
 
     def _remote_open_impl(self, fname: str, mode, fapl, comm, inter):
@@ -451,9 +481,8 @@ class DistMetadataVOL(MetadataVOL):
     def _query_read(self, dtoken, selection):
         """Algorithm 3 for one read call."""
         comm = dtoken.fstate.comm
-        with self.profiler.phase(self._rank_key(comm), "query", comm,
-                                 file=dtoken.fstate.fname,
-                                 dataset=dtoken.node.path):
+        with obs_span(comm, "lowfive.query", cat="lowfive", phase="query",
+                      file=dtoken.fstate.fname, dataset=dtoken.node.path):
             return self._query_read_impl(dtoken, selection)
 
     def _query_read_impl(self, dtoken, selection):
@@ -570,10 +599,17 @@ class DistMetadataVOL(MetadataVOL):
         return self._producer_matches(fname)
 
     def phase_stats(self, comm=None) -> PhaseStats:
-        """This rank's accumulated per-phase profile (paper Sec. V-C:
-        finer-grained communication profiling)."""
+        """This rank's per-phase profile so far (paper Sec. V-C:
+        finer-grained communication profiling), folded from the
+        ``lowfive`` spans the machine recorded for the calling rank."""
         comm = comm if comm is not None else self.comm
-        return self.profiler.stats_for(self._rank_key(comm))
+        stats = PhaseStats()
+        obs = obs_of(comm)
+        if obs is not None:
+            rank = comm.world_rank(comm.rank)
+            for s in obs.spans.spans(cat="lowfive", rank=rank):
+                stats.add(s.labels["phase"], s.duration)
+        return stats
 
     def dataset_read(self, dtoken, selection, dxpl):
         if dtoken.fstate.remote_client is not None:

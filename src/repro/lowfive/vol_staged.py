@@ -36,6 +36,7 @@ from repro.h5.errors import NotFoundError
 from repro.h5.objects import DatasetNode, OWN_SHALLOW
 from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
 from repro.lowfive.rpc import Defer, Reply, RPCClient, RPCServer
+from repro.obs import span as obs_span
 from repro.simmpi import payload_nbytes
 from repro.lowfive.vol_dist import (
     DistMetadataVOL,
@@ -94,8 +95,8 @@ class StagedMetadataVOL(DistMetadataVOL):
         root = self.get_tree(comm, fname)
         if root is None:
             return
-        with self.profiler.phase(self._rank_key(comm), "stage", comm,
-                                 file=fname):
+        with obs_span(comm, "lowfive.stage", cat="lowfive", phase="stage",
+                      file=fname):
             nstage = inter.remote_size
             if comm is None or comm.rank == 0:
                 blob = _skeleton_bytes(root)
@@ -156,9 +157,9 @@ class StagedMetadataVOL(DistMetadataVOL):
         client: RPCClient = fstate.remote_client
         comm = fstate.comm
         node = dtoken.node
-        with self.profiler.phase(self._rank_key(comm), "staged_query",
-                                 comm, file=fstate.fname,
-                                 dataset=node.path):
+        with obs_span(comm, "lowfive.staged_query", cat="lowfive",
+                      phase="staged_query", file=fstate.fname,
+                      dataset=node.path):
             nstage = client.remote_size
             dec = RegularDecomposer(node.space.shape, nstage)
             qbb = Bounds.from_selection(selection)
@@ -365,8 +366,6 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
             pending_pieces.append((fname, data))
 
     server.add_lane(StagedMetadataVOL.TAG_STAGE, stage_lane)
-
-    from repro.obs import span as obs_span
 
     # The span marks this rank as a server for the whole staging
     # lifetime: client waits on it classify as rpc-server-busy.

@@ -24,8 +24,8 @@ phases, PFS I/O, workflow tasks -- behind a single API:
 - :mod:`repro.obs.ledger` -- persistent per-run manifests
   (:class:`~repro.obs.ledger.RunRecord`) in a JSONL ledger plus the
   unified cross-run drift comparator behind ``repro.tools regress``;
-- :mod:`repro.obs.noop` -- a disabled drop-in context for measuring
-  telemetry overhead.
+- :mod:`repro.obs.noop` -- the same context with every recording
+  method silenced, for measuring telemetry overhead.
 
 Instrumentation points reach the context through their communicator::
 
@@ -77,7 +77,6 @@ from repro.obs.ledger import (
     compare_runs,
     record_from_result,
 )
-from repro.obs.noop import NullObsContext
 from repro.obs.recorder import FlightEvent, FlightRecorder
 from repro.obs.series import (
     BoundSeries,
@@ -143,6 +142,10 @@ class ObsContext:
     flight_capacity:
         Per-rank ring-buffer size of the always-on flight recorder.
     """
+
+    #: Methods that record. Every recorder class lists its own; a
+    #: :class:`~repro.obs.noop.NullObsContext` silences exactly these.
+    PRODUCERS = ("set_task", "sample", "fault", "span")
 
     def __init__(self, flight_capacity: int = 256) -> None:
         self.metrics = MetricsRegistry()
@@ -228,14 +231,17 @@ class ObsContext:
 
     # -- export ------------------------------------------------------------
 
-    def chrome_trace(self, events: Iterable[Any] = ()) -> dict[str, object]:
+    def chrome_trace(self) -> dict[str, object]:
         """Chrome ``trace_event`` document (see :mod:`repro.obs.export`)."""
-        return chrome_trace(self, events)
+        return chrome_trace(self)
 
-    def write_chrome_trace(self, path: str,
-                           events: Iterable[Any] = ()) -> dict[str, object]:
+    def write_chrome_trace(self, path: str) -> dict[str, object]:
         """Export the trace as JSON at ``path``."""
-        return write_chrome_trace(path, self, events)
+        return write_chrome_trace(path, self)
+
+
+# Subclasses ObsContext, so it can only be imported once that exists.
+from repro.obs.noop import NullObsContext  # noqa: E402
 
 
 def obs_of(comm: Any) -> ObsContext | None:

@@ -206,6 +206,7 @@ class RankAccount:
         return self.compute + self.transfer + self.wait
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form of the three ledgers."""
         return {"rank": self.rank, "compute": self.compute,
                 "transfer": self.transfer, "wait": self.wait}
 
@@ -217,6 +218,9 @@ class CausalRecorder:
     from the simmpi layer (one per receive / collective completion), so
     volume tracks message count, not payload size.
     """
+
+    PRODUCERS = ("account", "edge", "collective", "post", "consume",
+                 "match")  # see ObsContext
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -397,9 +401,11 @@ class WaitState:
 
     @property
     def seconds(self) -> float:
+        """Length of the blocked interval."""
         return self.t1 - self.t0
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form, ``detail`` inlined."""
         return {"rank": self.rank, "t0": self.t0, "t1": self.t1,
                 "seconds": self.seconds, "category": self.category,
                 "cause_rank": self.cause_rank,
@@ -517,14 +523,17 @@ class ConservationReport:
 
     @property
     def max_residual(self) -> float:
+        """Largest ``|compute + transfer + wait - clock|`` over ranks."""
         return max((abs(r.residual) for r in self.rows), default=0.0)
 
     @property
     def max_wait_residual(self) -> float:
+        """Largest ``|ledger wait - classified wait|`` over ranks."""
         return max((abs(r.wait_residual) for r in self.rows), default=0.0)
 
     @property
     def ok(self) -> bool:
+        """True when both residuals are within ``tol``."""
         return (self.max_residual <= self.tol
                 and self.max_wait_residual <= self.tol)
 
@@ -544,6 +553,7 @@ class ConservationReport:
         )
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form: verdict, residuals and the per-rank rows."""
         return {
             "ok": self.ok,
             "tol": self.tol,

@@ -75,9 +75,11 @@ class Segment:
 
     @property
     def duration(self) -> float:
+        """Virtual seconds the segment spans."""
         return self.t1 - self.t0
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form with the category and phase splits."""
         return {"rank": self.rank, "t0": self.t0, "t1": self.t1,
                 "duration": self.duration, "kind": self.kind,
                 "category": self.category, "detail": self.detail,

@@ -3,8 +3,8 @@
 The Chrome trace format (loadable in ``chrome://tracing``, Perfetto, or
 speedscope) maps naturally onto a workflow run: one *pid* per task, one
 *tid* per rank, virtual-clock seconds as microsecond timestamps. Spans
-become complete (``"ph": "X"``) events; point-to-point trace events and
-recorded instants become instant (``"ph": "i"``) events; task and rank
+become complete (``"ph": "X"``) events; recorded instants become
+instant (``"ph": "i"``) events; task and rank
 names ride along as metadata (``"ph": "M"``) events; causal flow edges
 (matched send -> recv pairs) become flow start/finish
 (``"ph": "s"`` / ``"ph": "f"``) pairs, which Perfetto renders as
@@ -14,7 +14,6 @@ arrows between the sender's and receiver's tracks.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
@@ -35,10 +34,9 @@ def _pids(obs: Any) -> dict[str, int]:
     return {t: i + 1 for i, t in enumerate(tasks)}
 
 
-def chrome_trace(obs: Any, events: Iterable[Any] = ()) -> dict[str, object]:
+def chrome_trace(obs: Any) -> dict[str, object]:
     """Build a Chrome ``trace_event`` document from an
-    :class:`~repro.obs.ObsContext` plus optional legacy
-    :class:`~repro.simmpi.engine.TraceEvent` records.
+    :class:`~repro.obs.ObsContext`.
 
     Returns a plain dict; dump it with ``json.dump`` or use
     :func:`write_chrome_trace`.
@@ -86,15 +84,6 @@ def chrome_trace(obs: Any, events: Iterable[Any] = ()) -> dict[str, object]:
             "args": dict(i.labels),
         })
 
-    for e in events:
-        thread_meta(e.rank)
-        out.append({
-            "ph": "i", "s": "t", "name": e.label or e.kind, "cat": "simmpi",
-            "ts": e.vtime * _US, "pid": pid_of(e.rank), "tid": e.rank,
-            "args": {"kind": e.kind, "peer": e.peer, "tag": e.tag,
-                     "nbytes": e.nbytes},
-        })
-
     causal = getattr(obs, "causal", None)
     if causal is not None:
         for edge in causal.edges():
@@ -125,10 +114,9 @@ def chrome_trace(obs: Any, events: Iterable[Any] = ()) -> dict[str, object]:
             "otherData": other}
 
 
-def write_chrome_trace(path: str, obs: Any,
-                       events: Iterable[Any] = ()) -> dict[str, object]:
-    """Export ``obs`` (plus legacy events) as JSON at ``path``."""
-    doc = chrome_trace(obs, events)
+def write_chrome_trace(path: str, obs: Any) -> dict[str, object]:
+    """Export ``obs`` as JSON at ``path``."""
+    doc = chrome_trace(obs)
     with open(path, "w") as f:
         json.dump(doc, f, indent=None, separators=(",", ":"))
     return doc

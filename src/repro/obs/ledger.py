@@ -125,6 +125,7 @@ class RunRecord:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
+        """JSON-able form of every field (one ledger line)."""
         doc = asdict(self)
         doc["failed_tasks"] = list(self.failed_tasks)
         return doc
@@ -144,6 +145,8 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "RunRecord":
+        """Rebuild a record from :meth:`to_json` output; unknown keys
+        land in ``extra`` so newer ledgers still load."""
         known = {f for f in cls.__dataclass_fields__}
         kw = {k: v for k, v in doc.items() if k in known}
         kw["failed_tasks"] = tuple(kw.get("failed_tasks", ()))

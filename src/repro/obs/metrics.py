@@ -52,14 +52,17 @@ class CounterValue:
     count: int = 0
 
     def inc(self, value: float) -> None:
+        """Add ``value`` and count the increment."""
         self.total += value
         self.count += 1
 
     def merge(self, other: "CounterValue") -> "CounterValue":
+        """Sum of both counters (pure)."""
         return CounterValue(self.total + other.total,
                             self.count + other.count)
 
     def to_json(self) -> dict[str, object]:
+        """JSON-able form."""
         return {"total": self.total, "count": self.count}
 
 
@@ -75,11 +78,13 @@ class GaugeValue:
     seq: int = 0
 
     def merge(self, other: "GaugeValue") -> "GaugeValue":
+        """The later write of the two (pure)."""
         a, b = (self.seq, self.value), (other.seq, other.value)
         seq, value = max(a, b)
         return GaugeValue(value, seq)
 
     def to_json(self) -> dict[str, object]:
+        """JSON-able form."""
         return {"value": self.value, "seq": self.seq}
 
 
@@ -102,6 +107,7 @@ class HistogramValue:
     vmax: float = -math.inf
 
     def observe(self, value: float) -> None:
+        """Count ``value`` into its bucket and the moments."""
         b = bucket_index(value)
         self.buckets[b] = self.buckets.get(b, 0) + 1
         self.total += value
@@ -110,6 +116,7 @@ class HistogramValue:
         self.vmax = max(self.vmax, value)
 
     def merge(self, other: "HistogramValue") -> "HistogramValue":
+        """Bucket-wise sum with combined moments (pure, no re-binning)."""
         buckets = dict(self.buckets)
         for b, n in other.buckets.items():
             buckets[b] = buckets.get(b, 0) + n
@@ -120,6 +127,7 @@ class HistogramValue:
 
     @property
     def mean(self) -> float:
+        """Arithmetic mean of the observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float | None:
@@ -157,6 +165,7 @@ class HistogramValue:
         return self.vmax  # unreachable; defensive
 
     def to_json(self) -> dict[str, object]:
+        """JSON-able form; ``min``/``max`` are ``None`` when empty."""
         return {
             "buckets": {str(b): n for b, n in sorted(
                 self.buckets.items(), key=lambda kv: (kv[0] is None, kv[0]))},
@@ -211,6 +220,7 @@ class MetricsSnapshot:
     data: dict[tuple[str, Key], MetricValue] = field(default_factory=dict)
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
+        """Key-wise merge of two snapshots (pure, associative)."""
         out = dict(self.data)
         for k, v in other.data.items():
             mine = out.get(k)
@@ -252,6 +262,8 @@ class MetricsRegistry:
     a couple of float ops, cheap enough for per-message accounting on
     the simulated machine.
     """
+
+    PRODUCERS = ("inc", "counter", "set", "observe")  # see ObsContext
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -1,4 +1,4 @@
-"""Disabled observability: a drop-in ObsContext that records nothing.
+"""Disabled observability: an :class:`ObsContext` that records nothing.
 
 Used to measure telemetry overhead (``bench_wallclock --obs-budget``):
 run the same workload once with the real :class:`~repro.obs.ObsContext`
@@ -6,258 +6,51 @@ and once with :class:`NullObsContext`, and compare wall clocks. Virtual
 results must be identical -- observability never changes simulation
 semantics, only how much of it is remembered.
 
-Every producer-side surface of the real context exists here as a no-op
-with the same signature shape. The one subtlety is
-:meth:`NullCausal.account`: :mod:`repro.simmpi.comm` mutates the
-returned ledger's ``compute``/``transfer``/``wait`` attributes
-directly, so the null recorder hands out one shared throwaway
-:class:`~repro.obs.causal.RankAccount` whose contents are never read.
+Nothing of the obs surface is re-typed here. A null context *is* a real
+context holding real, empty recorders; construction shadows every
+method a class lists in its ``PRODUCERS`` with one sink object. Queries
+(``spans()``, ``snapshot()``, ``chrome_trace()``, ...) are the real code
+answering for an empty run, and the enabled path tests no flag.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from typing import Any
-
-from repro.obs.causal import RankAccount
+from repro.obs import ObsContext
 
 
-class NullMetrics:
-    """No-op :class:`~repro.obs.metrics.MetricsRegistry`."""
+class _Sink:
+    """Absorbs whatever a call site does with a producer or with the
+    handle it returned: call it, read or bump an attribute (``comm``
+    does ``account(r).wait += dt``), or enter it as a span."""
 
-    def inc(self, name: str, value: float = 1, **labels: object) -> None:
-        pass
-
-    def set(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, name: str, value: float,
-                **labels: object) -> None:
-        pass
-
-    def counter(self, name: str, **labels: object) -> _NullBoundCounter:
-        return _NULL_BOUND_COUNTER
-
-    def snapshot(self) -> Any:
-        from repro.obs.metrics import MetricsSnapshot
-
-        return MetricsSnapshot()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {}
-
-
-class _NullBoundCounter:
-    def add(self, value: float = 1) -> None:
-        pass
-
-    inc = add
-
-
-class NullSpans:
-    """No-op :class:`~repro.obs.spans.SpanRecorder`."""
-
-    def begin(self, rank: int, name: str, cat: str, t0: float,
-              labels: dict[str, object] | None = None) -> None:
-        return None
-
-    def end(self, open_span: object, t1: float) -> None:
-        pass
-
-    def add(self, *a: object, **kw: object) -> None:
-        pass
-
-    def instant(self, *a: object, **kw: object) -> None:
-        pass
-
-    def spans(self, **filters: object) -> list[Any]:
-        return []
-
-    def instants(self) -> list[Any]:
-        return []
-
-    @property
-    def total(self) -> float:
-        return 0
-
-
-class NullFlight:
-    """No-op :class:`~repro.obs.recorder.FlightRecorder`."""
-
-    capacity = 0
-
-    def record(self, rank: int, t: float, kind: str, what: str = "",
-               **labels: object) -> None:
-        pass
-
-    def append(self, *a: object, **kw: object) -> None:
-        pass
-
-    def set_capacity(self, capacity: int) -> None:
-        pass
-
-    def events(self, rank: int | None = None) -> list[Any]:
-        return []
-
-    def ranks(self) -> list[int]:
-        return []
-
-    def dump(self) -> dict[int, Any]:
-        return {}
-
-
-class NullCausal:
-    """No-op :class:`~repro.obs.causal.CausalRecorder`.
-
-    ``account`` returns a shared discardable ledger because callers
-    mutate its attributes in place rather than calling methods.
-    """
-
-    def __init__(self) -> None:
-        self._scratch = RankAccount(-1)
-
-    def account(self, rank: int) -> RankAccount:
-        return self._scratch
-
-    def edge(self, **kw: object) -> None:
-        return None
-
-    def collective(self, *a: object, **kw: object) -> None:
-        return None
-
-    def post(self, *a: object, **kw: object) -> None:
-        pass
-
-    def consume(self, msg_id: object) -> None:
-        pass
-
-    def match(self, *a: object, **kw: object) -> None:
-        pass
-
-    def edges(self, *a: object, **kw: object) -> list[Any]:
-        return []
-
-    def collectives(self) -> list[Any]:
-        return []
-
-    def accounts(self) -> dict[int, RankAccount]:
-        return {}
-
-    def posts(self) -> list[Any]:
-        return []
-
-    def consumed_ids(self) -> set[object]:
-        return set()
-
-    def matches(self) -> list[Any]:
-        return []
-
-
-class NullStream:
-    """No-op :class:`~repro.obs.streamstat.StreamLedger`."""
-
-    def publish(self, *a: object, **kw: object) -> None:
-        pass
-
-    def acquire(self, *a: object, **kw: object) -> None:
-        pass
-
-    def release(self, *a: object, **kw: object) -> None:
-        pass
-
-    def drop(self, *a: object, **kw: object) -> None:
-        pass
-
-    def events(self, *a: object, **kw: object) -> list[Any]:
-        return []
-
-    def streams(self) -> list[str]:
-        return []
-
-    def max_depth(self, *a: object, **kw: object) -> int:
-        return 0
-
-    def open_acquisitions(self) -> list[Any]:
-        return []
-
-    def snapshot(self) -> NullStream:
+    def __call__(self, *args: object, **kwargs: object) -> _Sink:
         return self
 
-    def merge(self, other: object) -> NullStream:
+    def __getattr__(self, name: str) -> _Sink:
         return self
 
-
-class NullSeries:
-    """No-op :class:`~repro.obs.series.SeriesRecorder`."""
-
-    def record(self, name: str, t: float, value: float,
-               **kw: object) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         pass
 
-    def bound(self, name: str, **kw: object) -> _NullBoundSeries:
-        return _NULL_BOUND_SERIES
+    def __add__(self, other: object) -> _Sink:
+        return self
 
-    def snapshot(self) -> Any:
-        from repro.obs.series import SeriesSnapshot
-
-        return SeriesSnapshot()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {}
-
-
-class _NullBoundSeries:
-    def record(self, t: float, value: float) -> None:
-        pass
-
-
-_NULL_BOUND_COUNTER = _NullBoundCounter()
-_NULL_BOUND_SERIES = _NullBoundSeries()
-
-
-class NullObsContext:
-    """Telemetry-disabled stand-in for :class:`~repro.obs.ObsContext`.
-
-    Pass as ``Engine(obs=...)`` / ``Workflow.run(obs=...)`` to run the
-    identical simulation with every recording surface stubbed out.
-    """
-
-    def __init__(self) -> None:
-        self.metrics = NullMetrics()
-        self.spans = NullSpans()
-        self.flight = NullFlight()
-        self.causal = NullCausal()
-        self.stream = NullStream()
-        self.series = NullSeries()
-        self._rank_tasks: dict[int, str] = {}
-
-    def set_task(self, task: str, world_ranks: object) -> None:
-        pass
-
-    def task_of(self, rank: int) -> str | None:
+    def __enter__(self) -> None:
         return None
 
-    def rank_tasks(self) -> dict[int, str]:
-        return {}
+    def __exit__(self, *exc: object) -> None:
+        return None
 
-    def sample(self, name: str, t: float, value: float, *,
-               rank: int | None = None, volatile: bool = False,
-               **labels: object) -> None:
-        pass
 
-    def fault(self, rank: int, t: float, kind: str,
-              **labels: object) -> None:
-        pass
+_SINK = _Sink()
 
-    @contextmanager
-    def span(self, comm: object, name: str, cat: str = "",
-             **labels: object) -> Iterator[None]:
-        yield None
 
-    def chrome_trace(self, events: object = ()) -> dict[str, Any]:
-        raise ValueError("observability is disabled for this run")
+class NullObsContext(ObsContext):
+    """An :class:`~repro.obs.ObsContext` that records nothing: pass as
+    ``Engine(obs=...)`` / ``Workflow.run(obs=...)``."""
 
-    def write_chrome_trace(self, path: str,
-                           events: object = ()) -> None:
-        raise ValueError("observability is disabled for this run")
+    def __init__(self) -> None:
+        super().__init__()
+        for rec in (self, *vars(self).values()):
+            for name in getattr(type(rec), "PRODUCERS", ()):
+                setattr(rec, name, _SINK)

@@ -29,6 +29,7 @@ class FlightEvent:
     detail: tuple[tuple[str, object], ...] = ()  # sorted (key, value)
 
     def to_dict(self) -> dict[str, object]:
+        """JSON-able form, ``detail`` pairs inlined."""
         d: dict[str, object] = {"vtime": self.vtime, "rank": self.rank,
                                 "kind": self.kind, "name": self.name}
         d.update(dict(self.detail))
@@ -45,6 +46,8 @@ class FlightRecorder:
     mutated concurrently raises ``RuntimeError``, so :meth:`events`
     must copy under the same lock the writers hold.
     """
+
+    PRODUCERS = ("record", "append")  # see ObsContext
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:

@@ -51,6 +51,7 @@ class Window:
     vmax: float = float("-inf")
 
     def add(self, value: float) -> None:
+        """Fold one sample into the aggregates."""
         self.count += 1
         self.total += value
         if value < self.vmin:
@@ -59,15 +60,18 @@ class Window:
             self.vmax = value
 
     def merge(self, other: "Window") -> "Window":
+        """Aggregates of both windows together (pure)."""
         return Window(self.count + other.count, self.total + other.total,
                       min(self.vmin, other.vmin),
                       max(self.vmax, other.vmax))
 
     @property
     def mean(self) -> float:
+        """Mean of the samples (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def to_json(self) -> list[float]:
+        """``[count, total, min, max]``."""
         return [self.count, self.total, self.vmin, self.vmax]
 
 
@@ -121,6 +125,7 @@ class SeriesValue:
     # -- combining ---------------------------------------------------------
 
     def copy(self) -> "SeriesValue":
+        """Independent deep copy (windows included)."""
         out = SeriesValue(self.base_interval, self.max_windows,
                           self.volatile)
         out.interval = self.interval
@@ -165,6 +170,7 @@ class SeriesValue:
                 for idx in sorted(self.windows)]
 
     def to_json(self) -> dict[str, object]:
+        """JSON-able form: window width plus ``[index, *aggregates]`` rows."""
         return {
             "interval": self.interval,
             "volatile": self.volatile,
@@ -196,6 +202,7 @@ class BoundSeries:
         self._slot = slot
 
     def record(self, t: float, value: float) -> None:
+        """Fold one sample taken at vtime ``t`` into the bound series."""
         with self._lock:
             self._slot.record(t, value)
 
@@ -207,6 +214,7 @@ class SeriesSnapshot:
     data: dict[Key, SeriesValue] = field(default_factory=dict)
 
     def merge(self, other: "SeriesSnapshot") -> "SeriesSnapshot":
+        """Key-wise merge of two snapshots (pure, associative)."""
         out = dict(self.data)
         for k, v in other.data.items():
             mine = out.get(k)
@@ -214,6 +222,7 @@ class SeriesSnapshot:
         return SeriesSnapshot(out)
 
     def get(self, name: str, **labels: object) -> SeriesValue | None:
+        """The series for ``(name, labels)`` or ``None``."""
         return self.data.get(metric_key(name, labels))
 
     def to_dict(self) -> dict[str, object]:
@@ -236,6 +245,8 @@ class SeriesRecorder:
     One lock guards all series; a sample is a dict lookup plus a
     window update, cheap enough for protocol-rate sampling.
     """
+
+    PRODUCERS = ("record", "bound")  # see ObsContext
 
     def __init__(self, base_interval: float = DEFAULT_INTERVAL,
                  max_windows: int = DEFAULT_WINDOWS) -> None:

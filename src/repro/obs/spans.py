@@ -49,6 +49,7 @@ class SpanEvent:
 
     @property
     def duration(self) -> float:
+        """Virtual seconds from ``t0`` to ``t1``."""
         return self.t1 - self.t0
 
 
@@ -88,6 +89,8 @@ class SpanRecorder:
     pairs must nest properly within one thread (the context-manager
     form guarantees this).
     """
+
+    PRODUCERS = ("begin", "end", "add", "instant")  # see ObsContext
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

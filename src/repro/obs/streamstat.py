@@ -32,6 +32,7 @@ class StreamEvent:
     depth: int = -1
 
     def to_dict(self) -> dict:
+        """JSON-able form; ``depth`` only where it was recorded."""
         d = {"kind": self.kind, "stream": self.stream,
              "epoch": self.epoch, "rank": self.rank, "t": self.t}
         if self.depth >= 0:
@@ -42,6 +43,8 @@ class StreamEvent:
 @dataclass
 class StreamLedger:
     """Thread-safe append log of :class:`StreamEvent`."""
+
+    PRODUCERS = ("publish", "acquire", "release", "drop")  # see ObsContext
 
     _events: list = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock)
@@ -72,12 +75,12 @@ class StreamLedger:
 
     # -- combining ---------------------------------------------------------
 
-    def snapshot(self) -> "StreamLedger":
+    def snapshot(self) -> StreamLedger:
         """Immutable-by-convention copy of the current event log."""
         with self._lock:
             return StreamLedger(list(self._events))
 
-    def merge(self, other: "StreamLedger") -> "StreamLedger":
+    def merge(self, other: StreamLedger) -> StreamLedger:
         """Union of two ledgers' events.
 
         Events are frozen and hashable, so a shared event recorded by

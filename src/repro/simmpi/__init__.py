@@ -39,7 +39,6 @@ from repro.simmpi.request import Request
 from repro.simmpi.comm import Comm, Intercomm
 from repro.simmpi.engine import (
     Engine,
-    TraceEvent,
     WAKE_ANY,
     WaitDesc,
     WorldResult,
@@ -62,7 +61,6 @@ __all__ = [
     "Comm",
     "Intercomm",
     "Engine",
-    "TraceEvent",
     "WAKE_ANY",
     "WaitDesc",
     "WorldResult",

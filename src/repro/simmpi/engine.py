@@ -96,24 +96,6 @@ class Proc:
         self.done = False
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced communication event (``Engine(trace=True)``).
-
-    ``kind`` is ``"send"``, ``"recv"`` or ``"coll"``; ranks are world
-    ranks (``peer`` is -1 for collectives); ``vtime`` is the acting
-    rank's virtual clock when the event completed.
-    """
-
-    vtime: float
-    kind: str
-    rank: int
-    peer: int
-    tag: int
-    nbytes: int
-    label: str = ""
-
-
 @dataclass
 class WorldResult:
     """Result of :meth:`Engine.run`.
@@ -169,8 +151,8 @@ class Engine:
     _POLL = 0.05
 
     def __init__(self, nprocs: int, model: NetworkModel | None = None,
-                 timeout: float = 60.0, trace: bool = False,
-                 obs: ObsContext | None = None, faults=None):
+                 timeout: float = 60.0, obs: ObsContext | None = None,
+                 faults=None):
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         self.nprocs = nprocs
@@ -178,12 +160,8 @@ class Engine:
         self.timeout = timeout
         #: Fault-injection plan (``None`` = healthy machine).
         self.faults = faults
-        #: When True, every send/recv/collective appends a TraceEvent.
-        self.trace = trace
         #: Unified telemetry (always on; the flight recorder is bounded).
         self.obs = obs if obs is not None else ObsContext()
-        self.trace_events: list[TraceEvent] = []
-        self._trace_lock = threading.Lock()
         # (kind, rank) -> (count handle, bytes handle): pre-resolved
         # bound counters so the per-event hot path never rebuilds
         # metric keys (benign race: duplicate handles bind one slot).
@@ -234,23 +212,19 @@ class Engine:
             self._comm_counter += 1
             return self._comm_counter
 
-    def proc(self, world_rank: int) -> Proc:
-        """The Proc of ``world_rank``."""
-        return self.procs[world_rank]
-
     def current_proc(self) -> Proc:
         """The calling thread's Proc."""
         return self.procs[current_world_rank()]
 
-    # -- tracing ------------------------------------------------------------
+    # -- event accounting ---------------------------------------------------
 
     def record(self, vtime: float, kind: str, rank: int, peer: int,
                tag: int, nbytes: int, label: str = "") -> None:
         """Account one communication event.
 
-        Always feeds the flight recorder and the byte/message counters
-        in :attr:`obs`; the full :class:`TraceEvent` list is only
-        appended when tracing is enabled. Counters are pre-resolved
+        Feeds the flight recorder and the byte/message counters in
+        :attr:`obs` (the full per-message record is the causal trace,
+        written at delivery and match time). Counters are pre-resolved
         bound handles and the flight detail tuple is built in key
         order, so this path does no metric-key or sort work.
         """
@@ -267,18 +241,6 @@ class Engine:
             rank, vtime, kind, label or kind,
             (("nbytes", nbytes), ("peer", peer), ("tag", tag)),
         )
-        if not self.trace:
-            return
-        with self._trace_lock:
-            self.trace_events.append(
-                TraceEvent(vtime, kind, rank, peer, tag, nbytes, label)
-            )
-
-    def sorted_trace(self) -> list:
-        """Trace events ordered by virtual time (stable)."""
-        with self._trace_lock:
-            return sorted(self.trace_events,
-                          key=lambda e: (e.vtime, e.rank))
 
     # -- failure handling ---------------------------------------------------
 

@@ -5,11 +5,13 @@
 - :func:`export_store` / :func:`import_store` -- move a simulated PFS's
   contents to and from a real directory on disk, so simulated runs can
   leave artifacts that other tooling can read back;
-- :func:`export_demo_trace` -- run the demo LowFive workflow and write
-  a Chrome/Perfetto ``trace_event`` JSON file.
+- :func:`render_timeline` / :func:`communication_matrix` -- ASCII views
+  of a run's causal record;
+- :func:`run_workload` -- run the workload :func:`workload_args`
+  selects, as the run-and-inspect subcommands do.
 
-Also usable as a module: ``python -m repro.tools h5dump <dir> <file>``
-or ``python -m repro.tools trace <out.json>``.
+Also usable as a module: ``python -m repro.tools h5dump <dir> <file>``,
+``python -m repro.tools trace <out.json>``, ... (``--help`` lists all).
 """
 
 from repro.tools.inspect import h5dump, h5ls
@@ -18,8 +20,8 @@ from repro.tools.timeline import (
     render_matrix,
     render_timeline,
 )
-from repro.tools.trace import export_demo_trace, run_demo_workflow
 from repro.tools.transfer import export_store, import_store
+from repro.tools.workload import run_workload, workload_args
 
 __all__ = [
     "h5ls",
@@ -29,6 +31,6 @@ __all__ = [
     "render_timeline",
     "communication_matrix",
     "render_matrix",
-    "export_demo_trace",
-    "run_demo_workflow",
+    "run_workload",
+    "workload_args",
 ]

@@ -1,7 +1,6 @@
 """``python -m repro.tools analyze`` -- schedule analysis CLI.
 
-Runs one of the paper's benchmark workloads (or any python file
-exposing ``build_workflow()``) under the simulator, then feeds the
+Runs a workload (see :mod:`repro.tools.workload`), then feeds the
 recorded causal trace to every :mod:`repro.analyze` dynamic check --
 wildcard races, collective mismatches, message leaks -- and renders
 the findings. Exit status is the number of findings capped at 1, so
@@ -18,33 +17,7 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.perfmodel.transports import THETA_KNL
-from repro.synth import SyntheticWorkload
-
-
-def _build_workflow(args):
-    """The workflow + timeout selected by the CLI arguments."""
-    wl = SyntheticWorkload(grid_points_per_proc=args.grid_points,
-                           particles_per_proc=args.particles)
-    if args.example == "fig7":
-        from repro.bench.drivers import _pure_mpi_wf
-
-        return _pure_mpi_wf(args.nprod, args.ncons, wl, THETA_KNL), 120.0
-    if args.example == "fig5":
-        from repro.bench.drivers import _lowfive_wf
-        from repro.pfs import PFSStore
-
-        timeout = 240.0 if args.mode == "file" else 120.0
-        return _lowfive_wf(args.nprod, args.ncons, wl, THETA_KNL,
-                           args.mode, PFSStore()), timeout
-    # A user file exposing build_workflow(), same contract as critpath.
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("analyze_example",
-                                                  args.example)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.build_workflow(), args.timeout
+from repro.tools.workload import add_workload_args, run_workload
 
 
 def _fault_plan(args):
@@ -61,11 +34,7 @@ def run(args) -> int:
     """Entry point for the ``analyze`` subcommand."""
     from repro.analyze import analyze_obs
 
-    wf, timeout = _build_workflow(args)
-    if args.timeout is not None:
-        timeout = args.timeout
-    res = wf.run(model=THETA_KNL.net, timeout=timeout,
-                 faults=_fault_plan(args))
+    res = run_workload(args, faults=_fault_plan(args))
     findings = analyze_obs(res.obs)
 
     n = len(res.obs.causal.matches())
@@ -94,21 +63,7 @@ def add_parser(sub) -> None:
         help="run a workload and check its schedule for wildcard "
              "races, collective mismatches and message leaks",
     )
-    p.add_argument("--example", default="fig5",
-                   help="fig5 (LowFive), fig7 (pure MPI), or a python "
-                        "file exposing build_workflow() (default fig5)")
-    p.add_argument("--mode", choices=["memory", "file"], default="memory",
-                   help="LowFive transport mode for fig5")
-    p.add_argument("--nprod", type=int, default=4,
-                   help="producer ranks (default 4)")
-    p.add_argument("--ncons", type=int, default=2,
-                   help="consumer ranks (default 2)")
-    p.add_argument("--grid-points", type=int, default=4096,
-                   help="grid points per producer rank")
-    p.add_argument("--particles", type=int, default=2048,
-                   help="particles per producer rank")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="real-time deadlock timeout (default per mode)")
+    add_workload_args(p)
     p.add_argument("--delay", type=float, default=0.0,
                    help="inject a deterministic message delay of up to "
                         "this many virtual seconds (0 disables)")

@@ -1,7 +1,6 @@
 """``python -m repro.tools critpath``: causal analysis of one run.
 
-Runs a workflow (the built-in demo producer/consumer job, or any
-example file exposing ``build_workflow()``), extracts the critical
+Runs a workload (see :mod:`repro.tools.workload`), extracts the critical
 path, classifies every blocked interval, checks the per-rank time
 conservation invariant, and prints the result as a report: top-k
 critical-path segments, per-category and per-phase shares, and the
@@ -15,39 +14,7 @@ from __future__ import annotations
 import json
 import sys
 
-
-def _load_example(path: str):
-    """Import ``path`` as a module and return its ``build_workflow()``."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("_critpath_example", path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot import example {path!r}")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    build = getattr(mod, "build_workflow", None)
-    if build is None:
-        raise SystemExit(
-            f"example {path!r} defines no build_workflow() function"
-        )
-    return build()
-
-
-def _run_workflow(args):
-    """Execute the requested workload; returns its WorkflowResult."""
-    if args.example:
-        wf = _load_example(args.example)
-        return wf.run(trace=True, timeout=args.timeout)
-    from repro.bench.drivers import _lowfive_wf
-    from repro.perfmodel.transports import THETA_KNL
-    from repro.pfs import PFSStore
-    from repro.synth import SyntheticWorkload
-
-    wl = SyntheticWorkload(grid_points_per_proc=args.grid_points,
-                           particles_per_proc=args.particles)
-    wf = _lowfive_wf(args.nprod, args.ncons, wl, THETA_KNL, args.mode,
-                     PFSStore())
-    return wf.run(model=THETA_KNL.net, trace=True, timeout=args.timeout)
+from repro.tools.workload import add_workload_args, run_workload
 
 
 def _fmt_seconds(sec: float) -> str:
@@ -112,7 +79,7 @@ def _print_report(report, top: int, out=None) -> None:
 
 def run(args) -> int:
     """Entry point for the ``critpath`` subcommand."""
-    res = _run_workflow(args)
+    res = run_workload(args)
     report = res.causal_report(tol=args.tol)
     _print_report(report, args.top)
 
@@ -134,7 +101,7 @@ def run(args) -> int:
     if args.trace:
         from repro.obs import validate_chrome_trace, write_chrome_trace
 
-        doc = write_chrome_trace(args.trace, res.obs, res.trace)
+        doc = write_chrome_trace(args.trace, res.obs)
         try:
             validate_chrome_trace(doc)
         except ValueError as exc:
@@ -154,29 +121,15 @@ def add_parser(sub) -> None:
     """Register the ``critpath`` subcommand on ``sub``."""
     p = sub.add_parser(
         "critpath",
-        help="run a workflow and print its critical path, wait-state "
+        help="run a workload and print its critical path, wait-state "
              "table and conservation check",
     )
-    p.add_argument("--example", metavar="PATH", default=None,
-                   help="python file exposing build_workflow(); default "
-                        "is the built-in demo producer/consumer job")
-    p.add_argument("--mode", choices=["memory", "file"], default="memory",
-                   help="LowFive transport mode of the demo job")
-    p.add_argument("--nprod", type=int, default=4,
-                   help="demo producer ranks (default 4)")
-    p.add_argument("--ncons", type=int, default=2,
-                   help="demo consumer ranks (default 2)")
-    p.add_argument("--grid-points", type=int, default=4096,
-                   help="demo grid points per producer rank")
-    p.add_argument("--particles", type=int, default=2048,
-                   help="demo particles per producer rank")
+    add_workload_args(p)
     p.add_argument("--top", type=int, default=10,
                    help="rows in the segment/wait tables (default 10)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="conservation / path-residual tolerance in "
                         "virtual seconds (default 1e-9)")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="real-time deadlock timeout (default 120 s)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="also write the run's Chrome trace JSON here")
     p.add_argument("--report", metavar="PATH", default=None,

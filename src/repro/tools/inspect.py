@@ -9,6 +9,7 @@ import numpy as np
 from repro.h5 import format as h5format
 from repro.h5.objects import DatasetNode, GroupNode
 from repro.h5.selection import AllSelection
+from repro.tools.transfer import import_store
 
 
 def _load(blob: bytes, name: str = ""):
@@ -70,3 +71,21 @@ def h5dump(blob: bytes, name: str = "", max_elements: int = 16) -> str:
 
     walk(root, 0)
     return out.getvalue()
+
+
+def run(args) -> int:
+    """Entry point for the ``h5ls`` / ``h5dump`` subcommands."""
+    handle = import_store(args.directory).open(args.file)
+    blob = handle.pread(0, handle.size)
+    print(args.inspect(blob, args.file), end="")
+    return 0
+
+
+def add_parser(sub) -> None:
+    """Register the ``h5ls`` and ``h5dump`` subcommands on ``sub``."""
+    for cmd, fn in (("h5ls", h5ls), ("h5dump", h5dump)):
+        p = sub.add_parser(cmd, help=f"{cmd} a file from an exported "
+                                     "store directory")
+        p.add_argument("directory", help="directory written by export_store")
+        p.add_argument("file", help="file name within the directory")
+        p.set_defaults(run=run, inspect=fn)

@@ -12,16 +12,9 @@ the findings as a machine-readable report instead.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
-
-def _default_paths() -> list[str]:
-    """src/examples/benchmarks/tests relative to the checkout root."""
-    here = os.getcwd()
-    out = [p for p in ("src", "examples", "benchmarks", "tests")
-           if os.path.isdir(os.path.join(here, p))]
-    return out or ["."]
+from repro.tools.lint import _default_paths
 
 
 def _module_path(name: str) -> str:

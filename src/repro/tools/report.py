@@ -1,8 +1,8 @@
 """Self-contained HTML run report: ``python -m repro.tools report``.
 
-Runs the demo producer/consumer workflow (same job ``repro.tools
-trace`` exports) and renders everything the observability layer knows
-about it into one dependency-free HTML file:
+Runs a workload (see :mod:`repro.tools.workload`; the same job
+``repro.tools trace`` exports) and renders everything the observability
+layer knows about it into one dependency-free HTML file:
 
 - the run manifest (workload, mode, ranks, virtual results, cost-model
   digest, git revision, stable record digest);
@@ -24,6 +24,7 @@ from __future__ import annotations
 import html
 
 from repro.obs.metrics import HistogramValue, key_str
+from repro.tools.workload import add_workload_args, run_workload
 
 #: Sparkline viewport (px).
 _SPARK_W, _SPARK_H = 220, 36
@@ -277,13 +278,11 @@ def terminal_summary(record, report) -> str:
 def run(args) -> int:
     """Entry point of the ``report`` subcommand."""
     from repro.perfmodel.transports import THETA_KNL
-    from repro.tools.trace import run_demo_workflow
 
-    res = run_demo_workflow(args.nprod, args.ncons, args.mode,
-                            grid_points=args.grid_points,
-                            particles=args.particles)
-    nprocs = args.nprod + args.ncons
-    workload = args.workload or f"report/lowfive_{args.mode}/P{nprocs}"
+    res = run_workload(args)
+    label = f"lowfive_{args.mode}" if args.example == "fig5" \
+        else args.example
+    workload = args.workload or f"report/{label}/P{len(res.clocks)}"
     record = res.run_record(
         workload, mode=args.mode,
         params={"nprod": args.nprod, "ncons": args.ncons,
@@ -309,20 +308,11 @@ def add_parser(sub) -> None:
     """Register the ``report`` subcommand on ``sub``."""
     p = sub.add_parser(
         "report",
-        help="run the demo workflow and write a self-contained HTML "
-             "run report (spans, critical path, waits, series)",
+        help="run a workload and write a self-contained HTML run "
+             "report (spans, critical path, waits, series)",
     )
     p.add_argument("output", help="output .html path")
-    p.add_argument("--mode", choices=["memory", "file", "both"],
-                   default="memory", help="LowFive transport mode")
-    p.add_argument("--nprod", type=int, default=4,
-                   help="producer ranks (default 4)")
-    p.add_argument("--ncons", type=int, default=2,
-                   help="consumer ranks (default 2)")
-    p.add_argument("--grid-points", type=int, default=4096,
-                   help="grid points per producer rank")
-    p.add_argument("--particles", type=int, default=2048,
-                   help="particles per producer rank")
+    add_workload_args(p)
     p.add_argument("--workload", default=None,
                    help="workload key recorded in the ledger (default "
                         "report/lowfive_<mode>/P<n>)")

@@ -1,14 +1,14 @@
-"""ASCII timelines and communication matrices from simmpi traces.
+"""ASCII timelines and communication matrices of a run.
 
-Enable tracing with ``Engine(nprocs, trace=True)`` (or
-``Workflow.run(trace=True)``), then render:
+Both read the always-on causal record of a run's ``obs`` (``Engine.obs``
+/ ``WorkflowResult.obs``): every post is a send at ``t_post``, every flow
+edge a receive at ``t_recv``, every collective one mark per participant.
 
 - :func:`render_timeline` -- one lane per rank over virtual time, with
   ``s`` = send, ``r`` = receive, ``C`` = collective (like a coarse
-  Jumpshot view). Also accepts obs
-  :class:`~repro.obs.spans.SpanEvent` intervals (mixed freely with
-  point events): spans paint their whole ``[t0, t1]`` extent with a
-  per-category mark (``C`` simmpi, ``L`` lowfive, ``P`` pfs, ``W``
+  Jumpshot view). ``spans`` adds :class:`~repro.obs.spans.SpanEvent`
+  intervals underneath: each paints its whole ``[t0, t1]`` extent with
+  a per-category mark (``C`` simmpi, ``L`` lowfive, ``P`` pfs, ``W``
   workflow);
 - :func:`communication_matrix` -- rank-to-rank payload bytes;
 - :func:`render_matrix` -- the matrix as a heat table.
@@ -32,48 +32,42 @@ _SPAN_MARKS = {
 }
 
 
-def _is_span(e) -> bool:
-    """Interval events carry ``t0``/``t1``; point events carry ``vtime``."""
-    return hasattr(e, "t1")
-
-
-def render_timeline(events, nprocs: int, width: int = 72,
-                    title: str = "") -> str:
+def render_timeline(obs, nprocs: int, width: int = 72, title: str = "",
+                    spans=()) -> str:
     """One character lane per rank; columns are virtual-time buckets.
 
-    ``events`` may mix point :class:`~repro.simmpi.TraceEvent`\\ s and obs
-    :class:`~repro.obs.spans.SpanEvent`\\ s. Events whose rank is
-    ``>= nprocs`` (e.g. a trace captured on a larger world than the
-    caller expected) grow the lane table instead of crashing.
+    Events whose rank is ``>= nprocs`` (e.g. a run on a larger world
+    than the caller expected) grow the lane table instead of crashing.
     """
-    if not events:
+    causal, spans = obs.causal, list(spans)
+    points = [(p.t_post, p.src, "s") for p in causal.posts()]
+    points += [(e.t_recv, e.dst, "r") for e in causal.edges()]
+    points += [(c.t_end, r, "C") for c in causal.collectives()
+               for r in c.enter_clocks]
+    if not points and not spans:
         return "(no events traced)\n"
-    points = [e for e in events if not _is_span(e)]
-    spans = [e for e in events if _is_span(e)]
-    t_end = max([e.vtime for e in points] + [e.t1 for e in spans])
+    t_end = max([t for t, _, _ in points] + [e.t1 for e in spans])
     t_end = t_end if t_end > 0 else 1.0
-    nlanes = max(nprocs, max(e.rank for e in events) + 1)
+    nlanes = max(nprocs, max([r for _, r, _ in points]
+                             + [e.rank for e in spans]) + 1)
     lanes = [[" "] * width for _ in range(nlanes)]
 
     def col(t: float) -> int:
         return min(width - 1, int(t / t_end * (width - 1)))
 
-    def put(rank: int, c: int, mark: str, over=()) -> None:
-        cur = lanes[rank][c]
-        if cur == " " or cur in over:
-            lanes[rank][c] = mark
-        elif cur != mark:
-            lanes[rank][c] = "*"
-
-    # Spans paint the background; point events draw over them.
-    span_bg = set(_SPAN_MARKS.values()) | {"="}
+    # Spans paint the background; point events draw over them. Within
+    # either layer, different marks landing in one cell mix to "*".
     for e in spans:
         mark = _SPAN_MARKS.get(e.cat, "=")
         for c in range(col(e.t0), col(e.t1) + 1):
-            put(e.rank, c, mark)
-    marks = {"send": "s", "recv": "r", "coll": "C"}
-    for e in points:
-        put(e.rank, col(e.vtime), marks.get(e.kind, "?"), over=span_bg)
+            cur = lanes[e.rank][c]
+            lanes[e.rank][c] = mark if cur in (" ", mark) else "*"
+    cells: dict[tuple[int, int], str] = {}
+    for t, rank, mark in points:
+        key = (rank, col(t))
+        cells[key] = mark if cells.get(key, mark) == mark else "*"
+    for (rank, c), mark in cells.items():
+        lanes[rank][c] = mark
 
     out = io.StringIO()
     if title:
@@ -89,20 +83,19 @@ def render_timeline(events, nprocs: int, width: int = 72,
     return out.getvalue()
 
 
-def communication_matrix(events, nprocs: int) -> np.ndarray:
+def communication_matrix(obs, nprocs: int) -> np.ndarray:
     """Bytes sent from rank i to rank j (point-to-point only).
 
-    The matrix grows beyond ``nprocs`` when send events carry ranks or
-    peers outside ``[0, nprocs)``.
+    The matrix grows beyond ``nprocs`` when posts carry senders or
+    receivers outside ``[0, nprocs)``.
     """
-    sends = [e for e in events if not _is_span(e) and e.kind == "send"
-             and e.peer >= 0]
+    sends = obs.causal.posts()
     n = nprocs
-    for e in sends:
-        n = max(n, e.rank + 1, e.peer + 1)
+    for p in sends:
+        n = max(n, p.src + 1, p.dst + 1)
     m = np.zeros((n, n), dtype=np.int64)
-    for e in sends:
-        m[e.rank, e.peer] += e.nbytes
+    for p in sends:
+        m[p.src, p.dst] += p.nbytes
     return m
 
 

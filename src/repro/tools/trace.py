@@ -1,63 +1,20 @@
-"""Export a demo LowFive run as a Chrome/Perfetto trace.
+"""``python -m repro.tools trace``: export a run as a Chrome/Perfetto trace.
 
-``python -m repro.tools trace out.json`` runs the paper's
-producer/consumer workflow in LowFive memory mode on a shrunk workload
-and writes the run's full observability record -- spans from every
-instrumented layer (simmpi collectives, lowfive index/serve/query, pfs
-I/O, workflow tasks), point communication events, and the metrics dump
--- as ``trace_event`` JSON. Open the file at https://ui.perfetto.dev
-or ``chrome://tracing``.
+Runs the selected workload (default: the paper's producer/consumer
+workflow in LowFive memory mode on a shrunk problem) and writes the
+run's full observability record -- spans from every instrumented layer
+(simmpi collectives, lowfive index/serve/query, pfs I/O, workflow
+tasks), one flow arrow per message, and the metrics dump -- as
+``trace_event`` JSON. Open the file at https://ui.perfetto.dev or
+``chrome://tracing``.
 """
 
 from __future__ import annotations
 
-from repro.obs import write_chrome_trace
-from repro.pfs import PFSStore
-from repro.perfmodel.transports import THETA_KNL
-from repro.synth import SyntheticWorkload
+import json
 
-
-def run_demo_workflow(nprod: int = 4, ncons: int = 2,
-                      mode: str = "memory", grid_points: int = 4096,
-                      particles: int = 2048):
-    """Run the synthetic producer/consumer workflow with tracing on.
-
-    Returns the :class:`~repro.workflow.runner.WorkflowResult`; its
-    ``obs`` and ``trace`` fields feed :func:`repro.obs.chrome_trace`.
-    """
-    from repro.bench.drivers import _lowfive_wf
-
-    wl = SyntheticWorkload(grid_points_per_proc=grid_points,
-                           particles_per_proc=particles)
-    wf = _lowfive_wf(nprod, ncons, wl, THETA_KNL, mode, PFSStore())
-    res = wf.run(model=THETA_KNL.net, trace=True)
-    if not all(bool(r) for r in res.returns["consumer"]):
-        raise AssertionError("consumer-side validation failed")
-    return res
-
-
-def export_demo_trace(path: str, nprod: int = 4, ncons: int = 2,
-                      mode: str = "memory", metrics: bool = False) -> dict:
-    """Run the demo workflow and write its Chrome trace to ``path``.
-
-    Returns the trace document (also written to disk), so callers and
-    tests can inspect it without re-reading the file. With
-    ``metrics=True`` the metrics snapshot and virtual-time series are
-    additionally dumped as ``<path>.metrics.json``.
-    """
-    res = run_demo_workflow(nprod, ncons, mode)
-    doc = write_chrome_trace(path, res.obs, res.trace)
-    if metrics:
-        import json
-
-        from repro.obs import metrics_dump, series_dump
-
-        side = {"metrics": metrics_dump(res.obs.metrics),
-                "series": series_dump(res.obs.series)}
-        with open(path + ".metrics.json", "w") as f:
-            json.dump(side, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return doc
+from repro.obs import metrics_dump, series_dump, write_chrome_trace
+from repro.tools.workload import add_workload_args, run_workload
 
 
 def trace_summary(doc: dict) -> str:
@@ -65,7 +22,37 @@ def trace_summary(doc: dict) -> str:
     evs = doc["traceEvents"]
     spans = [e for e in evs if e["ph"] == "X"]
     cats = sorted({e.get("cat", "") for e in spans})
-    instants = sum(1 for e in evs if e["ph"] == "i")
+    flows = sum(1 for e in evs if e["ph"] == "s")
     return (f"{len(spans)} spans ({', '.join(c for c in cats if c)}), "
-            f"{instants} instant events, "
+            f"{flows} message flows, "
             f"{len(doc['otherData']['metrics'])} metric series")
+
+
+def run(args) -> int:
+    """Entry point for the ``trace`` subcommand."""
+    res = run_workload(args)
+    doc = write_chrome_trace(args.output, res.obs)
+    print(f"wrote {args.output}: {trace_summary(doc)}")
+    if args.metrics:
+        side = {"metrics": metrics_dump(res.obs.metrics),
+                "series": series_dump(res.obs.series)}
+        with open(args.output + ".metrics.json", "w") as f:
+            json.dump(side, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {args.output}.metrics.json")
+    return 0
+
+
+def add_parser(sub) -> None:
+    """Register the ``trace`` subcommand on ``sub``."""
+    p = sub.add_parser(
+        "trace",
+        help="run a workload and write a Chrome/Perfetto trace_event "
+             "JSON file",
+    )
+    p.add_argument("output", help="output .json path")
+    add_workload_args(p)
+    p.add_argument("--metrics", action="store_true",
+                   help="also dump the metrics snapshot (and series) "
+                        "as <output>.metrics.json next to the trace")
+    p.set_defaults(run=run)

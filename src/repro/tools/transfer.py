@@ -46,83 +46,3 @@ def import_store(directory: str, store: PFSStore | None = None) -> PFSStore:
             with open(path, "rb") as f:
                 store.create(name).pwrite(0, f.read())
     return store
-
-
-def main(argv=None) -> int:
-    """``python -m repro.tools h5dump|h5ls <dir> <file>``,
-    ``python -m repro.tools trace <out.json>``,
-    ``python -m repro.tools critpath [--strict ...]``,
-    ``python -m repro.tools analyze [--example fig5 ...]``,
-    ``python -m repro.tools lint [paths ...]``,
-    ``python -m repro.tools proto [paths ...] [--strict]``,
-    ``python -m repro.tools regress <doc> --ref <ref>`` or
-    ``python -m repro.tools report <out.html>``."""
-    import argparse
-
-    from repro.tools.analyze import add_parser as add_analyze
-    from repro.tools.critpath import add_parser as add_critpath
-    from repro.tools.inspect import h5dump, h5ls
-    from repro.tools.lint import add_parser as add_lint
-    from repro.tools.proto import add_parser as add_proto
-    from repro.tools.regress import add_parser as add_regress
-    from repro.tools.report import add_parser as add_report
-
-    ap = argparse.ArgumentParser(
-        prog="repro.tools",
-        description="Inspect native-format files exported from a "
-                    "simulated PFS, export a demo run as a Chrome "
-                    "trace, run the causal critical-path analysis, "
-                    "check a schedule for races, lint virtual-time "
-                    "code, gate a run against a reference, or render "
-                    "an HTML run report.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for cmd, fn in (("h5ls", h5ls), ("h5dump", h5dump)):
-        p = sub.add_parser(cmd, help=f"{cmd} a file from an exported "
-                                     "store directory")
-        p.add_argument("directory", help="directory written by export_store")
-        p.add_argument("file", help="file name within the directory")
-        p.set_defaults(inspect=fn)
-    pt = sub.add_parser(
-        "trace",
-        help="run the demo LowFive workflow and write a Chrome/Perfetto "
-             "trace_event JSON file",
-    )
-    pt.add_argument("output", help="output .json path")
-    pt.add_argument("--nprod", type=int, default=4,
-                    help="producer ranks (default 4)")
-    pt.add_argument("--ncons", type=int, default=2,
-                    help="consumer ranks (default 2)")
-    pt.add_argument("--mode", choices=["memory", "file", "both"],
-                    default="memory", help="LowFive transport mode")
-    pt.add_argument("--metrics", action="store_true",
-                    help="also dump the metrics snapshot (and series) "
-                         "as <output>.metrics.json next to the trace")
-    add_critpath(sub)
-    add_analyze(sub)
-    add_lint(sub)
-    add_proto(sub)
-    add_regress(sub)
-    add_report(sub)
-    args = ap.parse_args(argv)
-
-    if args.command in ("critpath", "analyze", "lint", "proto",
-                        "regress", "report"):
-        return args.run(args)
-
-    if args.command == "trace":
-        from repro.tools.trace import export_demo_trace, trace_summary
-
-        doc = export_demo_trace(args.output, nprod=args.nprod,
-                                ncons=args.ncons, mode=args.mode,
-                                metrics=args.metrics)
-        print(f"wrote {args.output}: {trace_summary(doc)}")
-        if args.metrics:
-            print(f"wrote {args.output}.metrics.json")
-        return 0
-
-    store = import_store(args.directory)
-    handle = store.open(args.file)
-    blob = handle.pread(0, handle.size)
-    print(args.inspect(blob, args.file), end="")
-    return 0

@@ -53,10 +53,8 @@ class WorkflowResult:
     returns: dict = field(default_factory=dict)
     messages: int = 0
     bytes_sent: int = 0
-    #: Communication trace (populated when ``run(trace=True)``).
-    trace: list = field(default_factory=list)
     #: The run's :class:`~repro.obs.ObsContext` (metrics, spans,
-    #: flight recorder) -- always populated.
+    #: causal trace, flight recorder) -- always populated.
     obs: object = None
     #: Final virtual clock of every rank of the successful attempt.
     clocks: list = field(default_factory=list)
@@ -174,13 +172,12 @@ class Workflow:
         return wf
 
     def run(self, model: NetworkModel | None = None,
-            timeout: float = 60.0, trace: bool = False, faults=None,
+            timeout: float = 60.0, faults=None,
             restart: RestartPolicy | None = None,
             obs=None) -> WorkflowResult:
         """Execute the workflow on a fresh simulated machine.
 
-        With ``trace=True`` every communication event is recorded and
-        returned as ``WorkflowResult.trace`` (see
+        Every communication event lands in ``WorkflowResult.obs`` (see
         :mod:`repro.tools.timeline`). ``faults`` installs a
         :class:`~repro.faults.FaultPlan` on the machine; ``restart``
         governs recovery when an injected crash kills a rank (default:
@@ -200,8 +197,8 @@ class Workflow:
             attempts += 1
             tries_here += 1
             try:
-                result = self._run_once(include, model, timeout, trace,
-                                        faults, attempts, obs)
+                result = self._run_once(include, model, timeout, faults,
+                                        attempts, obs)
             except RankFailure as exc:
                 if tries_here <= policy.max_retries:
                     continue
@@ -250,13 +247,12 @@ class Workflow:
                         frontier.append(nxt)
         return component
 
-    def _run_once(self, include: list, model, timeout: float, trace: bool,
-                  faults, attempt: int, obs=None) -> WorkflowResult:
+    def _run_once(self, include: list, model, timeout: float, faults,
+                  attempt: int, obs=None) -> WorkflowResult:
         """One machine run of the tasks named in ``include``."""
         tasks = [t for t in self._tasks if t.name in include]
         engine = Engine(sum(t.nprocs for t in tasks), model=model,
-                        timeout=timeout, trace=trace, faults=faults,
-                        obs=obs)
+                        timeout=timeout, faults=faults, obs=obs)
         engine.obs.sample("workflow.attempt", 0.0, attempt)
 
         # Contiguous rank ranges per task.
@@ -311,7 +307,6 @@ class Workflow:
             returns=returns,
             messages=res.messages,
             bytes_sent=res.bytes_sent,
-            trace=engine.sorted_trace() if trace else [],
             obs=engine.obs,
             clocks=res.clocks,
         )

@@ -7,14 +7,23 @@ the wildcard safety gate and per-sender message ids make the whole
 pipeline a pure function of the seed; these tests pin that, with the
 thread switch interval cranked down so the OS interleaves rank threads
 as aggressively as it can.
+
+``TestStagedDeterminism`` is a known flake (ROADMAP item 1, not fixed
+here). Reproduction: the test body looped 60x with
+``sys.setswitchinterval(1e-5)`` and 3 busy-loop daemon threads diverged
+in 2/59 runs (0/39 with no background load). The first differing fields
+are ``report/conservation/ranks/{3,4}/clock`` (the two consumers' *final
+virtual clocks* move by 2-6 us) and rank 5 (the stager) ``wait`` /
+``transfer`` -- i.e. the stager's reply order, hence virtual time
+itself, depends on interleaving, not just wait attribution.
 """
 
-import json
 import sys
 
 import pytest
 
 from repro.analyze import analyze_obs
+from tests.analyze.firstdiff import assert_identical, first_diff
 from repro.bench.drivers import run_lowfive_file, run_lowfive_memory
 from repro.synth import SyntheticWorkload
 
@@ -33,22 +42,33 @@ def small_wl():
 
 
 def fingerprint(res):
-    """Everything attribution-shaped, as one canonical JSON blob."""
-    return json.dumps(
-        {"vtime": res.vtime, "messages": res.messages,
-         "bytes": res.bytes_sent, "attribution": res.attribution},
-        sort_keys=True)
+    """Everything attribution-shaped, as one JSON-able document."""
+    return {"vtime": res.vtime, "messages": res.messages,
+            "bytes": res.bytes_sent, "attribution": res.attribution}
+
+
+class TestFirstDiff:
+    def test_names_path_and_both_values(self):
+        a = {"report": {"ranks": [{"clock": 1.0}, {"clock": 2.0}]}}
+        b = {"report": {"ranks": [{"clock": 1.0}, {"clock": 2.5}]}}
+        assert first_diff(a, a) is None
+        assert first_diff(a, b) == "/report/ranks/1/clock: 2.0 != 2.5"
+        with pytest.raises(AssertionError, match="ranks/1/clock"):
+            assert_identical([a, a, b])
+
+    def test_missing_key_and_length(self):
+        assert first_diff({"x": 1}, {}) == "/x: 1 != '<missing>'"
+        assert first_diff([1, 2], [1]) == ": length 2 != 1"
 
 
 class TestSameSeedSameLedgers:
     def test_memory_mode_attribution_is_byte_identical(self):
         runs = [run_lowfive_memory(2, 2, small_wl()) for _ in range(3)]
-        prints = [fingerprint(r) for r in runs]
-        assert prints[0] == prints[1] == prints[2]
+        assert_identical([fingerprint(r) for r in runs])
 
     def test_file_mode_attribution_is_byte_identical(self):
         runs = [run_lowfive_file(2, 2, small_wl()) for _ in range(2)]
-        assert fingerprint(runs[0]) == fingerprint(runs[1])
+        assert_identical([fingerprint(r) for r in runs])
 
 
 class TestAnalyzerDeterminism:
@@ -79,12 +99,10 @@ class TestAnalyzerDeterminism:
 
 
 def _report_fingerprint(res):
-    """Full causal report -- waits included -- as canonical JSON."""
-    return json.dumps(
-        {"vtime": res.vtime, "messages": res.messages,
-         "bytes": res.bytes_sent,
-         "report": res.causal_report().to_dict()},
-        sort_keys=True)
+    """Full causal report -- waits included -- as one document."""
+    return {"vtime": res.vtime, "messages": res.messages,
+            "bytes": res.bytes_sent,
+            "report": res.causal_report().to_dict()}
 
 
 class TestStagedDeterminism:
@@ -162,8 +180,7 @@ class TestStagedDeterminism:
             assert all(res.returns["consumer"])
             return _report_fingerprint(res)
 
-        prints = [one() for _ in range(3)]
-        assert prints[0] == prints[1] == prints[2]
+        assert_identical([one() for _ in range(3)])
 
 
 class TestStreamDeterminism:
@@ -219,5 +236,4 @@ class TestStreamDeterminism:
             assert res.returns["consumer"][0] == list(range(5))
             return _report_fingerprint(res)
 
-        prints = [one() for _ in range(3)]
-        assert prints[0] == prints[1] == prints[2]
+        assert_identical([one() for _ in range(3)])

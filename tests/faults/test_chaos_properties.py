@@ -39,7 +39,7 @@ def chaos_rules():
                              p_duplicate=0.3)]
 
 
-def run_pc(faults=None, mode="memory", trace=False, timeout=60.0,
+def run_pc(faults=None, mode="memory", timeout=60.0,
            nprod=NPROD, ncons=NCONS):
     """Producer/consumer grid exchange; consumers return raw bytes."""
     def make_vol(ctx, role, peer):
@@ -80,13 +80,22 @@ def run_pc(faults=None, mode="memory", trace=False, timeout=60.0,
     wf.add_task("producer", nprod, producer)
     wf.add_task("consumer", ncons, consumer)
     wf.add_link("producer", "consumer")
-    return wf.run(faults=faults, trace=trace, timeout=timeout)
+    return wf.run(faults=faults, timeout=timeout)
 
 
 def trace_key(result):
-    """Hashable view of the sorted communication trace."""
-    return [(e.vtime, e.kind, e.rank, e.peer, e.tag, e.nbytes, e.label)
-            for e in result.trace]
+    """Hashable, time-sorted view of the run's causal record: every
+    send, receive and collective with its virtual clocks."""
+    causal = result.obs.causal
+    return sorted(
+        [(p.t_post, "send", p.src, p.dst, p.tag, p.nbytes,
+          (p.t_arrival,)) for p in causal.posts()]
+        + [(e.t_recv, "recv", e.dst, e.src, e.tag, e.nbytes,
+            (e.t_recv_start,)) for e in causal.edges()]
+        + [(c.t_end, "coll", c.straggler, -1, 0, c.nbytes,
+            (c.kind, *sorted(c.enter_clocks.items())))
+           for c in causal.collectives()]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +124,8 @@ def test_same_seed_replays_identically(seed):
     # scheduling (a pre-existing engine property, independent of fault
     # injection), while a single blocking client makes the entire
     # virtual timeline a pure function of the fault seed.
-    a = run_pc(faults=FaultPlan(seed, messages=chaos_rules()),
-               trace=True, ncons=1)
-    b = run_pc(faults=FaultPlan(seed, messages=chaos_rules()),
-               trace=True, ncons=1)
+    a = run_pc(faults=FaultPlan(seed, messages=chaos_rules()), ncons=1)
+    b = run_pc(faults=FaultPlan(seed, messages=chaos_rules()), ncons=1)
     assert a.clocks == b.clocks
     assert trace_key(a) == trace_key(b)
     assert a.returns["consumer"] == b.returns["consumer"]

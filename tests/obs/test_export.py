@@ -14,7 +14,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.export import WORLD_PID
-from repro.simmpi import TraceEvent
 
 
 def _demo_obs():
@@ -63,22 +62,13 @@ class TestChromeTrace:
         assert by_name["inner"]["args"]["parent_id"] == \
             by_name["outer"]["args"]["span_id"]
 
-    def test_legacy_events_become_instants(self):
-        doc = chrome_trace(_demo_obs(),
-                           [TraceEvent(0.25, "send", 0, 1, 7, 64)])
-        inst = [e for e in doc["traceEvents"]
-                if e["ph"] == "i" and e.get("cat") == "simmpi"][0]
-        assert inst["args"] == {"kind": "send", "peer": 1, "tag": 7,
-                                "nbytes": 64}
-        assert inst["ts"] == pytest.approx(0.25e6)
-
     def test_metrics_ride_in_other_data(self):
         doc = chrome_trace(_demo_obs())
         m = doc["otherData"]["metrics"]
         assert m["counter"]["simmpi.send.bytes{rank=0}"]["total"] == 512
 
     def test_json_roundtrip_validates(self):
-        doc = chrome_trace(_demo_obs(), [TraceEvent(0.1, "coll", 1, -1, 0, 0)])
+        doc = chrome_trace(_demo_obs())
         validate_chrome_trace(doc)
         reloaded = json.loads(json.dumps(doc))
         validate_chrome_trace(reloaded)
@@ -243,7 +233,7 @@ class TestWrite:
 
 class TestCLITraceVerb:
     def test_cli_exports_multilayer_trace(self, tmp_path, capsys):
-        from repro.tools.transfer import main
+        from repro.tools.__main__ import main
 
         path = tmp_path / "demo.json"
         assert main(["trace", str(path), "--nprod", "2",

@@ -1,6 +1,6 @@
 """End-to-end observability: a LowFive memory-mode workflow produces
-spans from every instrumented layer, and the legacy ``phase_stats()``
-shim agrees exactly with the obs spans."""
+spans from every instrumented layer, and ``phase_stats()`` is exactly
+the per-rank fold of the ``lowfive`` spans."""
 
 import pytest
 
@@ -21,12 +21,12 @@ GRID = (8, 4, 2)
 NPROD, NCONS = 2, 2
 
 
-def run_workflow(trace=True):
+def run_workflow(obs=None):
     """Producer/consumer LowFive memory-mode run at test scale.
 
     Returns ``(result, stats)`` where ``stats`` maps
     ``(role, local rank)`` -> ``(world rank, PhaseStats)`` captured via
-    the legacy ``phase_stats()`` accessor inside each task.
+    the ``phase_stats()`` accessor inside each task.
     """
     stats = {}
 
@@ -70,7 +70,7 @@ def run_workflow(trace=True):
     wf.add_task("producer", NPROD, producer)
     wf.add_task("consumer", NCONS, consumer)
     wf.add_link("producer", "consumer")
-    res = wf.run(trace=trace)
+    res = wf.run(obs=obs)
     assert all(res.returns["consumer"])
     return res, stats
 
@@ -129,18 +129,28 @@ class TestSpans:
             assert c.t1 <= task_start[c.rank] + 1e-12
 
 
-class TestPhaseStatsShim:
-    def test_totals_match_spans(self, run):
+class TestPhaseStats:
+    def test_totals_equal_span_totals_exactly(self, run):
+        # One record: phase_stats() reads the spans, so the totals are
+        # the same floats, not two measurements pinned approximately.
         res, stats = run
         assert stats  # every task rank reported
         for (role, local), (world, ps) in stats.items():
             assert ps.seconds, f"{role}:{local} profiled nothing"
             for phase, secs in ps.seconds.items():
                 span_total = res.obs.spans.total(
-                    cat="lowfive", rank=world, phase=phase
+                    cat="lowfive", name=f"lowfive.{phase}", rank=world
                 )
-                assert span_total == pytest.approx(secs, abs=1e-9), \
+                assert span_total == secs, \
                     f"{role}:{local} phase {phase}"
+
+    def test_empty_when_telemetry_disabled(self):
+        from repro.obs import NullObsContext
+
+        res, stats = run_workflow(obs=NullObsContext())
+        assert stats
+        for _world, ps in stats.values():
+            assert ps.seconds == {} and ps.counts == {}
 
     def test_counts_match_span_counts(self, run):
         res, stats = run
@@ -154,13 +164,13 @@ class TestPhaseStatsShim:
 class TestExportAndMetrics:
     def test_trace_has_three_layers(self, run):
         res, _ = run
-        doc = res.obs.chrome_trace(res.trace)
+        doc = res.obs.chrome_trace()
         validate_chrome_trace(doc)
         cats = {e["cat"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"simmpi", "lowfive", "workflow"} <= cats
-        # Legacy point events ride along as instants.
-        assert any(e["ph"] == "i" and e["cat"] == "simmpi"
-                   for e in doc["traceEvents"])
+        # Every message rides along as a flow arrow.
+        flows = [e for e in doc["traceEvents"] if e["ph"] == "s"]
+        assert len(flows) == len(res.obs.causal.edges()) > 0
 
     def test_task_pids_separate_producer_consumer(self, run):
         res, _ = run
@@ -186,10 +196,9 @@ class TestExportAndMetrics:
         assert "span_begin" in kinds and "send" in kinds
 
 
-class TestWithoutTraceFlag:
-    def test_spans_recorded_without_trace(self):
-        res, _ = run_workflow(trace=False)
-        assert res.trace == []
+class TestAlwaysOn:
+    def test_spans_recorded_by_default(self):
+        res, _ = run_workflow()
         assert res.obs.spans.spans(cat="simmpi")
         assert res.obs.spans.spans(cat="lowfive")
         doc = res.obs.chrome_trace()

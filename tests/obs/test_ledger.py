@@ -218,10 +218,10 @@ class TestCheckReference:
 class TestRecordFromResult:
     @pytest.fixture(scope="class")
     def res(self):
-        from repro.tools.trace import run_demo_workflow
+        from repro.tools import run_workload, workload_args
 
-        return run_demo_workflow(nprod=2, ncons=1, grid_points=512,
-                                 particles=256)
+        return run_workload(workload_args(
+            nprod=2, ncons=1, grid_points=512, particles=256))
 
     def test_distills_workflow_result(self, res):
         rec = record_from_result(res, "demo", mode="memory",
@@ -236,10 +236,10 @@ class TestRecordFromResult:
     def test_same_seed_records_are_byte_identical(self, res):
         # The acceptance criterion: same-seed runs differ only in the
         # volatile fields, so the stable digest must agree exactly.
-        from repro.tools.trace import run_demo_workflow
+        from repro.tools import run_workload, workload_args
 
-        res2 = run_demo_workflow(nprod=2, ncons=1, grid_points=512,
-                                 particles=256)
+        res2 = run_workload(workload_args(
+            nprod=2, ncons=1, grid_points=512, particles=256))
         a = record_from_result(res, "demo", mode="memory",
                                wall_seconds=1.0)
         b = record_from_result(res2, "demo", mode="memory",

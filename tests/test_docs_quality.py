@@ -28,6 +28,9 @@ PACKAGES = [
     "repro.bench",
     "repro.tools",
     "repro.stream",
+    "repro.obs",
+    "repro.analyze",
+    "repro.analyze.proto",
 ]
 
 

@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.tools.transfer import main
+from repro.tools.__main__ import main
 
 _REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.obs import validate_chrome_trace
-from repro.tools.transfer import main
+from repro.tools.__main__ import main
 
 _REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -56,8 +56,17 @@ class TestExampleWorkload:
         assert "top 3 critical-path segments" in out
         assert "conservation      OK" in out
 
-    def test_missing_build_workflow_errors(self, tmp_path):
+    @pytest.mark.parametrize("command", ["critpath", "analyze", "trace",
+                                         "report"])
+    def test_unusable_example_exits_with_a_message(self, command,
+                                                   tmp_path):
+        # One loader behind every subcommand: no raw traceback from any.
+        out = [str(tmp_path / "out")] if command in ("trace", "report") \
+            else []
         bad = tmp_path / "bad.py"
         bad.write_text("x = 1\n")
         with pytest.raises(SystemExit, match="build_workflow"):
-            main(["critpath", "--example", str(bad)])
+            main([command, *out, "--example", str(bad)])
+        (tmp_path / "notes.txt").write_text("not python\n")
+        with pytest.raises(SystemExit, match="cannot import"):
+            main([command, *out, "--example", str(tmp_path / "notes.txt")])

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.tools.regress import parse_tol, shared_params
-from repro.tools.transfer import main
+from repro.tools.__main__ import main
 
 _BENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.tools.transfer import main
+from repro.tools.__main__ import main
 
 
 @pytest.fixture(scope="module")

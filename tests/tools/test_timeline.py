@@ -1,15 +1,15 @@
-"""Tracing + timeline/communication-matrix tests."""
+"""Timeline/communication-matrix views of the always-on causal record."""
 
 import numpy as np
-import pytest
 
-from repro.simmpi import Engine, TraceEvent
+from repro.obs import ObsContext
+from repro.simmpi import Engine
 from repro.tools import communication_matrix, render_matrix, render_timeline
 from repro.workflow import Workflow
 
 
-def traced_run():
-    eng = Engine(3, trace=True)
+def recorded_run():
+    eng = Engine(3)
 
     def main(comm):
         if comm.rank == 0:
@@ -25,41 +25,45 @@ def traced_run():
     return eng
 
 
-class TestTracing:
+def send(obs, t, src, dst, nbytes=10, msg_id=None):
+    """Hand-record one posted message."""
+    msg_id = len(obs.causal.posts()) if msg_id is None else msg_id
+    obs.causal.post(msg_id, src, dst, 0, 1, nbytes, t, t)
+
+
+def recv(obs, t, src, dst, nbytes=10):
+    """Hand-record one completed receive."""
+    obs.causal.edge(msg_id=0, src=src, dst=dst, tag=0, comm_id=1,
+                    nbytes=nbytes, t_post=t, t_arrival=t, t_recv_start=t,
+                    t_recv=t)
+
+
+def coll(obs, t, ranks=(0,), nbytes=0):
+    """Hand-record one completed collective."""
+    obs.causal.collective("barrier", 1, nbytes, {r: t for r in ranks},
+                          t, t)
+
+
+class TestCausalRecord:
     def test_events_recorded(self):
-        eng = traced_run()
-        kinds = [e.kind for e in eng.sorted_trace()]
-        assert kinds.count("send") == 2
-        assert kinds.count("recv") == 2
-        assert kinds.count("coll") == 3  # barrier on each rank
+        causal = recorded_run().obs.causal
+        assert len(causal.posts()) == 2
+        assert len(causal.edges()) == 2
+        barrier, = causal.collectives()
+        assert sorted(barrier.enter_clocks) == [0, 1, 2]  # each rank
 
     def test_events_carry_world_ranks_and_bytes(self):
-        eng = traced_run()
-        sends = [e for e in eng.sorted_trace() if e.kind == "send"]
-        assert {(e.rank, e.peer, e.nbytes) for e in sends} == {
+        causal = recorded_run().obs.causal
+        assert {(p.src, p.dst, p.nbytes) for p in causal.posts()} == {
             (0, 1, 100), (0, 2, 50)
         }
-        recvs = [e for e in eng.sorted_trace() if e.kind == "recv"]
-        assert all(e.peer == 0 for e in recvs)
+        assert all(e.src == 0 for e in causal.edges())
 
-    def test_trace_off_by_default(self):
-        eng = Engine(2)
+    def test_posts_ordered_by_sender_stream(self):
+        posts = recorded_run().obs.causal.posts()
+        assert [p.t_post for p in posts] == sorted(p.t_post for p in posts)
 
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(b"a", dest=1)
-            else:
-                comm.recv(source=0)
-
-        eng.run(main)
-        assert eng.trace_events == []
-
-    def test_sorted_by_vtime(self):
-        eng = traced_run()
-        times = [e.vtime for e in eng.sorted_trace()]
-        assert times == sorted(times)
-
-    def test_workflow_trace_passthrough(self):
+    def test_workflow_record_passthrough(self):
         def a(ctx):
             ctx.intercomm("b").send(b"hello", dest=0)
 
@@ -70,88 +74,128 @@ class TestTracing:
         wf.add_task("a", 1, a)
         wf.add_task("b", 1, b)
         wf.add_link("a", "b")
-        res = wf.run(trace=True)
-        assert any(e.kind == "send" for e in res.trace)
+        res = wf.run()
+        assert res.obs.causal.posts()
         # Intercomm recv resolves the sender's *world* rank.
-        recv = [e for e in res.trace if e.kind == "recv"][0]
-        assert (recv.rank, recv.peer) == (1, 0)
+        edge = res.obs.causal.edges()[0]
+        assert (edge.dst, edge.src) == (1, 0)
 
-    def test_workflow_trace_off(self):
+    def test_solo_workflow_has_no_messages(self):
         wf = Workflow()
         wf.add_task("solo", 1, lambda ctx: None)
-        assert wf.run().trace == []
+        assert wf.run().obs.causal.posts() == []
 
 
 class TestTimeline:
     def test_render_contains_lanes_and_marks(self):
-        eng = traced_run()
-        out = render_timeline(eng.sorted_trace(), 3, width=40, title="T")
+        eng = recorded_run()
+        out = render_timeline(eng.obs, 3, width=40, title="T")
         assert out.startswith("T\n")
         assert "rank   0 |" in out and "rank   2 |" in out
         assert "s" in out and "r" in out and "C" in out
 
+    def test_three_rank_run_renders_as_before(self):
+        # Pinned rendering: sends at t_post, receives at t_recv, one
+        # collective mark per participant at the common exit clock.
+        assert render_timeline(recorded_run().obs, 3, width=40,
+                               title="T") == (
+            "T\n"
+            "rank   0 |    s   s                              C|\n"
+            "rank   1 |           r                           C|\n"
+            "rank   2 |                r                      C|\n"
+            "         0         virtual time         1.78e-05s\n"
+            "         s=send r=recv C=collective *=mixed\n"
+        )
+
     def test_render_empty(self):
-        assert "no events" in render_timeline([], 2)
+        assert "no events" in render_timeline(ObsContext(), 2)
 
     def test_mixed_marker(self):
-        events = [
-            TraceEvent(0.5, "send", 0, 1, 0, 10),
-            TraceEvent(0.5, "recv", 0, 1, 0, 10),
-            TraceEvent(1.0, "coll", 0, -1, 0, 0),
-        ]
-        out = render_timeline(events, 1, width=10)
+        obs = ObsContext()
+        send(obs, 0.5, 0, 1)
+        recv(obs, 0.5, 1, 0)
+        coll(obs, 1.0)
+        out = render_timeline(obs, 1, width=10)
         assert "*" in out
+
+    def test_mixing_is_order_independent(self):
+        # A collective mark sharing a cell with a send mixes to "*"
+        # whichever was recorded first (edges arrive in thread order).
+        a, b = ObsContext(), ObsContext()
+        coll(a, 0.0)
+        send(a, 0.0, 0, 1)
+        coll(a, 1.0)
+        send(b, 0.0, 0, 1)
+        coll(b, 1.0)
+        coll(b, 0.0)
+        assert render_timeline(a, 2, width=10) == \
+            render_timeline(b, 2, width=10)
+        assert "*" in render_timeline(a, 2, width=10)
 
     def test_rank_beyond_nprocs_grows_lanes(self):
         # Regression: events from a larger world than the caller's
         # nprocs used to crash (IndexError) or mislabel lanes.
-        events = [
-            TraceEvent(0.5, "send", 5, 1, 0, 10),
-            TraceEvent(1.0, "coll", 0, -1, 0, 0),
-        ]
-        out = render_timeline(events, 2, width=20)
+        obs = ObsContext()
+        send(obs, 0.5, 5, 1)
+        coll(obs, 1.0)
+        out = render_timeline(obs, 2, width=20)
         assert "rank   5 |" in out
         lane5 = [ln for ln in out.splitlines()
                  if ln.startswith("rank   5")][0]
         assert "s" in lane5
 
     def test_spans_render_as_intervals(self):
-        from repro.obs.spans import SpanRecorder
-
-        rec = SpanRecorder()
-        rec.add("lowfive.index", "lowfive", 0, 0.0, 0.5)
-        rec.add("pfs.write", "pfs", 1, 0.5, 1.0)
-        events = rec.spans() + [TraceEvent(1.0, "coll", 0, -1, 0, 0)]
-        out = render_timeline(events, 2, width=20)
+        obs = ObsContext()
+        obs.spans.add("lowfive.index", "lowfive", 0, 0.0, 0.5)
+        obs.spans.add("pfs.write", "pfs", 1, 0.5, 1.0)
+        coll(obs, 1.0)
+        out = render_timeline(obs, 2, width=20, spans=obs.spans.spans())
         assert "LLL" in out and "PPP" in out  # painted extents
         assert "C" in out                     # points drawn on top
         assert "L=lowfive" in out             # legend extended
 
-    def test_unknown_span_category_mark(self):
-        from repro.obs.spans import SpanRecorder
+    def test_spans_are_opt_in(self):
+        obs = ObsContext()
+        obs.spans.add("lowfive.index", "lowfive", 0, 0.0, 0.5)
+        coll(obs, 1.0)
+        assert "L" not in render_timeline(obs, 1, width=20).split("\n")[0]
 
-        rec = SpanRecorder()
-        rec.add("custom", "mystery", 0, 0.0, 1.0)
-        assert "=" in render_timeline(rec.spans(), 1, width=12)
+    def test_unknown_span_category_mark(self):
+        obs = ObsContext()
+        obs.spans.add("custom", "mystery", 0, 0.0, 1.0)
+        assert "=" in render_timeline(obs, 1, width=12,
+                                      spans=obs.spans.spans())
 
 
 class TestMatrix:
     def test_matrix_counts_bytes(self):
-        eng = traced_run()
-        m = communication_matrix(eng.sorted_trace(), 3)
+        eng = recorded_run()
+        m = communication_matrix(eng.obs, 3)
         assert m[0, 1] == 100 and m[0, 2] == 50
         assert m.sum() == 150
 
     def test_collectives_excluded(self):
-        events = [TraceEvent(0.1, "coll", 0, -1, 0, 999)]
-        m = communication_matrix(events, 2)
+        obs = ObsContext()
+        coll(obs, 0.1, nbytes=999)
+        m = communication_matrix(obs, 2)
         assert m.sum() == 0
 
     def test_matrix_grows_beyond_nprocs(self):
-        events = [TraceEvent(0.1, "send", 4, 1, 0, 10)]
-        m = communication_matrix(events, 2)
+        obs = ObsContext()
+        send(obs, 0.1, 4, 1)
+        m = communication_matrix(obs, 2)
         assert m.shape == (5, 5)
         assert m[4, 1] == 10
+
+    def test_fig5_matrix_accounts_for_every_message(self):
+        # The causal record is complete: one post per message, and the
+        # matrix carries every payload byte the engine counted.
+        from repro.tools import run_workload, workload_args
+
+        res = run_workload(workload_args(
+            nprod=2, ncons=1, grid_points=512, particles=256))
+        assert len(res.obs.causal.posts()) == res.messages
+        assert communication_matrix(res.obs, 3).sum() == res.bytes_sent
 
     def test_render_matrix_totals(self):
         m = np.array([[0, 100], [25, 0]])

@@ -9,7 +9,8 @@ import repro.h5 as h5
 from repro.h5.native import NativeVOL
 from repro.pfs import PFSStore
 from repro.tools import export_store, h5dump, h5ls, import_store
-from repro.tools.transfer import _safe_path, main
+from repro.tools.__main__ import main
+from repro.tools.transfer import _safe_path
 
 
 @pytest.fixture
