@@ -13,8 +13,9 @@ while keeping the full hierarchical data model:
   the staging rank count) -- to the staging task, then returns
   immediately. No serve loop: the producer is decoupled.
 - **staging task** (:func:`staging_main`): holds the staged trees and
-  answers consumer queries; a file becomes visible once every producer
-  rank announced completion (queries arriving earlier are deferred).
+  answers consumer queries; a file becomes visible once, for every
+  producer rank, its data bundle has been applied *and* its completion
+  marker has arrived (queries arriving earlier are deferred).
 - **consumer** (:meth:`set_staged_consumer`): opens files against the
   staging task and reads with single-hop queries -- the staging
   placement is deterministic, so no redirect step is needed.
@@ -236,7 +237,10 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
     server = RPCServer()
     skeletons: dict[str, bytes] = {}
     trees: dict[str, object] = {}
-    # fname -> set of producer ranks that completed staging.
+    # fname -> {("marker" | "data", producer rank)}: what has landed here.
+    # The small ``__staged__`` marker overtakes the same rank's bundle
+    # on the wire, so a file is visible only once *both* are in for
+    # every producer (each sends exactly one bundle, possibly empty).
     complete: dict[str, set] = {}
     producer_inter = inters[0]
 
@@ -250,8 +254,7 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
         return root
 
     def _require_visible(fname):
-        done = complete.get(fname, set())
-        if len(done) < producer_inter.remote_size:
+        if len(complete.get(fname, ())) < 2 * producer_inter.remote_size:
             raise Defer()
 
     def metadata(source, fname):
@@ -291,7 +294,7 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
         return out
 
     def staged(source, fname):
-        complete.setdefault(fname, set()).add(source)
+        complete.setdefault(fname, set()).add(("marker", source))
 
     # Epoch-aware retention: streaming consumers release epochs with
     # cumulative high-water marks (``__release__(stream, upto, world)``,
@@ -338,20 +341,21 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
     # rank does next never depends on real-thread scheduling. Pieces
     # can outrace the skeleton (different producer ranks), so they wait
     # in ``pending_pieces`` until their skeleton lands.
-    pending_pieces: list[tuple[str, list]] = []
+    pending_pieces: list[tuple[str, list, int]] = []
 
-    def _apply(fname, payload):
+    def _apply(fname, payload, source):
         root = _tree(fname)
         for path, overlap, values in payload:
             root.lookup(path).write(overlap, values, OWN_SHALLOW)
+        complete.setdefault(fname, set()).add(("data", source))
 
     def _flush_pending():
         still = []
-        for fname, payload in pending_pieces:
+        for fname, payload, source in pending_pieces:
             if fname in skeletons:
-                _apply(fname, payload)
+                _apply(fname, payload, source)
             else:
-                still.append((fname, payload))
+                still.append((fname, payload, source))
         pending_pieces[:] = still
 
     def stage_lane(inter, payload, source):
@@ -361,9 +365,9 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
             trees.pop(fname, None)
             _flush_pending()
         elif fname in skeletons:
-            _apply(fname, data)
+            _apply(fname, data, source)
         else:
-            pending_pieces.append((fname, data))
+            pending_pieces.append((fname, data, source))
 
     server.add_lane(StagedMetadataVOL.TAG_STAGE, stage_lane)
 

@@ -12,6 +12,8 @@ Two invariants anchor the fault-injection subsystem:
    redistributed bytes, regardless of host thread scheduling.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,7 +22,9 @@ import repro.h5 as h5
 from repro.faults import FaultPlan, MessageFaultRule
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
+from repro.lowfive.rpc import RPCError
 from repro.pfs import PFSStore
+from repro.simmpi import RankFailure
 from repro.synth import (
     consumer_grid_selection,
     grid_values,
@@ -28,6 +32,7 @@ from repro.synth import (
     validate_grid,
 )
 from repro.workflow import Workflow
+from tests.lowfive.test_staged import BIG_SHAPE, build as run_staged
 
 GRID = (8, 6, 4)
 NPROD, NCONS = 2, 2
@@ -180,3 +185,22 @@ def test_chaos_heavy_duplication_sweep(seed):
     clean = run_pc()
     assert res.returns["consumer"] == clean.returns["consumer"]
     assert plan.injected_counts().get("msg_duplicate", 0) > 0
+
+
+@pytest.mark.chaos
+def test_chaos_staged_no_fault_validated_data_or_typed_failure():
+    # The staged x no-fault cell of the modes x fault-rules matrix, on
+    # the shape where every marker overtakes its megabyte bundle: each
+    # run ends in position-validated data or a typed failure, never a
+    # silent wrong answer, whatever the interleaving.
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            try:
+                res = run_staged(3, 2, 1, shape=BIG_SHAPE)
+            except (RankFailure, RPCError):
+                continue
+            assert all(res.returns["consumer"])
+    finally:
+        sys.setswitchinterval(old)

@@ -5,12 +5,14 @@ the paper attributes to staging: the producer finishes without waiting
 for a slow consumer.
 """
 
+import sys
+
 import numpy as np
-import pytest
 
 import repro.h5 as h5
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
+from repro.lowfive.rpc import TAG_CTRL
 from repro.lowfive.vol_staged import StagedMetadataVOL, staging_main
 from repro.pfs import PFSStore
 from repro.synth import (
@@ -24,7 +26,8 @@ from repro.workflow import Workflow
 SHAPE = (12, 8)
 
 
-def build(nprod, ncons, nstage, consumer_delay=0.0, files=("o.h5",)):
+def build(nprod, ncons, nstage, consumer_delay=0.0, files=("o.h5",),
+          shape=SHAPE):
     """Producer -> staging -> consumer workflow; returns the result."""
     def make_vol(ctx, role):
         def factory():
@@ -44,9 +47,9 @@ def build(nprod, ncons, nstage, consumer_delay=0.0, files=("o.h5",)):
         inter = ctx.intercomm("staging")
         for i, fname in enumerate(files):
             f = h5.File(fname, "w", comm=ctx.comm, vol=vol)
-            d = f.create_dataset("d", shape=SHAPE, dtype=h5.UINT64)
-            sel = producer_grid_selection(SHAPE, ctx.rank, ctx.size)
-            d.write(grid_values(sel, SHAPE) + i, file_select=sel)
+            d = f.create_dataset("d", shape=shape, dtype=h5.UINT64)
+            sel = producer_grid_selection(shape, ctx.rank, ctx.size)
+            d.write(grid_values(sel, shape) + i, file_select=sel)
             f.close()  # returns immediately: staged, not served
         t_done = ctx.comm.vtime
         StagedMetadataVOL.finalize_staging(inter)
@@ -60,9 +63,9 @@ def build(nprod, ncons, nstage, consumer_delay=0.0, files=("o.h5",)):
         oks = []
         for i, fname in enumerate(files):
             f = h5.File(fname, "r", comm=ctx.comm, vol=vol)
-            sel = consumer_grid_selection(SHAPE, ctx.rank, ctx.size)
+            sel = consumer_grid_selection(shape, ctx.rank, ctx.size)
             vals = np.asarray(f["d"].read(sel, reshape=False))
-            oks.append(np.array_equal(vals, grid_values(sel, SHAPE) + i))
+            oks.append(np.array_equal(vals, grid_values(sel, shape) + i))
             f.close()
         StagedMetadataVOL.finalize_staging(inter)
         return all(oks)
@@ -103,6 +106,52 @@ class TestCorrectness:
         held = res.returns["staging"]
         assert all(isinstance(h, dict) and "o.h5" in h for h in held)
         assert sum(h["o.h5"] for h in held) >= 3  # every producer staged
+
+
+#: 1 MiB of uint64 per producer, so every ``__staged__`` marker (68 B)
+#: overtakes the data bundle its own rank sent just before it.
+BIG_SHAPE = (96, 64, 64)
+
+
+def marker_and_bundle_arrivals(res):
+    """Per producer world rank: (marker arrival, bundle arrival)."""
+    posts = res.obs.causal.posts()
+    out = {}
+    for src in sorted({p.src for p in posts
+                       if p.tag == StagedMetadataVOL.TAG_STAGE}):
+        bundle = max((p for p in posts if p.src == src
+                      and p.tag == StagedMetadataVOL.TAG_STAGE),
+                     key=lambda p: p.nbytes)
+        marker = min((p for p in posts
+                      if p.src == src and p.tag == TAG_CTRL),
+                     key=lambda p: p.t_post)
+        assert bundle.nbytes >= 1 << 20 and marker.t_post >= bundle.t_post
+        out[src] = (marker.t_arrival, bundle.t_arrival)
+    return out
+
+
+class TestVisibility:
+    """A file is visible on a stager only once, for every producer,
+    the data bundle has been applied *and* the marker has arrived."""
+
+    def test_marker_overtaking_its_bundle_never_exposes_fill_values(self):
+        # With visibility keyed on the markers alone, a consumer read
+        # arriving between marker and bundle is answered from a
+        # half-filled tree; which reads do depends on the interleaving,
+        # so hammer it with a tiny switch interval.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [build(3, 2, 1, shape=BIG_SHAPE) for _ in range(30)]
+        finally:
+            sys.setswitchinterval(old)
+        arrivals = marker_and_bundle_arrivals(runs[0])
+        assert len(arrivals) == 3
+        assert all(t_marker < t_bundle
+                   for t_marker, t_bundle in arrivals.values())
+        assert all(all(r.returns["consumer"]) for r in runs)
+        assert len({(r.vtime, r.messages, r.bytes_sent)
+                    for r in runs}) == 1
 
 
 class TestDecoupling:
