@@ -151,9 +151,9 @@ class RegularDecomposer:
             last = int(np.searchsorted(offs, hi, side="right")) - 1
             ranges.append(np.arange(first, last + 1))
         grids = np.meshgrid(*ranges, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
-        return [int(np.ravel_multi_index(tuple(c), self.grid))
-                for c in coords]
+        return np.ravel_multi_index(
+            tuple(g.ravel() for g in grids), self.grid
+        ).tolist()
 
     def all_bounds(self) -> list[Bounds]:
         """Bounds of every block, ordered by gid."""

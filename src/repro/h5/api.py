@@ -351,7 +351,7 @@ class Dataset:
         if isinstance(sel, AllSelection):
             return flat.reshape(self.shape)
         if sel.is_separable:
-            box = tuple(len(i) for i in sel.per_dim_indices())
+            box = tuple(len(a) for a in sel.axes())
             if int(np.prod(box)) == sel.npoints:
                 return flat.reshape(box)
         return flat

@@ -174,7 +174,7 @@ def encode_selection(w: Writer, sel: Selection) -> None:
             _enc_idx(w, idx)
     elif isinstance(sel, PointSelection):
         w.u8(_SEL_POINTS)
-        _enc_idx(w, sel.coords().reshape(-1))
+        _enc_idx(w, sel._coords.reshape(-1))
     elif isinstance(sel, NoneSelection):
         w.u8(_SEL_NONE)
     else:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.h5.datatype import Datatype
 from repro.h5.dataspace import Dataspace
 from repro.h5.errors import ExistsError, NotFoundError, SelectionError
-from repro.h5.selection import Selection
+from repro.h5.selection import HyperslabSelection, Selection
 
 #: LowFive made a private copy of the data.
 OWN_DEEP = "deep"
@@ -178,6 +178,19 @@ class DataPiece:
         """Size of this piece's values in bytes."""
         return int(self.data.nbytes)
 
+    def values(self, overlap: Selection) -> np.ndarray:
+        """Values of ``overlap`` -- a subset of this piece's selection --
+        in ``overlap``'s order, whatever the piece's layout (solid box,
+        strided slab, index set, point list).
+
+        Always a fresh array, never a view of :attr:`data`: the result
+        is shipped to other ranks, and an ``OWN_SHALLOW`` piece's data
+        is the producer's own memory.
+        """
+        local = self.selection.locate(overlap)
+        out = local.extract(self.data.reshape(local.shape))
+        return out.copy() if np.may_share_memory(out, self.data) else out
+
 
 class DatasetNode(Node):
     """A dataset: datatype + dataspace + written data pieces.
@@ -246,54 +259,37 @@ class DatasetNode(Node):
                 f"selection extent {selection.shape} != dataset shape "
                 f"{self.space.shape}"
             )
+        return self.assemble(selection, self.overlaps(selection))
+
+    def overlaps(self, selection: Selection, thin=None):
+        """Yield ``(overlap, values)`` for every stored piece that
+        intersects ``selection`` (see :meth:`DataPiece.values`).
+
+        ``thin(overlap) -> overlap`` optionally reduces each overlap
+        before its values are gathered (wire-side subsampling).
+        """
+        for piece in self.pieces:
+            overlap = piece.selection.intersect(selection)
+            if overlap.npoints == 0:
+                continue
+            if thin is not None:
+                overlap = thin(overlap)
+            yield overlap, piece.values(overlap)
+
+    def assemble(self, selection: Selection, parts) -> np.ndarray:
+        """Flat values of ``selection`` (in selection order) put together
+        from ``(overlap, values)`` parts; the fill value elsewhere."""
+        if selection.npoints == 0:
+            return np.empty(0, dtype=self.dtype.np)
         fill = 0 if self.fill_value is None else self.fill_value
         # Dense staging buffer over the selection's bounding box keeps the
         # assembly vectorized without allocating the whole dataspace.
         lo, hi = selection.bounds()
         box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
-        if selection.npoints == 0:
-            return np.empty(0, dtype=self.dtype.np)
         box = np.full(box_shape, fill, dtype=self.dtype.np)
-        for piece in self.pieces:
-            overlap = piece.selection.intersect(selection)
-            if overlap.npoints == 0:
-                continue
-            values = overlap.translate(
-                piece.selection.bounds()[0],
-                self._piece_box_shape(piece),
-            )
-            src_box = piece.data.reshape(self._piece_box_shape(piece)) \
-                if self._piece_is_dense(piece) else None
-            if src_box is not None:
-                vals = values.extract(src_box)
-            else:
-                vals = self._gather_sparse(piece, overlap)
-            overlap.translate(lo, box_shape).scatter(vals, box)
+        for overlap, values in parts:
+            overlap.translate(lo, box_shape).scatter(values, box)
         return selection.translate(lo, box_shape).extract(box)
-
-    def _piece_is_dense(self, piece: DataPiece) -> bool:
-        """A piece is dense when its selection is a solid box, so its
-        flat data reshapes to the box directly."""
-        sel = piece.selection
-        if not sel.is_separable:
-            return False
-        lo, hi = sel.bounds()
-        return sel.npoints == int(np.prod(hi - lo))
-
-    def _piece_box_shape(self, piece: DataPiece) -> tuple:
-        lo, hi = piece.selection.bounds()
-        return tuple(int(h - l) for l, h in zip(lo, hi))
-
-    def _gather_sparse(self, piece: DataPiece, overlap: Selection) -> np.ndarray:
-        """Gather overlap values from a non-dense piece via coordinate
-        matching (small selections only: strided slabs, point lists)."""
-        want = {tuple(c): i for i, c in enumerate(overlap.coords())}
-        out = np.empty(overlap.npoints, dtype=self.dtype.np)
-        for j, c in enumerate(piece.selection.coords()):
-            i = want.get(tuple(c))
-            if i is not None:
-                out[i] = piece.data[j]
-        return out
 
     @property
     def total_written_bytes(self) -> int:
@@ -314,63 +310,23 @@ class DatasetNode(Node):
         keep_counts = tuple(min(o, n) for o, n in zip(old_shape, new_shape))
         shrinks = any(n < o for o, n in zip(old_shape, new_shape))
         new_pieces: list[DataPiece] = []
+        origin = (0,) * len(old_shape)
+        keep = HyperslabSelection(old_shape, origin, keep_counts)
         for piece in self.pieces:
             sel = piece.selection
-            if not shrinks:
-                new_pieces.append(
-                    DataPiece(_rebind(sel, new_shape), piece.data,
-                              piece.ownership)
-                )
-                continue
-            if 0 in keep_counts:
-                continue
-            from repro.h5.selection import HyperslabSelection
-
-            keep = HyperslabSelection(
-                old_shape, (0,) * len(old_shape), keep_counts
-            )
-            overlap = sel.intersect(keep)
-            if overlap.npoints == 0:
-                continue
-            if overlap.npoints == sel.npoints:
-                new_pieces.append(
-                    DataPiece(_rebind(sel, new_shape), piece.data,
-                              piece.ownership)
-                )
-                continue
-            # Straddling piece: keep only the surviving values (a copy,
-            # since the clipped layout no longer matches user memory).
-            lo, hi = sel.bounds()
-            box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
-            if sel.npoints == int(np.prod(box_shape)):
-                src = piece.data.reshape(box_shape)
-                values = overlap.translate(lo, box_shape).extract(src)
-            else:
-                values = self._gather_sparse(piece, overlap)
-            new_pieces.append(
-                DataPiece(_rebind(overlap, new_shape), values.copy(),
-                          OWN_DEEP)
-            )
+            overlap = sel.intersect(keep) if shrinks else sel
+            if not shrinks or 0 < overlap.npoints == sel.npoints:
+                new_pieces.append(DataPiece(
+                    sel.translate(origin, new_shape), piece.data,
+                    piece.ownership))
+            elif overlap.npoints:
+                # Straddling piece: keep only the surviving values (a copy,
+                # since the clipped layout no longer matches user memory).
+                new_pieces.append(DataPiece(
+                    overlap.translate(origin, new_shape),
+                    piece.values(overlap), OWN_DEEP))
         self.pieces = new_pieces
         self.space = new_space
-
-
-def _rebind(sel: Selection, new_shape) -> Selection:
-    """The same coordinates as ``sel``, bound to a new extent."""
-    from repro.h5.selection import (
-        IndexSetSelection,
-        NoneSelection,
-        PointSelection,
-    )
-
-    new_shape = tuple(new_shape)
-    if sel.npoints == 0:
-        return NoneSelection(new_shape)
-    if sel.is_separable:
-        return IndexSetSelection(
-            new_shape, sel.per_dim_indices()
-        ).simplify()
-    return PointSelection(new_shape, sel.coords())
 
 
 class AttributeNode(Node):

@@ -7,10 +7,16 @@ with the consumer's requested selections, so the core operation here is
 :meth:`Selection.intersect`.
 
 All hyperslab-like selections are *separable*: cartesian products of
-per-dimension index sets. The intersection of two separable selections
-is separable (intersect per dimension), which keeps intersection exact
-and vectorized for the full stride/block generality. Point selections
-are handled by coordinate masking.
+per-dimension index sets (*axes*). The representation is interval-first:
+an axis is a Python ``range`` whenever it is an interval (with a step),
+and a sorted ``int64`` array only when it is irregular (blocks wider
+than one spaced by a larger stride, or an explicit index set). Counting,
+bounding, intersecting, translating and slicing boxes is therefore
+integer arithmetic per dimension; index arrays are built only for the
+irregular axes, and coordinate arrays only by :meth:`Selection.coords`.
+The intersection of two separable selections is separable (intersect
+per axis), which keeps it exact for the full stride/block generality.
+Point selections are handled by masking their coordinate columns.
 
 Selection order is row-major over the selected coordinates (HDF5's
 ordering for hyperslabs); point selections preserve their given order.
@@ -18,6 +24,7 @@ ordering for hyperslabs); point selections preserve their given order.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -32,6 +39,76 @@ def _as_tuple(x, ndim: int, name: str) -> tuple[int, ...]:
     if len(t) != ndim:
         raise SelectionError(f"{name} must have {ndim} entries, got {len(t)}")
     return t
+
+
+# -- one axis: a ``range`` (interval with a step) or a sorted int64 array ---
+
+
+def _indices(a) -> np.ndarray:
+    """The axis as an index array."""
+    if isinstance(a, range):
+        return np.arange(a.start, a.stop, a.step, dtype=np.int64)
+    return a
+
+
+def _norm(a):
+    """Canonical axis: empty, single and contiguous ones are step-1 ranges."""
+    n = len(a)
+    if n == 0:
+        return range(0)
+    if a[-1] - a[0] + 1 == n:
+        return range(int(a[0]), int(a[0]) + n)
+    return a
+
+
+def _clip(a, lo: int, hi: int):
+    """The part of axis ``a`` inside ``[lo, hi)``; no copy, no sort."""
+    if isinstance(a, range):
+        i0 = max(0, -((a.start - lo) // a.step))
+        return a[i0:max(i0, -((a.start - hi) // a.step))]
+    return a[np.searchsorted(a, lo):np.searchsorted(a, hi)]
+
+
+def _axis_intersect(a, b):
+    if isinstance(b, range) and b.step == 1:
+        return _clip(a, b.start, b.stop)
+    if isinstance(a, range) and a.step == 1:
+        return _clip(b, a.start, a.stop)
+    return np.intersect1d(_indices(a), _indices(b), assume_unique=True)
+
+
+def _axis_contains(a, values: np.ndarray) -> np.ndarray:
+    """Mask of ``values`` that lie on axis ``a``."""
+    if isinstance(a, range):
+        return ((values >= a.start) & (values < a.stop)
+                & ((values - a.start) % a.step == 0))
+    return np.isin(values, a)
+
+
+def _axis_positions(a, b):
+    """Where the values of ``b`` (a subset of axis ``a``) sit on ``a``."""
+    if not isinstance(a, range):
+        return np.searchsorted(a, _indices(b))
+    if not isinstance(b, range):
+        return (b - a.start) // a.step
+    first = (b.start - a.start) // a.step
+    step = max(1, b.step // a.step)
+    return range(first, first + len(b) * step, step)
+
+
+def _separable(shape, axes) -> "Selection":
+    """The most specific selection over ``shape`` with these (valid) axes:
+    empty -> none, a solid box -> hyperslab, else an index set."""
+    axes = tuple(_norm(a) for a in axes)
+    if not all(len(a) for a in axes):
+        return NoneSelection(shape)
+    if all(isinstance(a, range) and a.step == 1 for a in axes):
+        return HyperslabSelection(shape, [a.start for a in axes],
+                                  [len(a) for a in axes])
+    sel = IndexSetSelection.__new__(IndexSetSelection)
+    Selection.__init__(sel, shape)
+    sel._axes = axes
+    return sel
 
 
 class Selection(ABC):
@@ -59,7 +136,8 @@ class Selection(ABC):
     @abstractmethod
     def extract(self, arr: np.ndarray) -> np.ndarray:
         """Gather selected elements of ``arr`` (shaped ``shape``) into a
-        flat array in selection order."""
+        flat array in selection order (a view of ``arr`` when the
+        selected region is contiguous in it)."""
 
     @abstractmethod
     def scatter(self, values: np.ndarray, arr: np.ndarray) -> None:
@@ -78,6 +156,11 @@ class Selection(ABC):
         """Per-dimension sorted index arrays (separable selections only)."""
         raise SelectionError(f"{type(self).__name__} is not separable")
 
+    def linear_indices(self) -> np.ndarray:
+        """Row-major linear index into ``shape`` of every selected
+        element, in selection order."""
+        return np.ravel_multi_index(tuple(self.coords().T), self.shape)
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box as (inclusive mins, exclusive maxs); empty -> zeros."""
         if self.npoints == 0:
@@ -92,21 +175,37 @@ class Selection(ABC):
         Used to map file-space coordinates into a locally stored block
         whose origin sits at ``offset`` in the file space.
         """
-        off = np.asarray(offset, dtype=np.int64)
         shape = self.shape if new_shape is None else tuple(new_shape)
-        c = self.coords() - off
-        if c.size and (c.min() < 0 or (c >= np.asarray(shape)).any()):
+        if self.npoints == 0:
+            return NoneSelection(shape)
+        c = self.coords() - np.asarray(offset, dtype=np.int64)
+        if c.min() < 0 or (c >= np.asarray(shape)).any():
             raise SelectionError("translated selection exits the new extent")
         return PointSelection(shape, c)
+
+    def locate(self, inner: "Selection") -> "Selection":
+        """``inner`` -- a subset of this selection -- re-addressed in
+        this selection's own element grid.
+
+        Values stored in selection order form an array of one axis per
+        dimension for a separable selection (``npoints`` long for a
+        point list); the result selects ``inner``'s elements out of
+        that array, in ``inner``'s order: ``sel.locate(inner).extract(
+        values.reshape(...))``. A coordinate listed twice resolves to
+        its last occurrence (the last write wins).
+        """
+        mine = self.linear_indices()
+        order = np.argsort(mine, kind="stable")
+        at = np.searchsorted(mine, inner.linear_indices(), side="right",
+                             sorter=order) - 1
+        return PointSelection((self.npoints,), order[at])
 
     def same_elements(self, other: "Selection") -> bool:
         """True when both select the same coordinate set (order ignored).
 
-        Vectorized: separable selections compare their per-dimension
-        index arrays directly (each is sorted and duplicate-free, so
-        the cartesian products are equal iff the factors are); anything
-        else compares row-sorted coordinate arrays -- no Python-level
-        sets of coordinate tuples are built.
+        Separable selections compare axis by axis (each axis is sorted
+        and duplicate-free, so the cartesian products are equal iff the
+        factors are); anything else compares sorted linear indices.
         """
         if self.shape != other.shape or self.npoints != other.npoints:
             return False
@@ -114,22 +213,25 @@ class Selection(ABC):
             return True
         if self.is_separable and other.is_separable:
             return all(
-                np.array_equal(a, b)
-                for a, b in zip(self.per_dim_indices(),
-                                other.per_dim_indices())
+                a == b if isinstance(a, range) and isinstance(b, range)
+                else np.array_equal(_indices(a), _indices(b))
+                for a, b in zip(self.axes(), other.axes())
             )
-        a = self.coords()
-        b = other.coords()
-        # Coordinate rows may repeat only if a producer passed duplicate
-        # points; lexicographic row sort makes the comparison orderless.
-        a = a[np.lexsort(a.T[::-1])]
-        b = b[np.lexsort(b.T[::-1])]
-        return bool(np.array_equal(a, b))
+        # Coordinates may repeat only if a producer passed duplicate
+        # points; sorting makes the comparison orderless.
+        return bool(np.array_equal(np.sort(self.linear_indices()),
+                                   np.sort(other.linear_indices())))
 
     def _check_extent(self, other: "Selection") -> None:
         if self.shape != other.shape:
             raise SelectionError(
                 f"extent mismatch: {self.shape} vs {other.shape}"
+            )
+
+    def _check_array(self, arr: np.ndarray) -> None:
+        if tuple(arr.shape) != self.shape:
+            raise SelectionError(
+                f"array shape {arr.shape} != extent {self.shape}"
             )
 
 
@@ -140,13 +242,25 @@ class _SeparableSelection(Selection):
 
     is_separable = True
 
+    @abstractmethod
+    def axes(self) -> tuple:
+        """Per-dimension index sets: a ``range`` where the axis is an
+        interval (with a step), else a sorted ``int64`` array."""
+
+    def per_dim_indices(self) -> list[np.ndarray]:
+        return [_indices(a) for a in self.axes()]
+
     @property
     def npoints(self) -> int:
         """Product of per-dimension set sizes."""
-        n = 1
-        for idx in self.per_dim_indices():
-            n *= len(idx)
-        return n
+        return math.prod(len(a) for a in self.axes())
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        axes = self.axes()
+        if not all(len(a) for a in axes):
+            return super().bounds()
+        return (np.array([a[0] for a in axes], dtype=np.int64),
+                np.array([a[-1] + 1 for a in axes], dtype=np.int64))
 
     def coords(self) -> np.ndarray:
         idx = self.per_dim_indices()
@@ -155,72 +269,71 @@ class _SeparableSelection(Selection):
         grids = np.meshgrid(*idx, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
-    def _slices(self):
-        """Per-dim slices when every dim is a contiguous run, else None."""
-        out = []
-        for idx in self.per_dim_indices():
-            if len(idx) == 0:
-                return None
-            lo, hi = int(idx[0]), int(idx[-1])
-            if hi - lo + 1 != len(idx):
-                return None
-            out.append(slice(lo, hi + 1))
-        return tuple(out)
+    def linear_indices(self) -> np.ndarray:
+        flat = np.zeros((), dtype=np.int64)
+        for a, extent in zip(self.axes(), self.shape):
+            flat = np.add.outer(flat * extent, _indices(a))
+        return flat.reshape(-1)
+
+    def _index(self):
+        """Basic slices when every axis is an interval, else open-mesh
+        index arrays; either way ``arr[index]`` is the selected grid."""
+        axes = self.axes()
+        if all(isinstance(a, range) for a in axes):
+            return tuple(slice(a.start, a.stop, a.step) for a in axes)
+        return np.ix_(*self.per_dim_indices())
 
     def extract(self, arr: np.ndarray) -> np.ndarray:
-        if tuple(arr.shape) != self.shape:
-            raise SelectionError(
-                f"array shape {arr.shape} != extent {self.shape}"
-            )
-        sl = self._slices()
-        if sl is not None:
-            return np.ascontiguousarray(arr[sl]).reshape(-1)
-        return arr[np.ix_(*self.per_dim_indices())].reshape(-1)
+        self._check_array(arr)
+        return arr[self._index()].reshape(-1)
 
     def scatter(self, values: np.ndarray, arr: np.ndarray) -> None:
-        if tuple(arr.shape) != self.shape:
-            raise SelectionError(
-                f"array shape {arr.shape} != extent {self.shape}"
-            )
+        self._check_array(arr)
         values = np.asarray(values).reshape(-1)
         if values.size != self.npoints:
             raise SelectionError(
                 f"value count {values.size} != selection size {self.npoints}"
             )
-        idx = self.per_dim_indices()
-        sl = self._slices()
-        box = tuple(len(i) for i in idx)
-        if sl is not None:
-            arr[sl] = values.reshape(box)
-        else:
-            arr[np.ix_(*idx)] = values.reshape(box)
+        arr[self._index()] = values.reshape([len(a) for a in self.axes()])
 
     def intersect(self, other: Selection) -> Selection:
         self._check_extent(other)
-        if isinstance(other, NoneSelection):
-            return other
         if other.is_separable:
-            mine = self.per_dim_indices()
-            theirs = other.per_dim_indices()
-            idx = [
-                np.intersect1d(a, b, assume_unique=True)
-                for a, b in zip(mine, theirs)
-            ]
-            if any(len(i) == 0 for i in idx):
-                return NoneSelection(self.shape)
-            return IndexSetSelection(self.shape, idx).simplify()
-        # point selection (or anything coordinate-based): mask its points
+            return _separable(self.shape, [
+                _axis_intersect(a, b)
+                for a, b in zip(self.axes(), other.axes())
+            ])
+        # none, or a point selection that masks its own points
         return other.intersect(self)
 
     def translate(self, offset, new_shape=None) -> Selection:
-        """Separable translate stays separable (and vectorized)."""
-        off = np.asarray(offset, dtype=np.int64)
+        """Separable translate stays separable: intervals shift in O(1)."""
         shape = self.shape if new_shape is None else tuple(new_shape)
-        idx = [a - off[d] for d, a in enumerate(self.per_dim_indices())]
-        for d, a in enumerate(idx):
-            if a.size and (a[0] < 0 or a[-1] >= shape[d]):
+        if self.npoints == 0:
+            return NoneSelection(shape)
+        axes = []
+        for a, off, extent in zip(self.axes(), offset, shape):
+            off = int(off)
+            a = (range(a.start - off, a.stop - off, a.step)
+                 if isinstance(a, range) else a - off)
+            if a[0] < 0 or a[-1] >= extent:
                 raise SelectionError("translated selection exits the new extent")
-        return IndexSetSelection(shape, idx).simplify()
+            axes.append(a)
+        return _separable(shape, axes)
+
+    def locate(self, inner: Selection) -> Selection:
+        axes = self.axes()
+        grid = tuple(len(a) for a in axes)
+        if inner.is_separable:
+            return _separable(grid, [
+                _axis_positions(a, b) for a, b in zip(axes, inner.axes())
+            ])
+        if inner.npoints == 0:
+            return NoneSelection(grid)
+        return PointSelection(grid, np.stack(
+            [_axis_positions(a, col) for a, col in zip(axes, inner.coords().T)],
+            axis=1,
+        ))
 
     def simplify(self) -> "Selection":
         """Return an equivalent, more specific selection when possible."""
@@ -230,21 +343,10 @@ class _SeparableSelection(Selection):
 class AllSelection(_SeparableSelection):
     """The entire extent."""
 
-    __slots__ = ("_idx",)
+    __slots__ = ()
 
-    def __init__(self, shape):
-        super().__init__(shape)
-        self._idx = [np.arange(s, dtype=np.int64) for s in self.shape]
-
-    def per_dim_indices(self):
-        return self._idx
-
-    def extract(self, arr):
-        if tuple(arr.shape) != self.shape:
-            raise SelectionError(
-                f"array shape {arr.shape} != extent {self.shape}"
-            )
-        return np.ascontiguousarray(arr).reshape(-1)
+    def axes(self) -> tuple:
+        return tuple(range(s) for s in self.shape)
 
     def __repr__(self):
         return f"AllSelection(shape={self.shape})"
@@ -280,9 +382,15 @@ class NoneSelection(Selection):
 
 class HyperslabSelection(_SeparableSelection):
     """HDF5 hyperslab: per dim, ``count`` blocks of ``block`` elements
-    spaced ``stride`` apart starting at ``start``."""
+    spaced ``stride`` apart starting at ``start``.
 
-    __slots__ = ("start", "count", "stride", "block", "_idx")
+    Only the four tuples are stored; :meth:`axes` derives an interval
+    per dimension from them and builds an index array (once, on first
+    use) only for a dimension whose blocks are wider than one element
+    and spaced further apart than their width.
+    """
+
+    __slots__ = ("start", "count", "stride", "block", "_axes")
 
     def __init__(self, shape, start, count, stride=None, block=None):
         super().__init__(shape)
@@ -291,7 +399,7 @@ class HyperslabSelection(_SeparableSelection):
         self.count = _as_tuple(count, nd, "count")
         self.stride = _as_tuple(1 if stride is None else stride, nd, "stride")
         self.block = _as_tuple(1 if block is None else block, nd, "block")
-        idx = []
+        self._axes = None
         for d in range(nd):
             s, c, st, b = self.start[d], self.count[d], self.stride[d], self.block[d]
             if s < 0 or c < 0 or st < 1 or b < 1:
@@ -310,14 +418,22 @@ class HyperslabSelection(_SeparableSelection):
                         f"hyperslab exceeds extent in dim {d}: "
                         f"reaches {last} > {self.shape[d]}"
                     )
-            block_starts = s + st * np.arange(c, dtype=np.int64)
-            idx.append(
-                (block_starts[:, None] + np.arange(b, dtype=np.int64)).reshape(-1)
-            )
-        self._idx = idx
 
-    def per_dim_indices(self):
-        return self._idx
+    def axes(self) -> tuple:
+        if self._axes is None:
+            axes = []
+            for s, c, st, b in zip(self.start, self.count, self.stride,
+                                   self.block):
+                if c <= 1 or st == b:
+                    axes.append(range(s, s + c * b))
+                elif b == 1:
+                    axes.append(range(s, s + c * st, st))
+                else:
+                    starts = s + st * np.arange(c, dtype=np.int64)
+                    axes.append((starts[:, None]
+                                 + np.arange(b, dtype=np.int64)).reshape(-1))
+            self._axes = tuple(axes)
+        return self._axes
 
     @property
     def is_contiguous(self) -> bool:
@@ -326,10 +442,6 @@ class HyperslabSelection(_SeparableSelection):
             c <= 1 or st == b
             for c, st, b in zip(self.count, self.stride, self.block)
         )
-
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """(start, extent) of the bounding box."""
-        return self.bounds()
 
     def __repr__(self):
         return (
@@ -342,43 +454,37 @@ class IndexSetSelection(_SeparableSelection):
     """Cartesian product of explicit per-dimension index sets.
 
     Closed under intersection with any separable selection; produced by
-    :meth:`Selection.intersect`.
+    :meth:`Selection.intersect`. A per-dimension set may be given as a
+    ``range`` (positive step), which is kept as an interval.
     """
 
-    __slots__ = ("_idx",)
+    __slots__ = ("_axes",)
 
     def __init__(self, shape, per_dim):
         super().__init__(shape)
         if len(per_dim) != self.ndim:
             raise SelectionError("need one index array per dimension")
-        idx = []
+        axes = []
         for d, a in enumerate(per_dim):
-            a = np.asarray(a, dtype=np.int64).reshape(-1)
-            if a.size and (a.min() < 0 or a.max() >= self.shape[d]):
+            if not (isinstance(a, range) and a.step > 0):
+                a = np.asarray(a, dtype=np.int64).reshape(-1)
+                if a.size > 1 and not (np.diff(a) > 0).all():
+                    a = np.unique(a)
+            if len(a) and (a[0] < 0 or a[-1] >= self.shape[d]):
                 raise SelectionError(f"indices out of range in dim {d}")
-            if a.size > 1 and not (np.diff(a) > 0).all():
-                a = np.unique(a)
-            idx.append(a)
-        self._idx = idx
+            axes.append(_norm(a))
+        self._axes = tuple(axes)
 
-    def per_dim_indices(self):
-        return self._idx
+    def axes(self) -> tuple:
+        return self._axes
 
     def simplify(self) -> Selection:
         """Collapse to a hyperslab when every dim is a contiguous run."""
-        starts, counts = [], []
-        for d, a in enumerate(self._idx):
-            if len(a) == 0:
-                return NoneSelection(self.shape)
-            lo, hi = int(a[0]), int(a[-1])
-            if hi - lo + 1 != len(a):
-                return self
-            starts.append(lo)
-            counts.append(len(a))
-        return HyperslabSelection(self.shape, starts, counts)
+        sel = _separable(self.shape, self._axes)
+        return self if isinstance(sel, IndexSetSelection) else sel
 
     def __repr__(self):
-        sizes = tuple(len(a) for a in self._idx)
+        sizes = tuple(len(a) for a in self._axes)
         return f"IndexSetSelection(shape={self.shape}, sizes={sizes})"
 
 
@@ -413,19 +519,13 @@ class PointSelection(Selection):
         return self._coords
 
     def extract(self, arr):
-        if tuple(arr.shape) != self.shape:
-            raise SelectionError(
-                f"array shape {arr.shape} != extent {self.shape}"
-            )
+        self._check_array(arr)
         if self.npoints == 0:
             return np.empty(0, dtype=arr.dtype)
         return arr[tuple(self._coords.T)]
 
     def scatter(self, values, arr):
-        if tuple(arr.shape) != self.shape:
-            raise SelectionError(
-                f"array shape {arr.shape} != extent {self.shape}"
-            )
+        self._check_array(arr)
         values = np.asarray(values).reshape(-1)
         if values.size != self.npoints:
             raise SelectionError("value count != selection size")
@@ -434,21 +534,17 @@ class PointSelection(Selection):
 
     def intersect(self, other: Selection) -> Selection:
         self._check_extent(other)
-        if isinstance(other, NoneSelection) or self.npoints == 0:
+        if other.npoints == 0 or self.npoints == 0:
             return NoneSelection(self.shape)
         if other.is_separable:
             mask = np.ones(self.npoints, dtype=bool)
-            for d, idx in enumerate(other.per_dim_indices()):
-                mask &= np.isin(self._coords[:, d], idx)
-            kept = self._coords[mask]
+            for a, col in zip(other.axes(), self._coords.T):
+                mask &= _axis_contains(a, col)
         else:
-            theirs = {tuple(c) for c in other.coords()}
-            keep = [i for i, c in enumerate(self._coords)
-                    if tuple(c) in theirs]
-            kept = self._coords[keep]
-        if kept.shape[0] == 0:
+            mask = np.isin(self.linear_indices(), other.linear_indices())
+        if not mask.any():
             return NoneSelection(self.shape)
-        return PointSelection(self.shape, kept)
+        return PointSelection(self.shape, self._coords[mask])
 
     def __repr__(self):
         return f"PointSelection(shape={self.shape}, npoints={self.npoints})"
@@ -517,11 +613,15 @@ def chunks_touched(sel: Selection, chunk_shape) -> int:
         return 0
     if sel.is_separable:
         n = 1
-        for idx, c in zip(sel.per_dim_indices(), chunk_shape):
-            n *= len(np.unique(idx // c))
+        for a, c in zip(sel.axes(), chunk_shape):
+            if isinstance(a, range) and a.step <= c:
+                n *= a[-1] // c - a[0] // c + 1  # no chunk is skipped
+            else:
+                n *= len(np.unique(_indices(a) // c))
         return int(n)
-    coords = sel.coords() // np.asarray(chunk_shape, dtype=np.int64)
-    return int(len(np.unique(coords, axis=0)))
+    nchunks = tuple(-(-s // c) for s, c in zip(sel.shape, chunk_shape))
+    chunk_of = sel.coords() // np.asarray(chunk_shape, dtype=np.int64)
+    return len(np.unique(np.ravel_multi_index(tuple(chunk_of.T), nchunks)))
 
 
 def bind_selection(sel, shape) -> Selection:

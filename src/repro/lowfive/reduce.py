@@ -60,6 +60,7 @@ def subsample(sel: Selection, stride: int) -> Selection:
     if stride <= 1 or sel.npoints == 0:
         return sel
     if sel.is_separable:
-        per_dim = [idx[::stride] for idx in sel.per_dim_indices()]
-        return IndexSetSelection(sel.shape, per_dim).simplify()
+        return IndexSetSelection(
+            sel.shape, [a[::stride] for a in sel.axes()]
+        ).simplify()
     return PointSelection(sel.shape, sel.coords()[::stride])

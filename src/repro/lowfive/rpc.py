@@ -194,12 +194,16 @@ class RPCServer:
         # server that also drains e.g. staged data keeps one
         # deterministic ordering across all of its inbound tags.
         self._lane_handlers: dict[int, object] = {}
+        #: World ranks that can post into any lane (safety-gate input).
+        self._senders: tuple = ()
 
     def attach(self, inter: Intercomm) -> None:
         """Listen for requests arriving on ``inter``."""
         if inter not in self._inters:
             self._inters.append(inter)
             self._done[id(inter)] = set()
+            self._senders = tuple(sorted(
+                {*self._senders, *inter._sender_members()}))
 
     def add_lane(self, tag: int, handler) -> None:
         """Serve an extra inbound ``tag`` with ``handler(inter, payload,
@@ -263,13 +267,6 @@ class RPCServer:
             for tag in self._lane_handlers:
                 yield inter, tag
 
-    def _all_senders(self) -> tuple:
-        """World ranks that can post into any lane (safety-gate input)."""
-        ranks: set[int] = set()
-        for inter in self._inters:
-            ranks.update(inter._sender_members())
-        return tuple(sorted(ranks))
-
     def _select_locked(self, proc):
         """Best queued candidate over every lane; ``proc.lock`` held.
 
@@ -326,7 +323,15 @@ class RPCServer:
         cand, _ = self._select(proc)
         if cand is None:
             return False
-        inter, tag, _msg = cand
+        # Gate on the senders of *every* lane: the receive below checks
+        # its own intercomm only, and a rank behind another one may
+        # still post an earlier arrival.
+        if not engine.wildcard_safe(proc.rank, cand[2].arrival,
+                                    self._senders):
+            return False
+        # Safety is stable and monotone in the bound: whatever slipped
+        # in before it held is queued by now, so this minimum is final.
+        (inter, tag, _msg), _ = self._select(proc)
         got = inter._try_recv(ANY_SOURCE, tag)
         if got is None:
             # Queued but not provably the global minimum yet; the
@@ -393,11 +398,10 @@ class RPCServer:
         # lanes let peers prove this server cannot act before a bound,
         # which is what breaks the mutual wait between two servers each
         # holding an unsafe candidate (they commit in arrival order).
-        senders = self._all_senders()
         lanes = tuple((i.comm_id, ANY_SOURCE, t)
                       for i, t in self._lane_specs())
         desc = WaitDesc("serve", -1, ANY_SOURCE, ANY_TAG,
-                        senders, lanes=lanes)
+                        self._senders, lanes=lanes)
         last_progress = self._global_vtime()
         while not predicate():
             engine.check_failed()

@@ -302,23 +302,7 @@ class DistMetadataVOL(MetadataVOL):
                         blk = dec.block_bounds(crank).to_selection(
                             node.space.shape
                         )
-                        for piece in node.pieces:
-                            overlap = piece.selection.intersect(blk)
-                            if overlap.npoints == 0:
-                                continue
-                            local = overlap.translate(
-                                piece.selection.bounds()[0],
-                                _box_shape(piece.selection),
-                            )
-                            if _is_dense(piece.selection):
-                                src = piece.data.reshape(
-                                    _box_shape(piece.selection)
-                                )
-                                values = local.extract(src)
-                            else:
-                                values = _gather_sparse(
-                                    piece, overlap, node.dtype.np
-                                )
+                        for overlap, values in node.overlaps(blk):
                             bundle.append((node.path, overlap, values))
                             nbytes += int(values.nbytes)
                     comm.charge_memcpy(nbytes)
@@ -385,40 +369,9 @@ class DistMetadataVOL(MetadataVOL):
             })
 
         def read(source, fname, path, selection):
-            root = _require_served(fname)
-            node = root.lookup(path)
-            out = []
-            nbytes = 0
-            stride = reduction_stride(self.costs)
+            node = _require_served(fname).lookup(path)
             comm.compute(self.costs.per_box_test * max(1, len(node.pieces)))
-            for piece in node.pieces:
-                overlap = piece.selection.intersect(selection)
-                if overlap.npoints == 0:
-                    continue
-                if stride > 1:
-                    overlap = subsample(overlap, stride)
-                local = overlap.translate(
-                    piece.selection.bounds()[0],
-                    _box_shape(piece.selection),
-                )
-                if _is_dense(piece.selection):
-                    src = piece.data.reshape(_box_shape(piece.selection))
-                    values = local.extract(src)
-                else:
-                    values = _gather_sparse(piece, overlap, node.dtype.np)
-                out.append((overlap, values))
-                nbytes += int(values.nbytes)
-            # Contiguous-region serialization: bulk copies, not per point
-            # (paper Sec. IV-B(c): this is why LowFive beats the
-            # hand-written per-point MPI code at small scale).
-            comm.charge_memcpy(nbytes)
-            if self.costs.reduction_level > 0:
-                # Simulated compression stage: CPU cost per input byte,
-                # wire bytes scaled down; the payload itself is intact.
-                raw = payload_nbytes((True, out))
-                comm.compute(self.costs.reduce_cost_per_byte * raw)
-                return Reply(out, reduced_nbytes(raw, self.costs))
-            return out
+            return _read_reply(comm, self.costs, node, selection)
 
         st.server.register("metadata", metadata)
         st.server.register("intersects", intersects)
@@ -508,16 +461,12 @@ class DistMetadataVOL(MetadataVOL):
         # Step 2: request and receive the data, assemble locally.
         if selection.npoints == 0:
             return np.empty(0, dtype=node.dtype.np)
-        lo, hi = selection.bounds()
-        box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
-        fill = 0 if node.fill_value is None else node.fill_value
-        box = np.full(box_shape, fill, dtype=node.dtype.np)
-        for p in sorted(owners):
-            pieces = client.call(p, "read", fstate.fname, path, selection)
-            for overlap, values in pieces:
-                overlap.translate(lo, box_shape).scatter(values, box)
+        values = node.assemble(selection, (
+            part for p in sorted(owners)
+            for part in client.call(p, "read", fstate.fname, path, selection)
+        ))
         self._charge_elements(comm, selection.npoints)
-        return selection.translate(lo, box_shape).extract(box)
+        return values
 
     # -- VOL overrides ---------------------------------------------------------------------
 
@@ -654,24 +603,20 @@ class DistMetadataVOL(MetadataVOL):
 # -- helpers ---------------------------------------------------------------------
 
 
-def _box_shape(sel) -> tuple:
-    lo, hi = sel.bounds()
-    return tuple(int(h - l) for l, h in zip(lo, hi))
-
-
-def _is_dense(sel) -> bool:
-    if not sel.is_separable:
-        return False
-    lo, hi = sel.bounds()
-    return sel.npoints == int(np.prod(hi - lo))
-
-
-def _gather_sparse(piece, overlap, np_dtype):
-    want = {tuple(c): i for i, c in enumerate(overlap.coords())}
-    out = np.empty(overlap.npoints, dtype=np_dtype)
-    for j, c in enumerate(piece.selection.coords()):
-        i = want.get(tuple(c))
-        if i is not None:
-            out[i] = piece.data[j]
+def _read_reply(comm, costs, node: DatasetNode, selection):
+    """Reply to a ``read`` request: the ``(overlap, values)`` parts of
+    ``node`` inside ``selection``, reduced as ``costs`` says; the
+    serving rank (owner of ``comm``) is charged for the copies."""
+    stride = reduction_stride(costs)
+    out = list(node.overlaps(selection, lambda o: subsample(o, stride)))
+    # Contiguous-region serialization: bulk copies, not per point
+    # (paper Sec. IV-B(c): this is why LowFive beats the
+    # hand-written per-point MPI code at small scale).
+    comm.charge_memcpy(sum(int(values.nbytes) for _, values in out))
+    if costs.reduction_level > 0:
+        # Simulated compression stage: CPU cost per input byte,
+        # wire bytes scaled down; the payload itself is intact.
+        raw = payload_nbytes((True, out))
+        comm.compute(costs.reduce_cost_per_byte * raw)
+        return Reply(out, reduced_nbytes(raw, costs))
     return out
-

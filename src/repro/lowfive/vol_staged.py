@@ -35,17 +35,9 @@ from repro.diy import Bounds, RegularDecomposer
 from repro.h5 import format as h5format
 from repro.h5.errors import NotFoundError
 from repro.h5.objects import DatasetNode, OWN_SHALLOW
-from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
-from repro.lowfive.rpc import Defer, Reply, RPCClient, RPCServer
+from repro.lowfive.rpc import Defer, RPCClient, RPCServer
 from repro.obs import span as obs_span
-from repro.simmpi import payload_nbytes
-from repro.lowfive.vol_dist import (
-    DistMetadataVOL,
-    _box_shape,
-    _gather_sparse,
-    _is_dense,
-    _skeleton_bytes,
-)
+from repro.lowfive.vol_dist import DistMetadataVOL, _read_reply, _skeleton_bytes
 from repro.lowfive.vol_metadata import LFFile, LFToken
 
 
@@ -110,27 +102,9 @@ class StagedMetadataVOL(DistMetadataVOL):
                 if not isinstance(node, DatasetNode):
                     continue
                 dec = RegularDecomposer(node.space.shape, nstage)
-                for piece in node.pieces:
-                    bb = Bounds.from_selection(piece.selection)
-                    for gid in dec.blocks_intersecting(bb):
-                        blk = dec.block_bounds(gid).to_selection(
-                            node.space.shape
-                        )
-                        overlap = piece.selection.intersect(blk)
-                        if overlap.npoints == 0:
-                            continue
-                        local = overlap.translate(
-                            piece.selection.bounds()[0],
-                            _box_shape(piece.selection),
-                        )
-                        if _is_dense(piece.selection):
-                            src = piece.data.reshape(
-                                _box_shape(piece.selection)
-                            )
-                            values = local.extract(src)
-                        else:
-                            values = _gather_sparse(piece, overlap,
-                                                    node.dtype.np)
+                for gid in range(dec.ngrid_blocks):
+                    blk = dec.block_bounds(gid).to_selection(node.space.shape)
+                    for overlap, values in node.overlaps(blk):
                         bundles[gid].append((node.path, overlap, values))
                         nbytes += int(values.nbytes)
             comm.charge_memcpy(nbytes)
@@ -166,17 +140,13 @@ class StagedMetadataVOL(DistMetadataVOL):
             qbb = Bounds.from_selection(selection)
             if selection.npoints == 0:
                 return np.empty(0, dtype=node.dtype.np)
-            lo, hi = selection.bounds()
-            box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
-            fill = 0 if node.fill_value is None else node.fill_value
-            box = np.full(box_shape, fill, dtype=node.dtype.np)
-            for gid in dec.blocks_intersecting(qbb):
-                pieces = client.call(gid, "read", fstate.fname,
-                                     node.path, selection)
-                for overlap, values in pieces:
-                    overlap.translate(lo, box_shape).scatter(values, box)
+            values = node.assemble(selection, (
+                part for gid in dec.blocks_intersecting(qbb)
+                for part in client.call(gid, "read", fstate.fname,
+                                        node.path, selection)
+            ))
             self._charge_elements(comm, selection.npoints)
-            return selection.translate(lo, box_shape).extract(box)
+            return values
 
     # -- VOL overrides -----------------------------------------------------------------
 
@@ -265,33 +235,8 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
 
     def read(source, fname, path, selection):
         _require_visible(fname)
-        root = _tree(fname)
-        node = root.lookup(path)
-        out = []
-        nbytes = 0
-        stride = reduction_stride(costs)
-        for piece in node.pieces:
-            overlap = piece.selection.intersect(selection)
-            if overlap.npoints == 0:
-                continue
-            if stride > 1:
-                overlap = subsample(overlap, stride)
-            local = overlap.translate(
-                piece.selection.bounds()[0], _box_shape(piece.selection)
-            )
-            if _is_dense(piece.selection):
-                src = piece.data.reshape(_box_shape(piece.selection))
-                values = local.extract(src)
-            else:
-                values = _gather_sparse(piece, overlap, node.dtype.np)
-            out.append((overlap, values))
-            nbytes += int(values.nbytes)
-        inters[0].charge_memcpy(nbytes)
-        if costs.reduction_level > 0:
-            raw = payload_nbytes((True, out))
-            inters[0].compute(costs.reduce_cost_per_byte * raw)
-            return Reply(out, reduced_nbytes(raw, costs))
-        return out
+        return _read_reply(inters[0], costs, _tree(fname).lookup(path),
+                           selection)
 
     def staged(source, fname):
         complete.setdefault(fname, set()).add(("marker", source))

@@ -72,12 +72,9 @@ def consumer_particle_selection(n_total: int, rank: int, ncons: int) -> Selectio
 
 def grid_values(selection: Selection, shape) -> np.ndarray:
     """Values for ``selection``: each point's global row-major index."""
-    coords = selection.coords()
-    if coords.shape[0] == 0:
-        return np.empty(0, dtype=GRID_DTYPE.np)
-    return np.ravel_multi_index(
-        tuple(coords.T), tuple(shape)
-    ).astype(GRID_DTYPE.np)
+    if tuple(shape) != selection.shape:
+        raise ValueError(f"selection extent {selection.shape} != {shape}")
+    return selection.linear_indices().astype(GRID_DTYPE.np)
 
 
 def validate_grid(selection: Selection, shape, values: np.ndarray) -> bool:
@@ -92,12 +89,10 @@ def particle_values(selection: Selection) -> np.ndarray:
     Particle ``i`` is the vector ``(e, e+1/4, e+1/2)`` with
     ``e = i mod 2**23`` (exactly representable in float32).
     """
-    coords = selection.coords()
-    if coords.shape[0] == 0:
-        return np.empty(0, dtype=PARTICLE_DTYPE.np)
-    ids = coords[:, 0] % _PARTICLE_MOD
-    comp = coords[:, 1].astype(np.float32) * 0.25
-    return (ids.astype(np.float32) + comp).astype(PARTICLE_DTYPE.np)
+    particle, comp = np.divmod(selection.linear_indices(),
+                                selection.shape[1])
+    ids = (particle % _PARTICLE_MOD).astype(np.float32)
+    return (ids + comp.astype(np.float32) * 0.25).astype(PARTICLE_DTYPE.np)
 
 
 def validate_particles(selection: Selection, values: np.ndarray) -> bool:

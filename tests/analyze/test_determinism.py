@@ -8,14 +8,14 @@ pipeline a pure function of the seed; these tests pin that, with the
 thread switch interval cranked down so the OS interleaves rank threads
 as aggressively as it can.
 
-``TestStagedDeterminism`` is a known flake (ROADMAP item 1, not fixed
-here). Reproduction: the test body looped 60x with
-``sys.setswitchinterval(1e-5)`` and 3 busy-loop daemon threads diverged
-in 2/59 runs (0/39 with no background load). The first differing fields
-are ``report/conservation/ranks/{3,4}/clock`` (the two consumers' *final
-virtual clocks* move by 2-6 us) and rank 5 (the stager) ``wait`` /
-``transfer`` -- i.e. the stager's reply order, hence virtual time
-itself, depends on interleaving, not just wait attribution.
+``TestStagedDeterminism`` used to flake (2/59 runs under a 1e-5 switch
+interval plus 3 busy threads; 4/300 unloaded): the stager answered a
+consumer request (tag 701) before a producer's earlier-arriving bundle
+(tag 707), moving the consumers' final virtual clocks by 2-6 us. Cause:
+``RPCServer.poll_once`` picked the global minimum over all lanes but
+left the safety check to the winning lane's receive, which covers that
+intercomm's senders only. It now gates on the senders of every lane
+first (0/600 and 0/1500 on the two reproducers).
 """
 
 import sys
