@@ -1,19 +1,11 @@
 """Wait-for-graph deadlock explanation.
 
-When the engine's real-time watchdog fires it knows only that *this*
-rank made no progress; the interesting question is what the whole
-machine was doing. Every blocked wait now publishes a
+The scheduler declares a deadlock when every live rank is parked and
+none has an event. Each parked rank publishes a
 :class:`~repro.simmpi.WaitDesc` (what kind of wait, on which
 communicator, which ranks could release it), so the explainer can
 build the wait-for graph rank -> potential wakers, walk it for a
 cycle, and render both the cycle and the full per-rank wait table.
-
-Everything here is **lock-free by design**: the caller is a rank that
-just timed out inside its own condition wait, and other ranks may be
-blocked holding arbitrary conditions. ``wait_desc`` is a single
-attribute read (atomic under the GIL), clocks are plain floats, and
-no Proc lock is ever taken -- a diagnostic that could itself deadlock
-would be worse than none.
 """
 
 from __future__ import annotations
@@ -39,15 +31,14 @@ def wait_for_graph(
 
     ``wakers`` is the tuple of world ranks whose action could release
     the wait (``desc.senders``, or every other rank when the desc does
-    not name its senders). Lock-free: descs are read once and may be a
-    moment stale, which is fine for a post-mortem diagnostic.
+    not name its senders).
     """
     graph: dict[int, tuple[Any, tuple[int, ...]]] = {}
     nprocs = engine.nprocs
     for p in engine.procs:
         if p.done:
             continue
-        desc = p.wait_desc  # atomic attribute read
+        desc = p.wait_desc
         if desc is None:
             continue
         wakers = desc.senders
@@ -97,9 +88,7 @@ def find_cycle(
 def explain_deadlock(engine: Any) -> str:
     """Render the machine's wait-for state for a DeadlockError.
 
-    Returns an empty string when nothing is blocked (the timeout was
-    starvation, not a deadlock). Never takes a lock and never raises
-    on a half-torn-down engine beyond what the caller already guards.
+    Returns an empty string when nothing is blocked.
     """
     graph = wait_for_graph(engine)
     if not graph:
@@ -118,7 +107,6 @@ def explain_deadlock(engine: Any) -> str:
             desc, _ = graph[r]
             lines.append(f"  rank {r} blocks on {_spec_of(desc)}")
     else:
-        lines.append("no wait-for cycle among blocked ranks (some rank "
-                     "is runnable but starved, or a peer exited without "
-                     "sending what this rank waits for)")
+        lines.append("no wait-for cycle among blocked ranks (a peer "
+                     "exited without sending what they wait for)")
     return "\n".join(lines)

@@ -9,8 +9,7 @@ recurring shapes, each of which is mechanically detectable:
 ANL001    Wall-clock call (``time.time``, ``time.monotonic``,
           ``time.perf_counter``, ``time.sleep``, ``datetime.now``,
           ...) in virtual-time code. Real time must only appear in
-          the engine's watchdog and in explicitly wall-clock
-          harnesses.
+          explicitly wall-clock harnesses.
 ANL002    An ``isend``/``irecv`` result that never reaches ``wait``
           or ``test`` (dropped or forgotten request objects make the
           nonblocking API lie about completion).
@@ -76,17 +75,15 @@ _THREAD_PRIMS = {
 }
 
 #: ``rule -> path suffixes`` where the rule does not apply: the engine
-#: really does own real time (watchdog) and threads (rank runners),
-#: and the wall-clock-reporting benchmarks are *about* real seconds.
+#: really does own the threads (rank runners), and the
+#: wall-clock-reporting benchmarks are *about* real seconds.
 DEFAULT_ALLOWLIST = {
     "ANL001": (
-        "src/repro/simmpi/engine.py",
         "benchmarks/bench_wallclock.py",
         "benchmarks/bench_stream.py",
     ),
     "ANL003": (
         "src/repro/simmpi/engine.py",
-        "src/repro/simmpi/comm.py",
     ),
 }
 

@@ -7,9 +7,9 @@ handlers and answers requests from the remote group; an
 :class:`RPCClient` issues blocking calls and one-way notifications.
 
 A server can multiplex several intercommunicators (fan-out to multiple
-consumer tasks): it polls each in turn. Termination is cooperative: each
-remote rank sends a ``done`` control message; the serve loop exits once
-every remote rank of every intercomm is done.
+consumer tasks), answering in virtual arrival order. Termination is
+cooperative: each remote rank sends a ``done`` control message; the
+serve loop exits once every remote rank of every intercomm is done.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs import span as obs_span
-from repro.simmpi import ANY_SOURCE, ANY_TAG, Intercomm, WAKE_ANY, WaitDesc
+from repro.simmpi import ANY_SOURCE, ANY_TAG, Intercomm, WaitDesc
 
 #: Tag used for RPC requests (client -> server).
 TAG_REQUEST = 701
@@ -194,16 +194,12 @@ class RPCServer:
         # server that also drains e.g. staged data keeps one
         # deterministic ordering across all of its inbound tags.
         self._lane_handlers: dict[int, object] = {}
-        #: World ranks that can post into any lane (safety-gate input).
-        self._senders: tuple = ()
 
     def attach(self, inter: Intercomm) -> None:
         """Listen for requests arriving on ``inter``."""
         if inter not in self._inters:
             self._inters.append(inter)
             self._done[id(inter)] = set()
-            self._senders = tuple(sorted(
-                {*self._senders, *inter._sender_members()}))
 
     def add_lane(self, tag: int, handler) -> None:
         """Serve an extra inbound ``tag`` with ``handler(inter, payload,
@@ -259,97 +255,48 @@ class RPCServer:
             len(self._done[id(i)]) >= i.remote_size for i in self._inters
         )
 
-    def _lane_specs(self):
-        """Every ``(intercomm, tag)`` lane this server drains."""
-        for inter in self._inters:
-            yield inter, TAG_REQUEST
-            yield inter, TAG_CTRL
-            for tag in self._lane_handlers:
-                yield inter, tag
+    def _lanes(self) -> tuple:
+        """Every ``(comm_id, source, tag)`` lane this server drains."""
+        tags = (TAG_REQUEST, TAG_CTRL, *self._lane_handlers)
+        return tuple((inter.comm_id, ANY_SOURCE, tag)
+                     for inter in self._inters for tag in tags)
 
-    def _select_locked(self, proc):
-        """Best queued candidate over every lane; ``proc.lock`` held.
-
-        Returns ``((inter, tag, msg), key)`` or ``(None, None)`` where
-        ``key = (arrival, comm_id, src, seq)`` -- the total order serve
-        loops answer messages in.
-        """
-        best = None
-        best_key = None
-        for inter, tag in self._lane_specs():
-            mbox = proc.mailbox.get(inter.comm_id)
-            if not mbox:
-                continue
-            m = mbox.peek_match(ANY_SOURCE, tag, proc.consumed)
-            if m is None:
-                continue
-            key = (m.arrival, inter.comm_id, m.src, m.seq)
-            if best_key is None or key < best_key:
-                best_key, best = key, (inter, tag, m)
-        return best, best_key
-
-    def _select(self, proc):
-        with proc.lock:
-            return self._select_locked(proc)
-
-    def _dispatch(self, inter: Intercomm, tag: int, payload,
-                  source: int) -> None:
-        if tag == TAG_REQUEST:
-            self._handle_request(inter, payload, source)
-        elif tag == TAG_CTRL:
-            self._handle_ctrl(inter, payload, source)
+    def _take(self, msg) -> None:
+        """Receive and dispatch ``msg``, the best queued message over
+        every lane (so also the best of its own lane)."""
+        inter = next(i for i in self._inters if i.comm_id == msg.comm_id)
+        payload, status = inter._try_recv(ANY_SOURCE, msg.tag)
+        if msg.tag == TAG_REQUEST:
+            self._handle_request(inter, payload, status.source)
+        elif msg.tag == TAG_CTRL:
+            self._handle_ctrl(inter, payload, status.source)
         else:
-            self._lane_handlers[tag](inter, payload, source)
+            self._lane_handlers[msg.tag](inter, payload, status.source)
+        # New traffic may unblock previously deferred requests (e.g. a
+        # registration arriving completes coverage).
+        if self._pending:
+            self._replay_pending()
 
     def poll_once(self) -> bool:
         """Handle the single best queued message across every lane.
 
         Selection is global virtual arrival order -- the minimum
         ``(arrival, comm_id, src, seq)`` over every attached intercomm
-        and tag lane -- never attachment or tag priority, so which
-        message a server answers next is a pure function of virtual
-        time, independent of real-thread scheduling. The winner is
-        consumed only once the wildcard safety gate proves no lagging
-        sender can still post an earlier one (safety is monotone in the
-        arrival bound, so when the global minimum is not yet provably
-        next, nothing is).
+        and tag lane -- never attachment or tag priority, and the
+        winner is taken only when no parked rank could still post an
+        earlier one (:meth:`Engine.is_next`), so which message a server
+        answers next is a function of virtual time alone.
 
         Returns True when a message was handled.
         """
         if not self._inters:
             return False
         engine = self._inters[0].engine
-        proc = engine.current_proc()
-        cand, _ = self._select(proc)
-        if cand is None:
+        msg = engine.current_proc().best_match(self._lanes())
+        if msg is None or not engine.is_next(msg.arrival):
             return False
-        # Gate on the senders of *every* lane: the receive below checks
-        # its own intercomm only, and a rank behind another one may
-        # still post an earlier arrival.
-        if not engine.wildcard_safe(proc.rank, cand[2].arrival,
-                                    self._senders):
-            return False
-        # Safety is stable and monotone in the bound: whatever slipped
-        # in before it held is queued by now, so this minimum is final.
-        (inter, tag, _msg), _ = self._select(proc)
-        got = inter._try_recv(ANY_SOURCE, tag)
-        if got is None:
-            # Queued but not provably the global minimum yet; the
-            # caller sleeps until the safety epoch moves.
-            return False
-        payload, status = got
-        self._dispatch(inter, tag, payload, status.source)
+        self._take(msg)
         return True
-
-    def _global_vtime(self) -> float:
-        """Furthest virtual clock of any rank on the machine.
-
-        The serve loop's notion of progress: while *someone* is still
-        computing or communicating, the machine is alive even if this
-        server sees no traffic.
-        """
-        engine = self._inters[0].engine
-        return max(p.clock for p in engine.procs)
 
     def _replay_pending(self) -> None:
         """Replay requests deferred from earlier epochs (e.g. queries
@@ -364,14 +311,10 @@ class RPCServer:
         The paper's Algorithm 2: producers sit in this loop after
         closing a file, answering intersection and data queries.
 
-        ``timeout`` is measured on the *virtual* clock: if the
-        machine's global virtual time advances ``timeout`` simulated
-        seconds past the last handled message without this server
-        seeing traffic, the consumers are presumed wedged and
-        :class:`RPCTimeout` is raised. A machine that stops advancing
-        entirely (all peers exited without signalling done) is caught
-        by the engine's real-time deadlock watchdog instead, which
-        raises :class:`~repro.simmpi.DeadlockError`.
+        ``timeout`` is measured on the *virtual* clock: when no message
+        arrives within ``timeout`` simulated seconds of this server's
+        clock (the end of the last one it handled), the consumers are
+        presumed wedged and :class:`RPCTimeout` is raised.
         """
         if not self._inters:
             return
@@ -387,68 +330,30 @@ class RPCServer:
         The generalized serve loop: :meth:`serve` runs it until every
         remote rank is done; a backpressured streaming producer runs
         it until the live-epoch window shrinks. ``what`` names the
-        wait for the deadlock explainer.
+        wait in the timeout message.
         """
         if not self._inters:
             return
         engine = self._inters[0].engine
         proc = engine.current_proc()
         self._replay_pending()
-        # Wait descriptor for the safety gate / deadlock explainer: the
-        # lanes let peers prove this server cannot act before a bound,
-        # which is what breaks the mutual wait between two servers each
-        # holding an unsafe candidate (they commit in arrival order).
-        lanes = tuple((i.comm_id, ANY_SOURCE, t)
-                      for i, t in self._lane_specs())
-        desc = WaitDesc("serve", -1, ANY_SOURCE, ANY_TAG,
-                        self._senders, lanes=lanes)
-        last_progress = self._global_vtime()
+        lanes = self._lanes()
+        senders = tuple(sorted({w for i in self._inters
+                                for w in i._sender_members()}))
+        desc = WaitDesc("serve", -1, ANY_SOURCE, ANY_TAG, senders,
+                        lanes=lanes)
         while not predicate():
-            engine.check_failed()
             engine.maybe_crash()
-            # Epoch read precedes the poll's peek + safety evaluation,
-            # so a blocked-transition after either shows as a change
-            # against ``epoch0 + 1`` (our own note_blocked bumps once).
-            epoch0 = engine.safety_epoch
-            if self.poll_once():
-                last_progress = self._global_vtime()
-                # New traffic may unblock previously deferred requests
-                # (e.g. a registration arriving completes coverage).
-                if self._pending:
-                    self._replay_pending()
-                continue
-            if self._global_vtime() - last_progress >= timeout:
+            # The deadline is one more event time: the scheduler hands
+            # this rank the baton for its best queued message or, when
+            # every other rank's next action lies past it, to give up.
+            deadline = proc.clock + timeout
+            engine.park(proc, desc, deadline)
+            msg = proc.best_match(lanes)
+            if msg is None or msg.arrival > deadline:
+                proc.clock = deadline
                 raise RPCTimeout(
                     f"serve loop starved for {timeout:.0f}s virtual "
                     f"time waiting for {what}"
                 )
-            _, key0 = self._select(proc)
-            proc.wait_desc = desc
-            engine.note_blocked()
-            engine.add_safety_waiter(proc)
-            try:
-                # Sleep until the lane minimum changes, the safety
-                # epoch moves (a candidate may have become provably
-                # next), or the machine advances past the virtual
-                # deadline; the engine watchdog bounds real time. The
-                # deadline can pass without any event, so this wait
-                # polls -- unlike mailbox waits, which are event-driven.
-                with proc.cond:
-                    def stirred():
-                        _, k = self._select_locked(proc)
-                        if k != key0:
-                            return True
-                        if engine.safety_epoch != epoch0 + 1:
-                            return True
-                        return (self._global_vtime() - last_progress
-                                >= timeout)
-
-                    proc.wait_spec = WAKE_ANY
-                    try:
-                        engine.wait_on(proc.cond, stirred, what,
-                                       poll=engine._POLL)
-                    finally:
-                        proc.wait_spec = None
-            finally:
-                engine.discard_safety_waiter(proc)
-                proc.wait_desc = None
+            self._take(msg)

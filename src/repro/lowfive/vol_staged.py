@@ -195,11 +195,10 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
     """Run one staging rank until every client rank has sent done.
 
     ``inters`` are the staging-side views of the producer and consumer
-    intercommunicators. ``timeout`` is the virtual seconds the machine
-    may advance without this rank seeing traffic before it gives up
-    with :class:`~repro.lowfive.rpc.RPCTimeout` (the engine's real-time
-    watchdog backstops a fully stalled machine). Returns ``{file:
-    pieces held}`` counts (useful for tests/monitoring).
+    intercommunicators. ``timeout`` is the virtual seconds this rank
+    waits without traffic arriving before it gives up with
+    :class:`~repro.lowfive.rpc.RPCTimeout`. Returns ``{file: pieces
+    held}`` counts (useful for tests/monitoring).
     """
     from repro.lowfive.config import CostConfig
 
@@ -282,10 +281,9 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
 
     # Staged data bundles arrive on their own tag, registered as an
     # extra serve lane: the server drains REQUEST, CTRL and STAGE
-    # traffic in one global virtual-arrival order, so what a staging
-    # rank does next never depends on real-thread scheduling. Pieces
-    # can outrace the skeleton (different producer ranks), so they wait
-    # in ``pending_pieces`` until their skeleton lands.
+    # traffic in one global virtual-arrival order. Pieces can outrace
+    # the skeleton (different producer ranks), so they wait in
+    # ``pending_pieces`` until their skeleton lands.
     pending_pieces: list[tuple[str, list, int]] = []
 
     def _apply(fname, payload, source):

@@ -9,6 +9,10 @@ appended as one JSON line to a :class:`Ledger` file (by convention
 for information but excluded from :meth:`RunRecord.digest`, so
 same-seed runs of the same tree produce byte-identical stable records.
 
+When two runs that should agree do not, :func:`first_diff` names the
+first differing path and both values (:func:`assert_identical` is the
+test-side wrapper; ``regress`` prints it per drifted record).
+
 The same module owns the *single* drift comparator that used to be
 hand-rolled three times over in ``bench_wallclock`` / ``bench_stream``
 / ``bench_snapshot``: :func:`compare_runs` checks the exact virtual
@@ -42,6 +46,46 @@ VOLATILE_FIELDS = ("wall_seconds", "created_at", "git_rev",
 
 def _canonical(doc: object) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def first_diff(a: Any, b: Any, path: str = "") -> str | None:
+    """``None`` when two JSON-able documents are equal, else
+    ``"<path>: <a> != <b>"`` for the first differing leaf in canonical
+    order (sorted dict keys, list positions)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b), key=str):
+            if k not in a or k not in b:
+                return (f"{path}/{k}: {a.get(k, '<missing>')!r} != "
+                        f"{b.get(k, '<missing>')!r}")
+            diff = first_diff(a[k], b[k], f"{path}/{k}")
+            if diff is not None:
+                return diff
+        return None
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            diff = first_diff(x, y, f"{path}/{i}")
+            if diff is not None:
+                return diff
+        if len(a) != len(b):
+            return f"{path}: length {len(a)} != {len(b)}"
+        return None
+    return None if a == b else f"{path}: {a!r} != {b!r}"
+
+
+def assert_identical(docs: Sequence[Any]) -> None:
+    """Every document serializes to the same bytes as the first; a
+    mismatch names the first differing path and both values."""
+    blobs = [json.dumps(d, sort_keys=True) for d in docs]
+    for i in range(1, len(docs)):
+        assert blobs[i] == blobs[0], (
+            f"run {i} differs from run 0 at "
+            f"{first_diff(json.loads(blobs[0]), json.loads(blobs[i]))}"
+        )
+
+
+def stable_doc(doc: dict[str, Any]) -> dict[str, Any]:
+    """A run document minus every volatile field."""
+    return {k: v for k, v in doc.items() if k not in VOLATILE_FIELDS}
 
 
 def cost_digest(costs: Any) -> str | None:
@@ -132,10 +176,7 @@ class RunRecord:
 
     def stable_json(self) -> dict[str, Any]:
         """The record minus every volatile field."""
-        doc = self.to_json()
-        for k in VOLATILE_FIELDS:
-            doc.pop(k, None)
-        return doc
+        return stable_doc(self.to_json())
 
     def digest(self) -> str:
         """Content digest of the stable portion; same-seed runs of the

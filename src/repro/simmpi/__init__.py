@@ -1,9 +1,10 @@
 """Simulated MPI runtime with virtual time.
 
 ``simmpi`` executes an SPMD program -- a Python callable ``main(comm)`` --
-on ``n`` simulated ranks. Each rank runs on its own thread and owns a
-*virtual clock*; message-passing and collective operations advance the
-clocks according to a configurable network cost model
+on ``n`` simulated ranks. Each rank owns a *virtual clock* and runs on
+its own thread, one at a time in virtual-time order; message-passing
+and collective operations advance the clocks according to a
+configurable network cost model
 (:class:`~repro.simmpi.netmodel.NetworkModel`, defaulting to Cray
 Aries-like parameters). Payloads are real Python/numpy objects, so the
 algorithms built on top (LowFive redistribution, DataSpaces staging, ...)
@@ -39,7 +40,6 @@ from repro.simmpi.request import Request
 from repro.simmpi.comm import Comm, Intercomm
 from repro.simmpi.engine import (
     Engine,
-    WAKE_ANY,
     WaitDesc,
     WorldResult,
     run_world,
@@ -61,7 +61,6 @@ __all__ = [
     "Comm",
     "Intercomm",
     "Engine",
-    "WAKE_ANY",
     "WaitDesc",
     "WorldResult",
     "run_world",

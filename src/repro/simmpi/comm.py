@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 from repro.simmpi.errors import CommMismatchError
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Status
 from repro.simmpi.netmodel import payload_nbytes
@@ -12,20 +10,17 @@ from repro.simmpi import engine as _engine
 
 
 class _CollectiveCtx:
-    """Rendezvous for one communicator's collectives. Internal.
+    """One rendezvous of one communicator's collectives. Internal.
 
-    Generation-based: ranks enter with a contribution; the last arriver
-    runs the reducer once and publishes the result plus the post-
-    collective clock; ranks drain before the next generation may begin.
+    Ranks enter with a contribution; the last arriver runs the reducer
+    once, publishes the result plus the post-collective clock and
+    retires the context (:meth:`Engine.complete_collective`): the
+    communicator's next collective opens a fresh one while the waiters
+    of this one still hold it.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-        self.generation = 0
-        self.complete = -1
-        self.draining = False
         self.entries: dict[int, object] = {}
         # world rank -> clock at entry (straggler attribution)
         self.enter_clocks: dict[int, float] = {}
@@ -37,16 +32,16 @@ class _CollectiveCtx:
         # Largest nbytes any participant passed: the rendezvous cost
         # must not depend on *which* rank happens to complete it.
         self.max_nbytes = 0
+        self.waiters: list = []
         self.result = None
         self.final_clock = 0.0
-        self.nleft = 0
 
 
 class Comm:
     """An intra-communicator over a subset of world ranks.
 
-    A single ``Comm`` object is safely shared by all of its member
-    threads; rank identity comes from thread-local state. All operations
+    A single ``Comm`` object is shared by all of its member threads;
+    rank identity comes from thread-local state. All operations
     advance the calling rank's virtual clock per the engine's
     :class:`~repro.simmpi.netmodel.NetworkModel`.
     """
@@ -190,7 +185,7 @@ class Comm:
                 else self._src_world(msg.src))
 
     def _pop_match(self, proc, source: int, tag: int):
-        """Pop the best matching message while holding ``proc.lock``.
+        """Pop the best queued message matching ``(source, tag)``.
 
         Matching is an indexed bucket-head lookup (see
         :class:`~repro.simmpi.mailbox.CommMailbox`); non-matching
@@ -257,125 +252,29 @@ class Comm:
         )
         return src_world
 
-    def _match_concrete(self, proc, source: int, tag: int, block: bool,
-                        what: str):
-        """Fully-qualified (no wildcard) match: one bucket, FIFO by
-        ``(arrival, seq)`` -- deterministic without any gate."""
-        engine = self.engine
-        with proc.cond:
-            msg = self._pop_match(proc, source, tag)
-        if msg is not None or not block:
-            return msg
-        proc.wait_desc = _engine.WaitDesc(
-            "recv", self.comm_id, source, tag, self._spec_senders(source),
+    def _wait_desc(self, kind: str, source: int, tag: int):
+        return _engine.WaitDesc(
+            kind, self.comm_id, source, tag, self._spec_senders(source),
             lanes=((self.comm_id, source, tag),),
         )
-        engine.note_blocked()
-        try:
-            with proc.cond:
-                holder = []
 
-                def ready():
-                    m = self._pop_match(proc, source, tag)
-                    if m is not None:
-                        holder.append(m)
-                        return True
-                    return False
-
-                # Register what we are blocked on so deliveries that
-                # cannot match do not wake this rank.
-                proc.wait_spec = (self.comm_id, source, tag)
-                try:
-                    engine.wait_on(proc.cond, ready, what)
-                finally:
-                    proc.wait_spec = None
-                return holder[0]
-        finally:
-            proc.wait_desc = None
-
-    def _match_wildcard(self, proc, source: int, tag: int, block: bool,
-                        what: str):
-        """Wildcard match gated on sender safety.
-
-        The queued minimum may not be the *global* minimum: a lagging
-        sender could still post a message with an earlier arrival, and
-        which side wins would then depend on real-thread scheduling --
-        the PR-4 attribution nondeterminism. The match therefore
-        commits only once :meth:`Engine.wildcard_safe` proves every
-        potential sender is past the candidate's arrival, exited, or
-        transitively blocked; at that point every earlier arrival is
-        already queued (delivery is synchronous inside ``send``) and
-        the heap minimum is the true one. Safety is stable, so the pop
-        after re-taking the lock stays valid even if an even earlier
-        message slipped in meanwhile.
-        """
-        engine = self.engine
-        senders = self._spec_senders(source)
-        desc = _engine.WaitDesc(
-            "recv", self.comm_id, source, tag, senders,
-            lanes=((self.comm_id, source, tag),),
-        )
-        while True:
-            epoch0 = engine.safety_epoch
-            with proc.cond:
-                mbox = proc.mailbox.get(self.comm_id)
-                head = (mbox.peek_match(source, tag, proc.consumed)
-                        if mbox else None)
-                hkey = ((head.arrival, head.src, head.seq)
-                        if head is not None else None)
-            if head is not None and engine.wildcard_safe(
-                    proc.rank, head.arrival, senders):
-                with proc.cond:
-                    msg = self._pop_match(proc, source, tag)
-                if msg is not None and msg.arrival <= head.arrival:
-                    return msg
-                continue
-            if not block:
-                return None
-            # ``epoch0`` was read before the peek + safety evaluation,
-            # so any blocked-transition after that point shows up as an
-            # epoch change. Our own ``note_blocked`` below bumps the
-            # epoch by exactly one; the predicate compares against
-            # ``epoch0 + 1`` so we do not wake on our own transition.
-            proc.wait_desc = desc
-            engine.note_blocked()
-            if head is not None:
-                engine.add_safety_waiter(proc)
-            try:
-                with proc.cond:
-                    def changed():
-                        mb = proc.mailbox.get(self.comm_id)
-                        h = (mb.peek_match(source, tag, proc.consumed)
-                             if mb else None)
-                        if h is None:
-                            return hkey is not None
-                        if (h.arrival, h.src, h.seq) != hkey:
-                            return True
-                        return engine.safety_epoch != epoch0 + 1
-
-                    proc.wait_spec = (self.comm_id, source, tag)
-                    try:
-                        engine.wait_on(proc.cond, changed, what)
-                    finally:
-                        proc.wait_spec = None
-            finally:
-                if head is not None:
-                    engine.discard_safety_waiter(proc)
-                proc.wait_desc = None
-
-    def _match(self, proc, source: int, tag: int, block: bool):
-        what = (f"message (comm {self.comm_id}, source {source}, "
-                f"tag {tag})")
-        if source == ANY_SOURCE or tag == ANY_TAG:
-            return self._match_wildcard(proc, source, tag, block, what)
-        return self._match_concrete(proc, source, tag, block, what)
+    def _peek(self, proc, source: int, tag: int):
+        """Best queued match for ``(source, tag)``, not consumed."""
+        return proc.best_match(((self.comm_id, source, tag),))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking receive; returns ``(payload, Status)``."""
+        """Blocking receive; returns ``(payload, Status)``.
+
+        Parks until the scheduler hands this rank the baton for its
+        best queued match: by then no rank can still post an
+        earlier-arriving one, so which message a (wildcard) receive
+        takes is a function of virtual time alone.
+        """
         proc = self._proc()
         self.engine.maybe_crash()
         t_start = proc.clock
-        msg = self._match(proc, source, tag, block=True)
+        self.engine.park(proc, self._wait_desc("recv", source, tag))
+        msg = self._pop_match(proc, source, tag)
         src_world = self._finish_recv(proc, msg, t_start)
         self.engine.maybe_crash()
         self.engine.record(proc.clock, "recv", proc.rank,
@@ -385,16 +284,16 @@ class Comm:
     def _try_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Nonblocking receive; ``(payload, Status)`` or ``None``.
 
-        A queued wildcard candidate that is not yet provably the global
-        minimum is reported as "nothing there": consuming it early is
-        exactly the schedule race the safety gate exists to close.
+        A queued candidate that some parked rank could still overtake
+        (:meth:`Engine.is_next`) is reported as "nothing there".
         """
         proc = self._proc()
         self.engine.maybe_crash()
-        t_start = proc.clock
-        msg = self._match(proc, source, tag, block=False)
-        if msg is None:
+        head = self._peek(proc, source, tag)
+        if head is None or not self.engine.is_next(head.arrival):
             return None
+        t_start = proc.clock
+        msg = self._pop_match(proc, source, tag)
         src_world = self._finish_recv(proc, msg, t_start)
         self.engine.record(proc.clock, "recv", proc.rank,
                            src_world, msg.tag, msg.nbytes)
@@ -409,65 +308,17 @@ class Comm:
         """Check for a matching message without consuming it.
 
         Returns a :class:`Status`, or ``None`` when ``block=False`` and
-        nothing matches. Wildcard probes honor the same safety gate as
-        wildcard receives: the reported message is the deterministic
-        winner, not whichever candidate happened to be queued first in
-        real time.
+        nothing matches yet. Same commit rule as :meth:`recv` /
+        :meth:`_try_recv`: the reported message is the one a receive
+        would take.
         """
         proc = self._proc()
-        engine = self.engine
-        wildcard = source == ANY_SOURCE or tag == ANY_TAG
-
-        def find():
-            mbox = proc.mailbox.get(self.comm_id)
-            if not mbox:
-                return None
-            return mbox.peek_match(source, tag, proc.consumed)
-
-        while True:
-            epoch0 = engine.safety_epoch
-            with proc.cond:
-                m = find()
-                hkey = (m.arrival, m.src, m.seq) if m is not None else None
-            if m is not None and (
-                    not wildcard
-                    or engine.wildcard_safe(proc.rank, m.arrival,
-                                            self._spec_senders(source))):
-                with proc.cond:
-                    best = find()
-                if best is not None and best.arrival <= m.arrival:
-                    return Status(best.src, best.tag, best.nbytes)
-                continue
-            if not block:
-                return None
-            proc.wait_desc = _engine.WaitDesc(
-                "probe", self.comm_id, source, tag,
-                self._spec_senders(source),
-                lanes=((self.comm_id, source, tag),),
-            )
-            engine.note_blocked()
-            if m is not None:
-                engine.add_safety_waiter(proc)
-            try:
-                with proc.cond:
-                    def changed():
-                        h = find()
-                        if h is None:
-                            return hkey is not None
-                        if (h.arrival, h.src, h.seq) != hkey:
-                            return True
-                        return (wildcard
-                                and engine.safety_epoch != epoch0 + 1)
-
-                    proc.wait_spec = (self.comm_id, source, tag)
-                    try:
-                        engine.wait_on(proc.cond, changed, "probe")
-                    finally:
-                        proc.wait_spec = None
-            finally:
-                if m is not None:
-                    engine.discard_safety_waiter(proc)
-                proc.wait_desc = None
+        if block:
+            self.engine.park(proc, self._wait_desc("probe", source, tag))
+        m = self._peek(proc, source, tag)
+        if m is None or not (block or self.engine.is_next(m.arrival)):
+            return None
+        return Status(m.src, m.tag, m.nbytes)
 
     # -- collectives -----------------------------------------------------------
 
@@ -490,96 +341,53 @@ class Comm:
     }
 
     def _collective(self, kind: str, contribution, reducer, nbytes: int = 0):
-        ctx = self.engine.coll_ctx(self.comm_id, self._participants())
-        self.engine.maybe_crash()
+        engine = self.engine
+        ctx = engine.coll_ctx(self.comm_id, self._participants())
+        engine.maybe_crash()
         proc = self._proc()
-        me = self._my_coll_key()
         cost_kind = self._COST_ALIAS.get(kind, kind)
-        obs = self.engine.obs
+        obs = engine.obs
         open_span = obs.spans.begin(
             proc.rank, f"mpi.{kind}", "simmpi", proc.clock,
             {"comm": self.comm_id, "nbytes": nbytes},
         )
         enter = proc.clock
-        # Wait descriptor for the safety gate / deadlock explainer: a
-        # collective waiter can only be released by another participant.
-        # ``stuck`` probes the rendezvous state lock-free so a released-
-        # but-unscheduled waiter is still classified as running.
-        peers = tuple(w for w in self._participant_worlds()
-                      if w != proc.rank)
-        with ctx.cond:
-            if ctx.draining:
-                proc.wait_desc = _engine.WaitDesc(
-                    "collective", self.comm_id, -1, -1, peers, kind,
-                    stuck=lambda: ctx.draining,
-                )
-                self.engine.note_blocked()
-                try:
-                    self.engine.wait_on(
-                        ctx.cond, lambda: not ctx.draining,
-                        f"{kind} (drain)"
-                    )
-                finally:
-                    proc.wait_desc = None
-            gen = ctx.generation
-            ctx.entries[me] = contribution
-            ctx.enter_clocks[proc.rank] = proc.clock
-            ctx.enter_kinds[proc.rank] = kind
-            ctx.max_clock = max(ctx.max_clock, proc.clock)
-            ctx.max_nbytes = max(ctx.max_nbytes, nbytes)
-            if len(ctx.entries) == ctx.size:
-                # Cost from the aggregate payload size, never from the
-                # completing rank's own ``nbytes``: per-rank sizes can
-                # differ (e.g. alltoall), and which rank completes the
-                # rendezvous is a real-scheduling accident.
-                ctx.result = reducer(dict(ctx.entries))
-                ctx.final_clock = ctx.max_clock + self.model.collective_time(
-                    cost_kind, ctx.size, ctx.max_nbytes
-                )
-                obs.causal.collective(
-                    kind=kind, comm_id=self.comm_id,
-                    nbytes=ctx.max_nbytes,
-                    enter_clocks=ctx.enter_clocks, t_ready=ctx.max_clock,
-                    t_end=ctx.final_clock, kinds=ctx.enter_kinds,
-                )
-                ctx.complete = gen
-                ctx.draining = True
-                ctx.cond.notify_all()
-            else:
-                proc.wait_desc = _engine.WaitDesc(
-                    "collective", self.comm_id, -1, -1, peers, kind,
-                    stuck=lambda: ctx.complete < gen,
-                )
-                self.engine.note_blocked()
-                try:
-                    self.engine.wait_on(
-                        ctx.cond, lambda: ctx.complete >= gen,
-                        f"{kind} (gen {gen})"
-                    )
-                finally:
-                    proc.wait_desc = None
-            result = ctx.result
-            final = ctx.final_clock
-            ready = ctx.max_clock
-            ctx.nleft += 1
-            if ctx.nleft == ctx.size:
-                ctx.entries = {}
-                ctx.enter_clocks = {}
-                ctx.enter_kinds = {}
-                ctx.nleft = 0
-                ctx.draining = False
-                ctx.generation += 1
-                ctx.max_clock = float("-inf")
-                ctx.max_nbytes = 0
-                ctx.cond.notify_all()
-        proc.clock = final
+        ctx.entries[self._my_coll_key()] = contribution
+        ctx.enter_clocks[proc.rank] = enter
+        ctx.enter_kinds[proc.rank] = kind
+        ctx.max_clock = max(ctx.max_clock, enter)
+        ctx.max_nbytes = max(ctx.max_nbytes, nbytes)
+        if len(ctx.entries) == ctx.size:
+            # Cost from the aggregate payload size, never from the
+            # completing rank's own ``nbytes``: per-rank sizes can
+            # differ (e.g. alltoall).
+            ctx.result = reducer(dict(ctx.entries))
+            ctx.final_clock = ctx.max_clock + self.model.collective_time(
+                cost_kind, ctx.size, ctx.max_nbytes
+            )
+            obs.causal.collective(
+                kind=kind, comm_id=self.comm_id,
+                nbytes=ctx.max_nbytes,
+                enter_clocks=ctx.enter_clocks, t_ready=ctx.max_clock,
+                t_end=ctx.final_clock, kinds=ctx.enter_kinds,
+            )
+            engine.complete_collective(self.comm_id)
+        else:
+            # Only another participant can release this rank.
+            ctx.waiters.append(proc)
+            engine.park(proc, _engine.WaitDesc(
+                "collective", self.comm_id, -1, -1,
+                tuple(w for w in self._participant_worlds()
+                      if w != proc.rank), kind,
+            ))
+        proc.clock = ctx.final_clock
         acct = obs.causal.account(proc.rank)
-        acct.wait += max(0.0, ready - enter)
-        acct.transfer += final - ready
+        acct.wait += max(0.0, ctx.max_clock - enter)
+        acct.transfer += ctx.final_clock - ctx.max_clock
         obs.spans.end(open_span, proc.clock)
-        self.engine.record(proc.clock, "coll", proc.rank, -1, 0,
-                           nbytes, label=kind)
-        return result
+        engine.record(proc.clock, "coll", proc.rank, -1, 0,
+                      nbytes, label=kind)
+        return ctx.result
 
     def barrier(self) -> None:
         """Synchronize all ranks; clocks advance to a common time."""

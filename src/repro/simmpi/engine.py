@@ -1,34 +1,50 @@
-"""Engine: launches ranks on threads and owns virtual clocks/mailboxes."""
+"""Engine: a virtual-time baton scheduler over one thread per rank.
+
+Rank bodies are OS threads (rank identity is ``threading.local``), but
+exactly one of them holds the *baton* and runs. A rank gives the baton
+up only inside a blocking simmpi operation -- a receive or probe, a
+collective it does not complete, an idle serve loop, its exit -- and
+:meth:`Engine.park` hands it to the parked rank with the smallest
+*event time*, ties by world rank:
+
+- the arrival of its best queued candidate, for a receive, probe or
+  serve-loop wait (capped by the serve loop's virtual deadline);
+- its own clock, when it has not started yet or a collective it waited
+  in has completed;
+- none, while nothing queued can wake it.
+
+Every parked rank's next action lands at or after its event time and
+every send arrives after its sender's clock, so the rank holding the
+minimum can commit: no rank can still post a message that arrives
+earlier. Live ranks with no event at all are a deadlock, raised at
+once. The one invariant this relies on: no real lock is held across a
+blocking simmpi call (the next baton holder would block on it for
+good).
+"""
 
 from __future__ import annotations
 
+import heapq
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.obs import ObsContext
 from repro.simmpi.errors import DeadlockError, RankFailure, WorkerAborted
 from repro.simmpi.mailbox import CommMailbox
-from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
+from repro.simmpi.message import Message
 from repro.simmpi.netmodel import NetworkModel
 
 _tls = threading.local()
 
-#: Wait-spec sentinel: wake the rank on *any* arriving message (used by
-#: serve loops whose wake predicate the engine cannot inspect).
-WAKE_ANY = object()
-
 
 class WaitDesc(NamedTuple):
-    """What a blocked rank is waiting for (safety gate + deadlock explainer).
+    """What a parked rank is waiting for (scheduler + deadlock explainer).
 
     ``kind`` is ``"recv"``, ``"probe"``, ``"serve"`` or ``"collective"``;
     ``source``/``tag`` are the local spec (``ANY_SOURCE``/``ANY_TAG`` for
     wildcards and serve loops); ``senders`` is the resolved set of world
-    ranks whose action could wake this rank (``None`` = any rank). The
-    attribute write is atomic under the GIL; readers that also need the
-    rank's mailbox state take the rank's lock.
+    ranks whose action could wake this rank (``None`` = any rank).
     """
 
     kind: str
@@ -37,18 +53,10 @@ class WaitDesc(NamedTuple):
     tag: int
     senders: tuple | None
     detail: str = ""
-    #: Optional lock-free probe: returns False once the wait's predicate
-    #: turned true (the rank can proceed without a waker and must be
-    #: treated as running even though it is still inside the wait).
-    stuck: object = None
     #: The ``(comm_id, source, tag)`` specs this waiter matches messages
     #: against (one for a receive/probe, several for a serve loop; empty
-    #: for collectives). The safety evaluator peeks these lanes under
-    #: the rank's lock: a waiter whose best queued candidate arrives at
-    #: or after the bound is classifiable as blocked -- every path by
-    #: which it proceeds lands its clock at or past the bound -- so
-    #: concurrent gated matches resolve in arrival order instead of
-    #: deadlocking on each other.
+    #: for collectives). Its event time is the arrival of the best
+    #: message queued on them.
     lanes: tuple = ()
 
 
@@ -61,39 +69,49 @@ def current_world_rank() -> int:
 
 
 class Proc:
-    """Per-rank state: virtual clock and mailbox. Internal."""
+    """Per-rank state: virtual clock, mailbox, scheduler slot. Internal."""
 
-    __slots__ = ("rank", "clock", "lock", "cond", "mailbox", "consumed",
-                 "wait_spec", "wait_desc", "done", "msg_seq")
+    __slots__ = ("rank", "clock", "baton", "event", "mailbox", "consumed",
+                 "wait_desc", "done", "msg_seq")
 
     def __init__(self, rank: int):
         self.rank = rank
         self.clock = 0.0
         # Per-sender message id stream: the next message this rank
-        # posts gets id ``rank << 32 | msg_seq``. Single-writer (the
-        # rank's own thread), so ids are identical across same-seed
-        # runs regardless of thread interleaving or process history.
+        # posts gets id ``rank << 32 | msg_seq``.
         self.msg_seq = 0
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
+        # Held while the rank is parked; the scheduler releases it to
+        # hand this rank the baton.
+        self.baton = threading.Lock()
+        self.baton.acquire()
+        # Event time while parked with something to do, else ``None``
+        # (running, or nothing queued can wake it).
+        self.event: float | None = None
         # comm_id -> CommMailbox, indexed by (src, tag)
         self.mailbox: dict[int, CommMailbox] = {}
         # seqs of consumed messages that have an injected duplicate in
         # flight; lets the matcher drop the copy (dedup).
         self.consumed: set[int] = set()
-        # What this rank is blocked on, or None when it is not blocked
-        # in a mailbox wait: WAKE_ANY, or a (comm_id, source, tag)
-        # triple. Written and read under ``lock`` only; deliver uses it
-        # to wake the rank only for messages it actually waits for.
-        self.wait_spec = None
-        # Rich wait descriptor (:class:`WaitDesc`) set for the duration
-        # of any blocked wait -- mailbox, probe, serve loop or
-        # collective. Input to the wildcard safety gate and the
-        # deadlock explainer. Atomic attribute write; ``None`` while
-        # the rank runs.
+        # :class:`WaitDesc` for the duration of a parked wait; ``None``
+        # while the rank runs or has not started.
         self.wait_desc = None
         # True once the rank's main returned (it will never send again).
         self.done = False
+
+    def best_match(self, lanes) -> Message | None:
+        """Best queued message over ``lanes``: the minimum ``(arrival,
+        comm_id, src, seq)``, the order serve loops answer in (one lane:
+        the mailbox's own ``(arrival, src, seq)``)."""
+        best = best_key = None
+        for cid, source, tag in lanes:
+            mbox = self.mailbox.get(cid)
+            m = mbox.peek_match(source, tag, self.consumed) if mbox else None
+            if m is None:
+                continue
+            key = (m.arrival, cid, m.src, m.seq)
+            if best_key is None or key < best_key:
+                best, best_key = m, key
+        return best
 
 
 @dataclass
@@ -125,7 +143,7 @@ class WorldResult:
 
 
 class Engine:
-    """A simulated machine running ``nprocs`` ranks on threads.
+    """A simulated machine running ``nprocs`` ranks, one runnable at a time.
 
     Parameters
     ----------
@@ -134,8 +152,9 @@ class Engine:
     model:
         Network cost model; defaults to Aries-like parameters.
     timeout:
-        Real-time seconds a blocking operation may wait before the run is
-        declared deadlocked.
+        Real-time seconds the whole run may take. It only bounds a rank
+        body that never reaches a simmpi call; no individual wait reads
+        it (a deadlock is detected exactly, in no time).
     obs:
         Observability context collecting metrics, spans and the flight
         recorder; a fresh :class:`~repro.obs.ObsContext` by default.
@@ -144,11 +163,6 @@ class Engine:
         deliveries and clock checkpoints consult it to inject seeded,
         deterministic faults (delays, duplicates, rank crashes).
     """
-
-    #: Wake-and-recheck slice for waits whose predicate depends on
-    #: global state (serve loops watching the machine's virtual clock);
-    #: mailbox waits are purely event-driven and never poll.
-    _POLL = 0.05
 
     def __init__(self, nprocs: int, model: NetworkModel | None = None,
                  timeout: float = 60.0, obs: ObsContext | None = None,
@@ -164,53 +178,51 @@ class Engine:
         self.obs = obs if obs is not None else ObsContext()
         # (kind, rank) -> (count handle, bytes handle): pre-resolved
         # bound counters so the per-event hot path never rebuilds
-        # metric keys (benign race: duplicate handles bind one slot).
+        # metric keys.
         self._evt_counters: dict[tuple, tuple] = {}
         # rank -> bound series handle for mailbox-depth sampling at
-        # delivery. Volatile: the depth seen at a given delivery depends
-        # on real thread interleaving, so the series never feeds
-        # deterministic run digests.
+        # delivery (kept out of the run digests).
         self._mbox_series: dict[int, object] = {}
         self.procs = [Proc(i) for i in range(nprocs)]
         self.failure: BaseException | None = None
-        self._failed = threading.Event()
-        self._stats_lock = threading.Lock()
         self.n_messages = 0
         self.n_bytes = 0
         self._comm_counter = 0
-        self._comm_lock = threading.Lock()
         self._coll_ctxs: dict[int, object] = {}
-        # Wildcard-match safety gate state: the epoch counts blocked-wait
-        # entries and rank exits (the transitions that can make a lagging
-        # sender safe); gated waiters sleep until it moves. ``_safety_
-        # waiters`` holds the Procs currently sleeping in a gated wait.
-        self.safety_epoch = 0
-        self._safety_lock = threading.Lock()
-        self._safety_waiters: set[Proc] = set()
+        # The schedule: a heap of ``(event time, rank)``. An entry is
+        # live while it equals its rank's ``Proc.event``; superseded
+        # ones are dropped when they surface.
+        self._events: list[tuple[float, int]] = []
+        self._live = nprocs
+        self._finished = threading.Event()
 
     def coll_ctx(self, comm_id: int, size: int):
-        """Shared collective-rendezvous context for a communicator."""
+        """The open collective rendezvous of a communicator."""
         from repro.simmpi.comm import _CollectiveCtx
 
-        with self._comm_lock:
-            ctx = self._coll_ctxs.get(comm_id)
-            if ctx is None:
-                ctx = _CollectiveCtx(size)
-                self._coll_ctxs[comm_id] = ctx
-            elif ctx.size != size:
-                raise ValueError(
-                    f"collective context size mismatch for comm {comm_id}: "
-                    f"{ctx.size} != {size}"
-                )
-            return ctx
+        ctx = self._coll_ctxs.get(comm_id)
+        if ctx is None:
+            ctx = self._coll_ctxs[comm_id] = _CollectiveCtx(size)
+        elif ctx.size != size:
+            raise ValueError(
+                f"collective context size mismatch for comm {comm_id}: "
+                f"{ctx.size} != {size}"
+            )
+        return ctx
+
+    def complete_collective(self, comm_id: int) -> None:
+        """The last participant arrived: the communicator's next
+        collective starts a fresh rendezvous, and every waiter of this
+        one becomes runnable at its own clock."""
+        for p in self._coll_ctxs.pop(comm_id).waiters:
+            self._post(p, p.clock)
 
     # -- identity ---------------------------------------------------------
 
     def next_comm_id(self) -> int:
         """Allocate a fresh communicator id."""
-        with self._comm_lock:
-            self._comm_counter += 1
-            return self._comm_counter
+        self._comm_counter += 1
+        return self._comm_counter
 
     def current_proc(self) -> Proc:
         """The calling thread's Proc."""
@@ -242,63 +254,101 @@ class Engine:
             (("nbytes", nbytes), ("peer", peer), ("tag", tag)),
         )
 
+    # -- the scheduler --------------------------------------------------------
+
+    def _post(self, proc: Proc, event: float) -> None:
+        """Give a parked rank a (new, earlier) event time."""
+        proc.event = event
+        heapq.heappush(self._events, (event, proc.rank))
+
+    def _head(self) -> tuple[float, int] | None:
+        """Smallest live ``(event time, rank)`` of any parked rank."""
+        events = self._events
+        while events:
+            head = events[0]
+            if self.procs[head[1]].event == head[0]:
+                return head
+            heapq.heappop(events)
+        return None
+
+    def is_next(self, arrival: float) -> bool:
+        """True when the baton holder may commit a message that arrived
+        at ``arrival``: no parked rank has an earlier event, so none can
+        still post one that arrives before it. Nonblocking operations
+        report "nothing there" otherwise."""
+        head = self._head()
+        return head is None or arrival <= head[0]
+
+    def _next(self) -> Proc:
+        """Take the rank to run next off the schedule.
+
+        Normally the smallest event; live ranks but no event is the
+        deadlock. Once the run has failed, the live ranks (all parked)
+        are resumed one at a time, in rank order, each into
+        :class:`WorkerAborted`.
+        """
+        if self.failure is None:
+            head = self._head()
+            if head is not None:
+                heapq.heappop(self._events)
+                proc = self.procs[head[1]]
+                proc.event = None
+                return proc
+            self.failure = DeadlockError(self._explain_deadlock())
+        return next(p for p in self.procs if not p.done)
+
+    def park(self, proc: Proc, desc: WaitDesc,
+             deadline: float | None = None) -> None:
+        """Wait, inside a blocking operation, until ``proc`` is next.
+
+        ``proc`` joins the schedule at the arrival of the best message
+        queued on ``desc.lanes`` (deliveries lower it while parked), at
+        the virtual ``deadline`` if that comes first, or not at all. It
+        gives up the baton and returns holding it again -- at once when
+        it already has the smallest event.
+        """
+        self.check_failed()
+        proc.wait_desc = desc
+        best = proc.best_match(desc.lanes)
+        event = best.arrival if best is not None else deadline
+        if deadline is not None and event > deadline:
+            event = deadline
+        if event is not None:
+            self._post(proc, event)
+        nxt = self._next()
+        if nxt is not proc:
+            nxt.baton.release()
+            proc.baton.acquire()
+        proc.wait_desc = None
+        self.check_failed()
+
+    def _retire(self, proc: Proc) -> None:
+        """``proc``'s body returned: pass the baton on for good."""
+        proc.done = True
+        self._live -= 1
+        if self._live:
+            self._next().baton.release()
+        else:
+            self._finished.set()
+
     # -- failure handling ---------------------------------------------------
 
     def fail(self, exc: BaseException) -> None:
-        """Record a failure and wake every sleeper.
-
-        Mailbox waits are event-driven (no polling), so every sleeper
-        -- per-rank mailbox conditions *and* collective rendezvous
-        conditions -- must be notified explicitly.
-        """
+        """Record the run's (first) failure; every rank that gets the
+        baton from now on is torn down (:meth:`_next`)."""
         if self.failure is None:
             self.failure = exc
-        self._failed.set()
-        for p in self.procs:
-            with p.cond:
-                p.cond.notify_all()
-        with self._comm_lock:
-            ctxs = list(self._coll_ctxs.values())
-        for ctx in ctxs:
-            with ctx.cond:
-                ctx.cond.notify_all()
 
     def check_failed(self) -> None:
         """Raise WorkerAborted if any rank failed."""
-        if self._failed.is_set():
+        if self.failure is not None:
             raise WorkerAborted("another rank failed") from self.failure
 
-    def wait_on(self, cond: threading.Condition, predicate, what: str,
-                poll: float | None = None):
-        """Wait (holding ``cond``) until ``predicate()``; honor timeout/failure.
-
-        The deadlock timeout is a single ``time.monotonic()`` deadline:
-        frequently-notified waiters consume only the real time that
-        actually passed, not a fixed slice per wakeup. With ``poll=None``
-        (the default) the wait is purely event-driven -- whoever makes
-        the predicate true must notify ``cond`` (message delivery,
-        collective completion, engine failure all do). Waits whose
-        predicate can turn true without a notification (serve loops
-        watching global virtual time) pass a ``poll`` slice to recheck
-        periodically.
-        """
-        deadline = time.monotonic() + self.timeout
-        while not predicate():
-            if self._failed.is_set():
-                raise WorkerAborted("another rank failed") from self.failure
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(self._explain_deadlock(what))
-            cond.wait(remaining if poll is None else min(poll, remaining))
-
-    def _explain_deadlock(self, what: str) -> str:
-        """Base watchdog message, enriched with the wait-for cycle when
-        the analyzer can derive one (never let the explainer mask the
-        deadlock itself)."""
-        base = (
-            f"rank {current_world_rank()} timed out after "
-            f"{self.timeout:.0f}s real time waiting for {what}"
-        )
+    def _explain_deadlock(self) -> str:
+        """The wait-for explanation of a schedule with no event left
+        (never let the explainer mask the deadlock itself)."""
+        base = ("deadlock: every live rank is blocked and no queued "
+                "message can wake one")
         try:
             from repro.analyze.deadlock import explain_deadlock
 
@@ -306,129 +356,6 @@ class Engine:
         except Exception:  # noqa: BLE001,ANL006 - explainer must never mask
             return base
         return f"{base}\n{detail}" if detail else base
-
-    # -- wildcard-match safety gate ------------------------------------------
-
-    def note_blocked(self) -> None:
-        """A rank entered a blocked wait (or exited): bump the safety
-        epoch and wake every gated waiter so it re-evaluates.
-
-        Must be called with *no* Proc lock held by the caller: waking a
-        waiter takes that waiter's lock, and gated waiters never hold
-        their own lock while snapshotting peers, so the acquisition
-        graph stays acyclic.
-        """
-        with self._safety_lock:
-            self.safety_epoch += 1
-            waiters = list(self._safety_waiters)
-        for p in waiters:
-            with p.cond:
-                p.cond.notify_all()
-
-    def add_safety_waiter(self, proc: Proc) -> None:
-        """Register ``proc`` as sleeping in a gated wait: it will be
-        woken on every safety-epoch change until discarded."""
-        with self._safety_lock:
-            self._safety_waiters.add(proc)
-
-    def discard_safety_waiter(self, proc: Proc) -> None:
-        """Remove ``proc`` from the gated-sleeper set (wait finished)."""
-        with self._safety_lock:
-            self._safety_waiters.discard(proc)
-
-    def _rank_state(self, s: Proc, arrival: float):
-        """Classify ``s`` against an arrival bound: ``("safe", None)``,
-        ``("running", None)`` or ``("blocked", wakers)``.
-
-        Taken under ``s.lock`` (one peer at a time, caller holds no
-        lock) so the check "blocked with nothing queued that matches"
-        cannot race a concurrent delivery: deliveries run synchronously
-        inside ``send`` under the destination lock.
-        """
-        if s.done or s.clock >= arrival:
-            return ("safe", None)
-        with s.lock:
-            if s.done or s.clock >= arrival:
-                return ("safe", None)
-            desc = s.wait_desc
-            if desc is None:
-                return ("running", None)
-            if desc.kind == "collective":
-                if desc.stuck is not None and not desc.stuck():
-                    # Released (e.g. the collective completed) but not
-                    # rescheduled yet: it can proceed without a waker.
-                    return ("running", None)
-                return ("blocked", desc.senders)
-            # Mailbox wait: peek the waiter's lanes for its best queued
-            # candidate. No candidate -> it proceeds only via a waker.
-            # Best candidate at/after the bound -> still classifiable
-            # as blocked: whichever way it proceeds (matching that
-            # candidate, or an earlier one delivered by a safe sender)
-            # its clock lands at or past the bound. Best candidate
-            # before the bound -> it can act below the bound on its
-            # own; treat as running.
-            best = None
-            for cid, src, tg in desc.lanes:
-                mbox = s.mailbox.get(cid)
-                if mbox is None:
-                    continue
-                m = mbox.peek_match(src, tg, s.consumed)
-                if m is not None and (best is None or m.arrival < best):
-                    best = m.arrival
-            if best is not None and best < arrival:
-                return ("running", None)
-            return ("blocked", desc.senders)
-
-    def wildcard_safe(self, me: int, arrival: float, senders) -> bool:
-        """True when no potential sender can still produce a matching
-        message with an earlier arrival than ``arrival``.
-
-        A sender is *safe* when its clock already passed ``arrival``
-        (clocks are monotone and every send arrives strictly after the
-        sender's clock), when it exited, or when it is blocked and every
-        rank that could wake it is itself safe -- a greatest fixed
-        point, so a cycle of mutually-blocked ranks is safe (it can
-        never send). Stale lock-free clock reads only underestimate,
-        which is conservative. Safety is stable: once true it stays
-        true, so the caller may commit the match after re-taking its
-        own lock.
-        """
-        if senders is None:
-            need = [r for r in range(self.nprocs) if r != me]
-        else:
-            need = [r for r in senders if r != me]
-        procs = self.procs
-        if all(procs[r].done or procs[r].clock >= arrival for r in need):
-            return True
-        # Closure: classify every rank the verdict can depend on.
-        state: dict[int, tuple] = {me: ("safe", None)}
-        stack = list(need)
-        while stack:
-            r = stack.pop()
-            if r in state:
-                continue
-            st = self._rank_state(procs[r], arrival)
-            state[r] = st
-            if st[0] == "blocked":
-                wakers = st[1]
-                stack.extend(
-                    range(self.nprocs) if wakers is None else wakers
-                )
-        # Greatest fixed point: start from "every blocked rank is safe"
-        # and prune ranks reachable from a running one.
-        unsafe = {r for r, st in state.items() if st[0] == "running"}
-        changed = True
-        while changed:
-            changed = False
-            for r, st in state.items():
-                if r in unsafe or st[0] != "blocked":
-                    continue
-                wakers = st[1]
-                ws = range(self.nprocs) if wakers is None else wakers
-                if any(w in unsafe for w in ws if w != r):
-                    unsafe.add(r)
-                    changed = True
-        return not any(r in unsafe for r in need)
 
     # -- fault injection -----------------------------------------------------
 
@@ -487,9 +414,8 @@ class Engine:
     def next_msg_seq(self, proc: Proc) -> int:
         """Deterministic message id from the sender's own stream.
 
-        ``rank << 32 | n`` for the sender's ``n``-th post; assigned by
-        the sending thread only, so same-seed runs label every message
-        identically no matter how the OS interleaves rank threads.
+        ``rank << 32 | n`` for the sender's ``n``-th post, so same-seed
+        runs label every message identically.
         """
         seq = (proc.rank << 32) | proc.msg_seq
         proc.msg_seq += 1
@@ -512,43 +438,36 @@ class Engine:
             msg.nbytes, msg.sent_at, msg.arrival,
         )
         dst = self.procs[msg.dst_world]
-        with dst.cond:
-            mbox = dst.mailbox.get(msg.comm_id)
-            if mbox is None:
-                mbox = dst.mailbox[msg.comm_id] = CommMailbox()
-            mbox.push(msg)
-            if dup is not None:
-                mbox.push(dup)
-            # Targeted wakeup: only notify a rank that is blocked on a
-            # wait this message (or its injected twin -- same envelope)
-            # can satisfy; a rank waiting on a different (comm, source,
-            # tag) or not waiting at all is left alone.
-            spec = dst.wait_spec
-            if spec is not None and (
-                spec is WAKE_ANY
-                or (spec[0] == msg.comm_id
-                    and spec[1] in (ANY_SOURCE, msg.src)
-                    and spec[2] in (ANY_TAG, msg.tag))
-            ):
-                dst.cond.notify_all()
-            depth = sum(len(m) for m in dst.mailbox.values())
+        mbox = dst.mailbox.get(msg.comm_id)
+        if mbox is None:
+            mbox = dst.mailbox[msg.comm_id] = CommMailbox()
+        mbox.push(msg)
+        if dup is not None:
+            mbox.push(dup)
+        # A parked receiver's event time is its best candidate's
+        # arrival: lower it when this message (its injected twin has
+        # the same envelope and arrives later) is a better one.
+        desc = dst.wait_desc
+        if desc is not None and (dst.event is None
+                                 or msg.arrival < dst.event) and any(
+                cid == msg.comm_id and msg.matches(source, tag)
+                for cid, source, tag in desc.lanes):
+            self._post(dst, msg.arrival)
         series = self._mbox_series.get(msg.dst_world)
         if series is None:
             series = self.obs.series.bound(
                 "simmpi.mailbox_depth", rank=msg.dst_world, volatile=True
             )
             self._mbox_series[msg.dst_world] = series
-        series.record(msg.arrival, depth)
-        # Delivery marker on the *destination* ring (written from the
-        # sender's thread; FlightRecorder serializes appends).
+        series.record(msg.arrival, sum(len(m) for m in dst.mailbox.values()))
+        # Delivery marker on the *destination* ring.
         self.obs.flight.append(
             msg.dst_world, msg.arrival, "deliver", f"tag {msg.tag}",
             (("msg_id", msg.msg_id), ("nbytes", msg.nbytes),
              ("src", msg.src_world)),
         )
-        with self._stats_lock:
-            self.n_messages += 1
-            self.n_bytes += msg.nbytes
+        self.n_messages += 1
+        self.n_bytes += msg.nbytes
 
     # -- running ----------------------------------------------------------
 
@@ -564,34 +483,37 @@ class Engine:
         world = Comm(self, list(range(self.nprocs)))
         returns = [None] * self.nprocs
 
-        def runner(rank: int):
-            _tls.world_rank = rank
+        def runner(proc: Proc):
+            proc.baton.acquire()
+            _tls.world_rank = proc.rank
             try:
-                returns[rank] = main(world, *args, **kwargs)
+                if self.failure is None:
+                    returns[proc.rank] = main(world, *args, **kwargs)
             except WorkerAborted:
                 pass  # secondary failure; the primary one is recorded
             except BaseException as exc:  # noqa: BLE001,ANL006 - re-raised from run()
                 self.fail(exc)
             finally:
-                # The rank will never send again: lagging wildcard
-                # matches gated on its clock may now proceed.
-                self.procs[rank].done = True
-                self.note_blocked()
+                self._retire(proc)
 
         threads = [
-            threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}",
-                             daemon=True)
-            for r in range(self.nprocs)
+            threading.Thread(target=runner, args=(p,),
+                             name=f"simmpi-rank-{p.rank}", daemon=True)
+            for p in self.procs
         ]
+        for p in self.procs:
+            self._post(p, p.clock)
         for t in threads:
             t.start()
-        # One shared monotonic deadline for the whole shutdown: the old
-        # per-thread join bound let total wait grow to nprocs x bound.
-        deadline = time.monotonic() + self.timeout * 10
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-            if t.is_alive() and not self._failed.is_set():
-                self.fail(DeadlockError(f"thread {t.name} did not finish"))
+        self._next().baton.release()
+        if self._finished.wait(self.timeout):
+            for t in threads:
+                t.join()
+        else:
+            # Some body holds the baton and never reaches a simmpi call.
+            self.fail(DeadlockError(
+                f"run did not finish within {self.timeout:.0f}s real time"
+            ))
         if self.failure is not None:
             raise self.failure
         clocks = [p.clock for p in self.procs]

@@ -6,12 +6,12 @@ class SimMPIError(Exception):
 
 
 class DeadlockError(SimMPIError):
-    """A blocking operation timed out.
+    """No rank can make progress.
 
-    Raised when a rank waits longer than the engine's real-time timeout
-    for a message or a collective. In a correct program this indicates a
-    deadlock (e.g. mismatched send/recv or a rank that skipped a
-    collective), so we fail loudly instead of hanging the test suite.
+    Raised at once when every live rank is blocked and nothing queued
+    can wake one (e.g. mismatched send/recv or a rank that skipped a
+    collective), with the wait-for explanation; also when a rank body
+    outlives the engine's real-time bound without reaching simmpi.
     """
 
 

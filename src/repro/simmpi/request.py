@@ -33,7 +33,10 @@ class Request:
         """Nonblocking completion check.
 
         Returns ``(True, (payload, status))`` if complete (payload/status
-        are ``None`` for sends), else ``(False, None)``.
+        are ``None`` for sends), else ``(False, None)``. It never gives
+        up the baton, so no other rank runs between two calls: a loop
+        that only polls cannot see a message its sender has yet to
+        post -- finish with :meth:`wait`.
         """
         if self._done:
             return True, self._result

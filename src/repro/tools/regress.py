@@ -15,6 +15,10 @@ JSONL run ledger -- against a committed reference or another ledger:
   reference must agree on every parameter key both documents share
   (``--ignore-params`` skips this).
 
+Every drifted record is followed by its *first difference*: the path
+and both values of the first leaf at which the stable portions of the
+reference and the current record disagree (:func:`first_diff`).
+
 Exit status is the gate verdict: 0 clean, 1 on any drift (or, with
 ``--check-ref``, on a missing/non-covering reference).
 """
@@ -27,7 +31,9 @@ import sys
 from repro.obs.ledger import (
     EXACT_FIELDS,
     check_reference,
+    first_diff,
     load_runs_doc,
+    stable_doc,
 )
 
 
@@ -98,17 +104,26 @@ def run(args) -> int:
 
     print(f"regress: {args.document} vs {args.ref}: "
           f"{len(runs)} runs, {len(problems)} problems")
-    if args.verbose:
+    ref_runs = {}
+    if args.verbose or problems:
         try:
-            ref_keys = {b.get("workload")
+            ref_runs = {b.get("workload"): b
                         for b in load_runs_doc(args.ref).get("runs", [])}
         except (OSError, json.JSONDecodeError):
-            ref_keys = set()
+            pass
+    if args.verbose:
         for r in runs:
-            mark = "=" if r.get("workload") in ref_keys else " "
+            mark = "=" if r.get("workload") in ref_runs else " "
             print(f"  [{mark}] {r.get('workload')}")
     for p in problems:
         print(f"ERROR: {p}", file=sys.stderr)
+    for r in runs:
+        name = r.get("workload")
+        if name in ref_runs and any(p.startswith(f"{name}: ")
+                                    for p in problems):
+            diff = first_diff(stable_doc(ref_runs[name]), stable_doc(r))
+            print(f"ERROR: {name}: first difference at {diff}",
+                  file=sys.stderr)
     if not problems:
         print("regress: no drift detected")
     return 1 if (problems and (args.check_ref or args.strict)) \

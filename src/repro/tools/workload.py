@@ -37,7 +37,7 @@ def add_workload_args(p) -> None:
     p.add_argument("--particles", type=int, default=2048,
                    help="particles per producer rank")
     p.add_argument("--timeout", type=float, default=240.0,
-                   help="real-time deadlock timeout (default 240 s)")
+                   help="real-time bound on the whole run (default 240 s)")
 
 
 def load_example(path: str):

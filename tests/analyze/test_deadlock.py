@@ -16,7 +16,7 @@ class TestExplainer:
             return comm.recv(source=peer, tag=7)
 
         with pytest.raises(DeadlockError) as exc:
-            run_world(2, main, timeout=2.0)
+            run_world(2, main, timeout=3600)
         msg = str(exc.value)
         assert "blocked ranks:" in msg
         assert "wait-for cycle: 0 -> 1 -> 0" in msg
@@ -33,7 +33,7 @@ class TestExplainer:
             return None  # exits without sending
 
         with pytest.raises(DeadlockError) as exc:
-            run_world(2, main, timeout=2.0)
+            run_world(2, main, timeout=3600)
         msg = str(exc.value)
         assert "rank 0" in msg
         assert "recv (comm 1, source 1, tag 3)" in msg

@@ -1,39 +1,30 @@
-"""Same-seed attribution determinism (the schedule-analysis payoff).
+"""Same-seed determinism (the schedule-analysis payoff).
 
 The wait-state attribution used to wobble across same-seed runs: serve
 loops raced on real-thread match order, accounts summed in dict order,
-and span ties broke on ids. The serve-loop global-minimum selection,
-the wildcard safety gate and per-sender message ids make the whole
-pipeline a pure function of the seed; these tests pin that, with the
-thread switch interval cranked down so the OS interleaves rank threads
-as aggressively as it can.
-
-``TestStagedDeterminism`` used to flake (2/59 runs under a 1e-5 switch
-interval plus 3 busy threads; 4/300 unloaded): the stager answered a
-consumer request (tag 701) before a producer's earlier-arriving bundle
-(tag 707), moving the consumers' final virtual clocks by 2-6 us. Cause:
-``RPCServer.poll_once`` picked the global minimum over all lanes but
-left the safety check to the winning lane's receive, which covers that
-intercomm's senders only. It now gates on the senders of every lane
-first (0/600 and 0/1500 on the two reproducers).
+and span ties broke on ids. With one runnable rank at a time, picked
+by virtual event time, the whole pipeline is a function of the seed by
+construction; :mod:`tests.analyze.schedfuzz` is the proof net. It runs
+each transport mode under randomized switch intervals and background
+load -- the conditions under which the staged report used to flake
+(2/59 runs: a stager answered a consumer request before a producer's
+earlier-arriving bundle) -- and here with three runs per mode.
 """
-
-import sys
 
 import pytest
 
 from repro.analyze import analyze_obs
-from tests.analyze.firstdiff import assert_identical, first_diff
 from repro.bench.drivers import run_lowfive_file, run_lowfive_memory
+from repro.obs.ledger import assert_identical, first_diff
 from repro.synth import SyntheticWorkload
+from tests.analyze import schedfuzz
 
 
-@pytest.fixture(autouse=True)
-def aggressive_switching():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    yield
-    sys.setswitchinterval(old)
+@pytest.mark.parametrize("mode", list(schedfuzz.WORKLOADS))
+def test_schedule_fuzz(mode):
+    """Run record and causal report are identical under host-schedule
+    noise, in every transport mode and under message faults."""
+    schedfuzz.fuzz(mode, n=3)
 
 
 def small_wl():
@@ -103,84 +94,6 @@ def _report_fingerprint(res):
     return {"vtime": res.vtime, "messages": res.messages,
             "bytes": res.bytes_sent,
             "report": res.causal_report().to_dict()}
-
-
-class TestStagedDeterminism:
-    def test_staged_mode_report_is_byte_identical(self):
-        """Staged mode has the most concurrent moving parts (three
-        tasks, deferred queries, a piece lane); the full report --
-        wait attribution included, where ties between same-instant
-        waits used to fall into set order -- must still replay
-        byte-identically."""
-        import numpy as np
-
-        import repro.h5 as h5
-        from repro.h5.native import NativeVOL
-        from repro.lowfive.vol_staged import (
-            StagedMetadataVOL,
-            staging_main,
-        )
-        from repro.pfs import PFSStore
-        from repro.synth import (
-            consumer_grid_selection,
-            grid_values,
-            producer_grid_selection,
-        )
-        from repro.workflow import Workflow
-
-        shape = (12, 8)
-
-        def one():
-            def make_vol(ctx, role):
-                def factory():
-                    vol = StagedMetadataVOL(comm=ctx.comm,
-                                            under=NativeVOL(PFSStore()))
-                    vol.set_memory("*.h5")
-                    inter = ctx.intercomm("staging")
-                    if role == "producer":
-                        vol.stage_on_close("*.h5", inter)
-                    else:
-                        vol.set_staged_consumer("*.h5", inter)
-                    return vol
-
-                return ctx.singleton("vol", factory)
-
-            def producer(ctx):
-                vol = make_vol(ctx, "producer")
-                f = h5.File("o.h5", "w", comm=ctx.comm, vol=vol)
-                d = f.create_dataset("d", shape=shape, dtype=h5.UINT64)
-                sel = producer_grid_selection(shape, ctx.rank, ctx.size)
-                d.write(grid_values(sel, shape), file_select=sel)
-                f.close()
-                StagedMetadataVOL.finalize_staging(
-                    ctx.intercomm("staging"))
-                return True
-
-            def consumer(ctx):
-                vol = make_vol(ctx, "consumer")
-                f = h5.File("o.h5", "r", comm=ctx.comm, vol=vol)
-                sel = consumer_grid_selection(shape, ctx.rank, ctx.size)
-                vals = np.asarray(f["d"].read(sel, reshape=False))
-                f.close()
-                StagedMetadataVOL.finalize_staging(
-                    ctx.intercomm("staging"))
-                return np.array_equal(vals, grid_values(sel, shape))
-
-            def staging(ctx):
-                return staging_main([ctx.intercomm("producer"),
-                                     ctx.intercomm("consumer")])
-
-            wf = Workflow()
-            wf.add_task("producer", 3, producer)
-            wf.add_task("consumer", 2, consumer)
-            wf.add_task("staging", 1, staging)
-            wf.add_link("producer", "staging")
-            wf.add_link("consumer", "staging")
-            res = wf.run(timeout=90.0)
-            assert all(res.returns["consumer"])
-            return _report_fingerprint(res)
-
-        assert_identical([one() for _ in range(3)])
 
 
 class TestStreamDeterminism:

@@ -161,6 +161,10 @@ class TestThreading:
                    for s in suffixes))
         assert codes(src, "src/repro/simmpi/engine.py", skip) == []
 
+    def test_only_the_engine_is_allowlisted(self):
+        """comm.py waits through the scheduler, not on a condition."""
+        assert DEFAULT_ALLOWLIST["ANL003"] == ("src/repro/simmpi/engine.py",)
+
 
 class TestClockEquality:
     def test_clock_equality_flagged(self):

@@ -69,7 +69,7 @@ class TestBadExemplarsMisbehaveForReal:
         assert finding.rule == "PRO003"
         assert f"static {cycle}" in finding.message
         with pytest.raises(DeadlockError) as exc:
-            load_corpus("bad_pro003").build_workflow().run(timeout=2.0)
+            load_corpus("bad_pro003").build_workflow().run(timeout=3600)
         assert cycle in str(exc.value)
 
     def test_pro004_retained_epoch_fires_dynamic_epoch_leak(self):
@@ -82,7 +82,7 @@ class TestBadExemplarsMisbehaveForReal:
 
     def test_pro005_tag_confusion_starves_the_receiver(self):
         with pytest.raises(DeadlockError) as exc:
-            load_corpus("bad_pro005").build_workflow().run(timeout=2.0)
+            load_corpus("bad_pro005").build_workflow().run(timeout=3600)
         # No cycle here -- the sender exits cleanly and rank 1 waits
         # on a tag that can never match.
         assert "no wait-for cycle" in str(exc.value)

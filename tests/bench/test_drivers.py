@@ -60,3 +60,15 @@ def test_in_situ_moves_fewer_or_equal_bytes_than_file():
     # goes through the PFS instead, so its network traffic is smaller.
     assert fil.bytes_sent < mem.bytes_sent
     assert fil.vtime > mem.vtime
+
+
+def test_256_ranks_run_to_completion():
+    """192 -> 64 in memory mode: at the threaded engine this run was
+    killed by the watchdog after 120 s of *progress* (a false
+    DeadlockError); the gate's host cost grew superlinearly in ranks
+    (0.09 / 1.67 / 21.6 s at P = 16 / 64 / 128)."""
+    small = SyntheticWorkload(grid_points_per_proc=2000,
+                              particles_per_proc=1000)
+    res = run_lowfive_memory(192, 64, small)
+    assert res.validated
+    assert res.nprod == 192 and res.ncons == 64

@@ -123,18 +123,18 @@ def test_recoverable_faults_are_transparent(seed, baseline_bytes):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_same_seed_replays_identically(seed):
     # Fresh plans from the same seed: clocks, trace and bytes must be
-    # bit-identical across runs. Uses a single consumer so every RPC
-    # server has one client: with concurrent clients the *handling
-    # order* of simultaneously-pending requests depends on host
-    # scheduling (a pre-existing engine property, independent of fault
-    # injection), while a single blocking client makes the entire
-    # virtual timeline a pure function of the fault seed.
-    a = run_pc(faults=FaultPlan(seed, messages=chaos_rules()), ncons=1)
-    b = run_pc(faults=FaultPlan(seed, messages=chaos_rules()), ncons=1)
-    assert a.clocks == b.clocks
-    assert trace_key(a) == trace_key(b)
-    assert a.returns["consumer"] == b.returns["consumer"]
-    assert a.messages == b.messages and a.bytes_sent == b.bytes_sent
+    # bit-identical across runs -- also with two consumers, whose
+    # simultaneously pending requests the servers answer in virtual
+    # arrival order, whatever the host does.
+    for ncons in (1, 2):
+        a = run_pc(faults=FaultPlan(seed, messages=chaos_rules()),
+                   ncons=ncons)
+        b = run_pc(faults=FaultPlan(seed, messages=chaos_rules()),
+                   ncons=ncons)
+        assert a.clocks == b.clocks
+        assert trace_key(a) == trace_key(b)
+        assert a.returns["consumer"] == b.returns["consumer"]
+        assert a.messages == b.messages and a.bytes_sent == b.bytes_sent
 
 
 def test_fixed_seed_regression_injects_and_reports():

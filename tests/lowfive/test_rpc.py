@@ -8,6 +8,8 @@ from repro.lowfive.rpc import (
     RPCError,
     RPCServer,
     RPCTimeout,
+    TAG_REPLY,
+    TAG_REQUEST,
 )
 from repro.simmpi import Engine, Intercomm
 
@@ -125,9 +127,7 @@ def test_defer_replays_after_new_traffic():
     def client(c, rank):
         if rank == 0:
             return c.call(0, "get")  # deferred until rank 1 arms
-        import time
-
-        time.sleep(0.05)  # noqa: ANL001 - real stall exercises the watchdog
+        c.inter.compute(0.05)  # the arm arrives after the get
         c.notify(0, "arm")
         return "armed"
 
@@ -161,7 +161,7 @@ def test_server_multiplexes_two_intercomms():
 
 def test_serve_timeout_raises():
     # The serve timeout is measured on the virtual clock: the client
-    # keeps computing (virtual progress) but never sends done, so the
+    # computes on (virtual progress) but never sends done, so the
     # server starves out after 0.3 *simulated* seconds.
     eng = Engine(2)
     c_view, s_view = Intercomm.create(eng, [0], [1])
@@ -173,17 +173,38 @@ def test_serve_timeout_raises():
             with pytest.raises(RPCTimeout, match="starved"):
                 server.serve(timeout=0.3)  # client never sends done
             return "timed-out"
-        import time
-
-        # Advance virtual time gradually over real time so the serve
-        # loop observes progress regardless of startup interleaving.
-        for _ in range(20):
-            world.compute(0.05)
-            time.sleep(0.02)  # noqa: ANL001 - real stall exercises the watchdog
+        world.compute(1.0)
         return "silent"
 
     res = eng.run(main)
     assert res.returns[1] == "timed-out"
+
+
+def test_poll_once_handles_the_next_message_or_nothing():
+    eng = Engine(2)
+    s_view, c_view = Intercomm.create(eng, [0], [1])
+
+    def main(world):
+        if world.rank == 0:  # the server runs first: nothing is queued
+            server = RPCServer()
+            server.register("echo", lambda source, x: x)
+            server.attach(s_view)
+            assert server.poll_once() is False
+            world.barrier()  # the client posts its call, then parks
+            assert server.poll_once() is True
+            assert server.poll_once() is False
+            server.serve()
+            return "served"
+        client = RPCClient(c_view)
+        req = c_view.isend(("echo", ("hi",)), 0, TAG_REQUEST)
+        world.barrier()
+        req.wait()
+        reply, _ = c_view.recv(source=0, tag=TAG_REPLY)
+        client.notify_all("__done__")
+        return reply
+
+    res = eng.run(main)
+    assert res.returns == ["served", (True, "hi")]
 
 
 def test_serve_without_intercomms_returns():

@@ -176,7 +176,7 @@ def test_deadlock_detection():
             comm.recv(source=1)  # never sent
 
     with pytest.raises(DeadlockError):
-        run_world(2, main, timeout=0.5)
+        run_world(2, main, timeout=3600)
 
 
 def test_exception_propagates_from_rank():

@@ -53,6 +53,20 @@ class TestVerdictsOnCommittedBaselines:
         err = capsys.readouterr().err
         assert f"vtime drifted {old!r} -> {old * 2!r}" in err
 
+    def test_drift_names_the_first_difference(self, tmp_path, capsys):
+        """A drifted record is followed by the path and both values
+        of the first stable leaf that differs, not just a verdict."""
+        doc = json.load(open(STREAM_REF))
+        name = doc["runs"][0]["workload"]
+        old = doc["runs"][0]["bytes_sent"]
+        bad = _mutate(STREAM_REF, tmp_path, bytes_sent=old + 1,
+                      wall_seconds=1e9)  # volatile: never the answer
+        assert main(["regress", bad, "--ref", STREAM_REF,
+                     "--check-ref"]) == 1
+        err = capsys.readouterr().err
+        assert (f"{name}: first difference at /bytes_sent: "
+                f"{old!r} != {old + 1!r}") in err
+
     def test_stream_digest_drift_fails(self, tmp_path, capsys):
         bad = _mutate(STREAM_REF, tmp_path, digest="0000000000000000")
         rc = main(["regress", bad, "--ref", STREAM_REF, "--check-ref"])
