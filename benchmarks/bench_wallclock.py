@@ -18,8 +18,9 @@ timings are written into the output document. Wall seconds are
 machine-dependent, so speedups are informational; the drift check is
 the hard gate.
 
-The suite also measures telemetry self-accounting: the fig5 memory
-workload runs once with the full observability stack and once with a
+The suite also measures telemetry self-accounting where telemetry
+costs something: the matching stress body (thousands of messages, no
+payload work) is timed again under a
 :class:`~repro.obs.noop.NullObsContext`, recording the wall-clock
 overhead fraction (the virtual results must be identical -- telemetry
 never changes simulation semantics). ``--obs-budget FRAC`` turns the
@@ -119,35 +120,28 @@ def run_suite(elems: int, nprocs: int, stress_ranks: int,
     return runs
 
 
-def measure_obs_overhead(elems: int, nprocs: int,
+def measure_obs_overhead(stress_run: dict,
                          repeats: int) -> tuple[dict, list[str]]:
-    """Telemetry self-accounting on the fig5 memory workload.
+    """Telemetry self-accounting on the matching stress workload.
 
-    Times the identical workflow with the full observability stack and
-    with a :class:`~repro.obs.noop.NullObsContext`; virtual results
-    must match exactly (telemetry must never perturb the simulation).
+    ``stress_run`` is the suite's instrumented ``stress/matching`` row;
+    the identical body is timed under a
+    :class:`~repro.obs.noop.NullObsContext`, and virtual results must
+    match exactly (telemetry must never perturb the simulation).
     Returns ``(run record, invariant problems)``.
     """
-    from repro.bench.drivers import _lowfive_wf
     from repro.obs.noop import NullObsContext
-    from repro.perfmodel.transports import THETA_KNL
-    from repro.pfs import PFSStore
-    from repro.synth import SyntheticWorkload
+    from repro.simmpi import Engine
 
-    wl = SyntheticWorkload(grid_points_per_proc=elems,
-                           particles_per_proc=elems)
-    nprod, ncons = wl.split_procs(nprocs)
-
-    def once(obs=None):
-        wf = _lowfive_wf(nprod, ncons, wl, THETA_KNL, "memory",
-                         PFSStore())
-        return wf.run(model=THETA_KNL.net, obs=obs)
-
-    wall_on, res_on = _timed(once, repeats)
-    wall_off, res_off = _timed(lambda: once(NullObsContext()), repeats)
+    ranks = stress_run["nprocs"]
+    wall_on = stress_run["wall_seconds"]
+    wall_off, res_off = _timed(
+        lambda: Engine(ranks, timeout=600.0,
+                       obs=NullObsContext()).run(stress_matching),
+        repeats)
     problems = []
     for fieldname in VIRTUAL_FIELDS:
-        on, off = getattr(res_on, fieldname), getattr(res_off, fieldname)
+        on, off = stress_run[fieldname], getattr(res_off, fieldname)
         if on != off:
             problems.append(
                 f"obs overhead: {fieldname} changed with telemetry "
@@ -155,16 +149,8 @@ def measure_obs_overhead(elems: int, nprocs: int,
                 f"perturb the simulation"
             )
     frac = (wall_on - wall_off) / wall_off if wall_off > 0 else 0.0
-    rec = {
-        "workload": f"obs/overhead/P{nprocs}",
-        "nprocs": nprocs,
-        "wall_seconds": wall_on,
-        "wall_obs_off": wall_off,
-        "obs_overhead_frac": frac,
-        "vtime": res_on.vtime,
-        "messages": res_on.messages,
-        "bytes_sent": res_on.bytes_sent,
-    }
+    rec = dict(stress_run, workload=f"obs/overhead/R{ranks}",
+               wall_obs_off=wall_off, obs_overhead_frac=frac)
     return rec, problems
 
 
@@ -204,15 +190,14 @@ def main(argv=None) -> int:
     ap.add_argument("--obs-budget", type=float, default=None,
                     metavar="FRAC",
                     help="fail when the telemetry wall-clock overhead "
-                         "fraction exceeds FRAC (e.g. 0.6 = 60%%)")
+                         "fraction exceeds FRAC (e.g. 0.25 = 25%%)")
     ap.add_argument("--ledger", default=None, metavar="PATH",
                     help="append every run to this JSONL run ledger")
     args = ap.parse_args(argv)
 
     runs = run_suite(args.elems, args.nprocs, args.stress_ranks,
                      args.repeats)
-    obs_rec, invariants = measure_obs_overhead(args.elems, args.nprocs,
-                                               args.repeats)
+    obs_rec, invariants = measure_obs_overhead(runs[-1], args.repeats)
     runs.append(obs_rec)
     if args.obs_budget is not None \
             and obs_rec["obs_overhead_frac"] > args.obs_budget:

@@ -58,12 +58,6 @@ class CostConfig:
     reduce_cost_per_byte:
         CPU seconds per *input* byte charged to the server for running
         the compression stage (reduction is not free).
-    flight_capacity:
-        Per-rank ring size of the always-on flight recorder
-        (:class:`~repro.obs.recorder.FlightRecorder`). Applied to the
-        machine's recorder when a VOL built with this config attaches
-        to a communicator; bigger rings buy longer post-mortem tails
-        at proportional memory cost.
     """
 
     per_h5_op: float = 5e-6
@@ -77,11 +71,8 @@ class CostConfig:
     reduce_stride_base: int = 2
     reduce_wire_ratio: float = 0.6
     reduce_cost_per_byte: float = 2.0e-10
-    flight_capacity: int = 256
 
     def __post_init__(self):
-        if self.flight_capacity < 1:
-            raise ValueError("flight_capacity must be >= 1")
         if self.reduction_level < 0:
             raise ValueError("reduction_level must be >= 0")
         if self.reduce_stride_base < 2:

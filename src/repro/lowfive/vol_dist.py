@@ -136,11 +136,6 @@ class DistMetadataVOL(MetadataVOL):
     def __init__(self, comm, under=None, config=None, costs=None):
         super().__init__(under, config, costs)
         self.comm = comm
-        # The cost model owns telemetry sizing: bound the machine's
-        # flight-recorder rings as configured.
-        obs = obs_of(comm)
-        if obs is not None:
-            obs.flight.set_capacity(self.costs.flight_capacity)
         #: Retry policy every remote-file RPC client is built with, so
         #: metadata/intersects/read calls ride out injected losses.
         self.rpc_retry = RetryPolicy(

@@ -1,4 +1,4 @@
-"""Unified observability: metrics, spans, trace export, flight recorder.
+"""Unified observability: metrics, spans, causal trace, series, export.
 
 One :class:`ObsContext` per simulated machine (the
 :class:`~repro.simmpi.engine.Engine` owns it) collects telemetry from
@@ -9,8 +9,6 @@ phases, PFS I/O, workflow tasks -- behind a single API:
   keyed by ``(name, labels)`` with associative snapshot merging;
 - :mod:`repro.obs.spans` -- virtual-clock span tracing with
   parent/child links;
-- :mod:`repro.obs.recorder` -- a bounded per-rank flight recorder for
-  post-mortems without full-trace overhead;
 - :mod:`repro.obs.causal` -- message flow edges, collective straggler
   records, per-rank compute/transfer/wait ledgers and the wait-state
   classifier with its conservation check;
@@ -77,7 +75,6 @@ from repro.obs.ledger import (
     compare_runs,
     record_from_result,
 )
-from repro.obs.recorder import FlightEvent, FlightRecorder
 from repro.obs.series import (
     BoundSeries,
     SeriesRecorder,
@@ -99,8 +96,6 @@ __all__ = [
     "SpanRecorder",
     "SpanEvent",
     "InstantEvent",
-    "FlightRecorder",
-    "FlightEvent",
     "StreamLedger",
     "StreamEvent",
     "CausalRecorder",
@@ -135,22 +130,15 @@ __all__ = [
 
 
 class ObsContext:
-    """All telemetry of one simulated machine.
-
-    Parameters
-    ----------
-    flight_capacity:
-        Per-rank ring-buffer size of the always-on flight recorder.
-    """
+    """All telemetry of one simulated machine."""
 
     #: Methods that record. Every recorder class lists its own; a
     #: :class:`~repro.obs.noop.NullObsContext` silences exactly these.
     PRODUCERS = ("set_task", "sample", "fault", "span")
 
-    def __init__(self, flight_capacity: int = 256) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder()
-        self.flight = FlightRecorder(flight_capacity)
         #: Flow edges, collective records and per-rank time ledgers.
         self.causal = CausalRecorder()
         #: Epoch-lifecycle events of streaming pipelines.
@@ -177,19 +165,13 @@ class ObsContext:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, name: str, t: float, value: float, *,
-               rank: object = None, volatile: bool = False,
-               **labels: object) -> None:
+               rank: object = None, **labels: object) -> None:
         """Record ``value`` as both a point-in-time gauge and a window
-        of the virtual-time series ``name``.
-
-        ``volatile=True`` marks series whose values depend on real
-        thread interleaving (e.g. mailbox depth sampled at delivery);
-        they are kept out of deterministic run digests.
-        """
+        of the virtual-time series ``name``."""
         if rank is not None:
             labels["rank"] = rank
         self.metrics.set(name, value, **labels)
-        self.series.record(name, t, value, volatile=volatile, **labels)
+        self.series.record(name, t, value, **labels)
 
     # -- fault annotations --------------------------------------------------
 
@@ -203,7 +185,6 @@ class ObsContext:
         """
         self.metrics.inc("faults.injected", 1, kind=kind, rank=rank)
         self.spans.instant(f"fault.{kind}", "faults", rank, t, labels)
-        self.flight.record(rank, t, "fault", kind)
 
     # -- span production ---------------------------------------------------
 
@@ -218,16 +199,12 @@ class ObsContext:
         if comm is None:
             yield None
             return
-        rank = comm.world_rank(comm.rank)
-        t0 = comm.vtime
-        handle = self.spans.begin(rank, name, cat, t0, labels)
-        self.flight.record(rank, t0, "span_begin", name)
+        handle = self.spans.begin(comm.world_rank(comm.rank), name, cat,
+                                  comm.vtime, labels)
         try:
             yield handle
         finally:
-            t1 = comm.vtime
-            self.spans.end(handle, t1)
-            self.flight.record(rank, t1, "span_end", name)
+            self.spans.end(handle, comm.vtime)
 
     # -- export ------------------------------------------------------------
 

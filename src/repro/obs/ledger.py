@@ -163,7 +163,7 @@ class RunRecord:
     counters: dict[str, float] = field(default_factory=dict)
     #: Causal summary: critpath shares/phases, wait taxonomy, shares.
     attribution: dict[str, Any] | None = None
-    #: Stable series digests (volatile series excluded).
+    #: Stable per-series content digests.
     series: dict[str, str] = field(default_factory=dict)
     #: Free-form digest-stable extras (data digests, levels, depths).
     extra: dict[str, Any] = field(default_factory=dict)

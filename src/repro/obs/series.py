@@ -16,12 +16,9 @@ snapshots from different ranks or runs merge associatively like
 :class:`~repro.obs.metrics.MetricsSnapshot`: the finer side coarsens to
 the coarser width, then windows merge index-by-index.
 
-Determinism: series fed from *virtual-time-ordered* producers (stream
-queue depth, staged retention, PFS transfers) are byte-stable across
-same-seed runs and carry a content digest into the run ledger. Series
-whose values depend on real thread interleaving (mailbox depth sampled
-at delivery) are recorded with ``volatile=True`` and excluded from
-digests.
+Determinism: every producer samples in an order fixed by virtual time
+(one runnable rank at a time), so every series is byte-stable across
+same-seed runs and carries a content digest into the run ledger.
 """
 
 from __future__ import annotations
@@ -82,12 +79,10 @@ class SeriesValue:
     any two series sharing a base can be merged exactly.
     """
 
-    __slots__ = ("base_interval", "interval", "max_windows", "volatile",
-                 "windows")
+    __slots__ = ("base_interval", "interval", "max_windows", "windows")
 
     def __init__(self, base_interval: float = DEFAULT_INTERVAL,
-                 max_windows: int = DEFAULT_WINDOWS,
-                 volatile: bool = False) -> None:
+                 max_windows: int = DEFAULT_WINDOWS) -> None:
         if base_interval <= 0.0:
             raise ValueError("base_interval must be > 0")
         if max_windows < 2:
@@ -95,7 +90,6 @@ class SeriesValue:
         self.base_interval = base_interval
         self.interval = base_interval
         self.max_windows = max_windows
-        self.volatile = volatile
         self.windows: dict[int, Window] = {}
 
     # -- producing ---------------------------------------------------------
@@ -126,8 +120,7 @@ class SeriesValue:
 
     def copy(self) -> "SeriesValue":
         """Independent deep copy (windows included)."""
-        out = SeriesValue(self.base_interval, self.max_windows,
-                          self.volatile)
+        out = SeriesValue(self.base_interval, self.max_windows)
         out.interval = self.interval
         out.windows = {i: Window(w.count, w.total, w.vmin, w.vmax)
                        for i, w in self.windows.items()}
@@ -148,7 +141,6 @@ class SeriesValue:
         for idx, w in b.windows.items():
             mine = a.windows.get(idx)
             a.windows[idx] = w if mine is None else mine.merge(w)
-        a.volatile = a.volatile or b.volatile
         a.max_windows = min(a.max_windows, b.max_windows)
         if a.windows:
             lo, hi = min(a.windows), max(a.windows)
@@ -173,16 +165,13 @@ class SeriesValue:
         """JSON-able form: window width plus ``[index, *aggregates]`` rows."""
         return {
             "interval": self.interval,
-            "volatile": self.volatile,
             "windows": [[idx] + self.windows[idx].to_json()
                         for idx in sorted(self.windows)],
         }
 
     def digest(self) -> str:
-        """Stable content digest (windows + width, not volatility)."""
-        doc = {"interval": self.interval,
-               "windows": self.to_json()["windows"]}
-        blob = json.dumps(doc, sort_keys=True,
+        """Stable content digest (windows + width)."""
+        blob = json.dumps(self.to_json(), sort_keys=True,
                           separators=(",", ":")).encode()
         return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
@@ -230,13 +219,10 @@ class SeriesSnapshot:
         return {key_str(k): v.to_json()
                 for k, v in sorted(self.data.items())}
 
-    def digests(self, include_volatile: bool = False) -> dict[str, str]:
-        """Stable per-series digests; volatile series are skipped
-        unless asked for (their content depends on thread timing, so
-        they must not feed deterministic run digests)."""
+    def digests(self) -> dict[str, str]:
+        """Stable per-series content digests."""
         return {key_str(k): v.digest()
-                for k, v in sorted(self.data.items())
-                if include_volatile or not v.volatile}
+                for k, v in sorted(self.data.items())}
 
 
 class SeriesRecorder:
@@ -255,32 +241,29 @@ class SeriesRecorder:
         self._lock = threading.Lock()
         self._data: dict[Key, SeriesValue] = {}
 
-    def _slot(self, name: str, labels: dict[str, object],
-              volatile: bool) -> SeriesValue:
+    def _slot(self, name: str, labels: dict[str, object]) -> SeriesValue:
         key = metric_key(name, labels)
         v = self._data.get(key)
         if v is None:
-            v = self._data[key] = SeriesValue(
-                self.base_interval, self.max_windows, volatile
-            )
+            v = self._data[key] = SeriesValue(self.base_interval,
+                                              self.max_windows)
         return v
 
     def record(self, name: str, t: float, value: float, *,
-               rank: object = None, volatile: bool = False,
-               **labels: object) -> None:
+               rank: object = None, **labels: object) -> None:
         """Fold one sample of ``(name, labels)`` taken at vtime ``t``."""
         if rank is not None:
             labels["rank"] = rank
         with self._lock:
-            self._slot(name, labels, volatile).record(t, value)
+            self._slot(name, labels).record(t, value)
 
     def bound(self, name: str, *, rank: object = None,
-              volatile: bool = False, **labels: object) -> BoundSeries:
+              **labels: object) -> BoundSeries:
         """Resolve ``(name, labels)`` once; returns a cheap handle."""
         if rank is not None:
             labels["rank"] = rank
         with self._lock:
-            slot = self._slot(name, labels, volatile)
+            slot = self._slot(name, labels)
         return BoundSeries(self._lock, slot)
 
     def snapshot(self) -> SeriesSnapshot:

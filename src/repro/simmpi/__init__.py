@@ -32,6 +32,7 @@ from repro.simmpi.errors import (
     SimMPIError,
     DeadlockError,
     RankFailure,
+    RunTimeout,
     WorkerAborted,
 )
 from repro.simmpi.netmodel import NetworkModel, payload_nbytes
@@ -50,6 +51,7 @@ __all__ = [
     "SimMPIError",
     "DeadlockError",
     "RankFailure",
+    "RunTimeout",
     "WorkerAborted",
     "NetworkModel",
     "payload_nbytes",

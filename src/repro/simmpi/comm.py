@@ -161,8 +161,7 @@ class Comm:
                 seq=self.engine.next_msg_seq(proc),
             )
         )
-        self.engine.record(proc.clock, "send", proc.rank, dst_world,
-                           tag, nb)
+        self.engine.record("send", proc.rank, nb)
 
     def isend(self, payload, dest: int, tag: int = 0,
               nbytes: int | None = None) -> Request:
@@ -222,10 +221,10 @@ class Comm:
             )
         return m
 
-    def _finish_recv(self, proc, msg, t_start: float) -> int:
+    def _finish_recv(self, proc, msg, t_start: float) -> None:
         """Complete a matched receive: advance the clock, charge the
         wait/transfer split to the rank's ledger and record the causal
-        flow edge. Returns the sender's world rank.
+        flow edge.
 
         The blocked interval ``[t_start, arrival]`` is split at the
         sender's post time: idling before the post is *wait* (late
@@ -242,15 +241,12 @@ class Comm:
         acct = causal.account(proc.rank)
         acct.wait += wait
         acct.transfer += (blocked - wait) + overhead
-        src_world = (msg.src_world if msg.src_world >= 0
-                     else self._src_world(msg.src))
         causal.edge(
-            msg_id=msg.msg_id, src=src_world, dst=proc.rank,
+            msg_id=msg.msg_id, src=self._msg_src_world(msg), dst=proc.rank,
             tag=msg.tag, comm_id=self.comm_id, nbytes=msg.nbytes,
             t_post=msg.sent_at, t_arrival=arrival,
             t_recv_start=t_start, t_recv=proc.clock,
         )
-        return src_world
 
     def _wait_desc(self, kind: str, source: int, tag: int):
         return _engine.WaitDesc(
@@ -275,10 +271,9 @@ class Comm:
         t_start = proc.clock
         self.engine.park(proc, self._wait_desc("recv", source, tag))
         msg = self._pop_match(proc, source, tag)
-        src_world = self._finish_recv(proc, msg, t_start)
+        self._finish_recv(proc, msg, t_start)
         self.engine.maybe_crash()
-        self.engine.record(proc.clock, "recv", proc.rank,
-                           src_world, msg.tag, msg.nbytes)
+        self.engine.record("recv", proc.rank, msg.nbytes)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def _try_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
@@ -294,9 +289,8 @@ class Comm:
             return None
         t_start = proc.clock
         msg = self._pop_match(proc, source, tag)
-        src_world = self._finish_recv(proc, msg, t_start)
-        self.engine.record(proc.clock, "recv", proc.rank,
-                           src_world, msg.tag, msg.nbytes)
+        self._finish_recv(proc, msg, t_start)
+        self.engine.record("recv", proc.rank, msg.nbytes)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -385,8 +379,7 @@ class Comm:
         acct.wait += max(0.0, ctx.max_clock - enter)
         acct.transfer += ctx.final_clock - ctx.max_clock
         obs.spans.end(open_span, proc.clock)
-        engine.record(proc.clock, "coll", proc.rank, -1, 0,
-                      nbytes, label=kind)
+        engine.record("coll", proc.rank, nbytes)
         return ctx.result
 
     def barrier(self) -> None:

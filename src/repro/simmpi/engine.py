@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.obs import ObsContext
-from repro.simmpi.errors import DeadlockError, RankFailure, WorkerAborted
+from repro.simmpi.errors import (DeadlockError, RankFailure, RunTimeout,
+                                 WorkerAborted)
 from repro.simmpi.mailbox import CommMailbox
 from repro.simmpi.message import Message
 from repro.simmpi.netmodel import NetworkModel
@@ -156,8 +157,8 @@ class Engine:
         body that never reaches a simmpi call; no individual wait reads
         it (a deadlock is detected exactly, in no time).
     obs:
-        Observability context collecting metrics, spans and the flight
-        recorder; a fresh :class:`~repro.obs.ObsContext` by default.
+        Observability context collecting metrics, spans and the causal
+        trace; a fresh :class:`~repro.obs.ObsContext` by default.
     faults:
         Optional :class:`~repro.faults.FaultPlan`; when given, message
         deliveries and clock checkpoints consult it to inject seeded,
@@ -174,14 +175,13 @@ class Engine:
         self.timeout = timeout
         #: Fault-injection plan (``None`` = healthy machine).
         self.faults = faults
-        #: Unified telemetry (always on; the flight recorder is bounded).
+        #: Unified telemetry (always on).
         self.obs = obs if obs is not None else ObsContext()
         # (kind, rank) -> (count handle, bytes handle): pre-resolved
         # bound counters so the per-event hot path never rebuilds
         # metric keys.
         self._evt_counters: dict[tuple, tuple] = {}
-        # rank -> bound series handle for mailbox-depth sampling at
-        # delivery (kept out of the run digests).
+        # rank -> bound series handle for mailbox-depth sampling.
         self._mbox_series: dict[int, object] = {}
         self.procs = [Proc(i) for i in range(nprocs)]
         self.failure: BaseException | None = None
@@ -230,15 +230,14 @@ class Engine:
 
     # -- event accounting ---------------------------------------------------
 
-    def record(self, vtime: float, kind: str, rank: int, peer: int,
-               tag: int, nbytes: int, label: str = "") -> None:
-        """Account one communication event.
+    def record(self, kind: str, rank: int, nbytes: int) -> None:
+        """Account one communication event of ``kind`` (``"send"``,
+        ``"recv"``, ``"coll"``) on ``rank``.
 
-        Feeds the flight recorder and the byte/message counters in
+        Feeds the ``simmpi.<kind>.{count,bytes}`` counters in
         :attr:`obs` (the full per-message record is the causal trace,
         written at delivery and match time). Counters are pre-resolved
-        bound handles and the flight detail tuple is built in key
-        order, so this path does no metric-key or sort work.
+        bound handles, so this path does no metric-key work.
         """
         handles = self._evt_counters.get((kind, rank))
         if handles is None:
@@ -249,10 +248,6 @@ class Engine:
         handles[0].inc(1)
         if nbytes:
             handles[1].inc(nbytes)
-        self.obs.flight.append(
-            rank, vtime, kind, label or kind,
-            (("nbytes", nbytes), ("peer", peer), ("tag", tag)),
-        )
 
     # -- the scheduler --------------------------------------------------------
 
@@ -456,16 +451,10 @@ class Engine:
         series = self._mbox_series.get(msg.dst_world)
         if series is None:
             series = self.obs.series.bound(
-                "simmpi.mailbox_depth", rank=msg.dst_world, volatile=True
+                "simmpi.mailbox_depth", rank=msg.dst_world
             )
             self._mbox_series[msg.dst_world] = series
         series.record(msg.arrival, sum(len(m) for m in dst.mailbox.values()))
-        # Delivery marker on the *destination* ring.
-        self.obs.flight.append(
-            msg.dst_world, msg.arrival, "deliver", f"tag {msg.tag}",
-            (("msg_id", msg.msg_id), ("nbytes", msg.nbytes),
-             ("src", msg.src_world)),
-        )
         self.n_messages += 1
         self.n_bytes += msg.nbytes
 
@@ -511,7 +500,7 @@ class Engine:
                 t.join()
         else:
             # Some body holds the baton and never reaches a simmpi call.
-            self.fail(DeadlockError(
+            self.fail(RunTimeout(
                 f"run did not finish within {self.timeout:.0f}s real time"
             ))
         if self.failure is not None:

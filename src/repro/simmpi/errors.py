@@ -10,8 +10,15 @@ class DeadlockError(SimMPIError):
 
     Raised at once when every live rank is blocked and nothing queued
     can wake one (e.g. mismatched send/recv or a rank that skipped a
-    collective), with the wait-for explanation; also when a rank body
-    outlives the engine's real-time bound without reaching simmpi.
+    collective), with the wait-for explanation.
+    """
+
+
+class RunTimeout(SimMPIError):
+    """The run outlived the engine's real-time bound.
+
+    Some rank body held the baton past ``Engine(timeout=)`` seconds:
+    the run is too slow (or stuck outside simmpi), not deadlocked.
     """
 
 

@@ -230,9 +230,7 @@ def build_report(res, record, report) -> str:
         rows = []
         for key in sorted(snap.data):
             sv = snap.data[key]
-            label = key_str(key)
-            note = " (volatile)" if sv.volatile else ""
-            rows.append((_esc(label) + note, sv.count,
+            rows.append((_esc(key_str(key)), sv.count,
                          f"{sv.interval:.4g}", sparkline(sv)))
         parts.append(_table(
             ("series", "samples", "window s", "sparkline"), rows,

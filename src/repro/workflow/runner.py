@@ -54,7 +54,7 @@ class WorkflowResult:
     messages: int = 0
     bytes_sent: int = 0
     #: The run's :class:`~repro.obs.ObsContext` (metrics, spans,
-    #: causal trace, flight recorder) -- always populated.
+    #: causal trace, series) -- always populated.
     obs: object = None
     #: Final virtual clock of every rank of the successful attempt.
     clocks: list = field(default_factory=list)

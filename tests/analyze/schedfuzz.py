@@ -72,9 +72,11 @@ WORKLOADS = {
 
 def _document(name, res):
     assert _check(res.returns["consumer"]), f"{name}: data mismatch"
-    return {"record": record_from_result(res, f"schedfuzz/{name}")
-            .stable_json(),
-            "report": res.causal_report().to_dict()}
+    record = record_from_result(res, f"schedfuzz/{name}").stable_json()
+    # "Identical" below is known to cover the delivery-order series.
+    assert any(k.startswith("simmpi.mailbox_depth{rank=")
+               for k in record["series"]), f"{name}: no mailbox series"
+    return {"record": record, "report": res.causal_report().to_dict()}
 
 
 def fuzz(name, n, seed=0, busy=2):

@@ -92,11 +92,14 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == harness.SCHEMA_VERSION == 1
         assert len(doc["runs"]) == 5  # 4 workloads + obs self-accounting
-        obs = [r for r in doc["runs"]
-               if r["workload"].startswith("obs/overhead/")]
-        assert len(obs) == 1
-        assert obs[0]["wall_obs_off"] > 0
-        assert "obs_overhead_frac" in obs[0]
+        by_name = {r["workload"]: r for r in doc["runs"]}
+        obs, stress = by_name["obs/overhead/R16"], \
+            by_name["stress/matching/R16"]
+        assert obs["wall_obs_off"] > 0
+        assert "obs_overhead_frac" in obs
+        # One instrumented measurement: the stress row's own.
+        for fieldname in ("wall_seconds", *harness.VIRTUAL_FIELDS):
+            assert obs[fieldname] == stress[fieldname]  # noqa: ANL004
 
     def test_check_ref_fails_on_drift(self, harness, tmp_path):
         out = tmp_path / "first.json"

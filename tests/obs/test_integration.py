@@ -188,13 +188,6 @@ class TestExportAndMetrics:
         assert sum(dump["counter"][k]["count"] for k in sends) \
             == res.messages
 
-    def test_flight_recorder_always_on(self, run):
-        res, _ = run
-        evs = res.obs.flight.events()
-        assert evs
-        kinds = {e.kind for e in evs}
-        assert "span_begin" in kinds and "send" in kinds
-
 
 class TestAlwaysOn:
     def test_spans_recorded_by_default(self):

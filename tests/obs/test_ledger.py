@@ -63,7 +63,7 @@ class TestHelpers:
         assert cost_digest(None) is None
         assert cost_digest(CostConfig()) == cost_digest(CostConfig())
         assert cost_digest(CostConfig()) != \
-            cost_digest(CostConfig(flight_capacity=8))
+            cost_digest(CostConfig(rpc_timeout=0.1))
 
     def test_counter_totals_folds_labels(self):
         doc = {"counter": {

@@ -8,7 +8,6 @@ import typing
 
 from repro.obs import (
     CausalRecorder,
-    FlightRecorder,
     MetricsRegistry,
     NullObsContext,
     ObsContext,
@@ -23,7 +22,6 @@ SURFACE = {
     None: ObsContext,
     "metrics": MetricsRegistry,
     "spans": SpanRecorder,
-    "flight": FlightRecorder,
     "causal": CausalRecorder,
     "stream": StreamLedger,
     "series": SeriesRecorder,
@@ -138,9 +136,9 @@ class TestNullSurface:
     def test_series_calls_are_noops(self):
         obs = NullObsContext()
         obs.series.record("q", 0.5, 1.0, rank=0)
-        obs.series.bound("q", rank=1, volatile=True).record(0.0, 2.0)
+        obs.series.bound("q", rank=1).record(0.0, 2.0)
         assert obs.series.snapshot().data == {}
-        obs.sample("q", 0.5, 1.0, rank=0, volatile=True)
+        obs.sample("q", 0.5, 1.0, rank=0)
         assert obs.series.to_dict() == {}
 
     def test_span_yields_none(self):
@@ -149,15 +147,12 @@ class TestNullSurface:
             assert sp is None
         assert obs.spans.spans() == []
 
-    def test_flight_and_stream_and_causal(self):
+    def test_stream_and_causal(self):
         obs = NullObsContext()
-        obs.flight.record(0, 0.0, "send", "m", peer=1)
-        obs.flight.set_capacity(4)
         acct = obs.causal.account(0)
         acct.compute += 1.0  # comm.py mutates accounts directly
         acct.wait += 0.5
         obs.stream.publish("s", 0, 0, 0.0, 1)
-        assert obs.flight.events() == []
         assert obs.causal.accounts() == {}
         assert obs.stream.snapshot().events() == []
 

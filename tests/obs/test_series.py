@@ -105,12 +105,6 @@ class TestSeriesValue:
         with pytest.raises(ValueError, match="base interval"):
             a.merge(b)
 
-    def test_merge_ors_volatility(self):
-        a = SeriesValue(base_interval=1.0)
-        b = SeriesValue(base_interval=1.0, volatile=True)
-        assert a.merge(b).volatile
-        assert not a.merge(a).volatile
-
     def test_copy_is_independent(self):
         s = SeriesValue(base_interval=1.0)
         s.record(0.0, 1.0)
@@ -120,10 +114,10 @@ class TestSeriesValue:
 
     def test_digest_depends_on_content_only(self):
         a = SeriesValue(base_interval=1.0)
-        b = SeriesValue(base_interval=1.0, volatile=True)
+        b = SeriesValue(base_interval=1.0)
         a.record(1.5, 2.0)
         b.record(1.5, 2.0)
-        assert a.digest() == b.digest()  # volatility flag not hashed
+        assert a.digest() == b.digest()
         b.record(1.5, 2.0)
         assert a.digest() != b.digest()
 
@@ -187,14 +181,6 @@ class TestRecorderAndSnapshot:
         m = ra.snapshot().merge(rb.snapshot())
         assert m.get("a").count == 2
         assert m.get("b").count == 1
-
-    def test_digests_exclude_volatile_series(self):
-        rec = SeriesRecorder(base_interval=1.0)
-        rec.record("stable", 0.0, 1.0)
-        rec.record("jitter", 0.0, 1.0, volatile=True)
-        digs = rec.snapshot().digests()
-        assert "stable" in digs and "jitter" not in digs
-        assert "jitter" in rec.snapshot().digests(include_volatile=True)
 
     def test_dump_shapes(self):
         rec = SeriesRecorder(base_interval=1.0)

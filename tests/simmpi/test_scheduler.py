@@ -306,7 +306,7 @@ class TestTimeoutAccounting:
         the scheduler cannot see is a body stuck outside simmpi."""
         import threading
 
-        from repro.simmpi import DeadlockError
+        from repro.simmpi import DeadlockError, RunTimeout
 
         stuck = threading.Event()  # noqa: ANL003 - the stall under test
 
@@ -315,7 +315,9 @@ class TestTimeoutAccounting:
                 stuck.wait(30.0)
 
         try:
-            with pytest.raises(DeadlockError, match="real time"):
+            with pytest.raises(RunTimeout, match="real time") as info:
                 run_world(2, main, timeout=0.2)
         finally:
             stuck.set()
+        # Too slow is not deadlocked.
+        assert not isinstance(info.value, DeadlockError)

@@ -38,8 +38,7 @@ class TestReport:
     def test_series_render_as_inline_svg(self, report):
         html = report[0].read_text()
         assert "<svg" in html and "polyline" in html
-        assert "simmpi.mailbox_depth" in html
-        assert "(volatile)" in html
+        assert "<td>simmpi.mailbox_depth{rank=0}</td>" in html
 
     def test_span_quantile_columns_present(self, report):
         html = report[0].read_text()
