@@ -13,8 +13,11 @@ Layout::
 The metadata section is a little tag-length-value encoding of the
 :mod:`repro.h5.objects` tree. Dataset data is *not* embedded in the
 metadata; each written piece records the offset/length of its payload in
-the data section, so readers can fetch data lazily with positional
-reads.
+the data section. Decoding reads the header and the metadata section
+only: every decoded :class:`~repro.h5.objects.DataPiece` fetches its own
+payload with one positional read the first time its values are touched.
+From a store handle that read is a ``pread`` copy; from an in-memory
+image it is a read-only view of the image.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class Writer:
     """Append-only binary writer with small typed helpers."""
 
     def __init__(self):
-        self._chunks: list[bytes] = []
+        self.chunks: list = []  # bytes, or flat uint8 views of piece data
         self._len = 0
 
     def u8(self, v):
@@ -88,9 +91,9 @@ class Writer:
         """Append a length-prefixed UTF-8 string."""
         self.blob(s.encode("utf-8"))
 
-    def raw(self, b: bytes):
-        """Append raw bytes verbatim."""
-        self._chunks.append(b)
+    def raw(self, b):
+        """Append raw bytes (or a flat byte view, kept by reference)."""
+        self.chunks.append(b)
         self._len += len(b)
 
     @property
@@ -100,7 +103,7 @@ class Writer:
 
     def getvalue(self) -> bytes:
         """The bytes written so far."""
-        return b"".join(self._chunks)
+        return b"".join(self.chunks)
 
 
 class Reader:
@@ -254,23 +257,45 @@ def _encode_node(w: Writer, node: Node, data: Writer):
         w.u32(len(node.pieces))
         for piece in node.pieces:
             encode_selection(w, piece.selection)
-            payload = np.ascontiguousarray(piece.data).tobytes()
+            payload = np.ascontiguousarray(piece.data).view(np.uint8)
             w.u64(data.nbytes)  # offset within the data section
             w.u64(len(payload))
             data.raw(payload)
     elif isinstance(node, GroupNode):
         w.u8(_KIND_GROUP)
         w.text(node.name)
-        _encode_attrs(w, node)
-        w.u32(len(node.children))
-        for name in sorted(node.children):
-            _encode_node(w, node.children[name], data)
+        _encode_group(w, node, data)
     else:  # pragma: no cover - tree invariant
         raise H5Error(f"cannot encode node {type(node).__name__}")
 
 
-def _decode_node(r: Reader, parent: GroupNode | None, data_section: bytes,
-                 lazy_data) -> Node:
+def _encode_group(w: Writer, group: GroupNode, data: Writer):
+    _encode_attrs(w, group)
+    w.u32(len(group.children))
+    for name in sorted(group.children):
+        _encode_node(w, group.children[name], data)
+
+
+def _payload(read, data_len: int, off: int, length: int, dtype, npoints):
+    """Fetcher of one piece's values: checked against the file's layout
+    now, against what the read returns when first touched."""
+    if off + length > data_len or length != npoints * dtype.itemsize:
+        raise H5Error(
+            f"corrupt file: payload ({off}, {length}) of a {npoints} x "
+            f"{dtype.itemsize} B piece, data section of {data_len} B"
+        )
+
+    def fetch() -> np.ndarray:
+        raw = read(HEADER.size + off, length)
+        if len(raw) != length:
+            raise H5Error(f"truncated file: {len(raw)} of {length} B of "
+                          f"the payload at {off}")
+        return np.frombuffer(raw, dtype=dtype)
+
+    return fetch
+
+
+def _decode_node(r: Reader, parent: GroupNode, read, data_len: int) -> None:
     kind = r.u8()
     name = r.text()
     if kind == _KIND_DATASET:
@@ -291,58 +316,61 @@ def _decode_node(r: Reader, parent: GroupNode | None, data_section: bytes,
             sel = decode_selection(r)
             off = r.u64()
             length = r.u64()
-            raw = lazy_data(off, length) if lazy_data else \
-                data_section[off:off + length]
-            arr = np.frombuffer(raw, dtype=node.dtype.np).copy()
-            node.pieces.append(DataPiece(sel, arr))
-        if parent is not None:
-            parent.children[name] = node
-        return node
-    if kind == _KIND_GROUP:
-        node = GroupNode(name, None)
-        if parent is not None:
-            parent.children[name] = node
-            node.parent = parent
-        _decode_attrs(r, node)
-        for _ in range(r.u32()):
-            _decode_node(r, node, data_section, lazy_data)
-        return node
-    raise H5Error(f"unknown node kind {kind}")
+            node.pieces.append(DataPiece(sel, _payload(
+                read, data_len, off, length, node.dtype.np, sel.npoints)))
+    elif kind == _KIND_GROUP:
+        node = GroupNode(name, parent)
+        _decode_group(r, node, read, data_len)
+    else:
+        raise H5Error(f"unknown node kind {kind}")
+    parent.children[name] = node
+
+
+def _decode_group(r: Reader, group: GroupNode, read, data_len: int):
+    _decode_attrs(r, group)
+    for _ in range(r.u32()):
+        _decode_node(r, group, read, data_len)
 
 
 # -- whole-file codec ---------------------------------------------------------------
 
 
 def encode_file(root: FileNode) -> bytes:
-    """Serialize a file tree to the on-disk byte layout."""
+    """Serialize a file tree to the on-disk byte layout (the join is the
+    one copy made of every piece's values)."""
     meta = Writer()
     data = Writer()
-    meta.u32(len(root.children))
-    _encode_attrs_root = Writer()  # root attrs go first in the meta block
-    _encode_attrs(_encode_attrs_root, root)
-    for name in sorted(root.children):
-        _encode_node(meta, root.children[name], data)
-    data_bytes = data.getvalue()
-    meta_bytes = _encode_attrs_root.getvalue() + meta.getvalue()
+    _encode_group(meta, root, data)
     header = HEADER.pack(
-        MAGIC, VERSION, HEADER.size + len(data_bytes), len(meta_bytes)
+        MAGIC, VERSION, HEADER.size + data.nbytes, meta.nbytes
     )
-    return header + data_bytes + meta_bytes
+    return b"".join([header, *data.chunks, *meta.chunks])
 
 
-def decode_file(buf: bytes, name: str = "") -> FileNode:
-    """Parse the byte layout back into a file tree."""
-    if len(buf) < HEADER.size:
+def decode_file(src, name: str = "") -> FileNode:
+    """Parse a file into a tree, reading its header and metadata only.
+
+    ``src`` is an in-memory image (piece values are read-only views of
+    it, fetched on first touch like any other) or an open store handle
+    (each piece does one ``pread`` when first touched).
+    """
+    if hasattr(src, "pread"):
+        read = src.pread
+    else:
+        image = memoryview(src)
+
+        def read(off, length):
+            return image[off:off + length]
+
+    head = read(0, HEADER.size)
+    if len(head) < HEADER.size:
         raise H5Error("file too small for header")
-    magic, version, meta_off, meta_len = HEADER.unpack_from(buf, 0)
+    magic, version, meta_off, meta_len = HEADER.unpack(head)
     if magic != MAGIC:
         raise H5Error("bad magic: not a repro-h5 file")
     if version != VERSION:
         raise H5Error(f"unsupported format version {version}")
-    data_section = buf[HEADER.size:meta_off]
-    r = Reader(buf[meta_off:meta_off + meta_len])
     root = FileNode(name, None)
-    _decode_attrs(r, root)
-    for _ in range(r.u32()):
-        _decode_node(r, root, data_section, None)
+    _decode_group(Reader(bytes(read(meta_off, meta_len))), root, read,
+                  meta_off - HEADER.size)
     return root

@@ -10,8 +10,12 @@ Semantics follow parallel HDF5:
 - on close, rank 0 serializes the image through :mod:`repro.h5.format`
   into the :class:`~repro.pfs.store.PFSStore`.
 
-Readers decode the stored bytes into a private tree per open and pay
-open/read costs.
+Readers decode a private tree per open from the header and metadata
+section alone; a piece's payload is fetched with one positional read the
+first time a ``dataset_read`` overlaps it, from the contents that were
+open then (re-creating the file does not change what an open reader
+sees). Costs are charged from the model (``open_time(nprocs)``,
+``values.nbytes``), never from bytes fetched.
 """
 
 from __future__ import annotations
@@ -148,11 +152,9 @@ class NativeVOL(VOLBase):
                     return _Token(state, state.root)
         if not self.store.exists(fname):
             raise NotFoundError(f"no such file: {fname}")
-        # Readers decode a private tree; metadata is small, data pieces
-        # are materialized (cost charged at dataset_read).
-        handle = self.store.open(fname)
-        buf = handle.pread(0, handle.size)
-        root = h5format.decode_file(buf, fname)
+        # A private tree decoded from the metadata alone; each piece
+        # fetches its payload at first touch (charged at dataset_read).
+        root = h5format.decode_file(self.store.open(fname), fname)
         state = _FileState(fname, root, mode, comm, nprocs)
         state.refcount = 1
         with span(comm, "pfs.open", cat="pfs", file=fname, mode=mode):

@@ -14,8 +14,6 @@ HDF5 data model").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.h5.datatype import Datatype
@@ -164,14 +162,25 @@ class FileNode(GroupNode):
     __slots__ = ()
 
 
-@dataclass
 class DataPiece:
     """One write's worth of data: where it lives in the file dataspace,
-    the values, and whether we own them."""
+    the values, and whether we own them. ``data`` may be given as a
+    zero-argument callable (a piece decoded from a file): it is called
+    once, the first time the values are touched."""
 
-    selection: Selection
-    data: np.ndarray
-    ownership: str = OWN_DEEP
+    __slots__ = ("selection", "ownership", "_data")
+
+    def __init__(self, selection: Selection, data, ownership=OWN_DEEP):
+        self.selection = selection
+        self._data = data
+        self.ownership = ownership
+
+    @property
+    def data(self) -> np.ndarray:
+        """The values, in selection order (fetched on first use)."""
+        if callable(self._data):
+            self._data = self._data()
+        return self._data
 
     @property
     def nbytes(self) -> int:

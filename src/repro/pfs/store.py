@@ -4,6 +4,11 @@ The store is shared by every simulated rank (the real Lustre namespace is
 globally visible), and thread-safe. It holds whole files as resizable
 bytearrays and supports positional reads/writes, which is all the native
 VOL's file format needs.
+
+A handle keeps the contents it opened, like a descriptor its inode: a
+truncating create installs a fresh entry under the name. Every read is a
+copy; no view of a file's bytearray leaves this module (an exported
+buffer would make the next extending write raise ``BufferError``).
 """
 
 from __future__ import annotations
@@ -39,14 +44,9 @@ class PFSStore:
     def create(self, name: str, truncate: bool = True) -> "FileHandle":
         """Create (or truncate) a file and return a handle."""
         with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                entry = _FileEntry()
-                self._files[name] = entry
-            elif truncate:
-                entry.data = bytearray()
-            else:
+            if not truncate and name in self._files:
                 raise FileExistsError(f"file exists: {name}")
+            entry = self._files[name] = _FileEntry()
             self.n_creates += 1
         return FileHandle(self, name, entry)
 
@@ -108,20 +108,24 @@ class FileHandle:
         self.name = name
         self._entry = entry
 
-    def pwrite(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, growing the file as needed."""
-        blob = bytes(data)
-        with self._entry.lock:
-            end = offset + len(blob)
-            if end > len(self._entry.data):
-                self._entry.data.extend(b"\0" * (end - len(self._entry.data)))
-            self._entry.data[offset:end] = blob
-        self._store.bytes_written += len(blob)
+    def pwrite(self, offset: int, data) -> None:
+        """Write ``data`` (any contiguous buffer) at ``offset``, growing
+        the file as needed; only a hole before ``offset`` is zero-filled."""
+        with memoryview(data).cast("B") as view, self._entry.lock:
+            buf = self._entry.data
+            if offset > len(buf):
+                buf += bytes(offset - len(buf))
+            # Overwrite in place what exists, append the rest: a slice
+            # assignment that grows a bytearray is ~10x slower than +=.
+            inplace = min(len(view), len(buf) - offset)
+            buf[offset:offset + inplace] = view[:inplace]
+            buf += view[inplace:]
+            self._store.bytes_written += len(view)
 
     def pread(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` (short read past EOF)."""
-        with self._entry.lock:
-            out = bytes(self._entry.data[offset:offset + length])
+        with self._entry.lock, memoryview(self._entry.data) as view:
+            out = bytes(view[offset:offset + length])
         self._store.bytes_read += len(out)
         return out
 

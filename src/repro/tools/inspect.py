@@ -12,13 +12,10 @@ from repro.h5.selection import AllSelection
 from repro.tools.transfer import import_store
 
 
-def _load(blob: bytes, name: str = ""):
-    return h5format.decode_file(blob, name)
-
-
-def h5ls(blob: bytes, name: str = "") -> str:
-    """One line per object, like ``h5ls -r``: path, kind, shape/type."""
-    root = _load(blob, name)
+def h5ls(src, name: str = "") -> str:
+    """One line per object of ``src`` (a file image or an open store
+    handle), like ``h5ls -r``: path, kind, shape/type. Reads no payload."""
+    root = h5format.decode_file(src, name)
     out = io.StringIO()
     for node in root.walk():
         if isinstance(node, DatasetNode):
@@ -40,9 +37,9 @@ def _dump_attrs(node, out, indent):
         out.write(f"{indent}@{aname} = {val}\n")
 
 
-def h5dump(blob: bytes, name: str = "", max_elements: int = 16) -> str:
+def h5dump(src, name: str = "", max_elements: int = 16) -> str:
     """Tree + attributes + data preview, like a compact ``h5dump``."""
-    root = _load(blob, name)
+    root = h5format.decode_file(src, name)
     out = io.StringIO()
     out.write(f"FILE {root.name or '<unnamed>'}\n")
     _dump_attrs(root, out, "  ")
@@ -76,8 +73,7 @@ def h5dump(blob: bytes, name: str = "", max_elements: int = 16) -> str:
 def run(args) -> int:
     """Entry point for the ``h5ls`` / ``h5dump`` subcommands."""
     handle = import_store(args.directory).open(args.file)
-    blob = handle.pread(0, handle.size)
-    print(args.inspect(blob, args.file), end="")
+    print(args.inspect(handle, args.file), end="")
     return 0
 
 

@@ -72,3 +72,25 @@ def test_256_ranks_run_to_completion():
     res = run_lowfive_memory(192, 64, small)
     assert res.validated
     assert res.nprod == 192 and res.ncons == 64
+
+
+def test_file_mode_run_retains_no_file_state():
+    """No Python object keeps a finished run's file alive (ROADMAP
+    item 4: the RSS growth over in-process repetitions is allocator
+    arenas, not a retainer) -- even while its result is still held."""
+    import gc
+
+    from repro.h5.native import NativeVOL
+    from repro.h5.objects import FileNode
+    from repro.pfs import PFSStore
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(o, (PFSStore, FileNode, NativeVOL))
+                   for o in gc.get_objects())
+
+    before = alive()
+    results = []
+    for _ in range(2):
+        results.append(run_lowfive_file(3, 1, WL))
+        assert alive() == before

@@ -133,6 +133,31 @@ class TestSerial:
         with h5.File("a.h5", "r", vol=vol) as f:
             assert f.keys() == ["new"]
 
+    def test_open_reader_keeps_the_file_it_opened(self, vol):
+        """Pieces are fetched at first touch, from the contents that were
+        open -- not from whatever the name points at by then."""
+        with h5.File("a.h5", "w", vol=vol) as f:
+            f.create_dataset("d", data=np.arange(6))
+        reader = h5.File("a.h5", "r", vol=vol)
+        with h5.File("a.h5", "w", vol=vol) as f:
+            f.create_dataset("d", data=np.arange(6) + 100)
+        np.testing.assert_array_equal(reader["d"].read(), np.arange(6))
+        reader.close()
+        with h5.File("a.h5", "r", vol=vol) as f:
+            np.testing.assert_array_equal(f["d"].read(), np.arange(6) + 100)
+
+    def test_append_roundtrips_pieces_it_never_read(self, vol):
+        with h5.File("a.h5", "w", vol=vol) as f:
+            f.create_dataset("d", data=np.arange(6))
+        size = vol.store.size("a.h5")
+        with h5.File("a.h5", "a", vol=vol) as f:
+            f.create_dataset("e", data=[3])
+            # Header and metadata only: the payload of d is still on file.
+            assert vol.store.bytes_read == size - 6 * 8
+        with h5.File("a.h5", "r", vol=vol) as f:
+            np.testing.assert_array_equal(f["d"].read(), np.arange(6))
+            np.testing.assert_array_equal(f["e"].read(), [3])
+
     def test_fill_value_dcpl(self, vol):
         with h5.File("a.h5", "w", vol=vol) as f:
             f.create_dataset("d", shape=(3,), dtype="i4",
@@ -204,6 +229,44 @@ class TestParallel:
             )
         assert f.attrs["step"] == 1
         f.close()
+
+    def test_readers_fetch_only_the_pieces_they_touch(self):
+        """N readers of 1/N each cost one pass over the file, not N."""
+        n, per = 8, 4096
+        store = PFSStore()
+        wvol = NativeVOL(store)
+
+        def writer(comm):
+            f = h5.File("o.h5", "w", comm=comm, vol=wvol)
+            d = f.create_dataset("d", shape=(n * per,), dtype=h5.UINT64)
+            d.write(np.arange(per, dtype=np.uint64) + per * comm.rank,
+                    file_select=h5.hyperslab((comm.rank * per,), (per,)))
+            f.close()
+
+        run_world(n, writer)
+        file_size = store.size("o.h5")
+        overhead = file_size - n * per * 8  # header + metadata
+        assert overhead < per * 8
+
+        rvol = NativeVOL(store)
+        lister = h5.File("o.h5", "r", vol=rvol)
+        assert lister.keys() == ["d"] and lister["d"].shape == (n * per,)
+        lister.close()
+        assert store.bytes_read == overhead  # listing reads no payload
+
+        def reader(comm):
+            f = h5.File("o.h5", "r", comm=comm, vol=rvol)
+            got = f["d"].read(
+                file_select=h5.hyperslab((comm.rank * per,), (per,)))
+            np.testing.assert_array_equal(
+                got, np.arange(per, dtype=np.uint64) + per * comm.rank)
+            f.close()
+
+        store.bytes_read = 0
+        run_world(n, reader)
+        # One pass over the payload plus N metadata reads (<= file_size
+        # + N * overhead); a whole-file read per rank is N * file_size.
+        assert store.bytes_read == n * per * 8 + n * overhead
 
     def test_parallel_io_charges_lustre_time(self):
         store = PFSStore()

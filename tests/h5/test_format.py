@@ -8,7 +8,7 @@ import repro.h5 as h5
 from repro.h5 import format as h5format
 from repro.h5.dataspace import Dataspace
 from repro.h5.errors import H5Error
-from repro.h5.objects import DatasetNode, FileNode, GroupNode
+from repro.h5.objects import DataPiece, DatasetNode, FileNode, GroupNode
 from repro.h5.selection import (
     AllSelection,
     HyperslabSelection,
@@ -16,6 +16,7 @@ from repro.h5.selection import (
     NoneSelection,
     PointSelection,
 )
+from repro.pfs import PFSStore
 
 
 def roundtrip(root):
@@ -151,6 +152,79 @@ def test_reader_truncation_raises():
     r = h5format.Reader(b"\x01")
     with pytest.raises(H5Error):
         r.u64()
+
+
+def _one_dataset_image(n=100):
+    root = FileNode("f")
+    d = root.add_child(DatasetNode("d", h5.UINT64, Dataspace((n,))))
+    d.write(AllSelection((n,)), np.arange(n))
+    return h5format.encode_file(root)
+
+
+def _cut_data_section(blob, nbytes):
+    """``blob`` with the last ``nbytes`` of its data section removed and
+    the header pointing at the (intact) metadata block again."""
+    magic, version, meta_off, meta_len = h5format.HEADER.unpack_from(blob)
+    header = h5format.HEADER.pack(magic, version, meta_off - nbytes, meta_len)
+    return header + blob[h5format.HEADER.size:meta_off - nbytes] \
+        + blob[meta_off:]
+
+
+def _stored(blob):
+    store = PFSStore()
+    store.create("f").pwrite(0, blob)
+    return store.open("f")
+
+
+@pytest.mark.parametrize("cut", [13, 16])
+def test_piece_outside_data_section_is_typed_failure(cut):
+    # 13 B leaves a ragged tail, 16 B exactly two elements fewer: both
+    # are refused at open, from an image and from a store handle alike.
+    blob = _cut_data_section(_one_dataset_image(), cut)
+    with pytest.raises(H5Error, match="corrupt file"):
+        h5format.decode_file(blob)
+    with pytest.raises(H5Error, match="corrupt file"):
+        h5format.decode_file(_stored(blob))
+
+
+def test_piece_length_must_match_selection():
+    root = FileNode("f")
+    d = root.add_child(DatasetNode("d", h5.UINT64, Dataspace((100,))))
+    d.pieces.append(DataPiece(AllSelection((100,)),
+                              np.arange(98, dtype=np.uint64)))
+    with pytest.raises(H5Error, match="corrupt file"):
+        h5format.decode_file(h5format.encode_file(root))
+
+
+def test_truncated_metadata_through_store_handle():
+    blob = _one_dataset_image()
+    with pytest.raises(H5Error, match="truncated metadata"):
+        h5format.decode_file(_stored(blob[:-5]))
+    with pytest.raises(H5Error, match="too small"):
+        h5format.decode_file(_stored(blob[:10]))
+
+
+def test_short_read_at_fetch_is_typed_failure():
+    class Handle:  # a file that loses its tail after it was opened
+        def __init__(self, blob):
+            self.blob = blob
+
+        def pread(self, offset, length):
+            return self.blob[offset:offset + length]
+
+    handle = Handle(_one_dataset_image())
+    d = h5format.decode_file(handle).lookup("d")
+    handle.blob = handle.blob[:h5format.HEADER.size + 40]
+    with pytest.raises(H5Error, match="truncated file"):
+        d.read(AllSelection((100,)))
+
+
+def test_decoded_image_values_are_views_of_the_blob():
+    blob = _one_dataset_image()
+    piece = h5format.decode_file(blob).lookup("d").pieces[0]
+    assert not piece.data.flags.writeable
+    assert np.shares_memory(piece.data, np.frombuffer(blob, dtype=np.uint8))
+    np.testing.assert_array_equal(piece.data, np.arange(100))
 
 
 @settings(max_examples=30, deadline=None)

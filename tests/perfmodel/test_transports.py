@@ -240,6 +240,20 @@ class TestExecutedVsModel:
         model = lowfive_memory_time(nprod, ncons, wl)
         assert model == pytest.approx(res.vtime, rel=0.35)
 
+    @pytest.mark.parametrize("nprod,ncons", [
+        (3, 1), (6, 2), (12, 4), (48, 16), (96, 32), (192, 64)])
+    def test_lowfive_file_agreement(self, nprod, ncons):
+        """File mode, up to P=256: executable in seconds since readers
+        fetch only the pieces they touch."""
+        from repro.bench import run_lowfive_file
+
+        wl = SyntheticWorkload(grid_points_per_proc=8000,
+                               particles_per_proc=8000)
+        res = run_lowfive_file(nprod, ncons, wl)
+        assert res.validated
+        model = lowfive_file_time(nprod, ncons, wl)
+        assert model == pytest.approx(res.vtime, rel=0.01)
+
     @pytest.mark.parametrize("nprod,ncons", [(3, 1), (6, 4)])
     def test_pure_mpi_agreement(self, nprod, ncons):
         from repro.baselines import pure_mpi_consumer, pure_mpi_producer

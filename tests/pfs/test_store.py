@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.pfs import PFSStore
@@ -64,6 +65,36 @@ def test_create_truncates_or_rejects():
     assert s.size("f") == 0
     with pytest.raises(FileExistsError):
         s.create("f", truncate=False)
+
+
+def test_truncating_create_leaves_open_handles_their_bytes():
+    s = PFSStore()
+    s.create("f").pwrite(0, b"old contents")
+    reader = s.open("f")
+    s.create("f").pwrite(0, b"new")
+    assert reader.pread(0, 100) == b"old contents"
+    assert reader.size == 12
+    assert s.open("f").pread(0, 100) == b"new"
+    assert s.size("f") == 3
+
+
+def test_reads_are_copies_and_never_pin_the_file():
+    s = PFSStore()
+    h = s.create("f")
+    h.pwrite(0, b"abcd")
+    got = h.pread(0, 4)
+    h.pwrite(2, b"XYZW")  # overwrites two bytes and extends by two
+    assert got == b"abcd"
+    assert h.pread(0, 10) == b"abXYZW"
+
+
+def test_pwrite_takes_any_contiguous_buffer():
+    s = PFSStore()
+    h = s.create("f")
+    h.pwrite(0, np.arange(3, dtype="<u2"))
+    h.pwrite(6, memoryview(bytearray(b"zz")))
+    assert h.pread(0, 8) == b"\0\0\1\0\2\0zz"
+    assert s.bytes_written == 8
 
 
 def test_stats_counters():

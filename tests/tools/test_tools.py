@@ -81,6 +81,16 @@ class TestTransfer:
         out = capsys.readouterr().out
         assert "/fields/density" in out
 
+    def test_h5ls_of_a_handle_reads_no_payload(self):
+        store = PFSStore()
+        with h5.File("big.h5", "w", vol=NativeVOL(store)) as f:
+            f.create_dataset("d", data=np.arange(4096))
+        out = h5ls(store.open("big.h5"), "big.h5")
+        assert "/d" in out and "(4096,)" in out
+        assert store.bytes_read == store.size("big.h5") - 4096 * 8
+        assert "data: [0 1 2 3]" in h5dump(store.open("big.h5"),
+                                           max_elements=4)
+
     def test_cli_h5dump(self, store_with_file, tmp_path, capsys):
         export_store(store_with_file, str(tmp_path))
         assert main(["h5dump", str(tmp_path), "run/out.h5"]) == 0
