@@ -11,8 +11,8 @@ enforce:
   they differ.
 - a buffered send completes locally whether or not anyone ever
   receives it, so a mismatched tag or a forgotten receive leaks the
-  message without any error. :func:`check_leaks` reports every entry
-  of the pending-send table never satisfied by a matching receive.
+  message without any error. :func:`check_leaks` reports every posted
+  message whose record no receive ever completed.
 - a retained stream epoch the holder never releases stays live on the
   producer for the rest of the stream -- the producer cannot retire it
   and its memory is pinned. :func:`check_stream_leaks` reports every
@@ -56,10 +56,9 @@ def check_collectives(obs: Any) -> list[Finding]:
 
 def check_leaks(obs: Any) -> list[Finding]:
     """Report posted messages never matched by any receive."""
-    consumed = obs.causal.consumed_ids()
     findings: list[Finding] = []
-    for p in obs.causal.posts():
-        if p.msg_id in consumed:
+    for p in obs.causal.messages():
+        if p.t_recv is not None:
             continue
         findings.append(Finding(
             MESSAGE_LEAK, p.src,

@@ -1,12 +1,13 @@
 """Schedule-race detection over wildcard receive candidate sets.
 
-Every wildcard receive (``ANY_SOURCE``/``ANY_TAG``) records a
-:class:`~repro.obs.causal.MatchRecord` -- the exact set of live
-candidate messages the matcher chose between. The simulator always
-commits the candidate with the least ``(arrival, src, seq)``, so the
-*simulated* schedule is deterministic; the question this detector
-answers is whether that choice stands in for a choice real MPI would
-also have made, or papers over a genuine race.
+Every wildcard receive (``ANY_SOURCE``/``ANY_TAG``) records, on the
+:class:`~repro.obs.causal.FlowEdge` of the message it took, its spec
+and the exact set of live candidate messages the matcher chose
+between. The simulator always commits the candidate with the least
+``(arrival, src, seq)``, so the *simulated* schedule is deterministic;
+the question this detector answers is whether that choice stands in
+for a choice real MPI would also have made, or papers over a genuine
+race.
 
 A match is flagged when the winner and some other candidate are
 
@@ -50,23 +51,26 @@ from repro.analyze.finding import Finding, WILDCARD_RACE, msg_label
 from repro.analyze.vclock import HBRelation, build_happens_before
 
 
-def _unstable(winner: tuple[int, int, float, float],
-              other: tuple[int, int, float, float]) -> str | None:
+def _unstable(winner: Any, other: Any) -> str | None:
     """Why the pair's arrival order is not forced by its post order."""
-    _, _, w_post, w_arrival = winner
-    _, _, o_post, o_arrival = other
-    if o_arrival == w_arrival:
+    if other.t_arrival == winner.t_arrival:
         return "arrival tie"
-    if (o_post - w_post) * (o_arrival - w_arrival) < 0:
+    if ((other.t_post - winner.t_post)
+            * (other.t_arrival - winner.t_arrival) < 0):
         return "arrival order inverts post order"
     return None
 
 
-def _stream_map(obs: Any) -> dict[int, tuple[int, int, int, int]]:
-    """``msg_id -> (dst, comm, source, tag)`` wildcard stream that
-    eventually received it (matched wildcard receives only)."""
-    return {m.msg_id: (m.dst, m.comm_id, m.source, m.tag)
-            for m in obs.causal.matches()}
+def _stream(m: Any) -> tuple[int, ...] | None:
+    """``(dst, comm, source, tag)`` wildcard stream that received ``m``
+    (``None`` unless a wildcard receive took it)."""
+    return None if m.spec is None else (m.dst, m.comm_id, *m.spec)
+
+
+def _sent(m: Any) -> dict[str, Any]:
+    """A candidate as the finding names it: id, sender and times."""
+    return {"msg_id": m.msg_id, "src": m.src, "t_post": m.t_post,
+            "t_arrival": m.t_arrival}
 
 
 def find_races(obs: Any, nranks: int | None = None,
@@ -79,49 +83,39 @@ def find_races(obs: Any, nranks: int | None = None,
     """
     if hb is None:
         hb = build_happens_before(obs, nranks)
-    streams = _stream_map(obs)
+    msgs = {m.msg_id: m for m in obs.causal.messages()}
     findings: list[Finding] = []
-    for m in obs.causal.matches():
+    for m in obs.causal.edges():
         if len(m.candidates) < 2:
             continue
-        winner = next((c for c in m.candidates if c[0] == m.msg_id), None)
-        if winner is None:  # candidate snapshot predates a fault rewrite
-            continue
-        stream = (m.dst, m.comm_id, m.source, m.tag)
         rivals: list[dict[str, Any]] = []
-        for cand in m.candidates:
-            if cand[0] == winner[0]:
-                continue
-            why = _unstable(winner, cand)
+        for cand in (msgs[c] for c in m.candidates if c != m.msg_id):
+            why = _unstable(m, cand)
             if why is None:
                 continue
-            if why == "arrival tie" and streams.get(cand[0]) == stream:
+            if why == "arrival tie" and _stream(cand) == _stream(m):
                 continue  # same-stream drain: assignment-irrelevant
-            if not hb.concurrent_sends(winner[0], cand[0]):
+            if not hb.concurrent_sends(m.msg_id, cand.msg_id):
                 continue
-            rivals.append({"msg_id": cand[0], "src": cand[1],
-                           "t_post": cand[2], "t_arrival": cand[3],
-                           "why": why})
+            rivals.append({**_sent(cand), "why": why})
         if not rivals:
             continue
+        source, tag = m.spec
         findings.append(Finding(
             WILDCARD_RACE, m.dst,
             f"wildcard recv on rank {m.dst} (comm {m.comm_id}, source "
-            f"{m.source}, tag {m.tag}) chose msg {msg_label(m.msg_id)} "
-            f"from rank {winner[1]} over {len(rivals)} concurrent "
+            f"{source}, tag {tag}) chose msg {msg_label(m.msg_id)} "
+            f"from rank {m.src} over {len(rivals)} concurrent "
             "rival(s): "
             + ", ".join(f"msg {msg_label(r['msg_id'])} from rank "
                         f"{r['src']} ({r['why']})" for r in rivals),
             {
                 "comm_id": m.comm_id,
-                "source": m.source,
-                "tag": m.tag,
+                "source": source,
+                "tag": tag,
                 "chosen": m.msg_id,
-                "t_match": m.t_match,
-                "candidates": [
-                    {"msg_id": c[0], "src": c[1], "t_post": c[2],
-                     "t_arrival": c[3]} for c in m.candidates
-                ],
+                "t_match": m.t_recv_start,
+                "candidates": [_sent(msgs[c]) for c in m.candidates],
                 "rivals": rivals,
             },
         ))

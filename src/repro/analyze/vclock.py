@@ -1,8 +1,8 @@
 """Vector clocks: a happens-before relation over the causal trace.
 
 Every run already records the full communication structure --
-:class:`~repro.obs.causal.PendingSend` entries for posts,
-:class:`~repro.obs.causal.FlowEdge` entries for matched receives and
+one :class:`~repro.obs.causal.FlowEdge` per message (its post, and its
+receive once matched) and
 :class:`~repro.obs.causal.CollectiveRecord` entries for rendezvous --
 so happens-before can be *derived* after the fact instead of being
 tracked online. :func:`build_happens_before` replays the trace into
@@ -97,17 +97,8 @@ class HBRelation:
         self.coll_vc: dict[int, VClock] = {}
 
     def concurrent_sends(self, msg_a: int, msg_b: int) -> bool:
-        """True when the posts of two messages are causally unordered.
-
-        A message whose post was never recorded (an injected duplicate
-        consumed in place of its original) is conservatively treated
-        as concurrent -- the detector must not *miss* races.
-        """
-        a = self.send_vc.get(msg_a)
-        b = self.send_vc.get(msg_b)
-        if a is None or b is None:
-            return True
-        return concurrent(a, b)
+        """True when the posts of two messages are causally unordered."""
+        return concurrent(self.send_vc[msg_a], self.send_vc[msg_b])
 
 
 def _rank_streams(causal: Any) -> dict[int, list[_Event]]:
@@ -117,7 +108,7 @@ def _rank_streams(causal: Any) -> dict[int, list[_Event]]:
     def add(rank: int, ev: _Event) -> None:
         streams.setdefault(rank, []).append(ev)
 
-    for p in causal.posts():
+    for p in causal.messages():
         add(p.src, _Event(p.t_post, "send", p.msg_id))
     for e in causal.edges():
         add(e.dst, _Event(e.t_recv, "recv", e.msg_id))
@@ -146,7 +137,6 @@ def build_happens_before(obs: Any,
     hb = HBRelation(nranks)
 
     # Cross-rank dependency state.
-    posted = {p.msg_id for p in causal.posts()}
     enters_left = {rec.coll_id: len(rec.enter_clocks)
                    for rec in causal.collectives()}
     coll_join: dict[int, list[VClock]] = {}
@@ -160,8 +150,7 @@ def build_happens_before(obs: Any,
             evs = streams[r]
             while idx[r] < len(evs):
                 ev = evs[idx[r]]
-                if (ev.kind == "recv" and ev.key in posted
-                        and ev.key not in hb.send_vc):
+                if ev.kind == "recv" and ev.key not in hb.send_vc:
                     break  # matched send not replayed yet
                 if ev.kind == "cexit" and enters_left[ev.key] > 0:
                     break  # some participant has not entered yet
@@ -169,11 +158,9 @@ def build_happens_before(obs: Any,
                 if r < nranks:
                     clock[r] += 1
                 if ev.kind == "recv":
-                    sent = hb.send_vc.get(ev.key)
-                    if sent is not None:
-                        for i, x in enumerate(sent):
-                            if x > clock[i]:
-                                clock[i] = x
+                    for i, x in enumerate(hb.send_vc[ev.key]):
+                        if x > clock[i]:
+                            clock[i] = x
                     hb.recv_vc[ev.key] = tuple(clock)
                 elif ev.kind == "send":
                     hb.send_vc[ev.key] = tuple(clock)

@@ -1,12 +1,13 @@
 """Causal layer: message flow edges, stragglers, wait-state analysis.
 
-Every point-to-point receive records a :class:`FlowEdge` -- who sent,
-when the message was posted, when it arrived, and how long the receiver
-was blocked -- and every collective records a :class:`CollectiveRecord`
-with the per-rank entry clocks and the straggler whose arrival released
-everyone. Alongside them, :class:`RankAccount` ledgers are charged at
-every virtual-clock mutation in :mod:`repro.simmpi.comm`, partitioning
-each rank's timeline into *compute*, *transfer* and *wait* seconds.
+Every point-to-point message is one :class:`FlowEdge` -- who sent, when
+it was posted, when it arrived, and, once a receive matched it, how
+long the receiver was blocked -- and every collective records a
+:class:`CollectiveRecord` with the per-rank entry clocks and the
+straggler whose arrival released everyone. Alongside them,
+:class:`RankAccount` ledgers are charged at every virtual-clock
+mutation in :mod:`repro.simmpi.comm`, partitioning each rank's
+timeline into *compute*, *transfer* and *wait* seconds.
 
 On top of that raw record this module provides Scalasca-style
 wait-state classification (:func:`classify_waits`) attributing each
@@ -64,15 +65,22 @@ _SERVER_SPANS = ("rpc.handle", "lowfive.serve", "lowfive.staging")
 _BACKPRESSURE_SPAN = "stream.backpressure"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlowEdge:
-    """One matched send -> recv pair (a causal edge between ranks).
+    """One point-to-point message: its post, and its receive once matched.
 
+    Created at delivery and completed in place by the receive that
+    matches it; ``t_recv`` is ``None`` while nobody has received it.
     Times are virtual seconds on the shared simulated timeline:
     ``t_post`` (sender's clock when the message entered the network),
     ``t_arrival`` (modeled delivery time at the receiver),
     ``t_recv_start`` (receiver's clock when it started matching) and
     ``t_recv`` (receiver's clock after the completed receive).
+
+    A wildcard receive also keeps its ``spec`` -- the local ``(source,
+    tag)`` it asked for, ``-1`` for ``ANY_SOURCE``/``ANY_TAG`` -- and the
+    sorted msg ids of the live ``candidates`` it chose from, itself
+    included; each candidate's sender and times are on its own record.
     """
 
     msg_id: int
@@ -83,8 +91,10 @@ class FlowEdge:
     nbytes: int
     t_post: float
     t_arrival: float
-    t_recv_start: float
-    t_recv: float
+    t_recv_start: float | None = None
+    t_recv: float | None = None
+    spec: tuple[int, int] | None = None
+    candidates: tuple[int, ...] = ()
 
     @property
     def wire(self) -> float:
@@ -94,11 +104,13 @@ class FlowEdge:
     @property
     def blocked(self) -> float:
         """Seconds the receiver was blocked before delivery."""
+        assert self.t_recv_start is not None
         return max(0.0, self.t_arrival - self.t_recv_start)
 
     @property
     def wait(self) -> float:
         """Blocked seconds attributable to the sender being late."""
+        assert self.t_recv_start is not None
         return min(self.blocked, max(0.0, self.t_post - self.t_recv_start))
 
     @property
@@ -109,46 +121,8 @@ class FlowEdge:
     @property
     def buffered(self) -> float:
         """Seconds the message sat buffered before the receiver asked."""
+        assert self.t_recv_start is not None
         return max(0.0, self.t_recv_start - self.t_arrival)
-
-
-@dataclass(frozen=True)
-class PendingSend:
-    """One posted point-to-point message (the pending-send table).
-
-    Recorded at delivery time; the message-leak checker reports every
-    post whose ``msg_id`` was never consumed by a matching receive at
-    finalize.
-    """
-
-    msg_id: int
-    src: int  # sender world rank
-    dst: int  # receiver world rank
-    tag: int
-    comm_id: int
-    nbytes: int
-    t_post: float
-    t_arrival: float
-
-
-@dataclass(frozen=True)
-class MatchRecord:
-    """Candidate-set snapshot of one wildcard receive.
-
-    ``candidates`` holds ``(msg_id, src, t_post, t_arrival)`` for every
-    live, spec-matching message queued when the match committed --
-    exactly the heads the matcher compared. The schedule-race detector
-    flags matches whose candidate set admits more than one plausible
-    delivery order under real MPI.
-    """
-
-    dst: int  # receiver world rank
-    comm_id: int
-    source: int  # the spec, local numbering (ANY_SOURCE = -1)
-    tag: int  # the spec (ANY_TAG = -1)
-    msg_id: int  # the message the schedule chose
-    t_match: float  # receiver's clock when the match committed
-    candidates: tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -212,25 +186,23 @@ class RankAccount:
 
 
 class CausalRecorder:
-    """Collects flow edges, collective records and rank ledgers.
+    """Collects message records, collective records and rank ledgers.
 
-    One per :class:`~repro.obs.ObsContext`; always on. Appends come
-    from the simmpi layer (one per receive / collective completion), so
-    volume tracks message count, not payload size.
+    One per :class:`~repro.obs.ObsContext`; always on. Writes come from
+    the simmpi layer -- :meth:`post` at delivery, :meth:`receive` at
+    match, one per collective completion -- so volume tracks message
+    count, not payload size.
     """
 
-    PRODUCERS = ("account", "edge", "collective", "post", "consume",
-                 "match")  # see ObsContext
+    PRODUCERS = ("account", "post", "receive", "collective")  # see ObsContext
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._edges: list[FlowEdge] = []
+        self._msgs: dict[int, FlowEdge] = {}
+        self._edges: list[FlowEdge] = []  # received, in completion order
         self._colls: list[CollectiveRecord] = []
         self._accounts: dict[int, RankAccount] = {}
         self._next_coll = 1
-        self._posts: dict[int, PendingSend] = {}
-        self._consumed: set[int] = set()
-        self._matches: list[MatchRecord] = []
 
     # -- producing ---------------------------------------------------------
 
@@ -242,12 +214,28 @@ class CausalRecorder:
                 acct = self._accounts.setdefault(rank, RankAccount(rank))
         return acct
 
-    def edge(self, **kw: Any) -> FlowEdge:
-        """Record one matched receive (fields of :class:`FlowEdge`)."""
-        e = FlowEdge(**kw)
+    def post(self, msg_id: int, src: int, dst: int, tag: int,
+             comm_id: int, nbytes: int, t_post: float,
+             t_arrival: float) -> None:
+        """Create the record of one delivered message (an injected twin
+        is not posted: no receive can take it before its original)."""
+        rec = FlowEdge(msg_id, src, dst, tag, comm_id, nbytes, t_post,
+                       t_arrival)
         with self._lock:
-            self._edges.append(e)
-        return e
+            self._msgs[msg_id] = rec
+
+    def receive(self, msg_id: int, t_recv_start: float, t_recv: float,
+                spec: tuple[int, int] | None = None,
+                candidates: tuple[int, ...] = ()) -> None:
+        """Complete the record of ``msg_id`` with the receive that took
+        it; a wildcard receive also passes its spec and candidate ids."""
+        with self._lock:
+            rec = self._msgs[msg_id]
+            rec.t_recv_start = t_recv_start
+            rec.t_recv = t_recv
+            rec.spec = spec
+            rec.candidates = candidates
+            self._edges.append(rec)
 
     def collective(self, kind: str, comm_id: int, nbytes: int,
                    enter_clocks: dict[int, float], t_ready: float,
@@ -265,34 +253,18 @@ class CausalRecorder:
             self._colls.append(rec)
         return rec
 
-    def post(self, msg_id: int, src: int, dst: int, tag: int,
-             comm_id: int, nbytes: int, t_post: float,
-             t_arrival: float) -> None:
-        """Record one delivered message in the pending-send table."""
-        rec = PendingSend(msg_id, src, dst, tag, comm_id, nbytes,
-                          t_post, t_arrival)
-        with self._lock:
-            self._posts[msg_id] = rec
-
-    def consume(self, msg_id: int) -> None:
-        """Mark a posted message (or its injected twin) as received."""
-        with self._lock:
-            self._consumed.add(msg_id)
-
-    def match(self, dst: int, comm_id: int, source: int, tag: int,
-              msg_id: int, t_match: float,
-              candidates: tuple[Any, ...]) -> None:
-        """Record a wildcard match and its candidate-set snapshot."""
-        rec = MatchRecord(dst, comm_id, source, tag, msg_id, t_match,
-                          candidates)
-        with self._lock:
-            self._matches.append(rec)
-
     # -- querying ----------------------------------------------------------
+
+    def messages(self) -> list[FlowEdge]:
+        """Every posted message, in msg-id order (``t_recv`` is ``None``
+        on one nobody received)."""
+        with self._lock:
+            return [self._msgs[k] for k in sorted(self._msgs)]
 
     def edges(self, src: int | None = None, dst: int | None = None,
               tag: int | None = None) -> list[FlowEdge]:
-        """Recorded flow edges, optionally filtered."""
+        """Received messages in receive-completion order, optionally
+        filtered."""
         with self._lock:
             out = list(self._edges)
         if src is not None:
@@ -313,25 +285,6 @@ class CausalRecorder:
         (iteration order must not leak thread-scheduling order)."""
         with self._lock:
             return {r: self._accounts[r] for r in sorted(self._accounts)}
-
-    def posts(self) -> list[PendingSend]:
-        """The pending-send table, in message-id order."""
-        with self._lock:
-            return [self._posts[k] for k in sorted(self._posts)]
-
-    def consumed_ids(self) -> set[int]:
-        """Message ids satisfied by a receive (either twin counts)."""
-        with self._lock:
-            return set(self._consumed)
-
-    def matches(self) -> list[MatchRecord]:
-        """Wildcard match records with candidate snapshots, ordered by
-        ``(t_match, dst, comm_id, msg_id)`` -- append order would leak
-        which rank's thread reached the recorder first."""
-        with self._lock:
-            return sorted(self._matches,
-                          key=lambda m: (m.t_match, m.dst, m.comm_id,
-                                         m.msg_id))
 
 
 # -- cause attribution -------------------------------------------------------

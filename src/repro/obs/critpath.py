@@ -271,7 +271,7 @@ def critical_path(obs: Any, clocks: Sequence[float]) -> CriticalPath:
         hi[cur_rank] = idx
         if ev.kind == "recv":
             e = ev.edge
-            assert e is not None
+            assert e is not None and e.t_recv_start is not None
             phase = _phase_at(spans_by_rank.get(e.dst, ()), cur_t)
             pseq = ((phase, 0.0),) if phase else ()
             if e.wait > 0.0:

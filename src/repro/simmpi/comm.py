@@ -179,52 +179,20 @@ class Comm:
             return tuple(self._sender_members())
         return (self._src_world(source),)
 
-    def _msg_src_world(self, msg) -> int:
-        return (msg.src_world if msg.src_world >= 0
-                else self._src_world(msg.src))
-
-    def _pop_match(self, proc, source: int, tag: int):
-        """Pop the best queued message matching ``(source, tag)``.
+    def _take_match(self, proc, source: int, tag: int, t_start: float):
+        """Pop the best queued match for ``(source, tag)``, advance the
+        clock, charge the wait/transfer split to the rank's ledger and
+        complete the message's causal record.
 
         Matching is an indexed bucket-head lookup (see
-        :class:`~repro.simmpi.mailbox.CommMailbox`); non-matching
-        queued messages are never touched. Injected duplicates are
-        deduped here: consuming either twin records its seq so the
-        other is purged before it can match. Wildcard matches snapshot
-        the candidate heads for the schedule-race detector; every
-        consumed message marks its pending-send entry satisfied.
-        """
-        mbox = proc.mailbox.get(self.comm_id)
-        if not mbox:
-            return None
-        wildcard = source == ANY_SOURCE or tag == ANY_TAG
-        cands = (mbox.match_candidates(source, tag, proc.consumed)
-                 if wildcard else None)
-        m = mbox.pop_match(source, tag, proc.consumed)
-        if m is None:
-            return None
-        if m.has_dup:
-            proc.consumed.add(m.seq)
-        if m.dup_of is not None:
-            proc.consumed.add(m.dup_of)
-        causal = self.engine.obs.causal
-        orig = m.dup_of if m.dup_of is not None else m.seq
-        causal.consume(orig)
-        if wildcard:
-            causal.match(
-                proc.rank, self.comm_id, source, tag, orig, proc.clock,
-                tuple(sorted(
-                    (c.dup_of if c.dup_of is not None else c.seq,
-                     self._msg_src_world(c), c.sent_at, c.arrival)
-                    for c in cands
-                )),
-            )
-        return m
-
-    def _finish_recv(self, proc, msg, t_start: float) -> None:
-        """Complete a matched receive: advance the clock, charge the
-        wait/transfer split to the rank's ledger and record the causal
-        flow edge.
+        :class:`~repro.simmpi.mailbox.CommMailbox`); non-matching queued
+        messages are never touched. The popped message is never an
+        injected twin: a twin arrives no earlier than its original, gets
+        a later seq and shares its ``(src, tag)`` bucket, so it sorts
+        after it, and taking the original records its seq in
+        ``proc.consumed`` so the mailbox purges the twin. A wildcard
+        receive records its spec and the candidate heads it chose from
+        for the schedule-race detector.
 
         The blocked interval ``[t_start, arrival]`` is split at the
         sender's post time: idling before the post is *wait* (late
@@ -232,6 +200,16 @@ class Comm:
         (wire time). Fault plans may rewrite ``arrival``, so both
         pieces are clamped to be non-negative.
         """
+        mbox = proc.mailbox[self.comm_id]
+        spec, cands = None, ()
+        if source == ANY_SOURCE or tag == ANY_TAG:
+            spec = (source, tag)
+            cands = tuple(sorted(
+                c.msg_id
+                for c in mbox.match_candidates(source, tag, proc.consumed)))
+        msg = mbox.pop_match(source, tag, proc.consumed)
+        if msg.has_dup:
+            proc.consumed.add(msg.seq)
         arrival = msg.arrival
         overhead = self.model.msg_overhead
         proc.clock = max(t_start, arrival) + overhead
@@ -241,12 +219,8 @@ class Comm:
         acct = causal.account(proc.rank)
         acct.wait += wait
         acct.transfer += (blocked - wait) + overhead
-        causal.edge(
-            msg_id=msg.msg_id, src=self._msg_src_world(msg), dst=proc.rank,
-            tag=msg.tag, comm_id=self.comm_id, nbytes=msg.nbytes,
-            t_post=msg.sent_at, t_arrival=arrival,
-            t_recv_start=t_start, t_recv=proc.clock,
-        )
+        causal.receive(msg.msg_id, t_start, proc.clock, spec, cands)
+        return msg
 
     def _wait_desc(self, kind: str, source: int, tag: int):
         return _engine.WaitDesc(
@@ -270,8 +244,7 @@ class Comm:
         self.engine.maybe_crash()
         t_start = proc.clock
         self.engine.park(proc, self._wait_desc("recv", source, tag))
-        msg = self._pop_match(proc, source, tag)
-        self._finish_recv(proc, msg, t_start)
+        msg = self._take_match(proc, source, tag, t_start)
         self.engine.maybe_crash()
         self.engine.record("recv", proc.rank, msg.nbytes)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
@@ -287,9 +260,7 @@ class Comm:
         head = self._peek(proc, source, tag)
         if head is None or not self.engine.is_next(head.arrival):
             return None
-        t_start = proc.clock
-        msg = self._pop_match(proc, source, tag)
-        self._finish_recv(proc, msg, t_start)
+        msg = self._take_match(proc, source, tag, proc.clock)
         self.engine.record("recv", proc.rank, msg.nbytes)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 

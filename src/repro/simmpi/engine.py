@@ -426,8 +426,8 @@ class Engine:
         dup = None
         if self.faults is not None:
             dup = self._inject_message_faults(msg)
-        # Pending-send table (message-leak analysis): the injected twin
-        # is not re-posted -- consuming either copy satisfies this entry.
+        # The message's one causal record, completed by its receive; the
+        # injected twin is never received, so it gets none.
         self.obs.causal.post(
             msg.seq, msg.src_world, msg.dst_world, msg.tag, msg.comm_id,
             msg.nbytes, msg.sent_at, msg.arrival,

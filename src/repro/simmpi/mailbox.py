@@ -20,9 +20,11 @@ order and the cross-bucket ``(arrival, src, seq)`` comparison reproduce
 the global minimum exactly (the existing simmpi test suite is the
 oracle for this).
 
-Fault-injected duplicate handling is preserved: messages whose twin
-(original or injected copy) was already consumed are purged lazily when
-they surface at a bucket head, using the per-rank ``consumed`` seq set.
+Fault-injected duplicates are deduped: an injected copy arrives no
+earlier than its original and has a later seq in the same bucket, so it
+always surfaces after it; once the original is consumed (its seq is in
+the per-rank ``consumed`` set) the copy is purged lazily when it
+reaches a bucket head.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message
 class CommMailbox:
     """Messages of one communicator queued at one rank. Internal.
 
-    All methods must be called holding the owning ``Proc``'s lock (the
-    same discipline the old flat lists had).
+    Only the rank holding the engine's baton touches a mailbox (its
+    owner matching, or a sender delivering), so nothing here locks.
 
     ``examined`` counts bucket heads inspected by matching calls; the
     perf smoke tests assert it does not scale with unrelated queued
@@ -97,9 +99,9 @@ class CommMailbox:
     def _live_head(self, key, consumed):
         """Head entry of ``key``'s bucket after purging dead twins.
 
-        A message is dead when its own seq, or the seq of the original
-        it duplicates, is in ``consumed`` -- its twin was already
-        received, so protocols above must never see it.
+        A message is dead when it is an injected copy whose original's
+        seq is in ``consumed``: the original was already received, so
+        protocols above must never see the copy.
         """
         heap = self._buckets.get(key)
         if heap is None:
@@ -107,8 +109,7 @@ class CommMailbox:
         while heap:
             entry = heap[0]
             msg = entry[2]
-            if (msg.seq in consumed
-                    or (msg.dup_of is not None and msg.dup_of in consumed)):
+            if msg.dup_of is not None and msg.dup_of in consumed:
                 heapq.heappop(heap)
                 self._count -= 1
                 continue

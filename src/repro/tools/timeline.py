@@ -1,8 +1,9 @@
 """ASCII timelines and communication matrices of a run.
 
 Both read the always-on causal record of a run's ``obs`` (``Engine.obs``
-/ ``WorkflowResult.obs``): every post is a send at ``t_post``, every flow
-edge a receive at ``t_recv``, every collective one mark per participant.
+/ ``WorkflowResult.obs``): every message is a send at ``t_post`` and,
+once received, a receive at ``t_recv``; every collective is one mark per
+participant.
 
 - :func:`render_timeline` -- one lane per rank over virtual time, with
   ``s`` = send, ``r`` = receive, ``C`` = collective (like a coarse
@@ -40,7 +41,7 @@ def render_timeline(obs, nprocs: int, width: int = 72, title: str = "",
     than the caller expected) grow the lane table instead of crashing.
     """
     causal, spans = obs.causal, list(spans)
-    points = [(p.t_post, p.src, "s") for p in causal.posts()]
+    points = [(p.t_post, p.src, "s") for p in causal.messages()]
     points += [(e.t_recv, e.dst, "r") for e in causal.edges()]
     points += [(c.t_end, r, "C") for c in causal.collectives()
                for r in c.enter_clocks]
@@ -86,10 +87,10 @@ def render_timeline(obs, nprocs: int, width: int = 72, title: str = "",
 def communication_matrix(obs, nprocs: int) -> np.ndarray:
     """Bytes sent from rank i to rank j (point-to-point only).
 
-    The matrix grows beyond ``nprocs`` when posts carry senders or
+    The matrix grows beyond ``nprocs`` when messages carry senders or
     receivers outside ``[0, nprocs)``.
     """
-    sends = obs.causal.posts()
+    sends = obs.causal.messages()
     n = nprocs
     for p in sends:
         n = max(n, p.src + 1, p.dst + 1)

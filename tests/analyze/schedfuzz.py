@@ -4,9 +4,9 @@ Virtual results must be a function of (workload, seed, cost model)
 only. :func:`fuzz` runs one workload ``n`` times, each under a seeded
 random ``sys.setswitchinterval`` in [1e-6, 5e-3] with ``busy``
 busy-loop threads competing for the interpreter, and asserts that
-every run's :meth:`RunRecord.stable_json` and full causal report are
-byte-identical to the first run's (a mismatch names the first
-differing path and both values).
+every run's :meth:`RunRecord.stable_json`, full causal report and raw
+causal table (:func:`causal_table`) are byte-identical to the first
+run's (a mismatch names the first differing path and both values).
 
 Tier-1 runs every workload with ``n=3`` (``test_determinism.py``); the
 ``schedfuzz`` CI job runs ``python -m tests.analyze.schedfuzz --runs
@@ -20,6 +20,7 @@ import os
 import random
 import sys
 import threading
+from dataclasses import asdict
 
 from repro.bench.drivers import _check, _lowfive_wf
 from repro.faults import FaultPlan, MessageFaultRule
@@ -70,13 +71,22 @@ WORKLOADS = {
 }
 
 
+def causal_table(obs):
+    """The raw causal record: every message record's fields (candidate
+    ids included) in msg-id order, and the receive-completion order."""
+    causal = obs.causal
+    return {"messages": [asdict(m) for m in causal.messages()],
+            "received": [e.msg_id for e in causal.edges()]}
+
+
 def _document(name, res):
     assert _check(res.returns["consumer"]), f"{name}: data mismatch"
     record = record_from_result(res, f"schedfuzz/{name}").stable_json()
     # "Identical" below is known to cover the delivery-order series.
     assert any(k.startswith("simmpi.mailbox_depth{rank=")
                for k in record["series"]), f"{name}: no mailbox series"
-    return {"record": record, "report": res.causal_report().to_dict()}
+    return {"record": record, "report": res.causal_report().to_dict(),
+            "causal": causal_table(res.obs)}
 
 
 def fuzz(name, n, seed=0, busy=2):

@@ -2,7 +2,7 @@
 
 from repro.analyze import analyze_obs, check_collectives, check_leaks
 from repro.simmpi import run_world
-from tests.analyze.tracestub import StubObs, coll, post
+from tests.analyze.tracestub import StubObs, coll, msg
 
 
 class TestCollectives:
@@ -37,8 +37,9 @@ class TestCollectives:
 
 class TestLeaks:
     def test_unreceived_message_reported(self):
-        obs = StubObs(posts=[post(5, src=1, dst=0, t_post=0.5)],
-                      consumed=())
+        obs = StubObs(messages=[msg(5, src=1, dst=0, t_post=0.5),
+                                msg(6, src=1, dst=0, t_post=0.5,
+                                    t_recv=0.6)])
         findings = check_leaks(obs)
         assert len(findings) == 1
         assert findings[0].kind == "message-leak"
@@ -46,7 +47,7 @@ class TestLeaks:
         assert findings[0].detail["msg_id"] == 5
 
     def test_real_leak_detected_at_finalize(self):
-        """A send nobody receives shows up in the pending-send table."""
+        """A send nobody receives keeps a record with no receive."""
 
         def main(comm):
             if comm.rank == 0:

@@ -65,7 +65,8 @@ class TestSameSeedSameLedgers:
 class TestAnalyzerDeterminism:
     def test_findings_and_trace_identical_across_runs(self):
         """Message ids are per-sender streams, so even the raw causal
-        trace (posts, matches, candidate sets) replays identically."""
+        trace (every message record, candidate sets included) replays
+        identically."""
         from repro.bench.drivers import _lowfive_wf, _check
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
@@ -75,18 +76,15 @@ class TestAnalyzerDeterminism:
                              PFSStore())
             res = wf.run(model=THETA_KNL.net, timeout=120.0)
             assert _check(res.returns["consumer"])
-            causal = res.obs.causal
             return {
-                "posts": [(p.msg_id, p.src, p.dst, p.tag, p.t_post,
-                           p.t_arrival) for p in causal.posts()],
-                "matches": [(m.dst, m.msg_id, m.t_match, m.candidates)
-                            for m in causal.matches()],
+                "causal": schedfuzz.causal_table(res.obs),
                 "findings": [f.to_dict() for f in analyze_obs(res.obs)],
             }
 
         a, b = one(), one()
         assert a == b
         assert a["findings"] == []
+        assert any(m["candidates"] for m in a["causal"]["messages"])
 
 
 def _report_fingerprint(res):

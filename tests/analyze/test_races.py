@@ -3,7 +3,7 @@
 from repro.analyze import analyze_obs, find_races
 from repro.faults import FaultPlan, MessageFaultRule
 from repro.simmpi import ANY_SOURCE, run_world
-from tests.analyze.tracestub import StubObs, match, post
+from tests.analyze.tracestub import StubObs, msg
 
 
 def busy_receiver(comm):
@@ -58,20 +58,13 @@ def _two_candidate_match(winner_post, winner_arr, rival_post, rival_arr,
     """A trace with one 2-candidate wildcard match on rank 0; the rival
     either drains into the same stream later or is never received."""
     w_id, r_id = 10, 20
-    posts = [post(w_id, src=2, dst=0, t_post=winner_post,
-                  t_arrival=winner_arr),
-             post(r_id, src=1, dst=0, t_post=rival_post,
-                  t_arrival=rival_arr)]
-    cands = ((w_id, 2, winner_post, winner_arr),
-             (r_id, 1, rival_post, rival_arr))
-    matches = [match(dst=0, msg_id=w_id, t_match=1.0, candidates=cands)]
-    consumed = {w_id}
-    if rival_matched_same_stream:
-        matches.append(match(dst=0, msg_id=r_id, t_match=1.1,
-                             candidates=((r_id, 1, rival_post,
-                                          rival_arr),)))
-        consumed.add(r_id)
-    return StubObs(posts=posts, matches=matches, consumed=consumed)
+    rival = (dict(t_recv=1.1, spec=(-1, 0), candidates=(r_id,))
+             if rival_matched_same_stream else {})
+    return StubObs(messages=[
+        msg(w_id, src=2, dst=0, t_post=winner_post, t_arrival=winner_arr,
+            t_recv=1.0, spec=(-1, 0), candidates=(w_id, r_id)),
+        msg(r_id, src=1, dst=0, t_post=rival_post, t_arrival=rival_arr,
+            **rival)])
 
 
 class TestDefinition:
@@ -104,18 +97,12 @@ class TestDefinition:
     def test_causally_ordered_candidates_are_not_racy(self):
         """If the rival's send happens-before the winner's send, the
         pair is ordered no matter what the arrival times say."""
-        from tests.analyze.tracestub import edge
-
         # rank 1 sends m1 to rank 2; rank 2 receives it, then sends m2
-        # to rank 0. A forged candidate set pairs m1 and m2.
-        posts = [post(1, src=1, dst=2, t_post=0.1, t_arrival=0.15),
-                 post(2, src=2, dst=0, t_post=0.3, t_arrival=0.35)]
-        edges = [edge(1, src=1, dst=2, t_recv=0.2, t_post=0.1,
-                      t_arrival=0.15)]
-        # inversion on paper: m1 posted earlier, "arrives" later
-        cands = ((2, 2, 0.3, 0.35), (1, 1, 0.1, 0.5))
-        obs = StubObs(posts=posts, edges=edges,
-                      matches=[match(dst=0, msg_id=2, t_match=1.0,
-                                     candidates=cands)],
-                      consumed={1, 2})
+        # to rank 0. A forged candidate set pairs m1 and m2, and a
+        # forged arrival makes it an inversion on paper: m2 posted
+        # later, "arrives" earlier.
+        obs = StubObs(messages=[
+            msg(1, src=1, dst=2, t_post=0.1, t_arrival=0.15, t_recv=0.2),
+            msg(2, src=2, dst=0, t_post=0.3, t_arrival=0.12, t_recv=1.0,
+                spec=(-1, 0), candidates=(1, 2))])
         assert find_races(obs) == []

@@ -92,7 +92,7 @@ class TestReplay:
         res = run_world(4, fan_in, timeout=30.0)
         causal = res.obs.causal
         hb = build_happens_before(res.obs)
-        t_post = {p.msg_id: p.t_post for p in causal.posts()}
+        t_post = {p.msg_id: p.t_post for p in causal.messages()}
         for a, ta in t_post.items():
             for b, tb in t_post.items():
                 if happens_before(hb.send_vc[a], hb.send_vc[b]):
@@ -118,13 +118,11 @@ class TestReplay:
     def test_inconsistent_trace_raises(self):
         """A cyclically-forged trace (each rank receives the other's
         message before sending its own) admits no replay."""
-        from tests.analyze.tracestub import StubObs, edge, post
+        from tests.analyze.tracestub import StubObs, msg
 
-        obs = StubObs(
-            posts=[post(msg_id=1, src=0, dst=1, t_post=2.0),
-                   post(msg_id=2, src=1, dst=0, t_post=2.0)],
-            edges=[edge(msg_id=2, src=1, dst=0, t_recv=1.0),
-                   edge(msg_id=1, src=0, dst=1, t_recv=1.0)],
-        )
+        obs = StubObs(messages=[
+            msg(msg_id=2, src=1, dst=0, t_post=2.0, t_recv=1.0),
+            msg(msg_id=1, src=0, dst=1, t_post=2.0, t_recv=1.0),
+        ])
         with pytest.raises(TraceInconsistency):
             build_happens_before(obs)

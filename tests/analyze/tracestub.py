@@ -1,41 +1,26 @@
 """A hand-built causal trace for analyzer unit tests.
 
 The dynamic analyzers consume only the recorder's *read* API
-(``posts()``, ``edges()``, ``collectives()``, ``matches()``,
-``consumed_ids()``), so fixtures can assemble the real record
-dataclasses directly and skip running a simulation -- mismatched
-collectives and forged inconsistent traces are states a healthy run
-cannot even produce.
+(``messages()``, ``edges()``, ``collectives()``), so fixtures can
+assemble the real record dataclasses directly and skip running a
+simulation -- mismatched collectives and forged inconsistent traces are
+states a healthy run cannot even produce.
 """
 
-from repro.obs.causal import (
-    CollectiveRecord,
-    FlowEdge,
-    MatchRecord,
-    PendingSend,
-)
+from repro.obs.causal import CollectiveRecord, FlowEdge
 
 
-def post(msg_id, src, dst, t_post, tag=0, comm_id=1, nbytes=8,
-         t_arrival=None):
-    return PendingSend(msg_id=msg_id, src=src, dst=dst, tag=tag,
-                       comm_id=comm_id, nbytes=nbytes, t_post=t_post,
-                       t_arrival=t_post if t_arrival is None
-                       else t_arrival)
-
-
-def edge(msg_id, src, dst, t_recv, tag=0, comm_id=1, nbytes=8,
-         t_post=0.0, t_arrival=None):
-    arr = t_recv if t_arrival is None else t_arrival
+def msg(msg_id, src, dst, t_post=0.0, tag=0, comm_id=1, nbytes=8,
+        t_arrival=None, t_recv=None, spec=None, candidates=()):
+    """One message record; received (its receive starting at arrival)
+    when ``t_recv`` is given, by a wildcard receive when ``spec`` is."""
+    arr = t_post if t_arrival is None else t_arrival
     return FlowEdge(msg_id=msg_id, src=src, dst=dst, tag=tag,
                     comm_id=comm_id, nbytes=nbytes, t_post=t_post,
-                    t_arrival=arr, t_recv_start=arr, t_recv=t_recv)
-
-
-def match(dst, msg_id, t_match, candidates, source=-1, tag=0, comm_id=1):
-    return MatchRecord(dst=dst, comm_id=comm_id, source=source, tag=tag,
-                       msg_id=msg_id, t_match=t_match,
-                       candidates=tuple(candidates))
+                    t_arrival=arr,
+                    t_recv_start=None if t_recv is None else arr,
+                    t_recv=t_recv, spec=spec,
+                    candidates=tuple(candidates))
 
 
 def coll(coll_id, enter_clocks, t_end, kind="barrier", comm_id=1,
@@ -50,34 +35,23 @@ def coll(coll_id, enter_clocks, t_end, kind="barrier", comm_id=1,
 
 
 class StubCausal:
-    def __init__(self, posts=(), edges=(), collectives=(), matches=(),
-                 consumed=()):
-        self._posts = list(posts)
-        self._edges = list(edges)
+    def __init__(self, messages=(), collectives=()):
+        self._msgs = list(messages)
         self._colls = list(collectives)
-        self._matches = list(matches)
-        self._consumed = set(consumed)
 
-    def posts(self):
-        return list(self._posts)
+    def messages(self):
+        return sorted(self._msgs, key=lambda m: m.msg_id)
 
     def edges(self):
-        return list(self._edges)
+        """Received records, in fixture order."""
+        return [m for m in self._msgs if m.t_recv is not None]
 
     def collectives(self):
         return list(self._colls)
-
-    def matches(self):
-        return list(self._matches)
-
-    def consumed_ids(self):
-        return set(self._consumed)
 
 
 class StubObs:
     """Duck-typed ``Observability`` carrying only the causal trace."""
 
-    def __init__(self, posts=(), edges=(), collectives=(), matches=(),
-                 consumed=()):
-        self.causal = StubCausal(posts, edges, collectives, matches,
-                                 consumed)
+    def __init__(self, messages=(), collectives=()):
+        self.causal = StubCausal(messages, collectives)

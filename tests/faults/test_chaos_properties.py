@@ -94,7 +94,7 @@ def trace_key(result):
     causal = result.obs.causal
     return sorted(
         [(p.t_post, "send", p.src, p.dst, p.tag, p.nbytes,
-          (p.t_arrival,)) for p in causal.posts()]
+          (p.t_arrival,)) for p in causal.messages()]
         + [(e.t_recv, "recv", e.dst, e.src, e.tag, e.nbytes,
             (e.t_recv_start,)) for e in causal.edges()]
         + [(c.t_end, "coll", c.straggler, -1, 0, c.nbytes,

@@ -113,7 +113,7 @@ BIG_SHAPE = (96, 64, 64)
 
 def marker_and_bundle_arrivals(res):
     """Per producer world rank: (marker arrival, bundle arrival)."""
-    posts = res.obs.causal.posts()
+    posts = res.obs.causal.messages()
     out = {}
     for src in sorted({p.src for p in posts
                        if p.tag == StagedMetadataVOL.TAG_STAGE}):

@@ -18,12 +18,14 @@ from repro.obs.causal import (
 from repro.simmpi import Engine
 
 
-def _edge(obs, **kw):
-    """Record a FlowEdge with boring defaults for unspecified fields."""
-    base = dict(msg_id=1, src=0, dst=1, tag=5, comm_id=1, nbytes=8,
-                t_post=0.0, t_arrival=0.0, t_recv_start=0.0, t_recv=0.0)
-    base.update(kw)
-    return obs.causal.edge(**base)
+def _edge(obs, t_recv_start=0.0, t_recv=0.0, **kw):
+    """Post and receive one message, boring defaults for unspecified
+    fields."""
+    post = dict(msg_id=1, src=0, dst=1, tag=5, comm_id=1, nbytes=8,
+                t_post=0.0, t_arrival=0.0)
+    post.update(kw)
+    obs.causal.post(**post)
+    obs.causal.receive(post["msg_id"], t_recv_start, t_recv)
 
 
 class TestFlowEdgeMath:
@@ -135,6 +137,76 @@ class TestDominantSpan:
         rec = ObsContext().spans
         rec.add("s", "", 0, 0.0, 1.0)
         assert dominant_span(rec.spans(), 0.5, 0.5) is None
+
+
+class TestMessageRecord:
+    """One record per message: ``post`` creates it, ``receive``
+    completes it in place."""
+
+    def test_receive_completes_the_posted_record(self):
+        c = ObsContext().causal
+        c.post(7, 0, 1, 5, 1, 8, 1.0, 2.0)
+        c.post(3, 1, 0, 6, 1, 8, 1.5, 2.5)
+        assert [m.msg_id for m in c.messages()] == [3, 7]
+        rec = c.messages()[1]
+        assert rec.t_recv is None and c.edges() == []
+        c.receive(7, 0.5, 2.1, (-1, 5), (3, 7))
+        e, = c.edges()
+        assert e is rec
+        assert (e.t_recv_start, e.t_recv) == (0.5, 2.1)
+        assert (e.spec, e.candidates) == ((-1, 5), (3, 7))
+        assert c.messages()[0].t_recv is None  # msg 3: never received
+
+    def test_edges_keep_receive_completion_order(self):
+        c = ObsContext().causal
+        for i in (1, 2, 3):
+            c.post(i, 0, 1, 0, 1, 8, 0.0, 0.0)
+        for i in (3, 1, 2):
+            c.receive(i, 0.0, 1.0)
+        assert [e.msg_id for e in c.edges()] == [3, 1, 2]
+        assert [m.msg_id for m in c.messages()] == [1, 2, 3]
+        assert all(m.spec is None and m.candidates == ()
+                   for m in c.messages())
+
+    @staticmethod
+    def _assert_one_record_per_message(res):
+        msgs = res.obs.causal.messages()
+        edges = res.obs.causal.edges()
+        assert len(msgs) == res.messages
+        received = [m for m in msgs if m.t_recv is not None]
+        assert len(edges) == len(received)
+        assert {id(e) for e in edges} == {id(m) for m in received}
+        posted = {m.msg_id for m in msgs}
+        wild = [e for e in edges if e.spec is not None]
+        assert wild
+        for e in wild:
+            assert e.msg_id in e.candidates
+            assert set(e.candidates) <= posted
+            assert list(e.candidates) == sorted(e.candidates)
+
+    def test_halo_ring(self):
+        from repro.simmpi import ANY_SOURCE, run_world
+
+        def ring(comm):
+            right = (comm.rank + 1) % comm.size
+            left = (comm.rank - 1) % comm.size
+            for step in range(4):
+                comm.send(step, dest=right, tag=1)
+                comm.send(step, dest=left, tag=2)
+                comm.recv(source=left, tag=1)
+                comm.recv(source=ANY_SOURCE, tag=2)
+
+        res = run_world(6, ring, timeout=30.0)
+        assert res.messages == 48
+        self._assert_one_record_per_message(res)
+        assert all(m.t_recv is not None for m in res.obs.causal.messages())
+
+    def test_fig5_memory(self):
+        from repro.tools import run_workload, workload_args
+
+        res = run_workload(workload_args(
+            nprod=2, ncons=1, grid_points=512, particles=256))
+        self._assert_one_record_per_message(res)
 
 
 class TestRecorderFilters:

@@ -13,11 +13,12 @@ from repro.obs.critpath import (
 from repro.simmpi import Engine
 
 
-def _edge(obs, **kw):
-    base = dict(msg_id=1, src=0, dst=1, tag=5, comm_id=1, nbytes=8,
-                t_post=0.0, t_arrival=0.0, t_recv_start=0.0, t_recv=0.0)
-    base.update(kw)
-    return obs.causal.edge(**base)
+def _edge(obs, t_recv_start=0.0, t_recv=0.0, **kw):
+    post = dict(msg_id=1, src=0, dst=1, tag=5, comm_id=1, nbytes=8,
+                t_post=0.0, t_arrival=0.0)
+    post.update(kw)
+    obs.causal.post(**post)
+    obs.causal.receive(post["msg_id"], t_recv_start, t_recv)
 
 
 class TestSyntheticWalks:

@@ -123,9 +123,9 @@ class TestFlowEvents:
         obs = ObsContext()
         obs.set_task("sim", [0])
         obs.set_task("ana", [1])
-        obs.causal.edge(msg_id=42, src=0, dst=1, tag=7, comm_id=1,
-                        nbytes=64, t_post=1.0, t_arrival=1.5,
-                        t_recv_start=0.5, t_recv=1.5)
+        obs.causal.post(msg_id=42, src=0, dst=1, tag=7, comm_id=1,
+                        nbytes=64, t_post=1.0, t_arrival=1.5)
+        obs.causal.receive(42, t_recv_start=0.5, t_recv=1.5)
         return obs
 
     def test_edge_becomes_s_f_pair(self):

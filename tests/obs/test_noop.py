@@ -110,8 +110,8 @@ class TestDerivedSurface:
         obs = ObsContext()
         for attr, cls in SURFACE.items():
             for name in cls.PRODUCERS:
-                if name in ("edge", "end"):
-                    continue  # need FlowEdge fields / an open handle
+                if name == "end":
+                    continue  # needs an open handle
                 args = required_args(getattr(cls, name), tmp_path)
                 getattr(part(obs, attr), name)(*args)
         fresh = query_state(ObsContext())

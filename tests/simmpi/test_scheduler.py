@@ -172,6 +172,85 @@ class TestTargetedWakeups:
                   faults=FaultPlan(5, messages=rules))
 
 
+#: Every message duplicated, with and without delays (a delayed
+#: original also delays its twin, by ``dup_delay`` more).
+DUP_RULES = {
+    "dup": MessageFaultRule(p_duplicate=1.0),
+    "dup+delay": MessageFaultRule(p_duplicate=1.0, p_delay=1.0,
+                                  max_delay=1e-3),
+}
+
+
+class TestDuplicateTwinsNeverMatch:
+    """An injected twin arrives no earlier than its original, gets a
+    later seq and shares its ``(src, tag)`` bucket, so it always sorts
+    after it; taking the original purges it. No receive -- concrete,
+    wildcard or serve lane -- can ever take a twin, which is why the
+    causal record holds one record per original and none per twin."""
+
+    @pytest.fixture
+    def popped(self, monkeypatch):
+        """``(source, tag, message)`` of every ``pop_match``."""
+        from repro.simmpi.mailbox import CommMailbox
+
+        out = []
+        real = CommMailbox.pop_match
+
+        def spy(self, source, tag, consumed):
+            msg = real(self, source, tag, consumed)
+            out.append((source, tag, msg))
+            return msg
+
+        monkeypatch.setattr(CommMailbox, "pop_match", spy)
+        return out
+
+    @staticmethod
+    def _assert_no_twin(popped):
+        assert popped
+        assert all(m.dup_of is None for _, _, m in popped)
+        assert any(m.has_dup for _, _, m in popped)  # twins did exist
+
+    @pytest.mark.parametrize("rule", list(DUP_RULES))
+    def test_concrete_and_wildcard_receives(self, popped, rule):
+        def main(comm):
+            if comm.rank == 0:
+                for src in range(1, comm.size):
+                    for k in range(3):
+                        assert comm.recv(source=src, tag=k)[0] == (src, k)
+                got = sorted(comm.recv(source=ANY_SOURCE, tag=ANY_TAG)[0]
+                             for _ in range(3 * (comm.size - 1)))
+                assert got == sorted((src, 10 + k)
+                                     for src in range(1, comm.size)
+                                     for k in range(3))
+                assert comm.probe(block=False) is None
+                return
+            for k in (0, 1, 2, 10, 11, 12):
+                comm.send((comm.rank, k), dest=0, tag=k)
+
+        run_world(4, main, timeout=30.0,
+                  faults=FaultPlan(3, messages=[DUP_RULES[rule]]))
+        self._assert_no_twin(popped)
+        assert {s == ANY_SOURCE for s, _, _ in popped} == {True, False}
+
+    @pytest.mark.parametrize("rule", list(DUP_RULES))
+    def test_serve_lane_receives(self, popped, rule):
+        from repro.bench.drivers import _check, _lowfive_wf
+        from repro.lowfive.rpc import TAG_REQUEST
+        from repro.perfmodel.transports import THETA_KNL
+        from repro.pfs import PFSStore
+        from repro.synth import SyntheticWorkload
+
+        wf = _lowfive_wf(2, 1, SyntheticWorkload(grid_points_per_proc=512,
+                                                 particles_per_proc=256),
+                         THETA_KNL, "memory", PFSStore())
+        res = wf.run(model=THETA_KNL.net, timeout=60.0,
+                     faults=FaultPlan(3, messages=[DUP_RULES[rule]]))
+        assert _check(res.returns["consumer"])
+        self._assert_no_twin(popped)
+        assert any(s == ANY_SOURCE and t == TAG_REQUEST
+                   for s, t, _ in popped)
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self):
         """Same program, same seed => bit-identical virtual results,

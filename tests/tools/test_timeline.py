@@ -26,16 +26,15 @@ def recorded_run():
 
 
 def send(obs, t, src, dst, nbytes=10, msg_id=None):
-    """Hand-record one posted message."""
-    msg_id = len(obs.causal.posts()) if msg_id is None else msg_id
+    """Hand-record one posted message; returns its id."""
+    msg_id = len(obs.causal.messages()) if msg_id is None else msg_id
     obs.causal.post(msg_id, src, dst, 0, 1, nbytes, t, t)
+    return msg_id
 
 
 def recv(obs, t, src, dst, nbytes=10):
-    """Hand-record one completed receive."""
-    obs.causal.edge(msg_id=0, src=src, dst=dst, tag=0, comm_id=1,
-                    nbytes=nbytes, t_post=t, t_arrival=t, t_recv_start=t,
-                    t_recv=t)
+    """Hand-record one message posted and received at ``t``."""
+    obs.causal.receive(send(obs, t, src, dst, nbytes), t, t)
 
 
 def coll(obs, t, ranks=(0,), nbytes=0):
@@ -47,20 +46,20 @@ def coll(obs, t, ranks=(0,), nbytes=0):
 class TestCausalRecord:
     def test_events_recorded(self):
         causal = recorded_run().obs.causal
-        assert len(causal.posts()) == 2
+        assert len(causal.messages()) == 2
         assert len(causal.edges()) == 2
         barrier, = causal.collectives()
         assert sorted(barrier.enter_clocks) == [0, 1, 2]  # each rank
 
     def test_events_carry_world_ranks_and_bytes(self):
         causal = recorded_run().obs.causal
-        assert {(p.src, p.dst, p.nbytes) for p in causal.posts()} == {
+        assert {(p.src, p.dst, p.nbytes) for p in causal.messages()} == {
             (0, 1, 100), (0, 2, 50)
         }
         assert all(e.src == 0 for e in causal.edges())
 
     def test_posts_ordered_by_sender_stream(self):
-        posts = recorded_run().obs.causal.posts()
+        posts = recorded_run().obs.causal.messages()
         assert [p.t_post for p in posts] == sorted(p.t_post for p in posts)
 
     def test_workflow_record_passthrough(self):
@@ -75,7 +74,7 @@ class TestCausalRecord:
         wf.add_task("b", 1, b)
         wf.add_link("a", "b")
         res = wf.run()
-        assert res.obs.causal.posts()
+        assert res.obs.causal.messages()
         # Intercomm recv resolves the sender's *world* rank.
         edge = res.obs.causal.edges()[0]
         assert (edge.dst, edge.src) == (1, 0)
@@ -83,7 +82,7 @@ class TestCausalRecord:
     def test_solo_workflow_has_no_messages(self):
         wf = Workflow()
         wf.add_task("solo", 1, lambda ctx: None)
-        assert wf.run().obs.causal.posts() == []
+        assert wf.run().obs.causal.messages() == []
 
 
 class TestTimeline:
@@ -194,7 +193,7 @@ class TestMatrix:
 
         res = run_workload(workload_args(
             nprod=2, ncons=1, grid_points=512, particles=256))
-        assert len(res.obs.causal.posts()) == res.messages
+        assert len(res.obs.causal.messages()) == res.messages
         assert communication_matrix(res.obs, 3).sum() == res.bytes_sent
 
     def test_render_matrix_totals(self):
