@@ -45,6 +45,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TypeGuard
 
+from repro.analyze.frontend import (
+    H5_FILE_TARGETS, Imports, check_files, dotted, resolve,
+    suppressed_lines,
+)
+
 #: Rule code -> one-line description (the lint rule table).
 RULES = {
     "ANL001": "wall-clock call in virtual-time code",
@@ -54,9 +59,6 @@ RULES = {
     "ANL005": "h5 file opened without with/close in this function",
     "ANL006": "bare except swallows RankFailure",
 }
-
-#: Call targets (after import resolution) that open a simulated file.
-_H5_FILE = {"repro.h5.File", "repro.h5.api.File", "h5.File"}
 
 #: Dotted call targets that read or spend real time.
 _WALLCLOCK = {
@@ -104,18 +106,6 @@ class Violation:
                f"{self.message}"
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` as a string for Name/Attribute chains, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _clockish(node: ast.AST) -> bool:
     """True for expressions that read a virtual clock."""
     name = None
@@ -128,35 +118,6 @@ def _clockish(node: ast.AST) -> bool:
     name = name.lower()
     return name in ("clock", "vtime") or name.endswith("_clock") \
         or name.endswith("_vtime")
-
-
-class _Imports(ast.NodeVisitor):
-    """Maps local names to the dotted path they import."""
-
-    def __init__(self) -> None:
-        self.alias: dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for a in node.names:
-            self.alias[a.asname or a.name.split(".")[0]] = \
-                a.name if a.asname else a.name.split(".")[0]
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return
-        for a in node.names:
-            self.alias[a.asname or a.name] = f"{node.module}.{a.name}"
-
-
-def _resolve(dotted: str | None, alias: dict[str, str]) -> str | None:
-    """Expand the leading segment of a dotted chain through imports."""
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    base = alias.get(head)
-    if base is None:
-        return dotted
-    return f"{base}.{rest}" if rest else base
 
 
 class _RequestTracker(ast.NodeVisitor):
@@ -388,7 +349,8 @@ class _FileTracker(ast.NodeVisitor):
 
     def _is_file_call(self, node: ast.AST) -> TypeGuard[ast.Call]:
         return (isinstance(node, ast.Call)
-                and _resolve(_dotted(node.func), self.alias) in _H5_FILE)
+                and resolve(dotted(node.func), self.alias)
+                in H5_FILE_TARGETS)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._is_file_call(node.value) and len(node.targets) == 1 \
@@ -450,23 +412,6 @@ class _FileTracker(ast.NodeVisitor):
                 "function (leaks the handle on every path)"))
 
 
-def _suppressed_lines(source: str) -> set[tuple[str, int]]:
-    """``(code, line)`` pairs silenced by ``# noqa`` comments."""
-    out: set[tuple[str, int]] = set()
-    for i, text in enumerate(source.splitlines(), start=1):
-        if "# noqa" not in text:
-            continue
-        _, _, tail = text.partition("# noqa")
-        tail = tail.strip()
-        if tail.startswith(":"):
-            for code in tail[1:].replace(",", " ").split():
-                out.add((code.strip(), i))
-        else:
-            for code in RULES:
-                out.add((code, i))
-    return out
-
-
 def lint_source(source: str, path: str,
                 skip: frozenset[str] = frozenset()) -> list[Violation]:
     """Lint one file's text; ``skip`` holds rule codes to ignore."""
@@ -475,8 +420,8 @@ def lint_source(source: str, path: str,
     except SyntaxError as exc:
         return [Violation(path, exc.lineno or 0, exc.offset or 0,
                           "ANL000", f"syntax error: {exc.msg}")]
-    suppressed = _suppressed_lines(source)
-    imports = _Imports()
+    suppressed = suppressed_lines(source, RULES)
+    imports = Imports()
     imports.visit(tree)
     alias = imports.alias
     out: list[Violation] = []
@@ -489,7 +434,7 @@ def lint_source(source: str, path: str,
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            target = _resolve(_dotted(node.func), alias)
+            target = resolve(dotted(node.func), alias)
             if target in _WALLCLOCK:
                 flag("ANL001", node,
                      f"wall-clock call {target}() in virtual-time "
@@ -507,7 +452,7 @@ def lint_source(source: str, path: str,
                      "a tolerance (clock arithmetic accumulates "
                      "rounding)")
         elif isinstance(node, ast.ExceptHandler):
-            caught = _dotted(node.type) if node.type is not None else None
+            caught = dotted(node.type) if node.type is not None else None
             swallows = node.type is None \
                 or caught in ("Exception", "BaseException")
             reraises = any(isinstance(n, ast.Raise)
@@ -534,31 +479,15 @@ def lint_source(source: str, path: str,
     return out
 
 
-def _skip_for(path: str,
-              allowlist: dict[str, tuple[str, ...]] | None,
-              ) -> frozenset[str]:
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
+def _skip_for(path: str) -> frozenset[str]:
+    """Rule codes :data:`DEFAULT_ALLOWLIST` silences for ``path``."""
     norm = path.replace(os.sep, "/")
-    return frozenset(code for code, suffixes in allowlist.items()
+    return frozenset(code for code, suffixes in DEFAULT_ALLOWLIST.items()
                      if any(norm.endswith(s) for s in suffixes))
 
 
-def lint_paths(paths: Iterable[str],
-               allowlist: dict[str, tuple[str, ...]] | None = None,
-               ) -> list[Violation]:
-    """Lint files and directory trees; returns sorted violations."""
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                files.extend(os.path.join(root, n)
-                             for n in names if n.endswith(".py"))
-        elif p.endswith(".py"):
-            files.append(p)
-    out: list[Violation] = []
-    for f in sorted(set(files)):
-        with open(f, encoding="utf-8") as fh:
-            source = fh.read()
-        out.extend(lint_source(source, f, _skip_for(f, allowlist)))
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return out
+def lint_paths(paths: Iterable[str]) -> list[Violation]:
+    """Lint files and directory trees; violations in path, then line
+    order."""
+    return check_files(
+        paths, lambda source, f: lint_source(source, f, _skip_for(f)))

@@ -23,53 +23,33 @@ PRO005    Tag/comm type confusion: non-int tags/peers, or a match
           that only works across different communicators.
 ========  ==========================================================
 
-Suppression mirrors the lint: a trailing ``# noqa: PRO00X`` silences
-the line, :data:`DEFAULT_ALLOWLIST` silences rule/path pairs, and the
-known-bad corpus under ``tests/analyze/proto_corpus/`` is excluded
-from directory walks (it exists to be bad) while staying reachable as
-an explicit file target.
+Suppression mirrors the lint (:mod:`repro.analyze.frontend`): a
+trailing ``# noqa: PRO00X`` silences the line, and the known-bad
+corpus under ``tests/analyze/proto_corpus/`` is excluded from
+directory walks (it exists to be bad) while staying reachable as an
+explicit file target.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from collections.abc import Iterable
 
+from repro.analyze.frontend import check_files, suppressed_lines
 from repro.analyze.proto.rules import (
     PROTO_RULES, ProtoFinding, STATIC_PROTOCOL, check_tree,
 )
 
 __all__ = [
     "PROTO_RULES", "ProtoFinding", "STATIC_PROTOCOL",
-    "check_source", "check_paths", "DEFAULT_ALLOWLIST",
+    "check_source", "check_paths",
 ]
-
-#: ``rule -> path suffixes`` where the rule does not apply.
-DEFAULT_ALLOWLIST: dict[str, tuple[str, ...]] = {}
 
 #: Directory fragments excluded from directory walks: fixture trees
 #: that are intentionally protocol-broken.
 EXCLUDED_DIR_FRAGMENTS = (
     "tests/analyze/proto_corpus",
 )
-
-
-def _suppressed_lines(source: str) -> set[tuple[str, int]]:
-    """``(code, line)`` pairs silenced by ``# noqa`` comments."""
-    out: set[tuple[str, int]] = set()
-    for i, text in enumerate(source.splitlines(), start=1):
-        if "# noqa" not in text:
-            continue
-        _, _, tail = text.partition("# noqa")
-        tail = tail.strip()
-        if tail.startswith(":"):
-            for code in tail[1:].replace(",", " ").split():
-                out.add((code.strip(), i))
-        else:
-            for code in PROTO_RULES:
-                out.add((code, i))
-    return out
 
 
 def check_source(source: str, path: str,
@@ -83,47 +63,17 @@ def check_source(source: str, path: str,
             rule="PRO000", path=path, line=exc.lineno or 0,
             col=exc.offset or 0, func="<module>",
             message=f"syntax error: {exc.msg}")]
-    suppressed = _suppressed_lines(source)
+    suppressed = suppressed_lines(source, PROTO_RULES)
     return [f for f in check_tree(tree, path)
             if f.rule not in skip
             and (f.rule, f.line) not in suppressed]
 
 
-def _skip_for(path: str,
-              allowlist: dict[str, tuple[str, ...]] | None,
-              ) -> frozenset[str]:
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
-    norm = path.replace(os.sep, "/")
-    return frozenset(code for code, suffixes in allowlist.items()
-                     if any(norm.endswith(s) for s in suffixes))
-
-
-def _excluded(path: str) -> bool:
-    norm = path.replace(os.sep, "/")
-    return any(frag in norm for frag in EXCLUDED_DIR_FRAGMENTS)
-
-
-def check_paths(paths: Iterable[str],
-                allowlist: dict[str, tuple[str, ...]] | None = None,
-                ) -> list[ProtoFinding]:
-    """Check files and directory trees; returns sorted findings.
+def check_paths(paths: Iterable[str]) -> list[ProtoFinding]:
+    """Check files and directory trees; findings in path, then line
+    order.
 
     Directory walks skip the known-bad corpus; naming a corpus file
     explicitly still checks it (that is how its tests assert on it).
     """
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, names in os.walk(p):
-                files.extend(os.path.join(root, n) for n in names
-                             if n.endswith(".py")
-                             and not _excluded(os.path.join(root, n)))
-        elif p.endswith(".py"):
-            files.append(p)
-    out: list[ProtoFinding] = []
-    for f in sorted(set(files)):
-        with open(f, encoding="utf-8") as fh:
-            source = fh.read()
-        out.extend(check_source(source, f, _skip_for(f, allowlist)))
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return out
+    return check_files(paths, check_source, EXCLUDED_DIR_FRAGMENTS)

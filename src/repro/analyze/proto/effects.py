@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analyze.frontend import H5_FILE_TARGETS, dotted, resolve
 from repro.analyze.proto import domain
 from repro.analyze.proto.domain import Binding, Sym, SYM_TOP
 
@@ -35,9 +36,6 @@ _ANY_SOURCE_NAMES = {"repro.simmpi.ANY_SOURCE", "ANY_SOURCE",
                      "repro.simmpi.message.ANY_SOURCE"}
 _ANY_TAG_NAMES = {"repro.simmpi.ANY_TAG", "ANY_TAG",
                   "repro.simmpi.message.ANY_TAG"}
-
-#: Import-resolved call targets that open an h5 file handle.
-H5_FILE_TARGETS = {"repro.h5.File", "repro.h5.api.File", "h5.File"}
 
 #: Method names that enter a collective rendezvous, mapped to the
 #: operation kind the dynamic layer would record.
@@ -131,18 +129,6 @@ class HandleEvent:
     line: int = 0
 
 
-def dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for Name/Attribute chains, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _arg(call: ast.Call, pos: int, name: str) -> ast.expr | None:
     """Positional-or-keyword argument lookup."""
     if len(call.args) > pos \
@@ -171,15 +157,6 @@ class Evaluator:
 
     # -- helpers -----------------------------------------------------------
 
-    def _resolve(self, name: str | None) -> str | None:
-        if name is None:
-            return None
-        head, _, rest = name.partition(".")
-        base = self.alias.get(head)
-        if base is None:
-            return name
-        return f"{base}.{rest}" if rest else base
-
     def _emit(self, kind: str, node: ast.AST, **kw: object) -> None:
         eff = Effect(kind=kind, line=getattr(node, "lineno", 0),
                      col=getattr(node, "col_offset", 0),
@@ -201,7 +178,7 @@ class Evaluator:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            resolved = self._resolve(node.id)
+            resolved = resolve(node.id, self.alias)
             if resolved in _ANY_SOURCE_NAMES | _ANY_TAG_NAMES:
                 return SYM_ANY
             return SYM_TOP
@@ -279,7 +256,7 @@ class Evaluator:
             if out is not None:
                 return out
         # Plain calls resolved through imports.
-        target = self._resolve(dotted(func))
+        target = resolve(dotted(func), self.alias)
         if target == "range" and 1 <= len(node.args) <= 3 \
                 and not node.keywords:
             return RangeVal(tuple(self._sym(a, SYM_TOP)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.analyze.deadlock import find_cycle
 from repro.analyze.finding import Finding
-from repro.analyze.lint import _Imports
+from repro.analyze.frontend import Imports
 from repro.analyze.proto import domain
 from repro.analyze.proto.domain import Binding
 from repro.analyze.proto.effects import ANY, Effect
@@ -514,7 +514,7 @@ def _functions(tree: ast.Module) -> list[ast.FunctionDef]:
 
 def check_tree(tree: ast.Module, path: str) -> list[ProtoFinding]:
     """All PRO findings of one parsed module."""
-    imports = _Imports()
+    imports = Imports()
     imports.visit(tree)
     alias = imports.alias
     out: list[ProtoFinding] = []

@@ -1,46 +1,32 @@
 """Schedule-race detection over wildcard receive candidate sets.
 
-Every wildcard receive (``ANY_SOURCE``/``ANY_TAG``) records, on the
-:class:`~repro.obs.causal.FlowEdge` of the message it took, its spec
-and the exact set of live candidate messages the matcher chose
-between. The simulator always commits the candidate with the least
-``(arrival, src, seq)``, so the *simulated* schedule is deterministic;
-the question this detector answers is whether that choice stands in
-for a choice real MPI would also have made, or papers over a genuine
-race.
-
-A match is flagged when the winner and some other candidate are
+Every wildcard receive (``ANY_SOURCE``/``ANY_TAG``) records its spec
+on the :class:`~repro.obs.causal.FlowEdge` of the message it took;
+:func:`candidate_sets` rebuilds after the run, in virtual time, which
+messages it could have taken. The engine commits the candidate with
+the least ``(arrival, src, seq)``, so the winner is a function of the
+cost model. A race is a match that a small change to that model would
+hand to another sender: the winner and some other candidate are
 
 1. **causally concurrent** -- neither send happens-before the other
-   (:mod:`repro.analyze.vclock`), so no program ordering forced one
-   to arrive first, *and*
-2. **order-unstable** -- their modeled arrival order either *inverts*
-   their post order (the message posted earlier arrived later: the
-   winner is decided by modeled transfer times, which a real network
-   would perturb) or *ties* it exactly (the winner is decided by the
-   ``(src, seq)`` tie-break, which has no physical meaning at all),
-   *and*
-3. **assignment-relevant** -- resolving the pair the other way would
-   change which receive stream gets which message. An inversion
-   always qualifies (the modeled times deciding it are exactly what a
-   perturbation changes). An exact tie does not when both messages
-   are drained by the *same* stream -- the same ``(dst, comm, source,
-   tag)`` wildcard spec -- since either resolution then delivers the
-   same messages to the same receiver, differing only in an
-   intra-stream order the model itself declares symmetric. A tie
-   whose loser lands in a *different* stream (or is never received at
-   all) is a race: physical noise alone decides the assignment.
+   (:mod:`repro.analyze.vclock`), so no program order forced one to
+   arrive first, *and*
+2. **order-unstable** -- their arrival order either *inverts* their
+   post order (decided by modeled transfer times, which a perturbation
+   changes) or *ties* it exactly (decided by the ``(src, seq)``
+   tie-break, which has no physical meaning), *and*
+3. **assignment-relevant** -- an inversion always is. An exact tie is
+   not when both messages are drained by the *same* stream (the same
+   ``(dst, comm, source, tag)`` wildcard spec): either resolution
+   delivers the same messages to the same receiver. A tie whose loser
+   lands in another stream, or is never received, is a race.
 
-Candidates that are concurrent but arrive in post order are not
-races: any network that roughly preserves injection order delivers
-the same winner. Together these rules make a clean many-to-one server
-loop (the paper's fig5/fig7 workloads, including their symmetric
-same-instant control messages) analyze silent, while a fault-injected
-message delay deterministically fires.
-
-Documented limitation: an application that is order-sensitive to two
-*tied* messages within one receive stream can hide behind rule 3;
-the trace records who-got-what, not what the receiver did with it.
+Concurrent candidates that arrive in post order are not races. These
+rules keep a clean many-to-one server loop (fig5/fig7, including their
+symmetric same-instant control messages) silent, while a fault-injected
+message delay fires. Limitation: an application sensitive to the order
+of two tied messages within one stream hides behind rule 3; the trace
+records who got what, not what the receiver did with it.
 """
 
 from __future__ import annotations
@@ -49,6 +35,47 @@ from typing import Any
 
 from repro.analyze.finding import Finding, WILDCARD_RACE, msg_label
 from repro.analyze.vclock import HBRelation, build_happens_before
+
+#: ``ANY_SOURCE`` / ``ANY_TAG`` in a recorded spec.
+_ANY = -1
+
+
+def candidate_sets(causal: Any) -> dict[int, list[Any]]:
+    """The messages each wildcard receive could have taken.
+
+    Maps the msg id a wildcard receive W took to its candidate records,
+    in msg-id order. A record is eligible when it went to W's rank on
+    W's communicator, matches W's spec, was posted by ``max(
+    W.t_recv_start, W.t_arrival)`` and was not received before W (in
+    ``edges()`` order). Of each ``(src, tag)`` group of eligible records
+    only the head -- least ``(t_arrival, msg_id)``, the mailbox's bucket
+    order -- is a candidate; W heads its own group.
+    """
+    edges = causal.edges()
+    order = {e.msg_id: i for i, e in enumerate(edges)}
+    inbox: dict[tuple[int, int], list[Any]] = {}
+    for m in sorted(causal.messages(), key=lambda m: m.t_post):
+        inbox.setdefault((m.dst, m.comm_id), []).append(m)
+    out: dict[int, list[Any]] = {}
+    for i, w in enumerate(edges):
+        if w.spec is None:
+            continue
+        source, tag = w.spec
+        horizon = max(w.t_recv_start, w.t_arrival)
+        heads: dict[tuple[int, int], Any] = {}
+        for m in inbox[(w.dst, w.comm_id)]:
+            if m.t_post > horizon:
+                break
+            if ((source != _ANY and m.src != w.src)
+                    or (tag != _ANY and m.tag != tag)
+                    or order.get(m.msg_id, i) < i):
+                continue
+            head = heads.get((m.src, m.tag))
+            if head is None or ((m.t_arrival, m.msg_id)
+                                < (head.t_arrival, head.msg_id)):
+                heads[(m.src, m.tag)] = m
+        out[w.msg_id] = sorted(heads.values(), key=lambda m: m.msg_id)
+    return out
 
 
 def _unstable(winner: Any, other: Any) -> str | None:
@@ -83,13 +110,14 @@ def find_races(obs: Any, nranks: int | None = None,
     """
     if hb is None:
         hb = build_happens_before(obs, nranks)
-    msgs = {m.msg_id: m for m in obs.causal.messages()}
+    cands = candidate_sets(obs.causal)
     findings: list[Finding] = []
     for m in obs.causal.edges():
-        if len(m.candidates) < 2:
+        cset = cands.get(m.msg_id, [])
+        if len(cset) < 2:
             continue
         rivals: list[dict[str, Any]] = []
-        for cand in (msgs[c] for c in m.candidates if c != m.msg_id):
+        for cand in (c for c in cset if c.msg_id != m.msg_id):
             why = _unstable(m, cand)
             if why is None:
                 continue
@@ -115,7 +143,7 @@ def find_races(obs: Any, nranks: int | None = None,
                 "tag": tag,
                 "chosen": m.msg_id,
                 "t_match": m.t_recv_start,
-                "candidates": [_sent(msgs[c]) for c in m.candidates],
+                "candidates": [_sent(c) for c in cset],
                 "rivals": rivals,
             },
         ))

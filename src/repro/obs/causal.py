@@ -78,9 +78,9 @@ class FlowEdge:
     ``t_recv`` (receiver's clock after the completed receive).
 
     A wildcard receive also keeps its ``spec`` -- the local ``(source,
-    tag)`` it asked for, ``-1`` for ``ANY_SOURCE``/``ANY_TAG`` -- and the
-    sorted msg ids of the live ``candidates`` it chose from, itself
-    included; each candidate's sender and times are on its own record.
+    tag)`` it asked for, ``-1`` for ``ANY_SOURCE``/``ANY_TAG``. Which
+    other messages it could have taken is not recorded: the race
+    detector rebuilds that from the records after the run.
     """
 
     msg_id: int
@@ -94,7 +94,6 @@ class FlowEdge:
     t_recv_start: float | None = None
     t_recv: float | None = None
     spec: tuple[int, int] | None = None
-    candidates: tuple[int, ...] = ()
 
     @property
     def wire(self) -> float:
@@ -225,16 +224,14 @@ class CausalRecorder:
             self._msgs[msg_id] = rec
 
     def receive(self, msg_id: int, t_recv_start: float, t_recv: float,
-                spec: tuple[int, int] | None = None,
-                candidates: tuple[int, ...] = ()) -> None:
+                spec: tuple[int, int] | None = None) -> None:
         """Complete the record of ``msg_id`` with the receive that took
-        it; a wildcard receive also passes its spec and candidate ids."""
+        it; a wildcard receive also passes its spec."""
         with self._lock:
             rec = self._msgs[msg_id]
             rec.t_recv_start = t_recv_start
             rec.t_recv = t_recv
             rec.spec = spec
-            rec.candidates = candidates
             self._edges.append(rec)
 
     def collective(self, kind: str, comm_id: int, nbytes: int,

@@ -191,8 +191,9 @@ class Comm:
         a later seq and shares its ``(src, tag)`` bucket, so it sorts
         after it, and taking the original records its seq in
         ``proc.consumed`` so the mailbox purges the twin. A wildcard
-        receive records its spec and the candidate heads it chose from
-        for the schedule-race detector.
+        receive records its ``(source, tag)`` spec on the message's
+        causal record; the race detector rebuilds what it could have
+        taken from the record after the run.
 
         The blocked interval ``[t_start, arrival]`` is split at the
         sender's post time: idling before the post is *wait* (late
@@ -200,14 +201,8 @@ class Comm:
         (wire time). Fault plans may rewrite ``arrival``, so both
         pieces are clamped to be non-negative.
         """
-        mbox = proc.mailbox[self.comm_id]
-        spec, cands = None, ()
-        if source == ANY_SOURCE or tag == ANY_TAG:
-            spec = (source, tag)
-            cands = tuple(sorted(
-                c.msg_id
-                for c in mbox.match_candidates(source, tag, proc.consumed)))
-        msg = mbox.pop_match(source, tag, proc.consumed)
+        msg = proc.mailbox[self.comm_id].pop_match(source, tag,
+                                                   proc.consumed)
         if msg.has_dup:
             proc.consumed.add(msg.seq)
         arrival = msg.arrival
@@ -219,7 +214,9 @@ class Comm:
         acct = causal.account(proc.rank)
         acct.wait += wait
         acct.transfer += (blocked - wait) + overhead
-        causal.receive(msg.msg_id, t_start, proc.clock, spec, cands)
+        wildcard = source == ANY_SOURCE or tag == ANY_TAG
+        causal.receive(msg.msg_id, t_start, proc.clock,
+                       (source, tag) if wildcard else None)
         return msg
 
     def _wait_desc(self, kind: str, source: int, tag: int):

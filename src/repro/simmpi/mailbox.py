@@ -1,24 +1,16 @@
-"""Indexed per-rank mailboxes with constant-time message matching.
-
-The engine used to keep one flat ``list[Message]`` per communicator and
-rescan it linearly on every receive -- O(messages²) when a rank's
-mailbox backs up (many-to-one patterns, RPC servers). A
-:class:`CommMailbox` instead buckets messages by ``(src, tag)``:
+"""Indexed per-rank mailboxes: messages bucketed by ``(src, tag)``.
 
 - each bucket is a heap ordered by ``(arrival, seq)``, so the bucket
   head is always its best candidate;
 - a fully-qualified receive ``(source, tag)`` inspects exactly one
   bucket head;
 - a wildcard receive (``ANY_SOURCE`` and/or ``ANY_TAG``) takes the min
-  over the *candidate bucket heads* -- found through small ``by_src`` /
+  over the matching bucket heads -- found through small ``by_src`` /
   ``by_tag`` key indexes -- never touching non-matching messages.
 
-Matching order is identical to the old linear scan: the winner is the
-queued matching message minimising ``(arrival, src, seq)``. Within one
-bucket ``src`` is constant, so the per-bucket ``(arrival, seq)`` heap
-order and the cross-bucket ``(arrival, src, seq)`` comparison reproduce
-the global minimum exactly (the existing simmpi test suite is the
-oracle for this).
+The winner is the queued matching message minimising ``(arrival, src,
+seq)``: within one bucket ``src`` is constant, so the per-bucket heap
+order and the cross-bucket comparison give the global minimum.
 
 Fault-injected duplicates are deduped: an injected copy arrives no
 earlier than its original and has a later seq in the same bucket, so it
@@ -153,23 +145,3 @@ class CommMailbox:
         if key is None:
             return None
         return self._buckets[key][0][2]
-
-    def match_candidates(self, source: int, tag: int,
-                         consumed) -> list[Message]:
-        """Live bucket heads matching ``(source, tag)`` -- the candidate
-        set a wildcard match chooses from, snapshot for the schedule-race
-        detector. Same heads :meth:`pop_match` compares."""
-        out = []
-        for key in self._candidate_keys(source, tag):
-            head = self._live_head(key, consumed)
-            if head is not None:
-                out.append(head[2])
-        return out
-
-    def has_live(self, consumed) -> bool:
-        """True when any non-dead message is queued (serve-loop wake
-        predicate); purges dead bucket heads as a side effect."""
-        for key in tuple(self._buckets):
-            if self._live_head(key, consumed) is not None:
-                return True
-        return False

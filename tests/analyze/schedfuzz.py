@@ -72,8 +72,8 @@ WORKLOADS = {
 
 
 def causal_table(obs):
-    """The raw causal record: every message record's fields (candidate
-    ids included) in msg-id order, and the receive-completion order."""
+    """The raw causal record: every message record's fields (wildcard
+    specs included) in msg-id order, and the receive-completion order."""
     causal = obs.causal
     return {"messages": [asdict(m) for m in causal.messages()],
             "received": [e.msg_id for e in causal.edges()]}

@@ -65,7 +65,7 @@ class TestSameSeedSameLedgers:
 class TestAnalyzerDeterminism:
     def test_findings_and_trace_identical_across_runs(self):
         """Message ids are per-sender streams, so even the raw causal
-        trace (every message record, candidate sets included) replays
+        trace (every message record, wildcard specs included) replays
         identically."""
         from repro.bench.drivers import _lowfive_wf, _check
         from repro.perfmodel.transports import THETA_KNL
@@ -84,7 +84,7 @@ class TestAnalyzerDeterminism:
         a, b = one(), one()
         assert a == b
         assert a["findings"] == []
-        assert any(m["candidates"] for m in a["causal"]["messages"])
+        assert any(m["spec"] for m in a["causal"]["messages"])
 
 
 def _report_fingerprint(res):

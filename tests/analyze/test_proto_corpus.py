@@ -10,12 +10,7 @@ entire real tree stays at zero findings.
 import glob
 import os
 
-from repro.analyze.proto import (
-    DEFAULT_ALLOWLIST,
-    PROTO_RULES,
-    check_paths,
-    check_source,
-)
+from repro.analyze.proto import PROTO_RULES, check_paths, check_source
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -92,10 +87,6 @@ class TestSuppression:
     def test_skip_set_filters_rules(self):
         assert check_source(self.BAD, "x.py",
                             skip=frozenset({"PRO005"})) == []
-
-    def test_default_allowlist_is_empty(self):
-        """The tree needs no standing exemptions -- keep it that way."""
-        assert DEFAULT_ALLOWLIST == {}
 
 
 class TestRepoIsClean:

@@ -11,7 +11,7 @@ from repro.obs.causal import CollectiveRecord, FlowEdge
 
 
 def msg(msg_id, src, dst, t_post=0.0, tag=0, comm_id=1, nbytes=8,
-        t_arrival=None, t_recv=None, spec=None, candidates=()):
+        t_arrival=None, t_recv=None, spec=None):
     """One message record; received (its receive starting at arrival)
     when ``t_recv`` is given, by a wildcard receive when ``spec`` is."""
     arr = t_post if t_arrival is None else t_arrival
@@ -19,8 +19,7 @@ def msg(msg_id, src, dst, t_post=0.0, tag=0, comm_id=1, nbytes=8,
                     comm_id=comm_id, nbytes=nbytes, t_post=t_post,
                     t_arrival=arr,
                     t_recv_start=None if t_recv is None else arr,
-                    t_recv=t_recv, spec=spec,
-                    candidates=tuple(candidates))
+                    t_recv=t_recv, spec=spec)
 
 
 def coll(coll_id, enter_clocks, t_end, kind="barrier", comm_id=1,
