@@ -81,8 +81,7 @@ _THREAD_PRIMS = {
 #: wall-clock-reporting benchmarks are *about* real seconds.
 DEFAULT_ALLOWLIST = {
     "ANL001": (
-        "benchmarks/bench_wallclock.py",
-        "benchmarks/bench_stream.py",
+        "benchmarks/bench_gate.py",
     ),
     "ANL003": (
         "src/repro/simmpi/engine.py",

@@ -4,11 +4,15 @@ Every driver couples one producer task with one consumer task (paper
 Sec. IV-B), generates the grid + particles workload with
 position-encoded values, transports it with one of the evaluated
 mechanisms, validates the redistribution, and returns the simulated
-completion time.
+completion time. The multi-epoch streaming pipeline and the
+message-matching stress body live here too: every workload the
+reference runs (:mod:`repro.bench.registry`) execute is built once.
 """
 
 from __future__ import annotations
 
+import hashlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +31,12 @@ from repro.baselines import (
     redistribute_producer,
 )
 from repro.h5.native import NativeVOL
-from repro.lowfive import DistMetadataVOL
+from repro.lowfive import DistMetadataVOL, StreamConfig
+from repro.lowfive.config import CostConfig
 from repro.obs import metrics_dump
 from repro.pfs import PFSStore
 from repro.perfmodel.transports import Machine, THETA_KNL
+from repro.stream import epoch_fname, stream_pattern
 from repro.synth import (
     SyntheticWorkload,
     consumer_grid_selection,
@@ -91,8 +97,10 @@ def _finish(nprod, ncons, res, ok) -> ExecutedResult:
 # -- LowFive ----------------------------------------------------------------
 
 
-def _lowfive_wf(nprod: int, ncons: int, wl: SyntheticWorkload,
-                machine: Machine, mode: str, store: PFSStore):
+def lowfive_workflow(nprod: int, ncons: int, wl: SyntheticWorkload,
+                     machine: Machine, mode: str, store: PFSStore):
+    """The Fig. 5 producer/consumer job through LowFive in ``mode``
+    (memory, file or both); every consumer returns its validation."""
     shape = wl.grid_shape(nprod)
     npart = wl.total_particles(nprod)
 
@@ -150,7 +158,7 @@ def run_lowfive_memory(nprod: int, ncons: int,
                        machine: Machine = THETA_KNL) -> ExecutedResult:
     """LowFive memory mode (in situ over MPI)."""
     wl = wl or SyntheticWorkload()
-    wf = _lowfive_wf(nprod, ncons, wl, machine, "memory", PFSStore())
+    wf = lowfive_workflow(nprod, ncons, wl, machine, "memory", PFSStore())
     res, ok = _run(wf, machine)
     return _finish(nprod, ncons, res, ok)
 
@@ -160,7 +168,7 @@ def run_lowfive_file(nprod: int, ncons: int,
                      machine: Machine = THETA_KNL) -> ExecutedResult:
     """LowFive file mode (transport via the parallel file system)."""
     wl = wl or SyntheticWorkload()
-    wf = _lowfive_wf(nprod, ncons, wl, machine, "file", PFSStore())
+    wf = lowfive_workflow(nprod, ncons, wl, machine, "file", PFSStore())
     res, ok = _run(wf, machine, timeout=240.0)
     return _finish(nprod, ncons, res, ok)
 
@@ -221,8 +229,10 @@ def run_pure_hdf5(nprod: int, ncons: int,
 # -- hand-written MPI ---------------------------------------------------------------
 
 
-def _pure_mpi_wf(nprod: int, ncons: int, wl: SyntheticWorkload,
-                 machine: Machine):
+def pure_mpi_workflow(nprod: int, ncons: int, wl: SyntheticWorkload,
+                      machine: Machine):
+    """The Fig. 7 hand-written MPI exchange of the same data; every
+    consumer returns its validation."""
     shape = wl.grid_shape(nprod)
     npart = wl.total_particles(nprod)
 
@@ -262,7 +272,7 @@ def run_pure_mpi(nprod: int, ncons: int,
                  machine: Machine = THETA_KNL) -> ExecutedResult:
     """The paper's hand-written MPI redistribution."""
     wl = wl or SyntheticWorkload()
-    wf = _pure_mpi_wf(nprod, ncons, wl, machine)
+    wf = pure_mpi_workflow(nprod, ncons, wl, machine)
     res, ok = _run(wf, machine)
     return _finish(nprod, ncons, res, ok)
 
@@ -375,3 +385,132 @@ def run_bredala(nprod: int, ncons: int,
     wf.add_link("producer", "consumer")
     res, ok = _run(wf, machine, timeout=240.0)
     return _finish(nprod, ncons, res, ok)
+
+
+# -- streaming pipeline ------------------------------------------------------------
+
+
+#: Global grid of one stream epoch.
+STREAM_SHAPE = (24, 16)
+
+
+def epoch_values(sel, shape, epoch):
+    """Position-encoded grid values, shifted per epoch."""
+    return grid_values(sel, shape) + np.uint64(1000 * epoch)
+
+
+def stream_workflow(nprod: int, ncons: int, nsteps: int, *,
+                    shape=STREAM_SHAPE, level: int = 0, max_lag: int = 2,
+                    producer_compute: float = 0.0,
+                    consumer_compute: float = 0.0, catch_up: bool = False,
+                    direct: bool = False) -> Workflow:
+    """A producer task streaming ``nsteps`` epochs of a ``shape`` grid
+    to a consumer task (``repro.stream``) at wire-reduction ``level``.
+
+    With ``direct`` the same epochs move as one plain ``serve_on_close``
+    file each, without the streaming machinery: the baseline a level-0
+    stream must match bit for bit. Each consumer rank returns
+    ``(seen, digest)``: ``seen`` lists ``(epoch, values exact)`` per
+    epoch read, ``digest`` covers every value read (:func:`stream_digest`
+    combines them).
+    """
+    costs = CostConfig(reduction_level=level)
+    pattern = stream_pattern("sim")
+
+    def make_vol(ctx, peer):
+        def factory():
+            vol = DistMetadataVOL(comm=ctx.comm, under=NativeVOL(PFSStore()),
+                                  costs=costs)
+            if direct:
+                vol.set_memory(pattern)
+                if peer == "consumer":
+                    vol.serve_on_close(pattern, ctx.intercomm(peer))
+                else:
+                    vol.set_consumer(pattern, ctx.intercomm(peer))
+            return vol
+
+        return ctx.singleton("vol", factory)
+
+    def producer(ctx):
+        vol = make_vol(ctx, "consumer")
+        sel = producer_grid_selection(shape, ctx.rank, ctx.size)
+        stream = nullcontext() if direct else ctx.stream_producer(
+            "consumer", "sim", vol, StreamConfig(max_lag=max_lag))
+        with stream as prod:
+            for step in range(nsteps):
+                if producer_compute:
+                    ctx.comm.compute(producer_compute)
+                epoch = h5.File(epoch_fname("sim", step), "w", comm=ctx.comm,
+                                vol=vol) if direct else prod.epoch()
+                with epoch as f:
+                    d = f.create_dataset("grid", shape=shape,
+                                         dtype=h5.UINT64)
+                    d.write(epoch_values(sel, shape, step), file_select=sel)
+        return True
+
+    def consumer(ctx):
+        vol = make_vol(ctx, "producer")
+        sel = consumer_grid_selection(shape, ctx.rank, ctx.size)
+        h = hashlib.blake2b(digest_size=16)
+        seen = []
+
+        def read(epoch, f):
+            vals = np.asarray(f["grid"].read(sel, reshape=False))
+            h.update(vals.tobytes())
+            seen.append((epoch, np.array_equal(
+                vals, epoch_values(sel, shape, epoch))))
+
+        if direct:
+            for step in range(nsteps):
+                with h5.File(epoch_fname("sim", step), "r", comm=ctx.comm,
+                             vol=vol) as f:
+                    read(step, f)
+            return seen, h.hexdigest()
+        cfg = StreamConfig(max_lag=max_lag, catch_up=catch_up)
+        with ctx.stream_consumer("producer", "sim", vol, cfg) as cons:
+            for ep in cons.epochs():
+                with ep:
+                    read(ep.id, ep.file)
+                if consumer_compute:
+                    ctx.comm.compute(consumer_compute)
+        return seen, h.hexdigest()
+
+    wf = Workflow()
+    wf.add_task("producer", nprod, producer)
+    wf.add_task("consumer", ncons, consumer)
+    wf.add_link("producer", "consumer")
+    return wf
+
+
+def stream_digest(res) -> str:
+    """One digest of every value a :func:`stream_workflow` run's
+    consumers read, combined in rank order."""
+    h = hashlib.blake2b(digest_size=16)
+    for _, digest in res.returns["consumer"]:
+        h.update(digest.encode())
+    return h.hexdigest()
+
+
+# -- message-matching stress -------------------------------------------------------------
+
+
+def stress_matching(comm):
+    """Reverse-order many-to-one: the mailbox-matching worst case.
+
+    A rank body for :class:`~repro.simmpi.Engine`. Every rank sends
+    ``flood`` messages per round to rank 0, which receives
+    fully-qualified ``(source, tag)`` matches in *reverse* source order,
+    so its mailbox backs up to ~``(size-1) * flood`` messages.
+    """
+    rounds, flood = 4, 8
+    me, n = comm.rank, comm.size
+    if me == 0:
+        for r in range(rounds):
+            for src in range(n - 1, 0, -1):
+                for _ in range(flood):
+                    comm.recv(source=src, tag=r)
+    else:
+        for r in range(rounds):
+            for k in range(flood):
+                comm.send((me, r, k), dest=0, tag=r)
+    return comm.vtime

@@ -13,14 +13,13 @@ When two runs that should agree do not, :func:`first_diff` names the
 first differing path and both values (:func:`assert_identical` is the
 test-side wrapper; ``regress`` prints it per drifted record).
 
-The same module owns the *single* drift comparator that used to be
-hand-rolled three times over in ``bench_wallclock`` / ``bench_stream``
-/ ``bench_snapshot``: :func:`compare_runs` checks the exact virtual
-fields (and data digests) bit-for-bit, applies relative tolerances to
-noisy fields (wall seconds, wait fractions), and annotates speedups;
-:func:`check_reference` wraps it with the reference-file/params
-guard logic every bench gate shares. ``python -m repro.tools regress``
-exposes it for any pair of run documents or ledgers.
+The same module owns the one drift comparator: :func:`compare_runs`
+checks the exact virtual fields (and data digests) bit-for-bit and
+applies relative tolerances to noisy fields (wall seconds, wait
+fractions); :func:`check_reference` wraps it with the reference-file,
+params and row-coverage guards. ``python -m repro.tools regress``
+exposes it for any pair of run documents or ledgers; the reference
+runs' gate is ``regress`` against ``benchmarks/BENCH_ref.json``.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ EXACT_FIELDS = ("vtime", "messages", "bytes_sent")
 
 #: Machine/timestamp-dependent fields excluded from the stable digest.
 VOLATILE_FIELDS = ("wall_seconds", "created_at", "git_rev",
-                   "obs_overhead_frac", "wall_obs_off",
-                   "ref_wall_seconds", "speedup_vs_reference")
+                   "obs_overhead_frac", "wall_obs_off")
 
 
 def _canonical(doc: object) -> bytes:
@@ -355,32 +353,35 @@ def _get_path(doc: dict[str, Any], dotted: str) -> Any:
 
 def compare_runs(runs: list[dict[str, Any]], ref: dict[str, Any], *,
                  exact: Sequence[str] = EXACT_FIELDS,
-                 check_digest: bool = True, annotate_wall: bool = False,
+                 check_digest: bool = True,
                  tolerances: dict[str, float] | None = None,
-                 key: str = "workload") -> tuple[list[str], bool]:
+                 ) -> tuple[list[str], set[str]]:
     """Compare run dicts against a reference document's runs.
 
-    Exact fields must be bit-identical; a committed ``digest`` must
-    match when both sides carry one; ``tolerances`` maps dotted field
-    paths to allowed *relative* drift. With ``annotate_wall`` each run
-    gains ``ref_wall_seconds``/``speedup_vs_reference`` (mutating the
-    run dicts, as the wall-clock harness always did). Returns
-    ``(problems, compared_anything)``.
+    Exact fields the reference carries must be present and
+    bit-identical; a committed ``digest`` must match when the reference
+    carries one; ``tolerances`` maps dotted field paths to allowed
+    *relative* drift. Runs the reference lacks are skipped. Returns
+    ``(problems, names of the compared runs)``.
     """
     problems: list[str] = []
-    compared = False
-    ref_runs = {r[key]: r for r in ref.get("runs", [])}
+    matched: set[str] = set()
+    ref_runs = {r["workload"]: r for r in ref.get("runs", [])}
     for run in runs:
-        base = ref_runs.get(run.get(key))
+        name = run.get("workload")
+        base = ref_runs.get(name)
         if base is None:
             continue
-        compared = True
+        matched.add(name)
         for fieldname in exact:
-            if fieldname not in base or fieldname not in run:
+            if fieldname not in base:
                 continue
-            if run[fieldname] != base[fieldname]:
+            if fieldname not in run:
+                problems.append(f"{name}: {fieldname} missing (reference "
+                                f"{base[fieldname]!r})")
+            elif run[fieldname] != base[fieldname]:
                 problems.append(
-                    f"{run[key]}: {fieldname} drifted "
+                    f"{name}: {fieldname} drifted "
                     f"{base[fieldname]!r} -> {run[fieldname]!r}"
                 )
         if check_digest:
@@ -391,7 +392,7 @@ def compare_runs(runs: list[dict[str, Any]], ref: dict[str, Any], *,
             run_dig = run.get("digest") \
                 or run.get("extra", {}).get("digest")
             if base_dig and run_dig != base_dig:
-                problems.append(f"{run[key]}: data digest drifted")
+                problems.append(f"{name}: data digest drifted")
         for dotted, tol in (tolerances or {}).items():
             mine, ours = _get_path(base, dotted), _get_path(run, dotted)
             if not isinstance(mine, (int, float)) \
@@ -401,15 +402,10 @@ def compare_runs(runs: list[dict[str, Any]], ref: dict[str, Any], *,
             drift = abs(ours - mine) / scale
             if drift > tol:
                 problems.append(
-                    f"{run[key]}: {dotted} drifted beyond tolerance "
+                    f"{name}: {dotted} drifted beyond tolerance "
                     f"{tol:g} ({mine!r} -> {ours!r}, rel {drift:.3g})"
                 )
-        if annotate_wall and base.get("wall_seconds"):
-            run["ref_wall_seconds"] = base["wall_seconds"]
-            run["speedup_vs_reference"] = (
-                base["wall_seconds"] / run["wall_seconds"]
-            )
-    return problems, compared
+    return problems, matched
 
 
 def load_runs_doc(path: str) -> dict[str, Any]:
@@ -431,15 +427,14 @@ def check_reference(runs: list[dict[str, Any]], ref_path: str, *,
                     check_ref: bool = False,
                     exact: Sequence[str] = EXACT_FIELDS,
                     check_digest: bool = True,
-                    annotate_wall: bool = False,
                     tolerances: dict[str, float] | None = None) -> list[str]:
-    """The shared reference-gate wrapper every bench driver uses.
+    """The reference gate: :func:`compare_runs` behind the guards.
 
-    Handles the guard conditions identically to the three pre-existing
-    hand-rolled gates: a missing reference or non-covering parameters
-    are problems only under ``check_ref``; matching parameters always
-    run the comparison (annotations apply regardless), and under
-    ``check_ref`` an empty intersection is itself a problem.
+    A missing reference or non-covering parameters are problems only
+    under ``check_ref``; matching parameters always run the comparison.
+    Under ``check_ref`` every reference row must also have a current
+    run: an empty intersection is one problem, otherwise each
+    unmatched reference row is one.
     """
     if not os.path.exists(ref_path):
         return [f"reference {ref_path} not found"] if check_ref else []
@@ -453,10 +448,14 @@ def check_reference(runs: list[dict[str, Any]], ref_path: str, *,
                 f"({our_params}); cannot check drift"
             ]
         return []
-    problems, compared = compare_runs(
+    problems, matched = compare_runs(
         runs, ref_doc, exact=exact, check_digest=check_digest,
-        annotate_wall=annotate_wall, tolerances=tolerances,
+        tolerances=tolerances,
     )
-    if check_ref and not compared:
+    if check_ref and not matched:
         problems.append("reference matched no workloads")
+    elif check_ref:
+        problems += [f"{r['workload']}: reference row has no current run"
+                     for r in ref_doc.get("runs", [])
+                     if r["workload"] not in matched]
     return problems

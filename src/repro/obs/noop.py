@@ -1,10 +1,13 @@
 """Disabled observability: an :class:`ObsContext` that records nothing.
 
-Used to measure telemetry overhead (``bench_wallclock --obs-budget``):
-run the same workload once with the real :class:`~repro.obs.ObsContext`
-and once with :class:`NullObsContext`, and compare wall clocks. Virtual
-results must be identical -- observability never changes simulation
-semantics, only how much of it is remembered.
+Used to measure telemetry overhead (the ``obs/overhead`` row of
+``benchmarks/bench_gate.py``): run the same workload with the real
+:class:`~repro.obs.ObsContext` and with :class:`NullObsContext`, and
+compare wall clocks. Virtual results must be identical --
+observability never changes simulation semantics, only how much of it
+is remembered. A silenced producer still costs a few Python calls per
+recorder write (the call, and the sink's attribute reads), so the
+measured difference is a lower bound on what telemetry costs.
 
 Nothing of the obs surface is re-typed here. A null context *is* a real
 context holding real, empty recorders; construction shadows every
@@ -15,19 +18,27 @@ answering for an empty run, and the enabled path tests no flag.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.obs import ObsContext
 
 
 class _Sink:
     """Absorbs whatever a call site does with a producer or with the
     handle it returned: call it, read or bump an attribute (``comm``
-    does ``account(r).wait += dt``), or enter it as a span."""
+    does ``account(r).wait += dt``), or enter it as a span.
+
+    Attribute reads go through ``__getattribute__``: with
+    ``__getattr__`` every read would first miss the instance and raise
+    internally, making the silenced context slower than a recording one.
+    ``__class__`` stays the real class, which ``isinstance`` reads.
+    """
 
     def __call__(self, *args: object, **kwargs: object) -> _Sink:
         return self
 
-    def __getattr__(self, name: str) -> _Sink:
-        return self
+    def __getattribute__(self, name: str) -> Any:
+        return _Sink if name == "__class__" else self
 
     def __setattr__(self, name: str, value: object) -> None:
         pass

@@ -1,26 +1,29 @@
-"""Unified cross-run regression gate: ``python -m repro.tools regress``.
+"""The drift gate: ``python -m repro.tools regress``.
 
-One comparator (:mod:`repro.obs.ledger`) replaces the three hand-rolled
-``--check-ref`` implementations the bench scripts used to carry.
 Compares any run document -- a bench JSON (``{"runs": [...]}``) or a
-JSONL run ledger -- against a committed reference or another ledger:
+JSONL run ledger -- against a committed reference or another ledger
+through the one comparator (:mod:`repro.obs.ledger`). The reference
+runs are gated with ``regress F --ref benchmarks/BENCH_ref.json
+--check-ref``, ``F`` being ``benchmarks/bench_gate.py``'s document or
+a ledger it appended to:
 
 - *exact* fields (default ``vtime``/``messages``/``bytes_sent``, plus
-  the ``digest`` data fingerprints when both sides carry them) must be
+  the ``digest`` data fingerprints the reference carries) must be
   bit-identical;
 - *toleranced* fields (``--tol wall_seconds=0.5``,
   ``--tol attribution.shares.wait=0.25``; dotted paths reach into
   nested dicts) may drift within a relative bound;
-- parameters gate the comparison exactly like the bench gates did: the
-  reference must agree on every parameter key both documents share
-  (``--ignore-params`` skips this).
+- parameters gate the comparison: the reference must agree on every
+  parameter key both documents share (``--ignore-params`` skips this);
+- with ``--check-ref`` every reference row must have a current run.
 
 Every drifted record is followed by its *first difference*: the path
 and both values of the first leaf at which the stable portions of the
 reference and the current record disagree (:func:`first_diff`).
 
 Exit status is the gate verdict: 0 clean, 1 on any drift (or, with
-``--check-ref``, on a missing/non-covering reference).
+``--check-ref``, on a missing or non-covering reference or an
+unmatched reference row).
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ def shared_params(current: dict, ref_path: str) -> dict | None:
 
     A reference with no ``params`` (e.g. a ledger) gates nothing; a key
     only one side declares cannot disagree, so it does not gate either.
-    This reproduces each bench gate's fixed key list on the committed
-    baselines -- the extra shared keys (``machine``, ``shape``) always
-    matched there by construction.
     """
     cur = current.get("params")
     if not cur:
@@ -126,8 +126,7 @@ def run(args) -> int:
                   file=sys.stderr)
     if not problems:
         print("regress: no drift detected")
-    return 1 if (problems and (args.check_ref or args.strict)) \
-        else (1 if problems else 0)
+    return 1 if problems else 0
 
 
 def add_parser(sub) -> None:
@@ -135,7 +134,7 @@ def add_parser(sub) -> None:
     p = sub.add_parser(
         "regress",
         help="compare a run document or ledger against a committed "
-             "reference (the unified drift gate)",
+             "reference (the drift gate)",
     )
     p.add_argument("document",
                    help="current run document: bench JSON or .jsonl "
@@ -144,11 +143,9 @@ def add_parser(sub) -> None:
                    help="reference to compare against (bench JSON or "
                         ".jsonl ledger)")
     p.add_argument("--check-ref", action="store_true",
-                   help="treat a missing or non-covering reference as "
-                        "a failure (the bench gates' semantics)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on drift even without "
-                        "--check-ref")
+                   help="treat a missing or non-covering reference, or "
+                        "a reference row without a current run, as a "
+                        "failure")
     p.add_argument("--exact", default=None,
                    help="comma-separated exact fields (default "
                         "vtime,messages,bytes_sent)")

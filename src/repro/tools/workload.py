@@ -59,14 +59,14 @@ def build_workflow(args):
     """The :class:`~repro.workflow.Workflow` the arguments select."""
     if args.example not in BUILTIN:
         return load_example(args.example)
-    from repro.bench.drivers import _lowfive_wf, _pure_mpi_wf
+    from repro.bench.drivers import lowfive_workflow, pure_mpi_workflow
 
     wl = SyntheticWorkload(grid_points_per_proc=args.grid_points,
                            particles_per_proc=args.particles)
     if args.example == "fig7":
-        return _pure_mpi_wf(args.nprod, args.ncons, wl, THETA_KNL)
-    return _lowfive_wf(args.nprod, args.ncons, wl, THETA_KNL, args.mode,
-                       PFSStore())
+        return pure_mpi_workflow(args.nprod, args.ncons, wl, THETA_KNL)
+    return lowfive_workflow(args.nprod, args.ncons, wl, THETA_KNL,
+                            args.mode, PFSStore())
 
 
 def workload_args(**overrides) -> argparse.Namespace:

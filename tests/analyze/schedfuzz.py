@@ -14,15 +14,12 @@ Tier-1 runs every workload with ``n=3`` (``test_determinism.py``); the
 """
 
 import argparse
-import functools
-import importlib.util
-import os
 import random
 import sys
 import threading
 from dataclasses import asdict
 
-from repro.bench.drivers import _check, _lowfive_wf
+from repro.bench.drivers import _check, lowfive_workflow, stream_workflow
 from repro.faults import FaultPlan, MessageFaultRule
 from repro.obs.ledger import assert_identical, record_from_result
 from repro.perfmodel.transports import THETA_KNL
@@ -30,23 +27,10 @@ from repro.pfs import PFSStore
 from repro.synth import SyntheticWorkload
 from tests.lowfive.test_staged import BIG_SHAPE, build as staged_build
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
-
-
-@functools.cache
-def _bench_stream():
-    spec = importlib.util.spec_from_file_location(
-        "bench_stream", os.path.join(_ROOT, "benchmarks", "bench_stream.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _lowfive(mode, faults=None):
-    wf = _lowfive_wf(2, 2, SyntheticWorkload(grid_points_per_proc=2000,
-                                             particles_per_proc=1000),
-                     THETA_KNL, mode, PFSStore())
+    wf = lowfive_workflow(2, 2, SyntheticWorkload(grid_points_per_proc=2000,
+                                                  particles_per_proc=1000),
+                          THETA_KNL, mode, PFSStore())
     return wf.run(model=THETA_KNL.net, timeout=120.0, faults=faults)
 
 
@@ -63,10 +47,10 @@ WORKLOADS = {
     "file": lambda: _lowfive("file"),
     # 3 -> 1 -> 2 with 1 MiB bundles: every marker overtakes its bundle.
     "staged": lambda: staged_build(3, 2, 1, shape=BIG_SHAPE),
-    # The ``stream/rate_mismatch/P4`` shape of bench_stream.
-    "stream": lambda: _bench_stream().run_stream(
+    # The ``stream/rate_mismatch/P4`` reference run's shape.
+    "stream": lambda: stream_workflow(
         2, 2, 6, max_lag=2, producer_compute=0.01,
-        consumer_compute=0.02)[0],
+        consumer_compute=0.02).run(timeout=600.0),
     "faulted": _faulted,
 }
 

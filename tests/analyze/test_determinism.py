@@ -67,13 +67,13 @@ class TestAnalyzerDeterminism:
         """Message ids are per-sender streams, so even the raw causal
         trace (every message record, wildcard specs included) replays
         identically."""
-        from repro.bench.drivers import _lowfive_wf, _check
+        from repro.bench.drivers import lowfive_workflow, _check
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
 
         def one():
-            wf = _lowfive_wf(2, 2, small_wl(), THETA_KNL, "memory",
-                             PFSStore())
+            wf = lowfive_workflow(2, 2, small_wl(), THETA_KNL, "memory",
+                                  PFSStore())
             res = wf.run(model=THETA_KNL.net, timeout=120.0)
             assert _check(res.returns["consumer"])
             return {

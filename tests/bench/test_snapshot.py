@@ -1,45 +1,25 @@
-"""Benchmark snapshot: schema, determinism hooks, health checks."""
+"""The reference-run gate's document: envelope, one row per registry
+entry, the Fig. 5/7 rows' causal attribution, the gate's exit."""
 
-import importlib.util
+import copy
 import json
-import os
 
-import pytest
-
-_SCRIPT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))),
-    "benchmarks", "bench_snapshot.py",
-)
-
-
-@pytest.fixture(scope="module")
-def snap():
-    spec = importlib.util.spec_from_file_location("bench_snapshot",
-                                                  _SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-@pytest.fixture(scope="module")
-def doc(snap):
-    return snap.snapshot(elems=2000, scales=[4])
+from repro.bench.registry import FIG_ROWS, PARAMS, REGISTRY, check
 
 
 class TestSchema:
-    def test_versioned_envelope(self, snap, doc):
-        assert doc["schema_version"] == snap.SCHEMA_VERSION == 1
-        assert doc["params"]["elems_per_proc"] == 2000
-        assert doc["params"]["scales"] == [4]
+    def test_versioned_envelope(self, gate_run):
+        assert gate_run.doc["schema_version"] == 1
+        assert gate_run.doc["params"] == PARAMS
 
-    def test_one_run_per_configured_driver(self, snap, doc):
-        assert len(doc["runs"]) == len(snap.RUNS)
-        assert {(r["figure"], r["transport"]) for r in doc["runs"]} == \
-            {(f, t) for f, t, _ in snap.RUNS}
+    def test_one_run_per_configured_driver(self, gate_run):
+        assert [r["workload"] for r in gate_run.doc["runs"]] == \
+            list(REGISTRY)
 
-    def test_runs_carry_attribution(self, doc):
-        for run in doc["runs"]:
+    def test_runs_carry_attribution(self, gate_run):
+        for run in gate_run.doc["runs"]:
+            if run["workload"] not in FIG_ROWS:
+                continue
             a = run["attribution"]
             assert a["conservation_ok"] is True
             assert abs(a["critpath_residual"]) <= 1e-9
@@ -47,7 +27,8 @@ class TestSchema:
                 {"simmpi", "lowfive", "pfs", "compute", "wait"}
             assert run["vtime"] > 0 and run["validated"]
 
-    def test_json_serializable_without_timestamps(self, doc):
+    def test_json_serializable_without_timestamps(self, gate_run):
+        doc = gate_run.doc
         json.dumps(doc, sort_keys=True)
 
         def keys(obj):
@@ -63,24 +44,20 @@ class TestSchema:
         banned = {"timestamp", "date", "created", "generated_at"}
         assert not banned & set(keys(doc))
 
-    def test_check_flags_violations(self, snap, doc):
-        assert snap.check(doc) == []
-        import copy
-
-        broken = copy.deepcopy(doc)
-        broken["runs"][0]["attribution"]["conservation_ok"] = False
-        broken["runs"][1]["validated"] = False
-        problems = snap.check(broken)
+    def test_check_flags_violations(self, gate_run):
+        assert check(gate_run.doc["runs"]) == []
+        broken = copy.deepcopy(gate_run.doc["runs"])
+        broken[0]["attribution"]["conservation_ok"] = False
+        broken[1]["validated"] = False
+        problems = check(broken)
         assert len(problems) == 2
         assert any("conservation" in p for p in problems)
 
 
 class TestMain:
-    def test_writes_file_and_exits_zero(self, snap, tmp_path, capsys):
-        out = tmp_path / "BENCH_snapshot.json"
-        rc = snap.main(["--output", str(out), "--elems", "2000",
-                        "--scales", "4"])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 1
-        assert "wrote" in capsys.readouterr().out
+    def test_writes_file_and_exits_zero(self, gate_run):
+        from repro.obs.ledger import Ledger
+
+        assert gate_run.rc == 0
+        assert "wrote" in gate_run.stdout
+        assert len(Ledger(gate_run.ledger).records()) == len(REGISTRY)

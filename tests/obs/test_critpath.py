@@ -208,7 +208,7 @@ class TestFig5Attribution:
 
     @pytest.fixture(scope="class")
     def reports(self):
-        from repro.bench.drivers import _lowfive_wf
+        from repro.bench.drivers import lowfive_workflow
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
         from repro.synth import SyntheticWorkload
@@ -217,7 +217,7 @@ class TestFig5Attribution:
                                particles_per_proc=3000)
         out = {}
         for mode in ("memory", "file"):
-            wf = _lowfive_wf(2, 1, wl, THETA_KNL, mode, PFSStore())
+            wf = lowfive_workflow(2, 1, wl, THETA_KNL, mode, PFSStore())
             res = wf.run(model=THETA_KNL.net, timeout=120.0)
             out[mode] = res.causal_report()
         return out

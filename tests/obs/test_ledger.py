@@ -173,12 +173,11 @@ class TestCompareRuns:
                                    tolerances={"wall_seconds": 0.05})
         assert len(problems) == 1 and "tolerance" in problems[0]
 
-    def test_annotate_wall_writes_speedups(self):
+    def test_missing_exact_field_is_drift(self):
         runs = _runs()
-        runs[0]["wall_seconds"] = 1.0
-        compare_runs(runs, {"runs": _runs()}, annotate_wall=True)
-        assert runs[0]["ref_wall_seconds"] == 2.0
-        assert runs[0]["speedup_vs_reference"] == 2.0
+        del runs[1]["bytes_sent"]
+        problems, _ = compare_runs(runs, {"runs": _runs()})
+        assert problems == ["w2: bytes_sent missing (reference 200)"]
 
 
 class TestCheckReference:
@@ -205,6 +204,14 @@ class TestCheckReference:
         probs = check_reference([{"workload": "other"}], str(ref),
                                 check_ref=True)
         assert probs == ["reference matched no workloads"]
+
+    def test_unmatched_reference_row_is_a_problem_under_check_ref(
+            self, tmp_path):
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"runs": _runs()}))
+        assert check_reference(_runs()[:1], str(ref)) == []
+        assert check_reference(_runs()[:1], str(ref), check_ref=True) == \
+            ["w2: reference row has no current run"]
 
     def test_matching_reference_passes(self, tmp_path):
         ref = tmp_path / "ref.json"

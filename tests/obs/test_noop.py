@@ -173,7 +173,7 @@ class TestSimulationUnperturbed:
     with obs disabled produces identical vtime/messages/bytes."""
 
     def test_workflow_results_identical(self):
-        from repro.bench.drivers import _lowfive_wf
+        from repro.bench.drivers import lowfive_workflow
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
         from repro.synth import SyntheticWorkload
@@ -182,7 +182,7 @@ class TestSimulationUnperturbed:
                                particles_per_proc=256)
 
         def run(obs):
-            wf = _lowfive_wf(2, 1, wl, THETA_KNL, "memory", PFSStore())
+            wf = lowfive_workflow(2, 1, wl, THETA_KNL, "memory", PFSStore())
             return wf.run(model=THETA_KNL.net, obs=obs)
 
         on, off = run(None), run(NullObsContext())
@@ -193,7 +193,7 @@ class TestSimulationUnperturbed:
         assert query_state(off.obs) == query_state(ObsContext())
 
     def test_record_from_result_with_disabled_obs(self):
-        from repro.bench.drivers import _lowfive_wf
+        from repro.bench.drivers import lowfive_workflow
         from repro.obs.ledger import record_from_result
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
@@ -201,7 +201,7 @@ class TestSimulationUnperturbed:
 
         wl = SyntheticWorkload(grid_points_per_proc=512,
                                particles_per_proc=256)
-        wf = _lowfive_wf(2, 1, wl, THETA_KNL, "memory", PFSStore())
+        wf = lowfive_workflow(2, 1, wl, THETA_KNL, "memory", PFSStore())
         res = wf.run(model=THETA_KNL.net, obs=NullObsContext())
         rec = record_from_result(res, "demo")
         assert rec.counters == {}

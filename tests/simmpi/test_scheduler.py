@@ -234,15 +234,16 @@ class TestDuplicateTwinsNeverMatch:
 
     @pytest.mark.parametrize("rule", list(DUP_RULES))
     def test_serve_lane_receives(self, popped, rule):
-        from repro.bench.drivers import _check, _lowfive_wf
+        from repro.bench.drivers import _check, lowfive_workflow
         from repro.lowfive.rpc import TAG_REQUEST
         from repro.perfmodel.transports import THETA_KNL
         from repro.pfs import PFSStore
         from repro.synth import SyntheticWorkload
 
-        wf = _lowfive_wf(2, 1, SyntheticWorkload(grid_points_per_proc=512,
-                                                 particles_per_proc=256),
-                         THETA_KNL, "memory", PFSStore())
+        wf = lowfive_workflow(
+            2, 1, SyntheticWorkload(grid_points_per_proc=512,
+                                    particles_per_proc=256),
+            THETA_KNL, "memory", PFSStore())
         res = wf.run(model=THETA_KNL.net, timeout=60.0,
                      faults=FaultPlan(3, messages=[DUP_RULES[rule]]))
         assert _check(res.returns["consumer"])

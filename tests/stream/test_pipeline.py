@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import repro.h5 as h5
+from repro.bench.drivers import epoch_values, stream_workflow
 from repro.h5.native import NativeVOL
-from repro.lowfive import DistMetadataVOL, StreamConfig
+from repro.lowfive import DistMetadataVOL
 from repro.lowfive.config import CostConfig
 from repro.lowfive.reduce import reduction_stride
 from repro.pfs import PFSStore
@@ -22,7 +23,6 @@ from repro.synth import (
     consumer_grid_selection,
     grid_values,
     producer_grid_selection,
-    validate_grid,
 )
 from repro.workflow import Workflow
 
@@ -39,81 +39,42 @@ def aggressive_switching():
 
 def epoch_grid(sel, epoch):
     """Position-encoded values, shifted per epoch."""
-    return grid_values(sel, SHAPE) + np.uint64(1000 * epoch)
+    return epoch_values(sel, SHAPE, epoch)
 
 
-def run_stream(nprod, ncons, nsteps, *, max_lag=2, level=0,
-               consumer_compute=0.0, producer_compute=0.0,
-               catch_up=False, faults=None, timeout=120.0):
-    """1 producer task -> 1 consumer task streaming ``nsteps`` epochs.
+def run_stream(nprod, ncons, nsteps, **kw):
+    """1 producer task -> 1 consumer task streaming ``nsteps`` epochs of
+    a ``SHAPE`` grid (:func:`repro.bench.drivers.stream_workflow`)."""
+    return stream_workflow(nprod, ncons, nsteps, shape=SHAPE,
+                           **kw).run(timeout=120.0)
 
-    The consumer validates each epoch it reads and returns
-    ``[(epoch, ok), ...]``; the producer returns True.
-    """
-    costs = CostConfig(reduction_level=level)
 
-    def make_vol(ctx):
-        return ctx.singleton("vol", lambda: DistMetadataVOL(
-            comm=ctx.comm, under=NativeVOL(PFSStore()), costs=costs))
-
-    def producer(ctx):
-        vol = make_vol(ctx)
-        with ctx.stream_producer("consumer", "sim", vol,
-                                 StreamConfig(max_lag=max_lag)) as prod:
-            for step in range(nsteps):
-                if producer_compute:
-                    ctx.comm.compute(producer_compute)
-                with prod.epoch() as f:
-                    d = f.create_dataset("grid", shape=SHAPE,
-                                         dtype=h5.UINT64)
-                    sel = producer_grid_selection(SHAPE, ctx.rank,
-                                                  ctx.size)
-                    d.write(epoch_grid(sel, step), file_select=sel)
-        return True
-
-    def consumer(ctx):
-        vol = make_vol(ctx)
-        cfg = StreamConfig(max_lag=max_lag, catch_up=catch_up)
-        seen = []
-        with ctx.stream_consumer("producer", "sim", vol, cfg) as cons:
-            for ep in cons.epochs():
-                with ep:
-                    sel = consumer_grid_selection(SHAPE, ctx.rank,
-                                                  ctx.size)
-                    vals = ep.file["grid"].read(sel, reshape=False)
-                    ok = np.array_equal(vals, epoch_grid(sel, ep.id))
-                    seen.append((ep.id, ok))
-                if consumer_compute:
-                    ctx.comm.compute(consumer_compute)
-        return seen
-
-    wf = Workflow()
-    wf.add_task("producer", nprod, producer)
-    wf.add_task("consumer", ncons, consumer)
-    wf.add_link("producer", "consumer")
-    return wf.run(timeout=timeout, faults=faults)
+def epochs_read(res):
+    """Per consumer rank, ``[(epoch, values exact), ...]`` in read
+    order."""
+    return [s for s, _ in res.returns["consumer"]]
 
 
 class TestPipeline:
     def test_1_to_1_all_epochs_in_order(self):
         res = run_stream(1, 1, 5)
-        for seen in res.returns["consumer"]:
+        for seen in epochs_read(res):
             assert seen == [(e, True) for e in range(5)]
 
     def test_n_to_m_redistribution_per_epoch(self):
         # Mismatched decompositions, re-resolved for every epoch.
         res = run_stream(3, 2, 4)
-        for seen in res.returns["consumer"]:
+        for seen in epochs_read(res):
             assert seen == [(e, True) for e in range(4)]
 
     def test_zero_epoch_stream_terminates(self):
         res = run_stream(2, 2, 0)
-        for seen in res.returns["consumer"]:
+        for seen in epochs_read(res):
             assert seen == []
 
     def test_single_epoch(self):
         res = run_stream(2, 1, 1, max_lag=1)
-        assert res.returns["consumer"][0] == [(0, True)]
+        assert epochs_read(res)[0] == [(0, True)]
 
     def test_epochs_are_retired_once_released(self):
         res = run_stream(1, 1, 6, max_lag=2)
@@ -165,7 +126,7 @@ class TestBackpressure:
     def test_max_lag_1_lockstep(self):
         res = run_stream(1, 1, 5, max_lag=1, consumer_compute=0.02)
         assert res.obs.stream.max_depth("sim") <= 1
-        for seen in res.returns["consumer"]:
+        for seen in epochs_read(res):
             assert [e for e, _ in seen] == list(range(5))
 
 
@@ -177,7 +138,7 @@ class TestCatchUp:
         # (cumulative high-water marks cover the skipped ones).
         res = run_stream(1, 1, 8, max_lag=4, producer_compute=0.001,
                          consumer_compute=0.2, catch_up=True)
-        seen = res.returns["consumer"][0]
+        seen = epochs_read(res)[0]
         ids = [e for e, ok in seen]
         assert all(ok for _, ok in seen)
         assert ids == sorted(ids)
@@ -195,7 +156,7 @@ class TestCatchUp:
 class TestReduction:
     def test_level_0_is_bit_identical_full_fidelity(self):
         res = run_stream(2, 2, 3, level=0)
-        for seen in res.returns["consumer"]:
+        for seen in epochs_read(res):
             assert all(ok for _, ok in seen)
 
     def test_bytes_on_wire_decrease_monotonically(self):
