@@ -343,7 +343,8 @@ class RPCServer:
         desc = WaitDesc("serve", -1, ANY_SOURCE, ANY_TAG, senders,
                         lanes=lanes)
         while not predicate():
-            engine.maybe_crash()
+            if engine.faults is not None:
+                engine.maybe_crash()
             # The deadline is one more event time: the scheduler hands
             # this rank the baton for its best queued message or, when
             # every other rank's next action lies past it, to give up.

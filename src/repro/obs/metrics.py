@@ -51,10 +51,10 @@ class CounterValue:
     total: float = 0.0
     count: int = 0
 
-    def inc(self, value: float) -> None:
-        """Add ``value`` and count the increment."""
+    def inc(self, value: float, count: int = 1) -> None:
+        """Add ``value``, standing for ``count`` increments."""
         self.total += value
-        self.count += 1
+        self.count += count
 
     def merge(self, other: "CounterValue") -> "CounterValue":
         """Sum of both counters (pure)."""
@@ -188,13 +188,13 @@ _KINDS: dict[str, type[MetricValue]] = {
 class BoundCounter:
     """A pre-resolved handle onto one counter slot.
 
-    Hot paths (one or more increments *per simulated message*) resolve
-    the ``(name, labels)`` key once via
+    Producers resolve the ``(name, labels)`` key once via
     :meth:`MetricsRegistry.counter`; every subsequent :meth:`inc` is a
     single locked float-add with no kwargs dict, no ``sorted(labels)``
     key build and no registry lookup. Increments land in the same slot
     plain :meth:`MetricsRegistry.inc` calls would, so snapshots and
-    merges are unchanged.
+    merges are unchanged. A producer that tallies on its own side
+    folds ``count`` increments into one call.
     """
 
     __slots__ = ("_lock", "_slot")
@@ -203,10 +203,11 @@ class BoundCounter:
         self._lock = lock
         self._slot = slot
 
-    def inc(self, value: float = 1.0) -> None:
-        """Add ``value`` to the bound counter."""
+    def inc(self, value: float = 1.0, count: int = 1) -> None:
+        """Add ``value`` to the bound counter as ``count`` increments
+        (``inc(s, count=n)`` equals ``n`` increments summing to ``s``)."""
         with self._lock:
-            self._slot.inc(value)
+            self._slot.inc(value, count)
 
 
 @dataclass(frozen=True)

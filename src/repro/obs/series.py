@@ -98,8 +98,11 @@ class SeriesValue:
         """Fold one sample taken at virtual time ``t``."""
         idx = int(t // self.interval)
         w = self.windows.get(idx)
-        if w is None:
-            w = self.windows[idx] = Window()
+        if w is not None:
+            w.add(value)
+            return
+        # Only a new window can widen the span past the budget.
+        w = self.windows[idx] = Window()
         w.add(value)
         if len(self.windows) > 1:
             lo, hi = min(self.windows), max(self.windows)

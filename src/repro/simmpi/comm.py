@@ -41,7 +41,8 @@ class Comm:
     """An intra-communicator over a subset of world ranks.
 
     A single ``Comm`` object is shared by all of its member threads;
-    rank identity comes from thread-local state. All operations
+    the calling rank is the engine's baton holder
+    (:attr:`~repro.simmpi.engine.Engine.running`). All operations
     advance the calling rank's virtual clock per the engine's
     :class:`~repro.simmpi.netmodel.NetworkModel`.
     """
@@ -53,13 +54,16 @@ class Comm:
         self.members = list(members)
         self._world_to_local = {w: i for i, w in enumerate(self.members)}
         self.comm_id = engine.next_comm_id() if comm_id is None else comm_id
+        # (kind, source, tag) -> WaitDesc: a receive or probe spec's
+        # wait description does not depend on the calling rank.
+        self._descs: dict[tuple, _engine.WaitDesc] = {}
 
     # -- identity ----------------------------------------------------------
 
     @property
     def rank(self) -> int:
-        """Local rank of the calling thread within this communicator."""
-        w = _engine.current_world_rank()
+        """Local rank of the calling rank within this communicator."""
+        w = self.engine.current_proc().rank
         try:
             return self._world_to_local[w]
         except KeyError:
@@ -85,9 +89,6 @@ class Comm:
         """World rank of a message sender (its rank in its group)."""
         return self.members[src_local]
 
-    def _proc(self):
-        return self.engine.current_proc()
-
     def _dest_world(self, dest: int) -> int:
         try:
             return self.members[dest]
@@ -102,24 +103,26 @@ class Comm:
         """Advance this rank's virtual clock by ``seconds`` of local work."""
         if seconds < 0:
             raise ValueError("seconds must be >= 0")
-        proc = self._proc()
-        plan = getattr(self.engine, "faults", None)
+        engine = self.engine
+        proc = engine.current_proc()
+        plan = engine.faults
         if plan is not None:
             seconds = plan.scaled_compute(proc.rank, seconds)
         proc.clock += seconds
-        self.engine.obs.causal.account(proc.rank).compute += seconds
-        self.engine.maybe_crash()
+        engine.obs.causal.account(proc.rank).compute += seconds
+        if plan is not None:
+            engine.maybe_crash()
 
     def charge_memcpy(self, nbytes: int) -> None:
         """Charge a bulk contiguous copy of ``nbytes`` to the clock."""
-        proc = self._proc()
+        proc = self.engine.current_proc()
         dt = self.model.memcpy_time(nbytes)
         proc.clock += dt
         self.engine.obs.causal.account(proc.rank).compute += dt
 
     def charge_pack_elements(self, nelements: int) -> None:
         """Charge per-element (point-at-a-time) serialization work."""
-        proc = self._proc()
+        proc = self.engine.current_proc()
         dt = self.model.pack_elements_time(nelements)
         proc.clock += dt
         self.engine.obs.causal.account(proc.rank).compute += dt
@@ -127,7 +130,7 @@ class Comm:
     @property
     def vtime(self) -> float:
         """Current virtual clock of the calling rank."""
-        return self._proc().clock
+        return self.engine.current_proc().clock
 
     # -- point to point ------------------------------------------------------
 
@@ -137,17 +140,19 @@ class Comm:
         ``nbytes`` overrides the payload size used by the cost model
         (modeled runs pass :class:`VirtualPayload` or an explicit size).
         """
-        proc = self._proc()
-        self.engine.check_failed()
-        self.engine.maybe_crash()
+        engine = self.engine
+        proc = engine.current_proc()
+        if engine.failure is not None:
+            engine.check_failed()
+        if engine.faults is not None:
+            engine.maybe_crash()
         nb = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        model = self.model
+        model = engine.model
         proc.clock += model.msg_overhead
-        self.engine.obs.causal.account(proc.rank).transfer += \
-            model.msg_overhead
-        arrival = proc.clock + model.transfer_time(nb, self.engine.nprocs)
+        engine.obs.causal.account(proc.rank).transfer += model.msg_overhead
+        arrival = proc.clock + model.transfer_time(nb, engine.nprocs)
         dst_world = self._dest_world(dest)
-        self.engine.deliver(
+        engine.deliver(
             Message(
                 comm_id=self.comm_id,
                 src=self.rank,
@@ -158,10 +163,10 @@ class Comm:
                 arrival=arrival,
                 src_world=proc.rank,
                 sent_at=proc.clock,
-                seq=self.engine.next_msg_seq(proc),
+                seq=engine.next_msg_seq(proc),
             )
         )
-        self.engine.record("send", proc.rank, nb)
+        proc.record("send", nb)
 
     def isend(self, payload, dest: int, tag: int = 0,
               nbytes: int | None = None) -> Request:
@@ -181,8 +186,9 @@ class Comm:
 
     def _take_match(self, proc, source: int, tag: int, t_start: float):
         """Pop the best queued match for ``(source, tag)``, advance the
-        clock, charge the wait/transfer split to the rank's ledger and
-        complete the message's causal record.
+        clock, charge the wait/transfer split to the rank's ledger,
+        complete the message's causal record and tally the receive
+        (together, so a crash after the receive leaves both agreeing).
 
         Matching is an indexed bucket-head lookup (see
         :class:`~repro.simmpi.mailbox.CommMailbox`); non-matching queued
@@ -206,24 +212,30 @@ class Comm:
         if msg.has_dup:
             proc.consumed.add(msg.seq)
         arrival = msg.arrival
-        overhead = self.model.msg_overhead
+        engine = self.engine
+        overhead = engine.model.msg_overhead
         proc.clock = max(t_start, arrival) + overhead
         blocked = max(0.0, arrival - t_start)
         wait = min(blocked, max(0.0, msg.sent_at - t_start))
-        causal = self.engine.obs.causal
+        causal = engine.obs.causal
         acct = causal.account(proc.rank)
         acct.wait += wait
         acct.transfer += (blocked - wait) + overhead
         wildcard = source == ANY_SOURCE or tag == ANY_TAG
-        causal.receive(msg.msg_id, t_start, proc.clock,
+        causal.receive(msg.seq, t_start, proc.clock,
                        (source, tag) if wildcard else None)
+        proc.record("recv", msg.nbytes)
         return msg
 
     def _wait_desc(self, kind: str, source: int, tag: int):
-        return _engine.WaitDesc(
-            kind, self.comm_id, source, tag, self._spec_senders(source),
-            lanes=((self.comm_id, source, tag),),
-        )
+        key = (kind, source, tag)
+        desc = self._descs.get(key)
+        if desc is None:
+            desc = self._descs[key] = _engine.WaitDesc(
+                kind, self.comm_id, source, tag, self._spec_senders(source),
+                lanes=((self.comm_id, source, tag),),
+            )
+        return desc
 
     def _peek(self, proc, source: int, tag: int):
         """Best queued match for ``(source, tag)``, not consumed."""
@@ -237,13 +249,15 @@ class Comm:
         earlier-arriving one, so which message a (wildcard) receive
         takes is a function of virtual time alone.
         """
-        proc = self._proc()
-        self.engine.maybe_crash()
+        engine = self.engine
+        proc = engine.current_proc()
+        if engine.faults is not None:
+            engine.maybe_crash()
         t_start = proc.clock
-        self.engine.park(proc, self._wait_desc("recv", source, tag))
+        engine.park(proc, self._wait_desc("recv", source, tag))
         msg = self._take_match(proc, source, tag, t_start)
-        self.engine.maybe_crash()
-        self.engine.record("recv", proc.rank, msg.nbytes)
+        if engine.faults is not None:
+            engine.maybe_crash()
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def _try_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
@@ -252,13 +266,14 @@ class Comm:
         A queued candidate that some parked rank could still overtake
         (:meth:`Engine.is_next`) is reported as "nothing there".
         """
-        proc = self._proc()
-        self.engine.maybe_crash()
+        engine = self.engine
+        proc = engine.current_proc()
+        if engine.faults is not None:
+            engine.maybe_crash()
         head = self._peek(proc, source, tag)
-        if head is None or not self.engine.is_next(head.arrival):
+        if head is None or not engine.is_next(head.arrival):
             return None
         msg = self._take_match(proc, source, tag, proc.clock)
-        self.engine.record("recv", proc.rank, msg.nbytes)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -274,7 +289,7 @@ class Comm:
         :meth:`_try_recv`: the reported message is the one a receive
         would take.
         """
-        proc = self._proc()
+        proc = self.engine.current_proc()
         if block:
             self.engine.park(proc, self._wait_desc("probe", source, tag))
         m = self._peek(proc, source, tag)
@@ -305,8 +320,9 @@ class Comm:
     def _collective(self, kind: str, contribution, reducer, nbytes: int = 0):
         engine = self.engine
         ctx = engine.coll_ctx(self.comm_id, self._participants())
-        engine.maybe_crash()
-        proc = self._proc()
+        if engine.faults is not None:
+            engine.maybe_crash()
+        proc = engine.current_proc()
         cost_kind = self._COST_ALIAS.get(kind, kind)
         obs = engine.obs
         open_span = obs.spans.begin(
@@ -347,7 +363,7 @@ class Comm:
         acct.wait += max(0.0, ctx.max_clock - enter)
         acct.transfer += ctx.final_clock - ctx.max_clock
         obs.spans.end(open_span, proc.clock)
-        engine.record("coll", proc.rank, nbytes)
+        proc.record("coll", nbytes)
         return ctx.result
 
     def barrier(self) -> None:
@@ -362,13 +378,13 @@ class Comm:
         tell which timestep a straggler stalled.
         """
         obs = self.engine.obs
-        proc = self._proc()
+        proc = self.engine.current_proc()
         h = obs.spans.begin(proc.rank, "mpi.epoch_barrier", "simmpi",
                             proc.clock, {"epoch": epoch})
         try:
             self._collective("barrier", None, lambda e: None)
         finally:
-            obs.spans.end(h, self._proc().clock)
+            obs.spans.end(h, self.engine.current_proc().clock)
 
     def bcast(self, payload=None, root: int = 0):
         """Broadcast ``payload`` from ``root``; every rank returns it."""
@@ -630,7 +646,7 @@ class Intercomm(Comm):
 
     def _my_coll_key(self) -> int:
         # Unique key across both groups: world rank.
-        return _engine.current_world_rank()
+        return self.engine.current_proc().rank
 
     def barrier(self) -> None:
         """Rendezvous across both groups."""

@@ -1,11 +1,12 @@
 """Engine: a virtual-time baton scheduler over one thread per rank.
 
-Rank bodies are OS threads (rank identity is ``threading.local``), but
-exactly one of them holds the *baton* and runs. A rank gives the baton
-up only inside a blocking simmpi operation -- a receive or probe, a
-collective it does not complete, an idle serve loop, its exit -- and
-:meth:`Engine.park` hands it to the parked rank with the smallest
-*event time*, ties by world rank:
+Rank bodies are OS threads, but exactly one of them holds the *baton*
+and runs, so the caller of any simmpi operation is the baton holder
+(:attr:`Engine.running`). A rank gives the baton up only inside a
+blocking simmpi operation -- a receive or probe, a collective it does
+not complete, an idle serve loop, its exit -- and :meth:`Engine.park`
+hands it to the parked rank with the smallest *event time*, ties by
+world rank:
 
 - the arrival of its best queued candidate, for a receive, probe or
   serve-loop wait (capped by the serve loop's virtual deadline);
@@ -36,8 +37,6 @@ from repro.simmpi.mailbox import CommMailbox
 from repro.simmpi.message import Message
 from repro.simmpi.netmodel import NetworkModel
 
-_tls = threading.local()
-
 
 class WaitDesc(NamedTuple):
     """What a parked rank is waiting for (scheduler + deadlock explainer).
@@ -61,19 +60,11 @@ class WaitDesc(NamedTuple):
     lanes: tuple = ()
 
 
-def current_world_rank() -> int:
-    """World rank of the calling thread (threads launched by an Engine)."""
-    rank = getattr(_tls, "world_rank", None)
-    if rank is None:
-        raise RuntimeError("not inside a simmpi rank thread")
-    return rank
-
-
 class Proc:
     """Per-rank state: virtual clock, mailbox, scheduler slot. Internal."""
 
     __slots__ = ("rank", "clock", "baton", "event", "mailbox", "consumed",
-                 "wait_desc", "done", "msg_seq")
+                 "wait_desc", "done", "msg_seq", "tally")
 
     def __init__(self, rank: int):
         self.rank = rank
@@ -98,11 +89,30 @@ class Proc:
         self.wait_desc = None
         # True once the rank's main returned (it will never send again).
         self.done = False
+        # Communication events by kind: [events, bytes, events with
+        # nonzero bytes]; :meth:`Engine.run` folds them into the
+        # ``simmpi.<kind>.{count,bytes}`` counters once.
+        self.tally = {"send": [0, 0, 0], "recv": [0, 0, 0],
+                      "coll": [0, 0, 0]}
+
+    def record(self, kind: str, nbytes: int) -> None:
+        """Account one communication event of ``kind`` (``"send"``,
+        ``"recv"``, ``"coll"``); the full per-message record is the
+        causal trace."""
+        t = self.tally[kind]
+        t[0] += 1
+        if nbytes:
+            t[1] += nbytes
+            t[2] += 1
 
     def best_match(self, lanes) -> Message | None:
         """Best queued message over ``lanes``: the minimum ``(arrival,
         comm_id, src, seq)``, the order serve loops answer in (one lane:
         the mailbox's own ``(arrival, src, seq)``)."""
+        if len(lanes) == 1:
+            cid, source, tag = lanes[0]
+            mbox = self.mailbox.get(cid)
+            return mbox.peek_match(source, tag, self.consumed) if mbox else None
         best = best_key = None
         for cid, source, tag in lanes:
             mbox = self.mailbox.get(cid)
@@ -177,16 +187,13 @@ class Engine:
         self.faults = faults
         #: Unified telemetry (always on).
         self.obs = obs if obs is not None else ObsContext()
-        # (kind, rank) -> (count handle, bytes handle): pre-resolved
-        # bound counters so the per-event hot path never rebuilds
-        # metric keys.
-        self._evt_counters: dict[tuple, tuple] = {}
         # rank -> bound series handle for mailbox-depth sampling.
         self._mbox_series: dict[int, object] = {}
         self.procs = [Proc(i) for i in range(nprocs)]
+        #: The baton holder's :class:`Proc`, which is the caller of any
+        #: simmpi operation; ``None`` outside a run.
+        self.running: Proc | None = None
         self.failure: BaseException | None = None
-        self.n_messages = 0
-        self.n_bytes = 0
         self._comm_counter = 0
         self._coll_ctxs: dict[int, object] = {}
         # The schedule: a heap of ``(event time, rank)``. An entry is
@@ -225,29 +232,26 @@ class Engine:
         return self._comm_counter
 
     def current_proc(self) -> Proc:
-        """The calling thread's Proc."""
-        return self.procs[current_world_rank()]
+        """The calling rank's Proc: the baton holder."""
+        proc = self.running
+        if proc is None:
+            raise RuntimeError("not inside a simmpi rank thread")
+        return proc
 
     # -- event accounting ---------------------------------------------------
 
-    def record(self, kind: str, rank: int, nbytes: int) -> None:
-        """Account one communication event of ``kind`` (``"send"``,
-        ``"recv"``, ``"coll"``) on ``rank``.
-
-        Feeds the ``simmpi.<kind>.{count,bytes}`` counters in
-        :attr:`obs` (the full per-message record is the causal trace,
-        written at delivery and match time). Counters are pre-resolved
-        bound handles, so this path does no metric-key work.
-        """
-        handles = self._evt_counters.get((kind, rank))
-        if handles is None:
-            metrics = self.obs.metrics
-            handles = (metrics.counter(f"simmpi.{kind}.count", rank=rank),
-                       metrics.counter(f"simmpi.{kind}.bytes", rank=rank))
-            self._evt_counters[(kind, rank)] = handles
-        handles[0].inc(1)
-        if nbytes:
-            handles[1].inc(nbytes)
+    def _fold_tallies(self) -> None:
+        """Fold every rank's :attr:`Proc.tally` into the
+        ``simmpi.<kind>.{count,bytes}`` counters of :attr:`obs`: two
+        counter writes per rank and kind that had an event."""
+        metrics = self.obs.metrics
+        for p in self.procs:
+            for kind, (n, nbytes, nonzero) in p.tally.items():
+                if n:
+                    metrics.counter(f"simmpi.{kind}.count",
+                                    rank=p.rank).inc(n, count=n)
+                    metrics.counter(f"simmpi.{kind}.bytes",
+                                    rank=p.rank).inc(nbytes, count=nonzero)
 
     # -- the scheduler --------------------------------------------------------
 
@@ -302,7 +306,8 @@ class Engine:
         gives up the baton and returns holding it again -- at once when
         it already has the smallest event.
         """
-        self.check_failed()
+        if self.failure is not None:
+            self.check_failed()
         proc.wait_desc = desc
         best = proc.best_match(desc.lanes)
         event = best.arrival if best is not None else deadline
@@ -314,8 +319,10 @@ class Engine:
         if nxt is not proc:
             nxt.baton.release()
             proc.baton.acquire()
+            self.running = proc
         proc.wait_desc = None
-        self.check_failed()
+        if self.failure is not None:
+            self.check_failed()
 
     def _retire(self, proc: Proc) -> None:
         """``proc``'s body returned: pass the baton on for good."""
@@ -324,6 +331,7 @@ class Engine:
         if self._live:
             self._next().baton.release()
         else:
+            self.running = None
             self._finished.set()
 
     # -- failure handling ---------------------------------------------------
@@ -357,16 +365,15 @@ class Engine:
     def maybe_crash(self) -> None:
         """Crash the calling rank if its fault-plan time has come.
 
-        Called at clock checkpoints (send/recv/collective/compute and
-        RPC serve loops); raises :class:`RankFailure` on the crashing
-        rank, which tears down every peer cleanly via the engine's
-        failure path instead of leaving them hanging.
+        Called, only under a fault plan, at clock checkpoints
+        (send/recv/collective/compute and RPC serve loops); raises
+        :class:`RankFailure` on the crashing rank, which tears down
+        every peer cleanly via the engine's failure path instead of
+        leaving them hanging.
         """
         plan = self.faults
-        if plan is None:
-            return
-        rank = current_world_rank()
-        proc = self.procs[rank]
+        proc = self.current_proc()
+        rank = proc.rank
         t = plan.crash_vtime(rank)
         if t is None or proc.clock < t:
             return
@@ -444,19 +451,20 @@ class Engine:
         # the same envelope and arrives later) is a better one.
         desc = dst.wait_desc
         if desc is not None and (dst.event is None
-                                 or msg.arrival < dst.event) and any(
-                cid == msg.comm_id and msg.matches(source, tag)
-                for cid, source, tag in desc.lanes):
-            self._post(dst, msg.arrival)
+                                 or msg.arrival < dst.event):
+            for cid, source, tag in desc.lanes:
+                if cid == msg.comm_id and msg.matches(source, tag):
+                    self._post(dst, msg.arrival)
+                    break
         series = self._mbox_series.get(msg.dst_world)
         if series is None:
             series = self.obs.series.bound(
                 "simmpi.mailbox_depth", rank=msg.dst_world
             )
             self._mbox_series[msg.dst_world] = series
-        series.record(msg.arrival, sum(len(m) for m in dst.mailbox.values()))
-        self.n_messages += 1
-        self.n_bytes += msg.nbytes
+        boxes = dst.mailbox
+        series.record(msg.arrival, len(mbox) if len(boxes) == 1
+                      else sum(len(m) for m in boxes.values()))
 
     # -- running ----------------------------------------------------------
 
@@ -474,7 +482,7 @@ class Engine:
 
         def runner(proc: Proc):
             proc.baton.acquire()
-            _tls.world_rank = proc.rank
+            self.running = proc
             try:
                 if self.failure is None:
                     returns[proc.rank] = main(world, *args, **kwargs)
@@ -503,15 +511,17 @@ class Engine:
             self.fail(RunTimeout(
                 f"run did not finish within {self.timeout:.0f}s real time"
             ))
+        self._fold_tallies()
         if self.failure is not None:
             raise self.failure
         clocks = [p.clock for p in self.procs]
+        sends = [p.tally["send"] for p in self.procs]
         return WorldResult(
             returns=returns,
             vtime=max(clocks),
             clocks=clocks,
-            messages=self.n_messages,
-            bytes_sent=self.n_bytes,
+            messages=sum(t[0] for t in sends),
+            bytes_sent=sum(t[1] for t in sends),
             obs=self.obs,
         )
 

@@ -78,10 +78,8 @@ class CommMailbox:
             del self._by_tag[tag]
 
     def _candidate_keys(self, source: int, tag: int):
-        """Bucket keys that could hold a ``(source, tag)`` match."""
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            key = (source, tag)
-            return (key,) if key in self._buckets else ()
+        """Bucket keys that could hold a wildcard ``(source, tag)``
+        match."""
         if source != ANY_SOURCE:
             return tuple(self._by_src.get(source, ()))
         if tag != ANY_TAG:
@@ -111,6 +109,12 @@ class CommMailbox:
 
     def _best_key(self, source: int, tag: int, consumed):
         """Bucket key holding the overall best match, or ``None``."""
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            key = (source, tag)
+            if self._live_head(key, consumed) is None:
+                return None
+            self.examined += 1
+            return key
         best_key = None
         best_rank = None
         for key in self._candidate_keys(source, tag):

@@ -51,15 +51,11 @@ class Message:
     sent_at: float = 0.0  # sender's clock at post time (wire-time base)
     dup_of: int | None = None  # seq of the original, for injected copies
     has_dup: bool = False  # an injected copy of this message exists
-    # Engine sends pass Engine.next_msg_seq (deterministic per-sender
-    # stream); the global counter is a fallback for messages built
-    # directly, e.g. in mailbox unit tests.
+    # Also the message's id in the causal trace. Engine sends pass
+    # Engine.next_msg_seq (deterministic per-sender stream); the global
+    # counter is a fallback for messages built directly, e.g. in
+    # mailbox unit tests.
     seq: int = field(default_factory=lambda: next(_seq))
-
-    @property
-    def msg_id(self) -> int:
-        """Globally unique message id (causal flow-edge key)."""
-        return self.seq
 
     def matches(self, source: int, tag: int) -> bool:
         """True when (source, tag) match this envelope."""

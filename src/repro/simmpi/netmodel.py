@@ -35,6 +35,17 @@ def payload_nbytes(obj) -> int:
     envelope; everything else a flat 64-byte estimate. Transport layers
     that know better pass ``nbytes`` explicitly.
     """
+    # Exact builtin scalars and sequences first: they have no
+    # ``nbytes`` (subclasses, e.g. named tuples, may, so they take the
+    # general path below).
+    cls = type(obj)
+    if cls is int or cls is float or cls is bool:
+        return 8
+    if cls is tuple or cls is list:
+        n = 16
+        for x in obj:
+            n += payload_nbytes(x) + 8
+        return n
     if obj is None:
         return 0
     nb = getattr(obj, "nbytes", None)

@@ -1,7 +1,7 @@
 """Bounded virtual-time series: windows, coarsening, exact merges."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.obs.series import (
     DEFAULT_INTERVAL,
@@ -146,6 +146,36 @@ class TestSeriesValue:
         assert m.count == full.count == len(samples)
         assert sum(w.total for w in m.windows.values()) == pytest.approx(
             sum(v for _, v in samples), abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=1000.0,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-100, max_value=100)),
+        min_size=2, max_size=80),
+        st.integers(min_value=2, max_value=8))
+    def test_record_equals_brute_force_recompute(self, samples, budget):
+        """Whenever samples open windows and force coarsening, the series
+        holds what binning every sample at the final width gives: the
+        narrowest doubling of the base whose span fits the budget.
+        Integer values keep window totals exact in any summation order."""
+        s = SeriesValue(base_interval=1.0, max_windows=budget)
+        for t, v in samples:
+            s.record(t, float(v))
+        interval = 1.0
+        while True:
+            idx = [int(t // interval) for t, _ in samples]
+            if max(idx) - min(idx) + 1 <= budget:
+                break
+            interval *= 2.0
+        assume(interval > 1.0)
+        ref = SeriesValue(base_interval=1.0, max_windows=budget)
+        ref.interval = interval
+        for i, (_, v) in zip(idx, samples):
+            ref.windows.setdefault(i, Window()).add(float(v))
+        assert s.interval == interval
+        assert s.to_json() == ref.to_json()
+        assert s.digest() == ref.digest()
 
 
 class TestRecorderAndSnapshot:
