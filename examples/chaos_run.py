@@ -100,10 +100,12 @@ def run(faults=None):
 def injected(res):
     """Injected-fault counters from the run's metrics, by kind."""
     out = {}
-    for (kind, key), v in res.obs.metrics.snapshot().data.items():
-        if kind == "counter" and key[0] == "faults.injected":
-            labels = dict(key[1])
-            out[labels["kind"]] = out.get(labels["kind"], 0) + v.total
+    for kind in ("msg_delay", "msg_duplicate", "rpc_lost"):
+        counters = [res.obs.metrics.get("faults.injected", kind=kind, rank=r)
+                    for r in range(NPROD + NCONS)]
+        total = sum(c.total for c in counters if c is not None)
+        if total:
+            out[kind] = total
     return out
 
 

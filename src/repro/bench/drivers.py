@@ -33,7 +33,6 @@ from repro.baselines import (
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL, StreamConfig
 from repro.lowfive.config import CostConfig
-from repro.obs import metrics_dump
 from repro.pfs import PFSStore
 from repro.perfmodel.transports import Machine, THETA_KNL
 from repro.stream import epoch_fname, stream_pattern
@@ -55,8 +54,8 @@ from repro.workflow import Workflow
 class ExecutedResult:
     """One executed benchmark point.
 
-    ``metrics`` is the run's plain-dict obs metrics dump (counters,
-    gauges, histograms from every instrumented layer); ``None`` only
+    ``metrics`` is the run's plain-dict obs metrics dump (counters and
+    histograms from every instrumented layer); ``None`` only
     for hand-built results. ``attribution`` is the causal summary
     (:meth:`repro.obs.critpath.CausalReport.summary`): critical-path
     category/phase shares, wait-state totals, conservation status.
@@ -85,7 +84,7 @@ def _run(wf: Workflow, machine: Machine, consumer_name: str = "consumer",
 def _finish(nprod, ncons, res, ok) -> ExecutedResult:
     if not ok:
         raise AssertionError("consumer-side validation failed")
-    metrics = metrics_dump(res.obs.metrics) if res.obs is not None else None
+    metrics = res.obs.metrics.to_dict() if res.obs is not None else None
     attribution = None
     if res.obs is not None and res.clocks:
         attribution = res.causal_report().summary()

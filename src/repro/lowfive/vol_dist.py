@@ -61,15 +61,6 @@ class PhaseStats:
             return {k: 0.0 for k in self.seconds}
         return {k: v / tot for k, v in self.seconds.items()}
 
-    def merge(self, other: "PhaseStats") -> "PhaseStats":
-        """Combined stats of ``self`` and ``other`` (pure)."""
-        out = PhaseStats(dict(self.seconds), dict(self.counts))
-        for k, v in other.seconds.items():
-            out.seconds[k] = out.seconds.get(k, 0.0) + v
-        for k, v in other.counts.items():
-            out.counts[k] = out.counts.get(k, 0) + v
-        return out
-
 
 @dataclass
 class IndexedBox:

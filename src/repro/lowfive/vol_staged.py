@@ -269,8 +269,8 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
             e += 1
         dropped[stream] = e
         live = sum(1 for f in skeletons if f.startswith(stream + "@"))
-        obs.sample("stream.staged_live", inters[0].vtime, live,
-                   rank=my_world, stream=stream)
+        obs.series.record("stream.staged_live", inters[0].vtime, live,
+                          rank=my_world, stream=stream)
 
     server.register("metadata", metadata)
     server.register("read", read)

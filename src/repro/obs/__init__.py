@@ -5,8 +5,8 @@ One :class:`ObsContext` per simulated machine (the
 every layer -- simmpi messages and collectives, LowFive transport
 phases, PFS I/O, workflow tasks -- behind a single API:
 
-- :mod:`repro.obs.metrics` -- thread-safe counters/gauges/histograms
-  keyed by ``(name, labels)`` with associative snapshot merging;
+- :mod:`repro.obs.metrics` -- thread-safe counters and histograms
+  keyed by ``(name, labels)``;
 - :mod:`repro.obs.spans` -- virtual-clock span tracing with
   parent/child links;
 - :mod:`repro.obs.causal` -- message flow edges, collective straggler
@@ -15,15 +15,18 @@ phases, PFS I/O, workflow tasks -- behind a single API:
 - :mod:`repro.obs.critpath` -- exact critical-path extraction through
   the virtual timeline with per-category/per-phase breakdowns;
 - :mod:`repro.obs.export` -- Chrome/Perfetto ``trace_event`` JSON
-  (including ``s``/``f`` flow arrows for message edges) and plain-dict
-  metrics dumps;
+  (including ``s``/``f`` flow arrows for message edges);
 - :mod:`repro.obs.series` -- bounded-memory virtual-clock time series
-  (windowed min/max/mean aggregates, mergeable across ranks);
+  (windowed min/max/mean aggregates);
 - :mod:`repro.obs.ledger` -- persistent per-run manifests
   (:class:`~repro.obs.ledger.RunRecord`) in a JSONL ledger plus the
   unified cross-run drift comparator behind ``repro.tools regress``;
 - :mod:`repro.obs.noop` -- the same context with every recording
   method silenced, for measuring telemetry overhead.
+
+Each fact of a run lives in exactly one recorder, and readers query
+that recorder in place (``obs.metrics.to_dict()``,
+``obs.series.digests()``, ``obs.stream.events()``, ...).
 
 Instrumentation points reach the context through their communicator::
 
@@ -58,16 +61,10 @@ from repro.obs.critpath import (
 )
 from repro.obs.export import (
     chrome_trace,
-    metrics_dump,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    BoundCounter,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_snapshots,
-)
+from repro.obs.metrics import BoundCounter, MetricsRegistry
 from repro.obs.ledger import (
     Ledger,
     RunRecord,
@@ -75,13 +72,7 @@ from repro.obs.ledger import (
     compare_runs,
     record_from_result,
 )
-from repro.obs.series import (
-    BoundSeries,
-    SeriesRecorder,
-    SeriesSnapshot,
-    SeriesValue,
-    series_dump,
-)
+from repro.obs.series import BoundSeries, SeriesRecorder, SeriesValue
 from repro.obs.spans import InstantEvent, SpanEvent, SpanRecorder
 from repro.obs.streamstat import StreamEvent, StreamLedger
 
@@ -91,8 +82,6 @@ __all__ = [
     "span",
     "BoundCounter",
     "MetricsRegistry",
-    "MetricsSnapshot",
-    "merge_snapshots",
     "SpanRecorder",
     "SpanEvent",
     "InstantEvent",
@@ -114,12 +103,9 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
-    "metrics_dump",
     "SeriesRecorder",
-    "SeriesSnapshot",
     "SeriesValue",
     "BoundSeries",
-    "series_dump",
     "Ledger",
     "RunRecord",
     "record_from_result",
@@ -134,7 +120,7 @@ class ObsContext:
 
     #: Methods that record. Every recorder class lists its own; a
     #: :class:`~repro.obs.noop.NullObsContext` silences exactly these.
-    PRODUCERS = ("set_task", "sample", "fault", "span")
+    PRODUCERS = ("set_task", "fault", "span")
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
@@ -143,7 +129,7 @@ class ObsContext:
         self.causal = CausalRecorder()
         #: Epoch-lifecycle events of streaming pipelines.
         self.stream = StreamLedger()
-        #: Bounded virtual-time series of the hot gauges.
+        #: Bounded virtual-time series (queue depths, bytes, attempts).
         self.series = SeriesRecorder()
         self._rank_tasks: dict[int, str] = {}
 
@@ -161,17 +147,6 @@ class ObsContext:
     def rank_tasks(self) -> dict[int, str]:
         """Copy of the world-rank -> task-name map."""
         return dict(self._rank_tasks)
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, name: str, t: float, value: float, *,
-               rank: object = None, **labels: object) -> None:
-        """Record ``value`` as both a point-in-time gauge and a window
-        of the virtual-time series ``name``."""
-        if rank is not None:
-            labels["rank"] = rank
-        self.metrics.set(name, value, **labels)
-        self.series.record(name, t, value, **labels)
 
     # -- fault annotations --------------------------------------------------
 

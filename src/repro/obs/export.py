@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto ``trace_event`` JSON and metrics dumps.
+"""Exporter: Chrome/Perfetto ``trace_event`` JSON.
 
 The Chrome trace format (loadable in ``chrome://tracing``, Perfetto, or
 speedscope) maps naturally onto a workflow run: one *pid* per task, one
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 from typing import Any
-
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 
 #: Virtual seconds -> Chrome trace microseconds.
 _US = 1e6
@@ -104,7 +102,7 @@ def chrome_trace(obs: Any) -> dict[str, object]:
             })
 
     other: dict[str, object] = {"clock": "virtual",
-                                "metrics": metrics_dump(obs.metrics)}
+                                "metrics": obs.metrics.to_dict()}
     series = getattr(obs, "series", None)
     if series is not None:
         dumped = series.to_dict()
@@ -154,11 +152,3 @@ def validate_chrome_trace(doc: object) -> None:
                 raise ValueError(f"flow event missing ts/id: {ev!r}")
     json.dumps(doc)  # must be serializable as-is
 
-
-def metrics_dump(metrics: object) -> dict[str, dict[str, object]]:
-    """Plain-dict dump of a registry or snapshot (JSON-able)."""
-    if isinstance(metrics, MetricsRegistry):
-        metrics = metrics.snapshot()
-    if isinstance(metrics, MetricsSnapshot):
-        return metrics.to_dict()
-    raise TypeError(f"cannot dump metrics from {type(metrics).__name__}")

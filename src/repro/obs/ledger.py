@@ -213,16 +213,8 @@ def record_from_result(res: Any, workload: str, *, mode: str | None = None,
     counters: dict[str, float] = {}
     series: dict[str, str] = {}
     if obs is not None:
-        try:
-            counters = counter_totals(obs.metrics.to_dict())
-        except Exception:  # noqa: BLE001,ANL006 - disabled/noop obs
-            counters = {}
-        recorder = getattr(obs, "series", None)
-        if recorder is not None:
-            try:
-                series = recorder.snapshot().digests()
-            except Exception:  # noqa: BLE001,ANL006 - disabled/noop obs
-                series = {}
+        counters = counter_totals(obs.metrics.to_dict())
+        series = obs.series.digests()
     attr = None
     if attribution and obs is not None and getattr(res, "clocks", None):
         try:

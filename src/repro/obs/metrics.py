@@ -1,22 +1,17 @@
-"""Thread-safe metrics: counters, gauges, histograms.
+"""Thread-safe metrics: counters and histograms.
 
 Every metric is keyed by ``(name, labels)``; per-rank scoping is just a
 ``rank=...`` label, so one registry serves all ranks of a simulated
-machine. Snapshots are cheap (copy of small dataclasses under one lock)
-and merge associatively, so per-task or per-run snapshots can be
-combined in any grouping:
+machine. Readers query the registry itself, under its lock:
 
     reg = MetricsRegistry()
     reg.inc("simmpi.send.bytes", 4096, rank=3)
-    reg.set("pfs.open_files", 2, rank=0)
     reg.observe("lowfive.query.bytes", 1024, rank=1, dataset="/grid")
-    snap = reg.snapshot()
-    combined = snap.merge(other_snap)
-    combined.to_dict()   # plain JSON-able dict
+    reg.get("simmpi.send.bytes", rank=3).total   # 4096.0
+    reg.to_dict()   # plain JSON-able dict
 
 Histograms use base-2 exponential buckets (bucket ``i`` holds values in
-``(2**(i-1), 2**i]``; non-positive values land in bucket ``None``), so
-merging never re-bins.
+``(2**(i-1), 2**i]``; non-positive values land in bucket ``None``).
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, cast
+from typing import cast
 
 #: Canonical metric key: ``(name, sorted (label, value) pairs)``.
 Key = tuple[str, tuple[tuple[str, object], ...]]
@@ -56,36 +51,9 @@ class CounterValue:
         self.total += value
         self.count += count
 
-    def merge(self, other: "CounterValue") -> "CounterValue":
-        """Sum of both counters (pure)."""
-        return CounterValue(self.total + other.total,
-                            self.count + other.count)
-
     def to_json(self) -> dict[str, object]:
         """JSON-able form."""
         return {"total": self.total, "count": self.count}
-
-
-@dataclass
-class GaugeValue:
-    """Last-written value; ``seq`` orders writes across merges.
-
-    Merging keeps the write with the larger ``(seq, value)`` pair, which
-    makes the merge associative and commutative.
-    """
-
-    value: float = 0.0
-    seq: int = 0
-
-    def merge(self, other: "GaugeValue") -> "GaugeValue":
-        """The later write of the two (pure)."""
-        a, b = (self.seq, self.value), (other.seq, other.value)
-        seq, value = max(a, b)
-        return GaugeValue(value, seq)
-
-    def to_json(self) -> dict[str, object]:
-        """JSON-able form."""
-        return {"value": self.value, "seq": self.seq}
 
 
 def bucket_index(value: float) -> int | None:
@@ -115,16 +83,6 @@ class HistogramValue:
         self.vmin = min(self.vmin, value)
         self.vmax = max(self.vmax, value)
 
-    def merge(self, other: "HistogramValue") -> "HistogramValue":
-        """Bucket-wise sum with combined moments (pure, no re-binning)."""
-        buckets = dict(self.buckets)
-        for b, n in other.buckets.items():
-            buckets[b] = buckets.get(b, 0) + n
-        return HistogramValue(
-            buckets, self.total + other.total, self.count + other.count,
-            min(self.vmin, other.vmin), max(self.vmax, other.vmax),
-        )
-
     @property
     def mean(self) -> float:
         """Arithmetic mean of the observations (0.0 when empty)."""
@@ -138,8 +96,7 @@ class HistogramValue:
         bounds, then clamps to the observed ``[min, max]``. For values
         ``>= 1`` the estimate is always within a factor of two of the
         true order statistic (bucket 0 spans all of ``(0, 1]``, so no
-        such bound holds below 1), and merging histograms can only
-        move it within that bound (buckets merge without re-binning).
+        such bound holds below 1).
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
@@ -176,12 +133,11 @@ class HistogramValue:
         }
 
 
-#: Any concrete metric value; all three merge associatively.
-MetricValue = CounterValue | GaugeValue | HistogramValue
+#: Any concrete metric value.
+MetricValue = CounterValue | HistogramValue
 
 _KINDS: dict[str, type[MetricValue]] = {
-    "counter": CounterValue, "gauge": GaugeValue,
-    "histogram": HistogramValue,
+    "counter": CounterValue, "histogram": HistogramValue,
 }
 
 
@@ -192,9 +148,9 @@ class BoundCounter:
     :meth:`MetricsRegistry.counter`; every subsequent :meth:`inc` is a
     single locked float-add with no kwargs dict, no ``sorted(labels)``
     key build and no registry lookup. Increments land in the same slot
-    plain :meth:`MetricsRegistry.inc` calls would, so snapshots and
-    merges are unchanged. A producer that tallies on its own side
-    folds ``count`` increments into one call.
+    plain :meth:`MetricsRegistry.inc` calls would, so every query reads
+    them. A producer that tallies on its own side folds ``count``
+    increments into one call.
     """
 
     __slots__ = ("_lock", "_slot")
@@ -210,66 +166,19 @@ class BoundCounter:
             self._slot.inc(value, count)
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Immutable point-in-time copy of a registry.
-
-    ``data`` maps ``(kind, key)`` -> value dataclass. Merging is pure
-    and associative (see the individual value types).
-    """
-
-    data: dict[tuple[str, Key], MetricValue] = field(default_factory=dict)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Key-wise merge of two snapshots (pure, associative)."""
-        out = dict(self.data)
-        for k, v in other.data.items():
-            mine = out.get(k)
-            # Same key => same kind (the registry enforces it), so the
-            # union-typed merge is always kind-homogeneous at runtime.
-            out[k] = v if mine is None else mine.merge(cast(Any, v))
-        return MetricsSnapshot(out)
-
-    def get(self, name: str, **labels: object) -> MetricValue | None:
-        """The value object for ``(name, labels)`` or ``None``."""
-        key = metric_key(name, labels)
-        for kind in _KINDS:
-            v = self.data.get((kind, key))
-            if v is not None:
-                return v
-        return None
-
-    def to_dict(self) -> dict[str, dict[str, object]]:
-        """Plain-dict dump: ``{kind: {name{labels}: value...}}``."""
-        out: dict[str, dict[str, object]] = {kind: {} for kind in _KINDS}
-        for (kind, key), v in sorted(self.data.items(),
-                                     key=lambda kv: (kv[0][0], kv[0][1])):
-            out[kind][key_str(key)] = v.to_json()
-        return out
-
-
-def merge_snapshots(*snaps: MetricsSnapshot) -> MetricsSnapshot:
-    """Fold any number of snapshots into one."""
-    out = MetricsSnapshot()
-    for s in snaps:
-        out = out.merge(s)
-    return out
-
-
 class MetricsRegistry:
-    """Thread-safe registry of counters, gauges and histograms.
+    """Thread-safe registry of counters and histograms.
 
     One lock guards all metrics; operations are dictionary lookups plus
     a couple of float ops, cheap enough for per-message accounting on
     the simulated machine.
     """
 
-    PRODUCERS = ("inc", "counter", "set", "observe")  # see ObsContext
+    PRODUCERS = ("inc", "counter", "observe")  # see ObsContext
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict[tuple[str, Key], MetricValue] = {}
-        self._seq = 0
 
     def _slot(self, kind: str, name: str,
               labels: dict[str, object]) -> MetricValue:
@@ -309,17 +218,6 @@ class MetricsRegistry:
                         self._slot("counter", name, labels))
         return BoundCounter(self._lock, slot)
 
-    def set(self, name: str, value: float, *,
-            rank: object = None, **labels: object) -> None:
-        """Set the gauge ``(name, labels)`` to ``value``."""
-        if rank is not None:
-            labels["rank"] = rank
-        with self._lock:
-            g = cast(GaugeValue, self._slot("gauge", name, labels))
-            self._seq += 1
-            g.value = value
-            g.seq = self._seq
-
     def observe(self, name: str, value: float, *,
                 rank: object = None, **labels: object) -> None:
         """Record ``value`` into the histogram ``(name, labels)``."""
@@ -329,20 +227,21 @@ class MetricsRegistry:
             cast(HistogramValue,
                  self._slot("histogram", name, labels)).observe(value)
 
-    def snapshot(self) -> MetricsSnapshot:
-        """Cheap immutable copy of every metric's current value."""
+    def get(self, name: str, **labels: object) -> MetricValue | None:
+        """The live value object for ``(name, labels)`` or ``None``."""
+        key = metric_key(name, labels)
         with self._lock:
-            data: dict[tuple[str, Key], MetricValue] = {}
-            for key, v in self._data.items():
-                if isinstance(v, CounterValue):
-                    data[key] = CounterValue(v.total, v.count)
-                elif isinstance(v, GaugeValue):
-                    data[key] = GaugeValue(v.value, v.seq)
-                else:
-                    data[key] = HistogramValue(dict(v.buckets), v.total,
-                                               v.count, v.vmin, v.vmax)
-            return MetricsSnapshot(data)
+            for kind in _KINDS:
+                v = self._data.get((kind, key))
+                if v is not None:
+                    return v
+        return None
 
     def to_dict(self) -> dict[str, dict[str, object]]:
-        """Shortcut: ``snapshot().to_dict()``."""
-        return self.snapshot().to_dict()
+        """Plain-dict dump: ``{kind: {name{labels}: value...}}``."""
+        out: dict[str, dict[str, object]] = {kind: {} for kind in _KINDS}
+        with self._lock:
+            for (kind, key), v in sorted(self._data.items(),
+                                         key=lambda kv: kv[0]):
+                out[kind][key_str(key)] = v.to_json()
+        return out

@@ -12,7 +12,7 @@ measured difference is a lower bound on what telemetry costs.
 Nothing of the obs surface is re-typed here. A null context *is* a real
 context holding real, empty recorders; construction shadows every
 method a class lists in its ``PRODUCERS`` with one sink object. Queries
-(``spans()``, ``snapshot()``, ``chrome_trace()``, ...) are the real code
+(``spans()``, ``to_dict()``, ``chrome_trace()``, ...) are the real code
 answering for an empty run, and the enabled path tests no flag.
 """
 

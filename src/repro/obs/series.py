@@ -1,20 +1,18 @@
 """Bounded-memory virtual-clock time series.
 
 End-of-run totals answer *how much*; the paper's longitudinal story
-(fig5-fig11 curves across modes and scales) and the multi-tenant SLO
-work both need *how it evolved* -- queue depths, bytes in flight,
-attempt counts over virtual time. A full sample log is unbounded, so a
-series here is a fixed-budget array of *windows*: samples landing in
-the same virtual-time window fold into a streaming aggregate
-``(count, total, min, max)``; when the run outgrows the window budget
-the series coarsens itself (window width doubles, adjacent windows
-merge), so memory stays ``O(max_windows)`` no matter how long the run.
+(fig5-fig11 curves across modes and scales) needs *how it evolved* --
+queue depths, bytes in flight, attempt counts over virtual time. A full
+sample log is unbounded, so a series here is a fixed-budget array of
+*windows*: samples landing in the same virtual-time window fold into a
+streaming aggregate ``(count, total, min, max)``; when the run outgrows
+the window budget the series coarsens itself (window width doubles,
+adjacent windows merge), so memory stays ``O(DEFAULT_WINDOWS)`` no
+matter how long the run.
 
-Window widths are power-of-two multiples of one base interval, which
-makes coarsening exact (``floor(t/2i) == floor(t/i) // 2``) and lets
-snapshots from different ranks or runs merge associatively like
-:class:`~repro.obs.metrics.MetricsSnapshot`: the finer side coarsens to
-the coarser width, then windows merge index-by-index.
+Window widths are power-of-two multiples of :data:`DEFAULT_INTERVAL`,
+which makes coarsening exact (``floor(t/2i) == floor(t/i) // 2``): a
+coarsened series equals one recorded at the coarse width from the start.
 
 Determinism: every producer samples in an order fixed by virtual time
 (one runnable rank at a time), so every series is byte-stable across
@@ -26,15 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.metrics import Key, key_str, metric_key
 
-#: Default finest window width (virtual seconds). Power of two so every
+#: Finest window width (virtual seconds). Power of two so every
 #: coarsening step stays exact.
 DEFAULT_INTERVAL = 2.0 ** -10
 
-#: Default per-series window budget.
+#: Per-series window budget.
 DEFAULT_WINDOWS = 64
 
 
@@ -75,21 +73,15 @@ class Window:
 class SeriesValue:
     """One bounded series: windows of samples over virtual time.
 
-    ``interval`` only ever grows by doubling from ``base_interval``, so
-    any two series sharing a base can be merged exactly.
+    ``interval`` only ever grows by doubling from
+    :data:`DEFAULT_INTERVAL`, and the span of windows never exceeds
+    :data:`DEFAULT_WINDOWS`.
     """
 
-    __slots__ = ("base_interval", "interval", "max_windows", "windows")
+    __slots__ = ("interval", "windows")
 
-    def __init__(self, base_interval: float = DEFAULT_INTERVAL,
-                 max_windows: int = DEFAULT_WINDOWS) -> None:
-        if base_interval <= 0.0:
-            raise ValueError("base_interval must be > 0")
-        if max_windows < 2:
-            raise ValueError("max_windows must be >= 2")
-        self.base_interval = base_interval
-        self.interval = base_interval
-        self.max_windows = max_windows
+    def __init__(self) -> None:
+        self.interval = DEFAULT_INTERVAL
         self.windows: dict[int, Window] = {}
 
     # -- producing ---------------------------------------------------------
@@ -106,7 +98,7 @@ class SeriesValue:
         w.add(value)
         if len(self.windows) > 1:
             lo, hi = min(self.windows), max(self.windows)
-            while hi - lo + 1 > self.max_windows:
+            while hi - lo + 1 > DEFAULT_WINDOWS:
                 self._coarsen()
                 lo, hi = min(self.windows), max(self.windows)
 
@@ -118,39 +110,6 @@ class SeriesValue:
             tgt = merged.get(idx >> 1)
             merged[idx >> 1] = w if tgt is None else tgt.merge(w)
         self.windows = merged
-
-    # -- combining ---------------------------------------------------------
-
-    def copy(self) -> "SeriesValue":
-        """Independent deep copy (windows included)."""
-        out = SeriesValue(self.base_interval, self.max_windows)
-        out.interval = self.interval
-        out.windows = {i: Window(w.count, w.total, w.vmin, w.vmax)
-                       for i, w in self.windows.items()}
-        return out
-
-    def merge(self, other: "SeriesValue") -> "SeriesValue":
-        """Associative merge; both sides must share a base interval."""
-        if self.base_interval != other.base_interval:
-            raise ValueError(
-                f"cannot merge series with base intervals "
-                f"{self.base_interval} and {other.base_interval}"
-            )
-        a, b = self.copy(), other.copy()
-        while a.interval < b.interval:
-            a._coarsen()
-        while b.interval < a.interval:
-            b._coarsen()
-        for idx, w in b.windows.items():
-            mine = a.windows.get(idx)
-            a.windows[idx] = w if mine is None else mine.merge(w)
-        a.max_windows = min(a.max_windows, b.max_windows)
-        if a.windows:
-            lo, hi = min(a.windows), max(a.windows)
-            while hi - lo + 1 > a.max_windows:
-                a._coarsen()
-                lo, hi = min(a.windows), max(a.windows)
-        return a
 
     # -- querying ----------------------------------------------------------
 
@@ -199,35 +158,6 @@ class BoundSeries:
             self._slot.record(t, value)
 
 
-@dataclass(frozen=True)
-class SeriesSnapshot:
-    """Immutable copy of a recorder: ``key -> SeriesValue``."""
-
-    data: dict[Key, SeriesValue] = field(default_factory=dict)
-
-    def merge(self, other: "SeriesSnapshot") -> "SeriesSnapshot":
-        """Key-wise merge of two snapshots (pure, associative)."""
-        out = dict(self.data)
-        for k, v in other.data.items():
-            mine = out.get(k)
-            out[k] = v if mine is None else mine.merge(v)
-        return SeriesSnapshot(out)
-
-    def get(self, name: str, **labels: object) -> SeriesValue | None:
-        """The series for ``(name, labels)`` or ``None``."""
-        return self.data.get(metric_key(name, labels))
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict dump: ``{name{labels}: series json}``."""
-        return {key_str(k): v.to_json()
-                for k, v in sorted(self.data.items())}
-
-    def digests(self) -> dict[str, str]:
-        """Stable per-series content digests."""
-        return {key_str(k): v.digest()
-                for k, v in sorted(self.data.items())}
-
-
 class SeriesRecorder:
     """Thread-safe registry of bounded virtual-time series.
 
@@ -237,10 +167,7 @@ class SeriesRecorder:
 
     PRODUCERS = ("record", "bound")  # see ObsContext
 
-    def __init__(self, base_interval: float = DEFAULT_INTERVAL,
-                 max_windows: int = DEFAULT_WINDOWS) -> None:
-        self.base_interval = base_interval
-        self.max_windows = max_windows
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict[Key, SeriesValue] = {}
 
@@ -248,8 +175,7 @@ class SeriesRecorder:
         key = metric_key(name, labels)
         v = self._data.get(key)
         if v is None:
-            v = self._data[key] = SeriesValue(self.base_interval,
-                                              self.max_windows)
+            v = self._data[key] = SeriesValue()
         return v
 
     def record(self, name: str, t: float, value: float, *,
@@ -269,22 +195,24 @@ class SeriesRecorder:
             slot = self._slot(name, labels)
         return BoundSeries(self._lock, slot)
 
-    def snapshot(self) -> SeriesSnapshot:
-        """Immutable copy of every series."""
+    def get(self, name: str, **labels: object) -> SeriesValue | None:
+        """The live series for ``(name, labels)`` or ``None``."""
         with self._lock:
-            return SeriesSnapshot(
-                {k: v.copy() for k, v in self._data.items()}
-            )
+            return self._data.get(metric_key(name, labels))
+
+    def items(self) -> list[tuple[Key, SeriesValue]]:
+        """``(key, series)`` pairs in key order."""
+        with self._lock:
+            return sorted(self._data.items())
 
     def to_dict(self) -> dict[str, object]:
-        """Shortcut: ``snapshot().to_dict()``."""
-        return self.snapshot().to_dict()
+        """Plain-dict dump: ``{name{labels}: series json}``."""
+        with self._lock:
+            return {key_str(k): v.to_json()
+                    for k, v in sorted(self._data.items())}
 
-
-def series_dump(series: object) -> dict[str, object]:
-    """Plain-dict dump of a recorder or snapshot (JSON-able)."""
-    if isinstance(series, SeriesRecorder):
-        series = series.snapshot()
-    if isinstance(series, SeriesSnapshot):
-        return series.to_dict()
-    raise TypeError(f"cannot dump series from {type(series).__name__}")
+    def digests(self) -> dict[str, str]:
+        """Stable per-series content digests."""
+        with self._lock:
+            return {key_str(k): v.digest()
+                    for k, v in sorted(self._data.items())}

@@ -73,29 +73,6 @@ class StreamLedger:
         """Server ``rank`` retired ``epoch`` (released by everyone)."""
         self._add(StreamEvent("drop", stream, epoch, rank, t, depth))
 
-    # -- combining ---------------------------------------------------------
-
-    def snapshot(self) -> StreamLedger:
-        """Immutable-by-convention copy of the current event log."""
-        with self._lock:
-            return StreamLedger(list(self._events))
-
-    def merge(self, other: StreamLedger) -> StreamLedger:
-        """Union of two ledgers' events.
-
-        Events are frozen and hashable, so a shared event recorded by
-        both sides (e.g. ledgers snapshotted from the same machine)
-        dedups instead of double-counting; queries re-sort, so merge
-        order never matters.
-        """
-        with self._lock:
-            mine = list(self._events)
-        with other._lock:
-            theirs = list(other._events)
-        seen = set(mine)
-        out = mine + [e for e in theirs if e not in seen]
-        return StreamLedger(out)
-
     # -- queries -----------------------------------------------------------
 
     def events(self, stream: str | None = None,

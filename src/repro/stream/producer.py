@@ -151,8 +151,8 @@ class StreamProducer:
             self.vol.drop_file(self.comm, epoch_fname(self.name, e))
             self._obs.stream.drop(self.name, e, self._world, t,
                                   depth=depth)
-        self._obs.sample("stream.queue_depth", t, depth,
-                         rank=self._world, stream=self.name)
+        self._obs.series.record("stream.queue_depth", t, depth,
+                                rank=self._world, stream=self.name)
 
     # -- publishing ---------------------------------------------------------
 
@@ -200,8 +200,8 @@ class StreamProducer:
         depth = self.window.depth(self._done_worlds())
         t = self.comm.vtime
         self._obs.stream.publish(self.name, e, self._world, t, depth)
-        self._obs.sample("stream.queue_depth", t, depth,
-                         rank=self._world, stream=self.name)
+        self._obs.series.record("stream.queue_depth", t, depth,
+                                rank=self._world, stream=self.name)
         if self.comm.rank == 0:
             for i in self.inters:
                 i.notify_remote((MSG_EPOCH, self.name, e),

@@ -224,12 +224,11 @@ def build_report(res, record, report) -> str:
         parts.append('<p class="muted">no classified waits</p>')
 
     # -- series sparklines -------------------------------------------------
-    snap = obs.series.snapshot()
-    if snap.data:
+    series = obs.series.items()
+    if series:
         parts.append("<h2>Virtual-time series</h2>")
         rows = []
-        for key in sorted(snap.data):
-            sv = snap.data[key]
+        for key, sv in series:
             rows.append((_esc(key_str(key)), sv.count,
                          f"{sv.interval:.4g}", sparkline(sv)))
         parts.append(_table(

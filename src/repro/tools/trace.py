@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import metrics_dump, series_dump, write_chrome_trace
+from repro.obs import write_chrome_trace
 from repro.tools.workload import add_workload_args, run_workload
 
 
@@ -23,9 +23,11 @@ def trace_summary(doc: dict) -> str:
     spans = [e for e in evs if e["ph"] == "X"]
     cats = sorted({e.get("cat", "") for e in spans})
     flows = sum(1 for e in evs if e["ph"] == "s")
+    metrics = sum(len(by_key)
+                  for by_key in doc["otherData"]["metrics"].values())
     return (f"{len(spans)} spans ({', '.join(c for c in cats if c)}), "
             f"{flows} message flows, "
-            f"{len(doc['otherData']['metrics'])} metric series")
+            f"{metrics} metric series")
 
 
 def run(args) -> int:
@@ -34,8 +36,8 @@ def run(args) -> int:
     doc = write_chrome_trace(args.output, res.obs)
     print(f"wrote {args.output}: {trace_summary(doc)}")
     if args.metrics:
-        side = {"metrics": metrics_dump(res.obs.metrics),
-                "series": series_dump(res.obs.series)}
+        side = {"metrics": res.obs.metrics.to_dict(),
+                "series": res.obs.series.to_dict()}
         with open(args.output + ".metrics.json", "w") as f:
             json.dump(side, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -53,6 +55,6 @@ def add_parser(sub) -> None:
     p.add_argument("output", help="output .json path")
     add_workload_args(p)
     p.add_argument("--metrics", action="store_true",
-                   help="also dump the metrics snapshot (and series) "
+                   help="also dump the metrics (and series) "
                         "as <output>.metrics.json next to the trace")
     p.set_defaults(run=run)

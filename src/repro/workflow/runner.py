@@ -253,7 +253,7 @@ class Workflow:
         tasks = [t for t in self._tasks if t.name in include]
         engine = Engine(sum(t.nprocs for t in tasks), model=model,
                         timeout=timeout, faults=faults, obs=obs)
-        engine.obs.sample("workflow.attempt", 0.0, attempt)
+        engine.obs.series.record("workflow.attempt", 0.0, attempt)
 
         # Contiguous rank ranges per task.
         ranges: dict[str, list[int]] = {}

@@ -23,6 +23,7 @@ from repro.faults import FaultPlan, MessageFaultRule
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
 from repro.lowfive.rpc import RPCError
+from repro.obs.ledger import counter_totals
 from repro.pfs import PFSStore
 from repro.simmpi import RankFailure
 from repro.synth import (
@@ -145,9 +146,7 @@ def test_fixed_seed_regression_injects_and_reports():
     counts = plan.injected_counts()
     assert counts.get("msg_delay", 0) > 0
     assert counts.get("msg_duplicate", 0) > 0
-    snap = res.obs.metrics.snapshot()
-    injected = sum(v.total for (kind, key), v in snap.data.items()
-                   if kind == "counter" and key[0] == "faults.injected")
+    injected = counter_totals(res.obs.metrics.to_dict())["faults.injected"]
     assert injected > 0
     names = {i.name for i in res.obs.spans.instants()}
     assert names & {"fault.msg_delay", "fault.msg_duplicate"}

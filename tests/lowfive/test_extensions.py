@@ -97,15 +97,6 @@ class TestProfiling:
         assert st.total() == 4.0
         assert st.counts == {"a": 1, "b": 1}
 
-    def test_phase_stats_merge(self):
-        a = PhaseStats({"x": 1.0}, {"x": 1})
-        b = PhaseStats({"x": 2.0, "y": 5.0}, {"x": 3, "y": 1})
-        m = a.merge(b)
-        assert m.seconds == {"x": 3.0, "y": 5.0}
-        assert m.counts == {"x": 4, "y": 1}
-        # merge does not mutate the inputs
-        assert a.seconds == {"x": 1.0}
-
     def test_empty_breakdown(self):
         assert PhaseStats().breakdown() == {}
         assert PhaseStats().total() == 0.0

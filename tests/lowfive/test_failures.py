@@ -10,6 +10,7 @@ from repro.h5.errors import NotFoundError, SelectionError
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
 from repro.lowfive.rpc import RetriesExhausted, RPCError, RPCTimeout
+from repro.obs.ledger import counter_totals
 from repro.pfs import PFSStore
 from repro.simmpi import DeadlockError
 from repro.workflow import Workflow
@@ -176,11 +177,7 @@ def test_transient_rpc_loss_is_retried_transparently():
     res = make_pair(normal_producer, consumer, faults=plan)
     assert res.returns["consumer"] == [True]
     assert plan.injected_counts()["rpc_lost"] >= 2
-    retries = sum(
-        v.total for (kind, key), v
-        in res.obs.metrics.snapshot().data.items()
-        if kind == "counter" and key[0] == "rpc.retry.count"
-    )
+    retries = counter_totals(res.obs.metrics.to_dict())["rpc.retry.count"]
     assert retries >= 2
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.obs import (
     ObsContext,
     chrome_trace,
-    metrics_dump,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -211,17 +210,6 @@ class TestFlowEndpointsInsideSpans:
             assert lo - eps <= e["ts"] <= hi + eps
 
 
-class TestMetricsDump:
-    def test_accepts_registry_and_snapshot(self):
-        obs = _demo_obs()
-        assert metrics_dump(obs.metrics) == \
-            metrics_dump(obs.metrics.snapshot())
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            metrics_dump({"not": "a registry"})
-
-
 class TestWrite:
     def test_write_chrome_trace(self, tmp_path):
         path = tmp_path / "t.json"
@@ -243,3 +231,15 @@ class TestCLITraceVerb:
         validate_chrome_trace(doc)
         cats = {e["cat"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"simmpi", "lowfive", "workflow"} <= cats
+
+    def test_summary_counts_metrics_not_kinds(self, tmp_path, capsys):
+        from repro.tools.__main__ import main
+
+        path = tmp_path / "demo.json"
+        assert main(["trace", str(path), "--nprod", "2",
+                     "--ncons", "1"]) == 0
+        out = capsys.readouterr().out
+        metrics = json.loads(path.read_text())["otherData"]["metrics"]
+        n = sum(len(by_key) for by_key in metrics.values())
+        assert n > len(metrics)
+        assert f", {n} metric series" in out

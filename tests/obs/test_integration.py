@@ -7,7 +7,7 @@ import pytest
 import repro.h5 as h5
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
-from repro.obs import metrics_dump, validate_chrome_trace
+from repro.obs import validate_chrome_trace
 from repro.pfs import PFSStore
 from repro.synth import (
     consumer_grid_selection,
@@ -181,7 +181,7 @@ class TestExportAndMetrics:
 
     def test_message_metrics_counted(self, run):
         res, _ = run
-        dump = metrics_dump(res.obs.metrics)
+        dump = res.obs.metrics.to_dict()
         sends = [k for k in dump["counter"]
                  if k.startswith("simmpi.send.count")]
         assert sends

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, snapshot merging."""
+"""Metrics registry: counters, histograms, queries and the dump."""
 
 import json
 import math
@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
-    CounterValue,
-    GaugeValue,
     HistogramValue,
     MetricsRegistry,
-    MetricsSnapshot,
     bucket_index,
     key_str,
-    merge_snapshots,
     metric_key,
 )
 
@@ -35,29 +31,26 @@ class TestCounters:
         reg = MetricsRegistry()
         reg.inc("bytes", 100)
         reg.inc("bytes", 50)
-        v = reg.snapshot().get("bytes")
+        v = reg.get("bytes")
         assert v.total == 150 and v.count == 2
 
     def test_default_increment_is_one(self):
         reg = MetricsRegistry()
         reg.inc("calls")
         reg.inc("calls")
-        assert reg.snapshot().get("calls").total == 2
+        assert reg.get("calls").total == 2
 
     def test_labels_separate_series(self):
         reg = MetricsRegistry()
         reg.inc("bytes", 10, rank=0)
         reg.inc("bytes", 20, rank=1)
-        snap = reg.snapshot()
-        assert snap.get("bytes", rank=0).total == 10
-        assert snap.get("bytes", rank=1).total == 20
-        assert snap.get("bytes") is None  # unlabeled series distinct
+        assert reg.get("bytes", rank=0).total == 10
+        assert reg.get("bytes", rank=1).total == 20
+        assert reg.get("bytes") is None  # unlabeled series distinct
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.inc("x", 1)
-        with pytest.raises(TypeError):
-            reg.set("x", 2)
         with pytest.raises(TypeError):
             reg.observe("x", 3)
 
@@ -69,7 +62,7 @@ class TestBoundCounters:
         handle = reg.counter("msgs", rank=3, kind="send")
         handle.inc()
         handle.inc(5)
-        v = reg.snapshot().get("msgs", rank=3, kind="send")
+        v = reg.get("msgs", rank=3, kind="send")
         assert v.total == 8 and v.count == 3
 
     def test_handles_to_different_labels_stay_separate(self):
@@ -78,40 +71,14 @@ class TestBoundCounters:
         b = reg.counter("msgs", rank=1)
         a.inc(10)
         b.inc(20)
-        snap = reg.snapshot()
-        assert snap.get("msgs", rank=0).total == 10
-        assert snap.get("msgs", rank=1).total == 20
+        assert reg.get("msgs", rank=0).total == 10
+        assert reg.get("msgs", rank=1).total == 20
 
     def test_bound_counter_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.set("g", 1)
+        reg.observe("h", 1)
         with pytest.raises(TypeError):
-            reg.counter("g")
-
-    def test_merge_semantics_unchanged(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n", rank=0).inc(3)
-        b.inc("n", 4, rank=0)
-        merged = a.snapshot().merge(b.snapshot())
-        assert merged.get("n", rank=0).total == 7
-
-
-class TestGauges:
-    def test_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.set("depth", 5)
-        reg.set("depth", 2)
-        assert reg.snapshot().get("depth").value == 2
-
-    def test_merge_keeps_latest_write(self):
-        reg = MetricsRegistry()
-        reg.set("g", 10, rank=0)
-        early = reg.snapshot()
-        reg.set("g", 3, rank=0)
-        late = reg.snapshot()
-        # Later write wins regardless of value or merge order.
-        for merged in (early.merge(late), late.merge(early)):
-            assert merged.get("g", rank=0).value == 3
+            reg.counter("h")
 
 
 class TestHistograms:
@@ -126,23 +93,13 @@ class TestHistograms:
         reg = MetricsRegistry()
         for v in (1, 10, 100):
             reg.observe("lat", v)
-        h = reg.snapshot().get("lat")
+        h = reg.get("lat")
         assert h.count == 3 and h.total == 111
         assert h.vmin == 1 and h.vmax == 100
         assert h.mean == pytest.approx(37.0)
 
     def test_empty_mean_is_zero(self):
         assert HistogramValue().mean == 0.0
-
-    def test_merge_never_rebins(self):
-        a, b = HistogramValue(), HistogramValue()
-        a.observe(3)
-        b.observe(3)
-        b.observe(1000)
-        m = a.merge(b)
-        assert m.buckets[bucket_index(3)] == 2
-        assert m.buckets[bucket_index(1000)] == 1
-        assert m.count == 3
 
 
 class TestQuantiles:
@@ -194,128 +151,17 @@ class TestQuantiles:
                            max(0, math.ceil(q * len(ordered)) - 1))]
         assert true / 2 <= est <= 2 * true
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(min_value=1.0, max_value=1e6,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=30),
-           st.lists(st.floats(min_value=1.0, max_value=1e6,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=30),
-           st.floats(min_value=0.01, max_value=1.0))
-    def test_merge_preserves_quantile_bounds(self, xs, ys, q):
-        # Merging never re-bins, so the merged estimate obeys the same
-        # factor-of-two bound as a histogram built from the union.
-        a, b, u = HistogramValue(), HistogramValue(), HistogramValue()
-        for v in xs:
-            a.observe(v)
-            u.observe(v)
-        for v in ys:
-            b.observe(v)
-            u.observe(v)
-        m = a.merge(b)
-        assert m.quantile(q) == u.quantile(q)
-        both = sorted(xs + ys)
-        true = both[min(len(both) - 1,
-                        max(0, math.ceil(q * len(both)) - 1))]
-        assert true / 2 <= m.quantile(q) <= 2 * true
-
 
 class TestSnapshots:
-    def test_snapshot_is_isolated(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 1)
-        snap = reg.snapshot()
-        reg.inc("c", 100)
-        assert snap.get("c").total == 1
-        assert reg.snapshot().get("c").total == 101
-
-    def test_merge_disjoint(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.inc("a", 1)
-        r2.inc("b", 2)
-        m = r1.snapshot().merge(r2.snapshot())
-        assert m.get("a").total == 1 and m.get("b").total == 2
-
-    def test_merge_snapshots_empty(self):
-        assert merge_snapshots().data == {}
-
     def test_to_dict_is_json_able(self):
         reg = MetricsRegistry()
         reg.inc("bytes", 7, rank=0)
-        reg.set("depth", 2)
         reg.observe("lat", 0.5)
         reg.observe("lat", -1)  # non-positive -> bucket None
         d = reg.to_dict()
         json.dumps(d)  # must not raise
+        assert list(d) == ["counter", "histogram"]
         assert d["counter"]["bytes{rank=0}"] == {"total": 7, "count": 1}
-        assert d["gauge"]["depth"]["value"] == 2
         assert d["histogram"]["lat"]["count"] == 2
         assert "None" in d["histogram"]["lat"]["buckets"]
 
-
-# -- associativity (hypothesis) ---------------------------------------------
-
-_names = st.sampled_from(["a", "b", "c"])
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("inc"), _names, st.integers(0, 1000)),
-        st.tuples(st.just("observe"), _names, st.integers(-5, 1000)),
-    ),
-    max_size=20,
-)
-
-
-def _registry(ops, seq_base):
-    """Registry from an op list; gauge seqs offset so they never tie."""
-    reg = MetricsRegistry()
-    reg._seq = seq_base
-    for op, name, value in ops:
-        if op == "inc":
-            reg.inc(f"c.{name}", value)
-        else:
-            reg.observe(f"h.{name}", value)
-    return reg.snapshot()
-
-
-@given(_ops, _ops, _ops)
-def test_merge_associative(ops1, ops2, ops3):
-    # Integer-valued ops make float sums exact, so equality is exact.
-    a, b, c = _registry(ops1, 0), _registry(ops2, 100), _registry(ops3, 200)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.to_dict() == right.to_dict()
-
-
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(-100, 100)),
-                max_size=12))
-def test_gauge_merge_associative(writes):
-    # One registry per write gives each gauge a distinct global seq
-    # ordering; merged in any grouping the latest write must win.
-    snaps = []
-    for i, (series, value) in enumerate(writes):
-        reg = MetricsRegistry()
-        reg._seq = i * 10
-        reg.set("g", value, series=series)
-        snaps.append(reg.snapshot())
-    if not snaps:
-        return
-    left = merge_snapshots(*snaps)
-    right = snaps[0]
-    for s in snaps[1:]:
-        right = right.merge(s)
-    assert left.to_dict() == right.to_dict()
-    # Spot-check: the highest-seq write per series survives.
-    last = {}
-    for i, (series, value) in enumerate(writes):
-        last[series] = value
-    for series, value in last.items():
-        assert left.get("g", series=series).value == value
-
-
-def test_histogram_merge_commutes():
-    a, b = HistogramValue(), HistogramValue()
-    a.observe(1)
-    a.observe(7)
-    b.observe(200)
-    assert a.merge(b) == b.merge(a)
-    assert math.isinf(HistogramValue().vmin)

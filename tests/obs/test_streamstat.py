@@ -1,4 +1,4 @@
-"""Stream ledger snapshot/merge semantics, including a staged run."""
+"""Stream ledger queries, including a staged run."""
 
 from repro.obs.streamstat import StreamEvent, StreamLedger
 
@@ -12,51 +12,17 @@ def _filled():
     return led
 
 
-class TestSnapshot:
-    def test_snapshot_is_a_frozen_copy(self):
+class TestQueries:
+    def test_ledger_answers_queries(self):
         led = _filled()
-        snap = led.snapshot()
-        led.publish("s", 1, 0, 0.5, 1)
-        assert len(snap.events()) == 4
-        assert len(led.events()) == 5
-
-    def test_snapshot_preserves_queries(self):
-        led = _filled()
-        snap = led.snapshot()
-        assert snap.streams() == ["s"]
-        assert snap.max_depth("s") == 1
-        assert snap.open_acquisitions() == []
+        assert led.streams() == ["s"]
+        assert led.max_depth("s") == 1
+        assert led.open_acquisitions() == []
+        assert [e.kind for e in led.events("s")] == \
+            ["publish", "acquire", "release", "drop"]
 
 
 class TestMerge:
-    def test_merge_unions_disjoint_events(self):
-        a, b = StreamLedger(), StreamLedger()
-        a.publish("s", 0, 0, 0.1, 1)
-        b.acquire("s", 0, 2, 0.2)
-        m = a.merge(b)
-        assert [e.kind for e in m.events()] == ["publish", "acquire"]
-
-    def test_merge_dedups_shared_events(self):
-        # Two snapshots of the same ledger overlap completely; the
-        # merge must not double-count (events are frozen + hashable).
-        led = _filled()
-        a, b = led.snapshot(), led.snapshot()
-        led.publish("s", 1, 0, 0.5, 2)
-        c = led.snapshot()
-        assert len(a.merge(b).events()) == 4
-        assert len(a.merge(c).events()) == 5
-
-    def test_merge_order_does_not_matter(self):
-        a, b = StreamLedger(), StreamLedger()
-        a.publish("s", 0, 0, 0.1, 1)
-        a.publish("s", 1, 0, 0.3, 2)
-        b.publish("s", 1, 0, 0.3, 2)  # shared
-        b.drop("s", 0, 0, 0.6, 1)
-        ab = [e.to_dict() for e in a.merge(b).events()]
-        ba = [e.to_dict() for e in b.merge(a).events()]
-        assert ab == ba
-        assert len(ab) == 3
-
     def test_identical_events_are_equal(self):
         x = StreamEvent("publish", "s", 0, 0, 0.1, 1)
         y = StreamEvent("publish", "s", 0, 0, 0.1, 1)
@@ -129,25 +95,19 @@ def _run_staged(nsteps=3):
 
 
 class TestStagedRun:
-    def test_staged_ledger_snapshot_and_merge(self):
-        """A staged-mode pipeline records epoch drops; snapshots merge
-        cleanly with the final ledger (pure dedup, nothing
-        double-counted)."""
+    def test_staged_ledger_records_drops(self):
+        """A staged-mode pipeline records one drop per epoch and leaves
+        no acquisition open."""
         res = _run_staged()
         led = res.obs.stream
         drops = led.events("sim", "drop")
         assert sorted(ev.epoch for ev in drops) == [0, 1, 2]
-        snap = led.snapshot()
-        merged = snap.merge(led)
-        assert [e.to_dict() for e in merged.events()] == \
-            [e.to_dict() for e in led.events()]
-        assert merged.open_acquisitions() == led.open_acquisitions()
+        assert led.open_acquisitions() == []
 
     def test_staged_retention_series_recorded(self):
         # vol_staged samples the stagers' live-epoch count into the
         # virtual-time series on every drop.
         res = _run_staged()
-        snap = res.obs.series.snapshot()
-        live = [v for k, v in snap.data.items()
+        live = [v for k, v in res.obs.series.items()
                 if k[0] == "stream.staged_live"]
         assert live and sum(s.count for s in live) == 3

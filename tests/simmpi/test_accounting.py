@@ -48,11 +48,11 @@ def run(faults=None):
 
 def counters(engine, kind):
     """rank -> ((events, increments), (bytes, nonzero increments))."""
-    snap = engine.obs.metrics.snapshot()
+    metrics = engine.obs.metrics
     out = {}
     for r in range(engine.nprocs):
-        n = snap.get(f"simmpi.{kind}.count", rank=r)
-        b = snap.get(f"simmpi.{kind}.bytes", rank=r)
+        n = metrics.get(f"simmpi.{kind}.count", rank=r)
+        b = metrics.get(f"simmpi.{kind}.bytes", rank=r)
         if n is not None:
             out[r] = ((n.total, n.count), (b.total, b.count))
     return out

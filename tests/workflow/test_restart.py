@@ -53,8 +53,8 @@ def test_retry_recovers_from_transient_crash():
     assert res.failed_tasks == ()
     assert res.returns["t"] == ["t:ok", "t:ok"]
     assert plan.injected_counts()["crash"] == 1
-    gauge = res.obs.metrics.snapshot().get("workflow.attempt")
-    assert gauge is not None and gauge.value == 2
+    attempt = res.obs.series.get("workflow.attempt")
+    assert attempt is not None and attempt.points()[0][1].vmax == 2
 
 
 def test_retries_exhausted_reraises():
