@@ -12,14 +12,10 @@ collective-mismatch, message-leak and stream-epoch-leak checks
 
 **Static** (needs only source text): the ANL00x lint rules
 (:mod:`repro.analyze.lint`) that keep wall-clock reads, dropped
-request handles, raw thread primitives and float clock equality out of
-virtual-time code, and the PRO00x protocol verifier
-(:mod:`repro.analyze.proto`) that proves collective agreement,
-point-to-point matching, deadlock freedom and handle hygiene of
-rank-body code for every rank and branch -- before anything runs.
+request handles, raw thread primitives, float clock equality, unclosed
+h5 files and swallowed rank failures out of virtual-time code.
 
-Command line: ``python -m repro.tools analyze`` / ``... lint`` /
-``... proto``.
+Command line: ``python -m repro.tools analyze`` / ``... lint``.
 """
 
 from __future__ import annotations
@@ -42,12 +38,6 @@ from repro.analyze.finding import (
     msg_label,
 )
 from repro.analyze.lint import RULES, Violation, lint_paths, lint_source
-from repro.analyze.proto import (
-    PROTO_RULES,
-    ProtoFinding,
-    check_paths as check_proto_paths,
-    check_source as check_proto_source,
-)
 from repro.analyze.races import find_races
 from repro.analyze.vclock import (
     HBRelation,
@@ -64,8 +54,6 @@ __all__ = [
     "Finding",
     "HBRelation",
     "MESSAGE_LEAK",
-    "PROTO_RULES",
-    "ProtoFinding",
     "RULES",
     "TraceInconsistency",
     "Violation",
@@ -74,8 +62,6 @@ __all__ = [
     "build_happens_before",
     "check_collectives",
     "check_leaks",
-    "check_proto_paths",
-    "check_proto_source",
     "check_stream_leaks",
     "concurrent",
     "explain_deadlock",

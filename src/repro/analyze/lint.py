@@ -24,17 +24,17 @@ ANL004    Float equality (``==`` / ``!=``) on virtual clocks
           accumulates rounding; compare with a tolerance.
 ANL005    An ``h5.File`` opened and bound to a name that is neither
           ``with``-managed, ``close()``d, nor handed off in the same
-          function. The path-sensitive twin is PRO004; this is the
-          cheap syntactic net.
+          function.
 ANL006    A bare ``except:`` / ``except Exception:`` with no
           re-raise. :class:`~repro.simmpi.RankFailure` (and every
           other engine error) derives from ``Exception``, so such a
           handler silently swallows simulated rank crashes.
 ========  ==========================================================
 
-Suppression: a trailing ``# noqa: ANL00X`` (or bare ``# noqa``)
-silences the line; :data:`DEFAULT_ALLOWLIST` silences whole files
-that are legitimately about real time or engine internals.
+The rules are name-based: a call's dotted name is resolved through the
+module's imports. Suppression: a trailing ``# noqa: ANL00X`` (or bare
+``# noqa``) silences the line; :data:`DEFAULT_ALLOWLIST` silences
+whole files that are legitimately about real time or engine internals.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TypeGuard
 
-from repro.analyze.frontend import (
-    H5_FILE_TARGETS, Imports, check_files, dotted, resolve,
-    suppressed_lines,
-)
-
 #: Rule code -> one-line description (the lint rule table).
 RULES = {
     "ANL001": "wall-clock call in virtual-time code",
@@ -59,6 +54,9 @@ RULES = {
     "ANL005": "h5 file opened without with/close in this function",
     "ANL006": "bare except swallows RankFailure",
 }
+
+#: Import-resolved call targets that open an h5 file handle.
+_H5_FILE_TARGETS = {"repro.h5.File", "repro.h5.api.File", "h5.File"}
 
 #: Dotted call targets that read or spend real time.
 _WALLCLOCK = {
@@ -103,6 +101,67 @@ class Violation:
         """The ``path:line:col: CODE message`` line the CLI prints."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} " \
                f"{self.message}"
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` as a string for Name/Attribute chains, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+class _Imports(ast.NodeVisitor):
+    """Maps local names to the dotted path they import."""
+
+    def __init__(self) -> None:
+        self.alias: dict[str, str] = {}
+
+    def visit_Import(self, node: ast.Import) -> None:
+        """``import a.b [as c]``: the bound name maps to its module."""
+        for a in node.names:
+            self.alias[a.asname or a.name.split(".")[0]] = \
+                a.name if a.asname else a.name.split(".")[0]
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        """``from m import x [as y]``; relative imports are skipped."""
+        if node.module is None or node.level:
+            return
+        for a in node.names:
+            self.alias[a.asname or a.name] = f"{node.module}.{a.name}"
+
+
+def _resolve(name: str | None, alias: dict[str, str]) -> str | None:
+    """Expand the leading segment of a dotted chain through imports."""
+    if name is None:
+        return None
+    head, _, rest = name.partition(".")
+    base = alias.get(head)
+    if base is None:
+        return name
+    return f"{base}.{rest}" if rest else base
+
+
+def _suppressed_lines(source: str) -> set[tuple[str, int]]:
+    """``(code, line)`` pairs silenced by ``# noqa`` comments; a bare
+    ``# noqa`` silences every rule."""
+    out: set[tuple[str, int]] = set()
+    for i, text in enumerate(source.splitlines(), start=1):
+        if "# noqa" not in text:
+            continue
+        _, _, tail = text.partition("# noqa")
+        tail = tail.strip()
+        if tail.startswith(":"):
+            for code in tail[1:].replace(",", " ").split():
+                out.add((code.strip(), i))
+        else:
+            for code in RULES:
+                out.add((code, i))
+    return out
 
 
 def _clockish(node: ast.AST) -> bool:
@@ -326,10 +385,9 @@ class _FileTracker(ast.NodeVisitor):
     """ANL005 within one function: named ``h5.File`` opens must be
     ``with``-managed, closed, or handed off before the function ends.
 
-    Deliberately shallower than PRO004 (no path sensitivity): a
-    ``close()`` or any escape anywhere in the function clears the
-    name. The point is catching the file nobody even *tries* to
-    close.
+    Not path-sensitive: a ``close()`` or any escape anywhere in the
+    function clears the name. The point is catching the file nobody
+    even *tries* to close.
     """
 
     def __init__(self, out: list[Violation], path: str,
@@ -348,8 +406,8 @@ class _FileTracker(ast.NodeVisitor):
 
     def _is_file_call(self, node: ast.AST) -> TypeGuard[ast.Call]:
         return (isinstance(node, ast.Call)
-                and resolve(dotted(node.func), self.alias)
-                in H5_FILE_TARGETS)
+                and _resolve(_dotted(node.func), self.alias)
+                in _H5_FILE_TARGETS)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if self._is_file_call(node.value) and len(node.targets) == 1 \
@@ -419,8 +477,8 @@ def lint_source(source: str, path: str,
     except SyntaxError as exc:
         return [Violation(path, exc.lineno or 0, exc.offset or 0,
                           "ANL000", f"syntax error: {exc.msg}")]
-    suppressed = suppressed_lines(source, RULES)
-    imports = Imports()
+    suppressed = _suppressed_lines(source)
+    imports = _Imports()
     imports.visit(tree)
     alias = imports.alias
     out: list[Violation] = []
@@ -433,7 +491,7 @@ def lint_source(source: str, path: str,
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            target = resolve(dotted(node.func), alias)
+            target = _resolve(_dotted(node.func), alias)
             if target in _WALLCLOCK:
                 flag("ANL001", node,
                      f"wall-clock call {target}() in virtual-time "
@@ -451,7 +509,7 @@ def lint_source(source: str, path: str,
                      "a tolerance (clock arithmetic accumulates "
                      "rounding)")
         elif isinstance(node, ast.ExceptHandler):
-            caught = dotted(node.type) if node.type is not None else None
+            caught = _dotted(node.type) if node.type is not None else None
             swallows = node.type is None \
                 or caught in ("Exception", "BaseException")
             reraises = any(isinstance(n, ast.Raise)
@@ -488,5 +546,16 @@ def _skip_for(path: str) -> frozenset[str]:
 def lint_paths(paths: Iterable[str]) -> list[Violation]:
     """Lint files and directory trees; violations in path, then line
     order."""
-    return check_files(
-        paths, lambda source, f: lint_source(source, f, _skip_for(f)))
+    files: list[str] = []
+    for p in paths:
+        if os.path.isdir(p):
+            files += [os.path.join(root, n)
+                      for root, _dirs, names in os.walk(p)
+                      for n in names if n.endswith(".py")]
+        elif p.endswith(".py"):
+            files.append(p)
+    out: list[Violation] = []
+    for f in sorted(set(files)):
+        with open(f, encoding="utf-8") as fh:
+            out.extend(lint_source(fh.read(), f, _skip_for(f)))
+    return out

@@ -7,8 +7,8 @@ dispatched through the ``run(args)`` it set as its parser default.
 import argparse
 import sys
 
-from repro.tools import (analyze, critpath, inspect, lint, proto, regress,
-                         report, trace)
+from repro.tools import (analyze, critpath, inspect, lint, regress, report,
+                         trace)
 
 
 def main(argv=None) -> int:
@@ -19,8 +19,7 @@ def main(argv=None) -> int:
                     "workflows; each subcommand has its own --help.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for tool in (inspect, trace, critpath, analyze, lint, proto, regress,
-                 report):
+    for tool in (inspect, trace, critpath, analyze, lint, regress, report):
         tool.add_parser(sub)
     args = ap.parse_args(argv)
     return args.run(args)

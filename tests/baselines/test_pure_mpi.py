@@ -51,6 +51,14 @@ def test_2_to_5():
     assert all(res.returns["consumer"])
 
 
+def test_2_to_5_with_empty_consumers():
+    """Three rows over five consumers leave the last two with empty
+    selections; they must still drain one message per producer."""
+    res = run_pure_mpi(2, 5, (3, 4))
+    assert all(res.returns["consumer"])
+    assert res.returns["producer"] == [5, 5]
+
+
 def test_3d_grid():
     res = run_pure_mpi(4, 2, (8, 4, 4))
     assert all(res.returns["consumer"])

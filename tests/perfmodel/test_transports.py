@@ -238,7 +238,7 @@ class TestExecutedVsModel:
             n_particles=wl.total_particles(nprod),
         )
         model = lowfive_memory_time(nprod, ncons, wl)
-        assert model == pytest.approx(res.vtime, rel=0.35)
+        assert model == pytest.approx(res.vtime, rel=0.01)
 
     @pytest.mark.parametrize("nprod,ncons", [
         (3, 1), (6, 2), (12, 4), (48, 16), (96, 32), (192, 64)])
@@ -300,7 +300,7 @@ class TestExecutedVsModel:
         wf.add_link("producer", "consumer")
         res = wf.run()
         model = pure_mpi_time(nprod, ncons, wl)
-        assert model == pytest.approx(res.vtime, rel=0.35)
+        assert model == pytest.approx(res.vtime, rel=0.02)
 
     @pytest.mark.parametrize("nprod,ncons", [(3, 1), (6, 2)])
     def test_dataspaces_agreement(self, nprod, ncons):

@@ -30,7 +30,6 @@ PACKAGES = [
     "repro.stream",
     "repro.obs",
     "repro.analyze",
-    "repro.analyze.proto",
 ]
 
 
