@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.simmpi.errors import CommMismatchError
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, Status
 from repro.simmpi.netmodel import payload_nbytes
-from repro.simmpi.request import Request
+from repro.simmpi.request import SENT, Request
 from repro.simmpi import engine as _engine
 
 
@@ -54,8 +54,10 @@ class Comm:
         self.members = list(members)
         self._world_to_local = {w: i for i, w in enumerate(self.members)}
         self.comm_id = engine.next_comm_id() if comm_id is None else comm_id
-        # (kind, source, tag) -> WaitDesc: a receive or probe spec's
-        # wait description does not depend on the calling rank.
+        # Wait descriptions, built once: a receive or probe spec's,
+        # keyed (kind, source, tag), does not depend on the calling
+        # rank; a collective waiter's is keyed ("collective", kind,
+        # world rank).
         self._descs: dict[tuple, _engine.WaitDesc] = {}
 
     # -- identity ----------------------------------------------------------
@@ -109,7 +111,7 @@ class Comm:
         if plan is not None:
             seconds = plan.scaled_compute(proc.rank, seconds)
         proc.clock += seconds
-        engine.obs.causal.account(proc.rank).compute += seconds
+        (proc.acct or engine.account(proc)).compute += seconds
         if plan is not None:
             engine.maybe_crash()
 
@@ -118,14 +120,14 @@ class Comm:
         proc = self.engine.current_proc()
         dt = self.model.memcpy_time(nbytes)
         proc.clock += dt
-        self.engine.obs.causal.account(proc.rank).compute += dt
+        (proc.acct or self.engine.account(proc)).compute += dt
 
     def charge_pack_elements(self, nelements: int) -> None:
         """Charge per-element (point-at-a-time) serialization work."""
         proc = self.engine.current_proc()
         dt = self.model.pack_elements_time(nelements)
         proc.clock += dt
-        self.engine.obs.causal.account(proc.rank).compute += dt
+        (proc.acct or self.engine.account(proc)).compute += dt
 
     @property
     def vtime(self) -> float:
@@ -141,38 +143,37 @@ class Comm:
         (modeled runs pass :class:`VirtualPayload` or an explicit size).
         """
         engine = self.engine
-        proc = engine.current_proc()
+        proc = engine.running
         if engine.failure is not None:
             engine.check_failed()
         if engine.faults is not None:
             engine.maybe_crash()
         nb = payload_nbytes(payload) if nbytes is None else int(nbytes)
         model = engine.model
-        proc.clock += model.msg_overhead
-        engine.obs.causal.account(proc.rank).transfer += model.msg_overhead
-        arrival = proc.clock + model.transfer_time(nb, engine.nprocs)
+        overhead = model.msg_overhead
+        proc.clock = sent_at = proc.clock + overhead
+        (proc.acct or engine.account(proc)).transfer += overhead
         dst_world = self._dest_world(dest)
-        engine.deliver(
-            Message(
-                comm_id=self.comm_id,
-                src=self.rank,
-                dst_world=dst_world,
-                tag=tag,
-                payload=payload,
-                nbytes=nb,
-                arrival=arrival,
-                src_world=proc.rank,
-                sent_at=proc.clock,
-                seq=engine.next_msg_seq(proc),
-            )
-        )
+        rank = proc.rank
+        try:
+            src = self._world_to_local[rank]
+        except KeyError:
+            src = self.rank  # raises CommMismatchError
+        # The next id of the sender's stream (Engine.next_msg_seq).
+        seq = rank << 32 | proc.msg_seq
+        proc.msg_seq += 1
+        engine.deliver(Message(
+            self.comm_id, src, dst_world, tag, payload, nb,
+            sent_at + model.transfer_time(nb, engine.nprocs), rank,
+            sent_at, None, False, seq,
+        ))
         proc.record("send", nb)
 
     def isend(self, payload, dest: int, tag: int = 0,
               nbytes: int | None = None) -> Request:
         """Nonblocking send (buffered, hence complete at once)."""
-        self.send(payload, dest, tag, nbytes=nbytes)
-        return Request(self, "send")
+        self.send(payload, dest, tag, nbytes)
+        return SENT
 
     def _sender_members(self):
         """World ranks that may post messages into this communicator."""
@@ -217,13 +218,12 @@ class Comm:
         proc.clock = max(t_start, arrival) + overhead
         blocked = max(0.0, arrival - t_start)
         wait = min(blocked, max(0.0, msg.sent_at - t_start))
-        causal = engine.obs.causal
-        acct = causal.account(proc.rank)
+        acct = proc.acct or engine.account(proc)
         acct.wait += wait
         acct.transfer += (blocked - wait) + overhead
         wildcard = source == ANY_SOURCE or tag == ANY_TAG
-        causal.receive(msg.seq, t_start, proc.clock,
-                       (source, tag) if wildcard else None)
+        engine.obs.causal.receive(msg.seq, t_start, proc.clock,
+                                  (source, tag) if wildcard else None)
         proc.record("recv", msg.nbytes)
         return msg
 
@@ -250,11 +250,12 @@ class Comm:
         takes is a function of virtual time alone.
         """
         engine = self.engine
-        proc = engine.current_proc()
+        proc = engine.running
         if engine.faults is not None:
             engine.maybe_crash()
         t_start = proc.clock
-        engine.park(proc, self._wait_desc("recv", source, tag))
+        engine.park(proc, self._descs.get(("recv", source, tag))
+                    or self._wait_desc("recv", source, tag))
         msg = self._take_match(proc, source, tag, t_start)
         if engine.faults is not None:
             engine.maybe_crash()
@@ -353,13 +354,17 @@ class Comm:
         else:
             # Only another participant can release this rank.
             ctx.waiters.append(proc)
-            engine.park(proc, _engine.WaitDesc(
-                "collective", self.comm_id, -1, -1,
-                tuple(w for w in self._participant_worlds()
-                      if w != proc.rank), kind,
-            ))
+            key = ("collective", kind, proc.rank)
+            desc = self._descs.get(key)
+            if desc is None:
+                desc = self._descs[key] = _engine.WaitDesc(
+                    "collective", self.comm_id, -1, -1,
+                    tuple(w for w in self._participant_worlds()
+                          if w != proc.rank), kind,
+                )
+            engine.park(proc, desc)
         proc.clock = ctx.final_clock
-        acct = obs.causal.account(proc.rank)
+        acct = proc.acct or engine.account(proc)
         acct.wait += max(0.0, ctx.max_clock - enter)
         acct.transfer += ctx.final_clock - ctx.max_clock
         obs.spans.end(open_span, proc.clock)

@@ -26,6 +26,7 @@ good).
 from __future__ import annotations
 
 import heapq
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -64,7 +65,7 @@ class Proc:
     """Per-rank state: virtual clock, mailbox, scheduler slot. Internal."""
 
     __slots__ = ("rank", "clock", "baton", "event", "mailbox", "consumed",
-                 "wait_desc", "done", "msg_seq", "tally")
+                 "wait_desc", "done", "msg_seq", "tally", "acct", "depth")
 
     def __init__(self, rank: int):
         self.rank = rank
@@ -94,6 +95,10 @@ class Proc:
         # ``simmpi.<kind>.{count,bytes}`` counters once.
         self.tally = {"send": [0, 0, 0], "recv": [0, 0, 0],
                       "coll": [0, 0, 0]}
+        # Causal ledger (:meth:`Engine.account`) and mailbox-depth series
+        # handle, made on first use: a rank that needs neither has none.
+        self.acct = None
+        self.depth = None
 
     def record(self, kind: str, nbytes: int) -> None:
         """Account one communication event of ``kind`` (``"send"``,
@@ -112,11 +117,14 @@ class Proc:
         if len(lanes) == 1:
             cid, source, tag = lanes[0]
             mbox = self.mailbox.get(cid)
-            return mbox.peek_match(source, tag, self.consumed) if mbox else None
+            return (None if mbox is None
+                    else mbox.peek_match(source, tag, self.consumed))
         best = best_key = None
         for cid, source, tag in lanes:
             mbox = self.mailbox.get(cid)
-            m = mbox.peek_match(source, tag, self.consumed) if mbox else None
+            if mbox is None:
+                continue
+            m = mbox.peek_match(source, tag, self.consumed)
             if m is None:
                 continue
             key = (m.arrival, cid, m.src, m.seq)
@@ -187,8 +195,6 @@ class Engine:
         self.faults = faults
         #: Unified telemetry (always on).
         self.obs = obs if obs is not None else ObsContext()
-        # rank -> bound series handle for mailbox-depth sampling.
-        self._mbox_series: dict[int, object] = {}
         self.procs = [Proc(i) for i in range(nprocs)]
         #: The baton holder's :class:`Proc`, which is the caller of any
         #: simmpi operation; ``None`` outside a run.
@@ -239,6 +245,13 @@ class Engine:
         return proc
 
     # -- event accounting ---------------------------------------------------
+
+    def account(self, proc: Proc):
+        """``proc``'s :class:`~repro.obs.causal.RankAccount`, cached on
+        it from its first use (call sites read ``proc.acct or
+        engine.account(proc)``)."""
+        acct = proc.acct = self.obs.causal.account(proc.rank)
+        return acct
 
     def _fold_tallies(self) -> None:
         """Fold every rank's :attr:`Proc.tally` into the
@@ -456,12 +469,11 @@ class Engine:
                 if cid == msg.comm_id and msg.matches(source, tag):
                     self._post(dst, msg.arrival)
                     break
-        series = self._mbox_series.get(msg.dst_world)
+        series = dst.depth
         if series is None:
-            series = self.obs.series.bound(
-                "simmpi.mailbox_depth", rank=msg.dst_world
+            series = dst.depth = self.obs.series.bound(
+                "simmpi.mailbox_depth", rank=dst.rank
             )
-            self._mbox_series[msg.dst_world] = series
         boxes = dst.mailbox
         series.record(msg.arrival, len(mbox) if len(boxes) == 1
                       else sum(len(m) for m in boxes.values()))
@@ -481,6 +493,7 @@ class Engine:
         returns = [None] * self.nprocs
 
         def runner(proc: Proc):
+            _batch_policy()
             proc.baton.acquire()
             self.running = proc
             try:
@@ -524,6 +537,25 @@ class Engine:
             bytes_sent=sum(t[1] for t in sends),
             obs=self.obs,
         )
+
+
+def _batch_policy() -> None:
+    """Run the calling rank thread under ``SCHED_BATCH`` where allowed.
+
+    Under the default policy a woken rank preempts the waker while the
+    waker still holds the GIL, so a baton handoff costs several context
+    switches; a batch thread does not preempt on wake-up, so the waker
+    blocks first and the handoff is one switch. Host time only: virtual
+    results do not depend on the policy, so a missing or refused one is
+    skipped.
+    """
+    policy = getattr(os, "SCHED_BATCH", None)
+    if policy is None:
+        return
+    try:
+        os.sched_setscheduler(0, policy, os.sched_param(0))
+    except OSError:
+        pass
 
 
 def run_world(nprocs: int, main, *, model: NetworkModel | None = None,

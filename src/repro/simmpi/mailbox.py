@@ -12,6 +12,10 @@ The winner is the queued matching message minimising ``(arrival, src,
 seq)``: within one bucket ``src`` is constant, so the per-bucket heap
 order and the cross-bucket comparison give the global minimum.
 
+A concrete bucket that empties stays in place, so a steady stream on
+one ``(src, tag)`` reuses its heap and index entries; wildcard scans
+drop the empty buckets they meet.
+
 Fault-injected duplicates are deduped: an injected copy arrives no
 earlier than its original and has a later seq in the same bucket, so it
 always surfaces after it; once the original is consumed (its seq is in
@@ -87,15 +91,14 @@ class CommMailbox:
         return tuple(self._buckets)
 
     def _live_head(self, key, consumed):
-        """Head entry of ``key``'s bucket after purging dead twins.
+        """Head entry of ``key``'s bucket after purging dead twins, or
+        ``None`` for a missing or empty bucket.
 
         A message is dead when it is an injected copy whose original's
         seq is in ``consumed``: the original was already received, so
         protocols above must never see the copy.
         """
         heap = self._buckets.get(key)
-        if heap is None:
-            return None
         while heap:
             entry = heap[0]
             msg = entry[2]
@@ -104,7 +107,6 @@ class CommMailbox:
                 self._count -= 1
                 continue
             return entry
-        self._drop(key)
         return None
 
     def _best_key(self, source: int, tag: int, consumed):
@@ -120,6 +122,7 @@ class CommMailbox:
         for key in self._candidate_keys(source, tag):
             head = self._live_head(key, consumed)
             if head is None:
+                self._drop(key)
                 continue
             self.examined += 1
             arrival, seq, msg = head
@@ -136,11 +139,8 @@ class CommMailbox:
         key = self._best_key(source, tag, consumed)
         if key is None:
             return None
-        heap = self._buckets[key]
-        _, _, msg = heapq.heappop(heap)
+        _, _, msg = heapq.heappop(self._buckets[key])
         self._count -= 1
-        if not heap:
-            self._drop(key)
         return msg
 
     def peek_match(self, source: int, tag: int, consumed) -> Message | None:

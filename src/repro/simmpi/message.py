@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Wildcard source for :meth:`Comm.recv` / :meth:`Comm.probe`.
 ANY_SOURCE = -1
@@ -27,8 +28,7 @@ class VirtualPayload:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Completion status of a receive, mirroring ``MPI_Status``."""
 
     source: int
@@ -36,9 +36,10 @@ class Status:
     nbytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
-    """In-flight message inside the engine. Internal."""
+    """In-flight message inside the engine. Internal. :meth:`Comm.send`
+    builds it positionally; the defaults serve messages built directly."""
 
     comm_id: int
     src: int  # sender rank, local to the communicator
@@ -51,10 +52,9 @@ class Message:
     sent_at: float = 0.0  # sender's clock at post time (wire-time base)
     dup_of: int | None = None  # seq of the original, for injected copies
     has_dup: bool = False  # an injected copy of this message exists
-    # Also the message's id in the causal trace. Engine sends pass
-    # Engine.next_msg_seq (deterministic per-sender stream); the global
-    # counter is a fallback for messages built directly, e.g. in
-    # mailbox unit tests.
+    # Also the message's id in the causal trace. Engine sends pass the
+    # sender's deterministic stream (see Engine.next_msg_seq); the
+    # global counter is a fallback for messages built directly.
     seq: int = field(default_factory=lambda: next(_seq))
 
     def matches(self, source: int, tag: int) -> bool:

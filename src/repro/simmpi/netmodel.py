@@ -44,7 +44,9 @@ def payload_nbytes(obj) -> int:
     if cls is tuple or cls is list:
         n = 16
         for x in obj:
-            n += payload_nbytes(x) + 8
+            c = type(x)
+            n += 16 if c is int or c is float or c is bool else (
+                payload_nbytes(x) + 8)
         return n
     if obj is None:
         return 0
@@ -119,10 +121,13 @@ class NetworkModel:
         return (nprocs / self.contention_ref_procs) ** self.contention_exponent
 
     def transfer_time(self, nbytes: int, nprocs: int = 1) -> float:
-        """Wire time of a point-to-point message of ``nbytes``."""
-        return self.latency + self.contention_factor(nprocs) * (
-            nbytes / self.bandwidth
-        )
+        """Wire time of a point-to-point message of ``nbytes``
+        (:meth:`contention_factor` inlined: this runs once per send)."""
+        if nprocs <= self.contention_ref_procs:
+            return self.latency + nbytes / self.bandwidth
+        return self.latency + (
+            nprocs / self.contention_ref_procs
+        ) ** self.contention_exponent * (nbytes / self.bandwidth)
 
     # -- local work ------------------------------------------------------
 

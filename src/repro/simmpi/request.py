@@ -9,8 +9,8 @@ class Request:
     """Handle for a nonblocking send or receive.
 
     Sends in simmpi are buffered (they complete locally as soon as they
-    are posted), so a send request is already complete at creation; its
-    :meth:`wait` is a no-op returning ``None``. A receive request
+    are posted), so every send returns the one completed :data:`SENT`;
+    its :meth:`wait` is a no-op returning ``None``. A receive request
     completes when a matching message is consumed from the mailbox.
     """
 
@@ -54,6 +54,10 @@ class Request:
         self._result = self._comm.recv(self._source, self._tag)
         self._done = True
         return self._result
+
+
+#: The request every :meth:`Comm.isend` returns: complete, result ``None``.
+SENT = Request(None, "send")
 
 
 def wait_all(requests):

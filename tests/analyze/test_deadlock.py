@@ -39,6 +39,36 @@ class TestExplainer:
         assert "recv (comm 1, source 1, tag 3)" in msg
         assert "no wait-for cycle" in msg
 
+    def test_hung_collective_reads_the_same_on_every_round(self):
+        """Collective wait descriptions are built once per (kind, rank)
+        and reused: the second barrier's explanation names each
+        waiter's own peers, exactly as a fresh description would."""
+
+        def main(comm):
+            comm.barrier()
+            if comm.rank == 2:
+                return comm.recv(source=0, tag=4)
+            comm.compute(1e-3 * (comm.rank + 1))
+            comm.barrier()
+            return None
+
+        with pytest.raises(DeadlockError) as exc:
+            run_world(3, main, timeout=3600)
+        assert str(exc.value) == "\n".join([
+            "deadlock: every live rank is blocked and no queued message "
+            "can wake one",
+            "blocked ranks:",
+            "  rank 0 @ 0.001010461s: waiting for collective barrier "
+            "(comm 1)",
+            "  rank 1 @ 0.002010461s: waiting for collective barrier "
+            "(comm 1)",
+            "  rank 2 @ 0.000010461s: waiting for recv (comm 1, source 0, "
+            "tag 4)",
+            "wait-for cycle: 0 -> 1 -> 0",
+            "  rank 0 blocks on collective barrier (comm 1)",
+            "  rank 1 blocks on collective barrier (comm 1)",
+        ])
+
 
 class TestFindCycle:
     def _graph(self, edges):

@@ -227,7 +227,8 @@ class TestTable2Shapes:
 class TestExecutedVsModel:
     """The analytic model must agree with executed simmpi runs."""
 
-    @pytest.mark.parametrize("nprod,ncons", [(3, 1), (6, 2), (12, 4)])
+    @pytest.mark.parametrize("nprod,ncons", [
+        (3, 1), (6, 2), (12, 4), (48, 16), (96, 32)])
     def test_lowfive_memory_agreement(self, nprod, ncons):
         from tests.lowfive.test_dist_vol import run_producer_consumer
 

@@ -43,6 +43,49 @@ class TestPayloadNbytes:
         assert payload_nbytes(Foo()) == 64
 
 
+def _reference_nbytes(obj) -> int:
+    """The plain recursive formula ``payload_nbytes`` must agree with
+    (its fast paths are shortcuts of this, never new byte counts)."""
+    if obj is None:
+        return 0
+    nb = getattr(obj, "nbytes", None)
+    if nb is not None and isinstance(nb, (int, np.integer)):
+        return int(nb)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", "replace"))
+    if isinstance(obj, (int, float, complex, bool)):
+        return 8
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return 16 + sum(_reference_nbytes(x) + 8 for x in obj)
+    if isinstance(obj, dict):
+        return 16 + sum(_reference_nbytes(k) + _reference_nbytes(v) + 16
+                        for k, v in obj.items())
+    return 64
+
+
+_LEAVES = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.text(max_size=8), st.binary(max_size=8),
+    st.builds(np.zeros, st.integers(min_value=0, max_value=16),
+              st.sampled_from([np.float64, np.int32, np.uint8])),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple)),
+    max_leaves=20,
+)
+
+
+@given(_PAYLOADS)
+def test_payload_nbytes_matches_recursive_formula(payload):
+    """``bytes_sent`` is virtual: the byte count of every payload shape
+    is pinned to the reference formula."""
+    assert payload_nbytes(payload) == _reference_nbytes(payload)
+
+
 class TestNetworkModel:
     def test_transfer_time_alpha_beta(self):
         m = NetworkModel(latency=1e-6, bandwidth=1e9, contention_exponent=0.0)

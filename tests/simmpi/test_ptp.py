@@ -9,9 +9,11 @@ from repro.simmpi import (
     DeadlockError,
     Engine,
     NetworkModel,
+    Status,
     VirtualPayload,
     run_world,
 )
+from repro.simmpi.message import Message
 from repro.simmpi.request import wait_all
 
 
@@ -203,3 +205,50 @@ def test_engine_reuse_forbidden_semantics():
     eng = Engine(2)
     res = eng.run(lambda comm: comm.rank)
     assert res.returns == [0, 1]
+
+
+class TestValueObjects:
+    """The small objects every message builds or returns keep their
+    public contracts."""
+
+    def test_status_fields_equality_hash_repr(self):
+        st = Status(3, 7, 64)
+        assert (st.source, st.tag, st.nbytes) == (3, 7, 64)
+        assert Status(source=3, tag=7, nbytes=64) == st
+        assert st != Status(3, 7, 65)
+        assert hash(st) == hash(Status(3, 7, 64))
+        assert repr(st) == "Status(source=3, tag=7, nbytes=64)"
+
+    def test_recv_status_describes_the_message(self):
+        def main(comm):
+            if comm.rank == 0:
+                comm.send(b"abcd", dest=1, tag=5)
+                return None
+            return comm.recv()[1]
+
+        assert run_world(2, main).returns[1] == Status(0, 5, 4)
+
+    def test_send_request_is_complete_and_reusable(self):
+        def main(comm):
+            req = comm.isend(comm.rank, dest=(comm.rank + 1) % 2)
+            assert req.done
+            assert req.wait() is None and req.wait() is None
+            assert req.test() == (True, None) and req.test() == (True, None)
+            comm.recv()
+            return req
+
+        reqs = run_world(2, main).returns
+        assert reqs[0].done and reqs[1].done
+
+    def test_message_keyword_construction_defaults(self):
+        a = Message(comm_id=1, src=2, dst_world=3, tag=4, payload=None,
+                    nbytes=0, arrival=1.5)
+        b = Message(comm_id=1, src=2, dst_world=3, tag=4, payload=None,
+                    nbytes=0, arrival=1.5)
+        assert (a.src_world, a.sent_at, a.dup_of, a.has_dup) == (
+            -1, 0.0, None, False)
+        assert b.seq > a.seq  # the fallback id stream
+        assert a.matches(2, 4) and a.matches(ANY_SOURCE, ANY_TAG)
+        assert not a.matches(2, 5)
+        with pytest.raises(AttributeError):
+            a.extra = 1  # slotted

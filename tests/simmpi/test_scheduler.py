@@ -3,11 +3,14 @@
 These tests pin down the semantics of the baton scheduler and the
 indexed mailboxes -- wildcard matching order, a parked rank resumed by
 exactly the message it waits for (also under fault-injected duplicates
-and delays), run-to-run determinism, exact deadlock detection -- plus a
-perf smoke test asserting that receive matching does no work
-proportional to unrelated queued traffic. Order is virtual: a
-``compute()`` delay, never a real stall, decides who is parked first.
+and delays), run-to-run determinism, exact deadlock detection, the
+rank threads' scheduling policy -- plus a perf smoke test asserting
+that receive matching does no work proportional to unrelated queued
+traffic. Order is virtual: a ``compute()`` delay, never a real stall,
+decides who is parked first.
 """
+
+import os
 
 import pytest
 
@@ -401,3 +404,51 @@ class TestTimeoutAccounting:
             stuck.set()
         # Too slow is not deadlocked.
         assert not isinstance(info.value, DeadlockError)
+
+
+def _halo(comm):
+    """A ring exchange with a periodic allreduce: sends, receives,
+    collectives and nonblocking requests in one body."""
+    me, n = comm.rank, comm.size
+    left, right = (me - 1) % n, (me + 1) % n
+    total = 0
+    for it in range(6):
+        reqs = [comm.isend((me, it), dest=left, tag=0),
+                comm.isend((me, it), dest=right, tag=1)]
+        comm.recv(source=right, tag=0)
+        comm.recv(source=left, tag=1)
+        for r in reqs:
+            r.wait()
+        if it % 3 == 2:
+            total += comm.allreduce(me)
+    return total
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"),
+                    reason="no SCHED_BATCH on this platform")
+class TestSchedulingPolicy:
+    """Rank threads run under ``SCHED_BATCH``, so a baton handoff is one
+    context switch; the policy is a host-time matter only."""
+
+    def test_rank_bodies_run_under_batch(self):
+        res = run_world(4, lambda comm: os.sched_getscheduler(0))
+        assert res.returns == [os.SCHED_BATCH] * 4
+
+    def test_caller_keeps_its_policy(self):
+        before = os.sched_getscheduler(0)
+        run_world(4, _halo)
+        assert os.sched_getscheduler(0) == before
+
+    def test_refused_policy_changes_nothing_virtual(self, monkeypatch):
+        batch = run_world(8, _halo)
+
+        def refuse(*args):
+            raise OSError("policy refused")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)
+        policies = run_world(2, lambda comm: os.sched_getscheduler(0))
+        assert policies.returns == [os.sched_getscheduler(0)] * 2
+        default = run_world(8, _halo)
+        assert (default.vtime, default.messages, default.bytes_sent) == (
+            batch.vtime, batch.messages, batch.bytes_sent)
+        assert default.returns == batch.returns
