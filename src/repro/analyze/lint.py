@@ -13,12 +13,13 @@ ANL001    Wall-clock call (``time.time``, ``time.monotonic``,
 ANL002    An ``isend``/``irecv`` result that never reaches ``wait``
           or ``test`` (dropped or forgotten request objects make the
           nonblocking API lie about completion).
-ANL003    Raw ``threading`` coordination primitives (``Thread``,
-          ``Condition``, ``Event``, ``Semaphore``, ``Barrier``,
-          ``Timer``) outside the simmpi engine. Plain ``Lock`` /
-          ``RLock`` guards for shared state are fine; *coordination*
-          belongs to the engine, where it is accounted in virtual
-          time.
+ANL003    Raw ``threading`` primitives (``Thread``, ``Condition``,
+          ``Event``, ``Semaphore``, ``Barrier``, ``Timer``, ``Lock``,
+          ``RLock``, ``local``) outside the simmpi engine. Only the
+          baton holder runs, so library state needs no lock; a lock
+          held across a blocking simmpi call would hang the run.
+          Coordination belongs to the engine, where it is accounted
+          in virtual time.
 ANL004    Float equality (``==`` / ``!=``) on virtual clocks
           (``clock`` / ``vtime`` names). Clock arithmetic
           accumulates rounding; compare with a tolerance.
@@ -67,12 +68,11 @@ _WALLCLOCK = {
     "datetime.date.today",
 }
 
-#: Dotted names of threading coordination primitives (locks excluded).
-_THREAD_PRIMS = {
-    "threading.Thread", "threading.Condition", "threading.Event",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-    "threading.Barrier", "threading.Timer",
-}
+#: Dotted names of threading primitives.
+_THREAD_PRIMS = {f"threading.{name}" for name in (
+    "Thread", "Condition", "Event", "Semaphore", "BoundedSemaphore",
+    "Barrier", "Timer", "Lock", "RLock", "local",
+)}
 
 #: ``rule -> path suffixes`` where the rule does not apply: the engine
 #: really does own the threads (rank runners), and the

@@ -25,7 +25,6 @@ real DataSpaces).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,6 @@ class DataSpaces:
         # (name, version) -> list[_Registered]; producer-memory registry
         # reachable one-sidedly (models RDMA-registered buffers).
         self._registry: dict[tuple[str, int], list[_Registered]] = {}
-        self._lock = threading.Lock()
 
     # -- spatial DHT -------------------------------------------------------
 
@@ -98,8 +96,7 @@ class DataSpaces:
         waiting for consumers (unlike LowFive's serve-at-close).
         """
         reg = _Registered(selection, data, comm.rank)
-        with self._lock:
-            self._registry.setdefault((name, version), []).append(reg)
+        self._registry.setdefault((name, version), []).append(reg)
         bb = Bounds.from_selection(selection)
         comm.compute(self.costs.per_put)
         for srank in self.server_ranks_for(selection.shape, bb):
@@ -140,8 +137,7 @@ class DataSpaces:
         lo, hi = selection.bounds()
         box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
         box = np.full(box_shape, fill, dtype=dtype)
-        with self._lock:
-            regs = list(self._registry.get((name, version), []))
+        regs = list(self._registry.get((name, version), []))
         by_key = {
             (reg.producer,
              tuple(Bounds.from_selection(reg.selection).min),

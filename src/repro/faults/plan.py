@@ -19,7 +19,6 @@ so that a ``times=1`` crash fires once and the retry runs clean.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, replace
 
 
@@ -160,7 +159,6 @@ class FaultPlan:
         self.rpc_rules = tuple(rpcs)
         self.slowdown_rules = tuple(slowdowns)
         self._slow_factor = {r.rank: r.factor for r in self.slowdown_rules}
-        self._lock = threading.Lock()
         self._link_counts: dict[tuple, int] = {}
         self._rpc_counts: dict[tuple, int] = {}
         self._crash_left = {r.rank: r.times for r in self.crash_rules}
@@ -175,13 +173,11 @@ class FaultPlan:
         return int.from_bytes(h, "big") / 2.0**64
 
     def _note(self, kind: str, n: int = 1) -> None:
-        with self._lock:
-            self._injected[kind] = self._injected.get(kind, 0) + n
+        self._injected[kind] = self._injected.get(kind, 0) + n
 
     def injected_counts(self) -> dict:
         """Copy of the per-kind injected-fault counters so far."""
-        with self._lock:
-            return dict(self._injected)
+        return dict(self._injected)
 
     # -- message faults ----------------------------------------------------
 
@@ -199,10 +195,9 @@ class FaultPlan:
                 break
         if rule is None:
             return None
-        with self._lock:
-            key = (src_world, dst_world)
-            idx = self._link_counts.get(key, 0)
-            self._link_counts[key] = idx + 1
+        key = (src_world, dst_world)
+        idx = self._link_counts.get(key, 0)
+        self._link_counts[key] = idx + 1
         extra = 0.0
         if rule.p_delay > 0 and self._u("delay?", src_world, dst_world,
                                         idx) < rule.p_delay:
@@ -229,9 +224,8 @@ class FaultPlan:
     def crash_vtime(self, rank: int) -> float | None:
         """Pending crash time of ``rank``, or ``None`` when it has no
         (remaining) crash scheduled."""
-        with self._lock:
-            if self._crash_left.get(rank, 0) <= 0:
-                return None
+        if self._crash_left.get(rank, 0) <= 0:
+            return None
         for r in self.crash_rules:
             if r.rank == rank:
                 return r.at_vtime
@@ -239,9 +233,8 @@ class FaultPlan:
 
     def note_crash(self, rank: int) -> None:
         """Consume one crash occurrence of ``rank`` (engine callback)."""
-        with self._lock:
-            self._crash_left[rank] = self._crash_left.get(rank, 0) - 1
-            self._injected["crash"] = self._injected.get("crash", 0) + 1
+        self._crash_left[rank] = self._crash_left.get(rank, 0) - 1
+        self._injected["crash"] = self._injected.get("crash", 0) + 1
 
     # -- compute slowdowns -------------------------------------------------
 
@@ -287,10 +280,9 @@ class FaultPlan:
         if rule is None:
             return False
         key = (caller_world, dest, fn)
-        with self._lock:
-            if attempt == 0:
-                self._rpc_counts[key] = self._rpc_counts.get(key, -1) + 1
-            idx = self._rpc_counts.get(key, 0)
+        if attempt == 0:
+            self._rpc_counts[key] = self._rpc_counts.get(key, -1) + 1
+        idx = self._rpc_counts.get(key, 0)
         lost = attempt < rule.lose_first or (
             rule.p_lost > 0
             and self._u("rpc", caller_world, dest, fn, idx,

@@ -20,7 +20,6 @@ sees). Costs are charged from the model (``open_time(nprocs)``,
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.h5 import format as h5format
@@ -48,13 +47,12 @@ from repro.pfs.store import PFSStore
 class _FileState:
     """Shared state of one open (for writing) native file."""
 
-    __slots__ = ("name", "root", "lock", "mode", "comm", "nprocs",
-                 "refcount", "closed")
+    __slots__ = ("name", "root", "mode", "comm", "nprocs", "refcount",
+                 "closed")
 
     def __init__(self, name: str, root: FileNode, mode: str, comm, nprocs: int):
         self.name = name
         self.root = root
-        self.lock = threading.RLock()
         self.mode = mode
         self.comm = comm
         self.nprocs = nprocs
@@ -90,7 +88,6 @@ class NativeVOL(VOLBase):
         self.store = store if store is not None else PFSStore()
         self.lustre = lustre if lustre is not None else LustreModel()
         self._images: dict[str, _FileState] = {}
-        self._lock = threading.Lock()
 
     # -- cost charging -------------------------------------------------------
 
@@ -125,14 +122,13 @@ class NativeVOL(VOLBase):
         if mode not in ("w", "x"):
             raise ModeError(f"file_create mode must be w/x, got {mode!r}")
         nprocs = self._nprocs(comm)
-        with self._lock:
-            state = self._images.get(fname)
-            if state is None or state.closed:
-                if mode == "x" and self.store.exists(fname):
-                    raise ExistsError(f"file exists: {fname}")
-                state = _FileState(fname, FileNode(fname), "w", comm, nprocs)
-                self._images[fname] = state
-            state.refcount += 1
+        state = self._images.get(fname)
+        if state is None or state.closed:
+            if mode == "x" and self.store.exists(fname):
+                raise ExistsError(f"file exists: {fname}")
+            state = _FileState(fname, FileNode(fname), "w", comm, nprocs)
+            self._images[fname] = state
+        state.refcount += 1
         with span(comm, "pfs.open", cat="pfs", file=fname, mode=mode):
             self._charge(comm, self.lustre.open_time(nprocs))
         return _Token(state, state.root)
@@ -142,14 +138,13 @@ class NativeVOL(VOLBase):
             raise ModeError(f"file_open mode must be r/a, got {mode!r}")
         nprocs = self._nprocs(comm)
         if mode == "a":
-            with self._lock:
-                state = self._images.get(fname)
-                if state is not None and not state.closed:
-                    state.refcount += 1
-                    with span(comm, "pfs.open", cat="pfs", file=fname,
-                              mode=mode):
-                        self._charge(comm, self.lustre.open_time(nprocs))
-                    return _Token(state, state.root)
+            state = self._images.get(fname)
+            if state is not None and not state.closed:
+                state.refcount += 1
+                with span(comm, "pfs.open", cat="pfs", file=fname,
+                          mode=mode):
+                    self._charge(comm, self.lustre.open_time(nprocs))
+                return _Token(state, state.root)
         if not self.store.exists(fname):
             raise NotFoundError(f"no such file: {fname}")
         # A private tree decoded from the metadata alone; each piece
@@ -177,17 +172,15 @@ class NativeVOL(VOLBase):
         if comm is not None and writeback:
             # All writes land in the shared image before serialization.
             comm.barrier()
-        with state.lock:
-            state.refcount -= 1
-            if state.refcount <= 0:
-                state.closed = True
+        state.refcount -= 1
+        if state.refcount <= 0:
+            state.closed = True
         if writeback and (comm is None or comm.rank == 0):
             blob = h5format.encode_file(state.root)
             self.store.create(state.name).pwrite(0, blob)
         if writeback:
-            with self._lock:
-                if state.closed and self._images.get(state.name) is state:
-                    del self._images[state.name]
+            if state.closed and self._images.get(state.name) is state:
+                del self._images[state.name]
         self._charge(comm, self.lustre.close_time(nprocs))
         if comm is not None and writeback:
             comm.barrier()
@@ -196,14 +189,13 @@ class NativeVOL(VOLBase):
 
     def group_create(self, parent, name):
         state = parent.state
-        with state.lock:
-            node = parent.node
-            assert isinstance(node, GroupNode)
-            child = node.children.get(name)
-            if child is None:
-                child = node.add_child(GroupNode(name))
-            elif not isinstance(child, GroupNode):
-                raise ExistsError(f"{name!r} exists and is not a group")
+        node = parent.node
+        assert isinstance(node, GroupNode)
+        child = node.children.get(name)
+        if child is None:
+            child = node.add_child(GroupNode(name))
+        elif not isinstance(child, GroupNode):
+            raise ExistsError(f"{name!r} exists and is not a group")
         self._charge(state.comm, self.lustre.metadata_op_time())
         return _Token(state, child)
 
@@ -219,24 +211,23 @@ class NativeVOL(VOLBase):
         state = parent.state
         dtype = as_datatype(dtype)
         dcpl = dcpl or DEFAULT_DCPL
-        with state.lock:
-            node = parent.node
-            assert isinstance(node, GroupNode)
-            child = node.children.get(name)
-            if child is None:
-                child = node.add_child(
-                    DatasetNode(name, dtype, space,
-                                fill_value=dcpl.fill_value,
-                                chunks=dcpl.chunks)
+        node = parent.node
+        assert isinstance(node, GroupNode)
+        child = node.children.get(name)
+        if child is None:
+            child = node.add_child(
+                DatasetNode(name, dtype, space,
+                            fill_value=dcpl.fill_value,
+                            chunks=dcpl.chunks)
+            )
+        elif isinstance(child, DatasetNode):
+            # Collective create: later ranks must agree on the shape.
+            if child.dtype != dtype or child.space != space:
+                raise ExistsError(
+                    f"dataset {name!r} exists with different type/space"
                 )
-            elif isinstance(child, DatasetNode):
-                # Collective create: later ranks must agree on the shape.
-                if child.dtype != dtype or child.space != space:
-                    raise ExistsError(
-                        f"dataset {name!r} exists with different type/space"
-                    )
-            else:
-                raise ExistsError(f"{name!r} exists and is not a dataset")
+        else:
+            raise ExistsError(f"{name!r} exists and is not a dataset")
         self._charge(state.comm, self.lustre.metadata_op_time())
         return _Token(state, child)
 
@@ -254,8 +245,7 @@ class NativeVOL(VOLBase):
         state = dtoken.state
         if state.mode == "r":
             raise ModeError("file opened read-only")
-        with state.lock:
-            dtoken.node.resize(new_shape)
+        dtoken.node.resize(new_shape)
         self._charge(state.comm, self.lustre.metadata_op_time())
 
     def dataset_write(self, dtoken, selection, data, dxpl):
@@ -264,8 +254,7 @@ class NativeVOL(VOLBase):
             raise ModeError("file opened read-only")
         dxpl = dxpl or DEFAULT_DXPL
         node = dtoken.node
-        with state.lock:
-            piece = node.write(selection, data, OWN_DEEP)
+        piece = node.write(selection, data, OWN_DEEP)
         comm = state.comm
         local = piece.nbytes
         with span(comm, "pfs.write", cat="pfs", file=state.name,
@@ -331,14 +320,13 @@ class NativeVOL(VOLBase):
         # attribute creation by every rank idempotent.
         state = obj.state
         dtype = as_datatype(dtype)
-        with state.lock:
-            existing = obj.node.attributes.get(name)
-            if existing is not None and (existing.dtype != dtype
-                                         or existing.space != space):
-                del obj.node.attributes[name]
-                existing = None
-            attr = existing if existing is not None else \
-                obj.node.create_attribute(name, dtype, space)
+        existing = obj.node.attributes.get(name)
+        if existing is not None and (existing.dtype != dtype
+                                     or existing.space != space):
+            del obj.node.attributes[name]
+            existing = None
+        attr = existing if existing is not None else \
+            obj.node.create_attribute(name, dtype, space)
         self._charge(state.comm, self.lustre.metadata_op_time())
         return _Token(state, attr)
 
@@ -346,8 +334,7 @@ class NativeVOL(VOLBase):
         return _Token(obj.state, obj.node.get_attribute(name))
 
     def attr_write(self, atoken, value):
-        with atoken.state.lock:
-            atoken.node.write(value)
+        atoken.node.write(value)
         self._charge(atoken.state.comm, self.lustre.metadata_op_time())
 
     def attr_read(self, atoken):
@@ -383,9 +370,8 @@ class NativeVOL(VOLBase):
         state = parent.state
         if state.mode == "r":
             raise ModeError("file opened read-only")
-        with state.lock:
-            node = parent.node
-            if not isinstance(node, GroupNode):
-                raise NotFoundError(f"{node.path} is not a group")
-            node.remove_child(name)
+        node = parent.node
+        if not isinstance(node, GroupNode):
+            raise NotFoundError(f"{node.path} is not a group")
+        node.remove_child(name)
         self._charge(state.comm, self.lustre.metadata_op_time())

@@ -21,7 +21,6 @@ proceeds in three phases:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
@@ -139,7 +138,6 @@ class DistMetadataVOL(MetadataVOL):
         self._stream_inters: list[tuple[str, object]] = []
         self._stream_consumer_pats: list[str] = []
         self._rank_states: dict[int, _RankState] = {}
-        self._state_lock = threading.Lock()
         self._push_patterns: list[str] = []
 
     # -- wiring -----------------------------------------------------------
@@ -193,12 +191,11 @@ class DistMetadataVOL(MetadataVOL):
 
     def _rank_state(self) -> _RankState:
         key = self._rank_key(self.comm)
-        with self._state_lock:
-            st = self._rank_states.get(key)
-            if st is None:
-                st = _RankState()
-                self._rank_states[key] = st
-            return st
+        st = self._rank_states.get(key)
+        if st is None:
+            st = _RankState()
+            self._rank_states[key] = st
+        return st
 
     def _producer_matches(self, fname: str):
         return [i for pat, i in self._producer_inters

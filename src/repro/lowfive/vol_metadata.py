@@ -17,7 +17,6 @@ to the underlying native VOL -- that is LowFive's *file mode*.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.h5.datatype import as_datatype
@@ -86,7 +85,6 @@ class MetadataVOL(LowFiveBase):
         self.config = config if config is not None else LowFiveConfig()
         self.costs = costs if costs is not None else CostConfig()
         self._trees: dict[tuple[int, str], FileNode] = {}
-        self._lock = threading.Lock()
 
     # -- convenience passthroughs to the config ---------------------------
 
@@ -123,13 +121,11 @@ class MetadataVOL(LowFiveBase):
 
     def get_tree(self, comm, fname: str) -> FileNode | None:
         """This rank's in-memory hierarchy for ``fname`` (or None)."""
-        with self._lock:
-            return self._trees.get(self._tree_key(comm, fname))
+        return self._trees.get(self._tree_key(comm, fname))
 
     def drop_file(self, comm, fname: str) -> None:
         """Forget this rank's in-memory hierarchy for ``fname``."""
-        with self._lock:
-            self._trees.pop(self._tree_key(comm, fname), None)
+        self._trees.pop(self._tree_key(comm, fname), None)
 
     # -- files ----------------------------------------------------------------------
 
@@ -139,8 +135,7 @@ class MetadataVOL(LowFiveBase):
         root = None
         if intercepted:
             root = FileNode(fname)
-            with self._lock:
-                self._trees[self._tree_key(comm, fname)] = root
+            self._trees[self._tree_key(comm, fname)] = root
         under_token = None
         if passthru:
             under_token = self._require_under().file_create(

@@ -5,7 +5,7 @@ One :class:`ObsContext` per simulated machine (the
 every layer -- simmpi messages and collectives, LowFive transport
 phases, PFS I/O, workflow tasks -- behind a single API:
 
-- :mod:`repro.obs.metrics` -- thread-safe counters and histograms
+- :mod:`repro.obs.metrics` -- counters and histograms
   keyed by ``(name, labels)``;
 - :mod:`repro.obs.spans` -- virtual-clock span tracing with
   parent/child links;
@@ -64,7 +64,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import BoundCounter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.ledger import (
     Ledger,
     RunRecord,
@@ -72,7 +72,7 @@ from repro.obs.ledger import (
     compare_runs,
     record_from_result,
 )
-from repro.obs.series import BoundSeries, SeriesRecorder, SeriesValue
+from repro.obs.series import SeriesRecorder, SeriesValue
 from repro.obs.spans import InstantEvent, SpanEvent, SpanRecorder
 from repro.obs.streamstat import StreamEvent, StreamLedger
 
@@ -80,7 +80,6 @@ __all__ = [
     "ObsContext",
     "obs_of",
     "span",
-    "BoundCounter",
     "MetricsRegistry",
     "SpanRecorder",
     "SpanEvent",
@@ -105,7 +104,6 @@ __all__ = [
     "validate_chrome_trace",
     "SeriesRecorder",
     "SeriesValue",
-    "BoundSeries",
     "Ledger",
     "RunRecord",
     "record_from_result",

@@ -29,7 +29,6 @@ post time ``t_post``::
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -160,9 +159,9 @@ class CollectiveRecord:
 class RankAccount:
     """Running compute/transfer/wait ledger of one rank.
 
-    Written only by the owning rank's thread (single-writer); read
-    after the run. The conservation invariant is
-    ``compute + transfer + wait == final clock``.
+    Written only by the owning rank; read after the run. The
+    conservation invariant is ``compute + transfer + wait == final
+    clock``.
     """
 
     __slots__ = ("rank", "compute", "transfer", "wait")
@@ -196,7 +195,6 @@ class CausalRecorder:
     PRODUCERS = ("account", "post", "receive", "collective")  # see ObsContext
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._msgs: dict[int, FlowEdge] = {}
         self._edges: list[FlowEdge] = []  # received, in completion order
         self._colls: list[CollectiveRecord] = []
@@ -209,8 +207,7 @@ class CausalRecorder:
         """The (lazily created) ledger of ``rank``."""
         acct = self._accounts.get(rank)
         if acct is None:
-            with self._lock:
-                acct = self._accounts.setdefault(rank, RankAccount(rank))
+            acct = self._accounts.setdefault(rank, RankAccount(rank))
         return acct
 
     def post(self, msg_id: int, src: int, dst: int, tag: int,
@@ -220,19 +217,17 @@ class CausalRecorder:
         is not posted: no receive can take it before its original)."""
         rec = FlowEdge(msg_id, src, dst, tag, comm_id, nbytes, t_post,
                        t_arrival)
-        with self._lock:
-            self._msgs[msg_id] = rec
+        self._msgs[msg_id] = rec
 
     def receive(self, msg_id: int, t_recv_start: float, t_recv: float,
                 spec: tuple[int, int] | None = None) -> None:
         """Complete the record of ``msg_id`` with the receive that took
         it; a wildcard receive also passes its spec."""
-        with self._lock:
-            rec = self._msgs[msg_id]
-            rec.t_recv_start = t_recv_start
-            rec.t_recv = t_recv
-            rec.spec = spec
-            self._edges.append(rec)
+        rec = self._msgs[msg_id]
+        rec.t_recv_start = t_recv_start
+        rec.t_recv = t_recv
+        rec.spec = spec
+        self._edges.append(rec)
 
     def collective(self, kind: str, comm_id: int, nbytes: int,
                    enter_clocks: dict[int, float], t_ready: float,
@@ -241,13 +236,12 @@ class CausalRecorder:
         """Record one completed collective; derives the straggler."""
         straggler = max(enter_clocks,
                         key=lambda r: (enter_clocks[r], r))
-        with self._lock:
-            cid = self._next_coll
-            self._next_coll += 1
-            rec = CollectiveRecord(cid, kind, comm_id, nbytes,
-                                   dict(enter_clocks), t_ready, t_end,
-                                   straggler, dict(kinds or {}))
-            self._colls.append(rec)
+        cid = self._next_coll
+        self._next_coll += 1
+        rec = CollectiveRecord(cid, kind, comm_id, nbytes,
+                               dict(enter_clocks), t_ready, t_end,
+                               straggler, dict(kinds or {}))
+        self._colls.append(rec)
         return rec
 
     # -- querying ----------------------------------------------------------
@@ -255,15 +249,13 @@ class CausalRecorder:
     def messages(self) -> list[FlowEdge]:
         """Every posted message, in msg-id order (``t_recv`` is ``None``
         on one nobody received)."""
-        with self._lock:
-            return [self._msgs[k] for k in sorted(self._msgs)]
+        return [self._msgs[k] for k in sorted(self._msgs)]
 
     def edges(self, src: int | None = None, dst: int | None = None,
               tag: int | None = None) -> list[FlowEdge]:
         """Received messages in receive-completion order, optionally
         filtered."""
-        with self._lock:
-            out = list(self._edges)
+        out = list(self._edges)
         if src is not None:
             out = [e for e in out if e.src == src]
         if dst is not None:
@@ -274,14 +266,12 @@ class CausalRecorder:
 
     def collectives(self) -> list[CollectiveRecord]:
         """Recorded collective completions, in completion order."""
-        with self._lock:
-            return list(self._colls)
+        return list(self._colls)
 
     def accounts(self) -> dict[int, RankAccount]:
         """Copy of the rank -> :class:`RankAccount` map, in rank order
         (iteration order must not leak thread-scheduling order)."""
-        with self._lock:
-            return {r: self._accounts[r] for r in sorted(self._accounts)}
+        return {r: self._accounts[r] for r in sorted(self._accounts)}
 
 
 # -- cause attribution -------------------------------------------------------

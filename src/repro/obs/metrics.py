@@ -1,8 +1,8 @@
-"""Thread-safe metrics: counters and histograms.
+"""Metrics: counters and histograms.
 
 Every metric is keyed by ``(name, labels)``; per-rank scoping is just a
 ``rank=...`` label, so one registry serves all ranks of a simulated
-machine. Readers query the registry itself, under its lock:
+machine. Readers query the registry itself:
 
     reg = MetricsRegistry()
     reg.inc("simmpi.send.bytes", 4096, rank=3)
@@ -17,7 +17,6 @@ Histograms use base-2 exponential buckets (bucket ``i`` holds values in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import cast
 
@@ -46,8 +45,9 @@ class CounterValue:
     total: float = 0.0
     count: int = 0
 
-    def inc(self, value: float, count: int = 1) -> None:
-        """Add ``value``, standing for ``count`` increments."""
+    def inc(self, value: float = 1.0, count: int = 1) -> None:
+        """Add ``value``, standing for ``count`` increments
+        (``inc(s, count=n)`` equals ``n`` increments summing to ``s``)."""
         self.total += value
         self.count += count
 
@@ -141,43 +141,16 @@ _KINDS: dict[str, type[MetricValue]] = {
 }
 
 
-class BoundCounter:
-    """A pre-resolved handle onto one counter slot.
-
-    Producers resolve the ``(name, labels)`` key once via
-    :meth:`MetricsRegistry.counter`; every subsequent :meth:`inc` is a
-    single locked float-add with no kwargs dict, no ``sorted(labels)``
-    key build and no registry lookup. Increments land in the same slot
-    plain :meth:`MetricsRegistry.inc` calls would, so every query reads
-    them. A producer that tallies on its own side folds ``count``
-    increments into one call.
-    """
-
-    __slots__ = ("_lock", "_slot")
-
-    def __init__(self, lock: threading.Lock, slot: CounterValue) -> None:
-        self._lock = lock
-        self._slot = slot
-
-    def inc(self, value: float = 1.0, count: int = 1) -> None:
-        """Add ``value`` to the bound counter as ``count`` increments
-        (``inc(s, count=n)`` equals ``n`` increments summing to ``s``)."""
-        with self._lock:
-            self._slot.inc(value, count)
-
-
 class MetricsRegistry:
-    """Thread-safe registry of counters and histograms.
+    """Registry of counters and histograms.
 
-    One lock guards all metrics; operations are dictionary lookups plus
-    a couple of float ops, cheap enough for per-message accounting on
-    the simulated machine.
+    Operations are dictionary lookups plus a couple of float ops, cheap
+    enough for per-message accounting on the simulated machine.
     """
 
     PRODUCERS = ("inc", "counter", "observe")  # see ObsContext
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._data: dict[tuple[str, Key], MetricValue] = {}
 
     def _slot(self, kind: str, name: str,
@@ -199,49 +172,43 @@ class MetricsRegistry:
         """Add ``value`` to the counter ``(name, labels)``."""
         if rank is not None:
             labels["rank"] = rank
-        with self._lock:
-            cast(CounterValue,
-                 self._slot("counter", name, labels)).inc(value)
+        cast(CounterValue,
+             self._slot("counter", name, labels)).inc(value)
 
     def counter(self, name: str, *, rank: object = None,
-                **labels: object) -> BoundCounter:
-        """Resolve ``(name, labels)`` once; returns a cheap bound handle.
+                **labels: object) -> CounterValue:
+        """Resolve ``(name, labels)`` once; returns the counter itself.
 
         Use on hot paths instead of repeated :meth:`inc` calls with the
-        same labels -- the handle's :meth:`BoundCounter.inc` skips the
-        per-call key construction entirely.
+        same labels: :meth:`CounterValue.inc` on the returned slot skips
+        the per-call key construction entirely. A producer that tallies
+        on its own side folds ``count`` increments into one call.
         """
         if rank is not None:
             labels["rank"] = rank
-        with self._lock:
-            slot = cast(CounterValue,
-                        self._slot("counter", name, labels))
-        return BoundCounter(self._lock, slot)
+        return cast(CounterValue, self._slot("counter", name, labels))
 
     def observe(self, name: str, value: float, *,
                 rank: object = None, **labels: object) -> None:
         """Record ``value`` into the histogram ``(name, labels)``."""
         if rank is not None:
             labels["rank"] = rank
-        with self._lock:
-            cast(HistogramValue,
-                 self._slot("histogram", name, labels)).observe(value)
+        cast(HistogramValue,
+             self._slot("histogram", name, labels)).observe(value)
 
     def get(self, name: str, **labels: object) -> MetricValue | None:
         """The live value object for ``(name, labels)`` or ``None``."""
         key = metric_key(name, labels)
-        with self._lock:
-            for kind in _KINDS:
-                v = self._data.get((kind, key))
-                if v is not None:
-                    return v
+        for kind in _KINDS:
+            v = self._data.get((kind, key))
+            if v is not None:
+                return v
         return None
 
     def to_dict(self) -> dict[str, dict[str, object]]:
         """Plain-dict dump: ``{kind: {name{labels}: value...}}``."""
         out: dict[str, dict[str, object]] = {kind: {} for kind in _KINDS}
-        with self._lock:
-            for (kind, key), v in sorted(self._data.items(),
-                                         key=lambda kv: kv[0]):
-                out[kind][key_str(key)] = v.to_json()
+        for (kind, key), v in sorted(self._data.items(),
+                                     key=lambda kv: kv[0]):
+            out[kind][key_str(key)] = v.to_json()
         return out

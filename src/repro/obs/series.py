@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 
 from repro.obs.metrics import Key, key_str, metric_key
@@ -138,37 +137,16 @@ class SeriesValue:
         return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
-class BoundSeries:
-    """A pre-resolved handle onto one series (hot-path producer).
-
-    Like :class:`~repro.obs.metrics.BoundCounter`: resolve the
-    ``(name, labels)`` key once, then every :meth:`record` is a locked
-    window update with no key construction.
-    """
-
-    __slots__ = ("_lock", "_slot")
-
-    def __init__(self, lock: threading.Lock, slot: SeriesValue) -> None:
-        self._lock = lock
-        self._slot = slot
-
-    def record(self, t: float, value: float) -> None:
-        """Fold one sample taken at vtime ``t`` into the bound series."""
-        with self._lock:
-            self._slot.record(t, value)
-
-
 class SeriesRecorder:
-    """Thread-safe registry of bounded virtual-time series.
+    """Registry of bounded virtual-time series.
 
-    One lock guards all series; a sample is a dict lookup plus a
-    window update, cheap enough for protocol-rate sampling.
+    A sample is a dict lookup plus a window update, cheap enough for
+    protocol-rate sampling.
     """
 
     PRODUCERS = ("record", "bound")  # see ObsContext
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._data: dict[Key, SeriesValue] = {}
 
     def _slot(self, name: str, labels: dict[str, object]) -> SeriesValue:
@@ -183,36 +161,30 @@ class SeriesRecorder:
         """Fold one sample of ``(name, labels)`` taken at vtime ``t``."""
         if rank is not None:
             labels["rank"] = rank
-        with self._lock:
-            self._slot(name, labels).record(t, value)
+        self._slot(name, labels).record(t, value)
 
     def bound(self, name: str, *, rank: object = None,
-              **labels: object) -> BoundSeries:
-        """Resolve ``(name, labels)`` once; returns a cheap handle."""
+              **labels: object) -> SeriesValue:
+        """Resolve ``(name, labels)`` once; returns the series itself,
+        whose :meth:`SeriesValue.record` needs no key construction."""
         if rank is not None:
             labels["rank"] = rank
-        with self._lock:
-            slot = self._slot(name, labels)
-        return BoundSeries(self._lock, slot)
+        return self._slot(name, labels)
 
     def get(self, name: str, **labels: object) -> SeriesValue | None:
         """The live series for ``(name, labels)`` or ``None``."""
-        with self._lock:
-            return self._data.get(metric_key(name, labels))
+        return self._data.get(metric_key(name, labels))
 
     def items(self) -> list[tuple[Key, SeriesValue]]:
         """``(key, series)`` pairs in key order."""
-        with self._lock:
-            return sorted(self._data.items())
+        return sorted(self._data.items())
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict dump: ``{name{labels}: series json}``."""
-        with self._lock:
-            return {key_str(k): v.to_json()
-                    for k, v in sorted(self._data.items())}
+        return {key_str(k): v.to_json()
+                for k, v in sorted(self._data.items())}
 
     def digests(self) -> dict[str, str]:
         """Stable per-series content digests."""
-        with self._lock:
-            return {key_str(k): v.digest()
-                    for k, v in sorted(self._data.items())}
+        return {key_str(k): v.digest()
+                for k, v in sorted(self._data.items())}

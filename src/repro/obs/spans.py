@@ -2,10 +2,10 @@
 
 A span is one timed region of a rank's execution, measured in *virtual*
 seconds (the simulated machine's clocks, not wall time). Spans nest:
-each simmpi rank runs on its own thread, and the recorder keeps a
-per-thread stack so a span opened inside another becomes its child --
-e.g. the ``mpi.alltoall`` collective recorded inside LowFive's
-``lowfive.index`` phase.
+the recorder keeps one open-span stack per world rank, so a span opened
+inside another on the same rank becomes its child -- e.g. the
+``mpi.alltoall`` collective recorded inside LowFive's ``lowfive.index``
+phase.
 
 Producers use either the context-manager form (via
 :meth:`repro.obs.ObsContext.span`) or the explicit
@@ -15,7 +15,6 @@ start clock is known before any waiting happens.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -83,27 +82,25 @@ class _OpenSpan:
 
 
 class SpanRecorder:
-    """Collects completed spans and instants; thread-safe.
+    """Collects completed spans and instants.
 
-    The per-thread open-span stack supplies parent links. Begin/end
-    pairs must nest properly within one thread (the context-manager
-    form guarantees this).
+    The open-span stack of each world rank supplies parent links.
+    Begin/end pairs must nest properly within one rank (the
+    context-manager form guarantees this).
     """
 
     PRODUCERS = ("begin", "end", "add", "instant")  # see ObsContext
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._spans: list[SpanEvent] = []
         self._instants: list[InstantEvent] = []
         self._next_id = 1
-        self._tls = threading.local()
+        self._stacks: dict[int, list[_OpenSpan]] = {}
 
-    def _stack(self) -> list[_OpenSpan]:
-        st: list[_OpenSpan] | None = getattr(self._tls, "stack", None)
+    def _stack(self, rank: int) -> list[_OpenSpan]:
+        st = self._stacks.get(rank)
         if st is None:
-            st = []
-            self._tls.stack = st
+            st = self._stacks[rank] = []
         return st
 
     # -- producing ---------------------------------------------------------
@@ -111,11 +108,10 @@ class SpanRecorder:
     def begin(self, rank: int, name: str, cat: str, t0: float,
               labels: dict[str, object] | None = None) -> _OpenSpan:
         """Open a span at virtual time ``t0``; returns its handle."""
-        stack = self._stack()
+        stack = self._stack(rank)
         parent = stack[-1].span_id if stack else None
-        with self._lock:
-            sid = self._next_id
-            self._next_id += 1
+        sid = self._next_id
+        self._next_id += 1
         span = _OpenSpan(sid, parent, name, cat, rank, t0,
                          dict(labels) if labels else {})
         stack.append(span)
@@ -123,7 +119,7 @@ class SpanRecorder:
 
     def end(self, open_span: _OpenSpan, t1: float) -> SpanEvent:
         """Close ``open_span`` at virtual time ``t1``."""
-        stack = self._stack()
+        stack = self._stack(open_span.rank)
         if open_span in stack:
             # Pop through any improperly-unclosed children too.
             while stack and stack[-1] is not open_span:
@@ -133,8 +129,7 @@ class SpanRecorder:
         ev = SpanEvent(open_span.span_id, open_span.parent_id,
                        open_span.name, open_span.cat, open_span.rank,
                        open_span.t0, t1, open_span.labels)
-        with self._lock:
-            self._spans.append(ev)
+        self._spans.append(ev)
         return ev
 
     def add(self, name: str, cat: str, rank: int, t0: float, t1: float,
@@ -144,17 +139,13 @@ class SpanRecorder:
 
         The parent link is *explicit*: pass ``parent_id`` (e.g. from an
         open span's handle) to nest the span, or leave it ``None`` for
-        a top-level span. The calling thread's open-span stack is
-        deliberately not consulted -- a helper thread recording on
-        behalf of another rank must not adopt its own unrelated open
-        span as the parent.
+        a top-level span. No open-span stack is consulted.
         """
-        with self._lock:
-            sid = self._next_id
-            self._next_id += 1
-            ev = SpanEvent(sid, parent_id, name, cat, rank, t0, t1,
-                           dict(labels) if labels else {})
-            self._spans.append(ev)
+        sid = self._next_id
+        self._next_id += 1
+        ev = SpanEvent(sid, parent_id, name, cat, rank, t0, t1,
+                       dict(labels) if labels else {})
+        self._spans.append(ev)
         return ev
 
     def instant(self, name: str, cat: str, rank: int, t: float,
@@ -162,8 +153,7 @@ class SpanRecorder:
         """Record a point event at virtual time ``t``."""
         ev = InstantEvent(name, cat, rank, t,
                           dict(labels) if labels else {})
-        with self._lock:
-            self._instants.append(ev)
+        self._instants.append(ev)
         return ev
 
     # -- querying ----------------------------------------------------------
@@ -172,8 +162,7 @@ class SpanRecorder:
               rank: int | None = None,
               **label_filter: object) -> list[SpanEvent]:
         """Completed spans, optionally filtered."""
-        with self._lock:
-            out = list(self._spans)
+        out = list(self._spans)
         if cat is not None:
             out = [s for s in out if s.cat == cat]
         if name is not None:
@@ -186,8 +175,7 @@ class SpanRecorder:
 
     def instants(self) -> list[InstantEvent]:
         """All recorded instants."""
-        with self._lock:
-            return list(self._instants)
+        return list(self._instants)
 
     def total(self, cat: str | None = None, name: str | None = None,
               rank: int | None = None, **label_filter: object) -> float:

@@ -12,7 +12,6 @@ covers every epoch ``<= e``), matching the wire protocol.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -42,16 +41,14 @@ class StreamEvent:
 
 @dataclass
 class StreamLedger:
-    """Thread-safe append log of :class:`StreamEvent`."""
+    """Append log of :class:`StreamEvent`."""
 
     PRODUCERS = ("publish", "acquire", "release", "drop")  # see ObsContext
 
     _events: list = field(default_factory=list)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def _add(self, ev: StreamEvent) -> None:
-        with self._lock:
-            self._events.append(ev)
+        self._events.append(ev)
 
     def publish(self, stream: str, epoch: int, rank: int, t: float,
                 depth: int) -> None:
@@ -78,8 +75,7 @@ class StreamLedger:
     def events(self, stream: str | None = None,
                kind: str | None = None) -> list[StreamEvent]:
         """Events in deterministic virtual-time order."""
-        with self._lock:
-            evs = list(self._events)
+        evs = list(self._events)
         if stream is not None:
             evs = [e for e in evs if e.stream == stream]
         if kind is not None:
@@ -89,8 +85,7 @@ class StreamLedger:
 
     def streams(self) -> list[str]:
         """Names of every stream that produced events."""
-        with self._lock:
-            return sorted({e.stream for e in self._events})
+        return sorted({e.stream for e in self._events})
 
     def max_depth(self, stream: str | None = None) -> int:
         """Largest live-epoch queue depth ever recorded (-1: none)."""

@@ -1,9 +1,9 @@
 """Byte store backing the simulated parallel file system.
 
 The store is shared by every simulated rank (the real Lustre namespace is
-globally visible), and thread-safe. It holds whole files as resizable
-bytearrays and supports positional reads/writes, which is all the native
-VOL's file format needs.
+globally visible). It holds whole files as resizable bytearrays and
+supports positional reads/writes, which is all the native VOL's file
+format needs.
 
 A handle keeps the contents it opened, like a descriptor its inode: a
 truncating create installs a fresh entry under the name. Every read is a
@@ -12,16 +12,6 @@ buffer would make the next extending write raise ``BufferError``).
 """
 
 from __future__ import annotations
-
-import threading
-
-
-class _FileEntry:
-    __slots__ = ("data", "lock")
-
-    def __init__(self):
-        self.data = bytearray()
-        self.lock = threading.Lock()
 
 
 class PFSStore:
@@ -32,8 +22,7 @@ class PFSStore:
     """
 
     def __init__(self):
-        self._files: dict[str, _FileEntry] = {}
-        self._lock = threading.Lock()
+        self._files: dict[str, bytearray] = {}
         self.bytes_written = 0
         self.bytes_read = 0
         self.n_creates = 0
@@ -43,76 +32,69 @@ class PFSStore:
 
     def create(self, name: str, truncate: bool = True) -> "FileHandle":
         """Create (or truncate) a file and return a handle."""
-        with self._lock:
-            if not truncate and name in self._files:
-                raise FileExistsError(f"file exists: {name}")
-            entry = self._files[name] = _FileEntry()
-            self.n_creates += 1
+        if not truncate and name in self._files:
+            raise FileExistsError(f"file exists: {name}")
+        entry = self._files[name] = bytearray()
+        self.n_creates += 1
         return FileHandle(self, name, entry)
 
     def open_or_create(self, name: str) -> "FileHandle":
-        """Open ``name``, creating it (empty) if absent. Atomic, so
-        concurrent writers sharing a file never truncate each other."""
-        with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                entry = _FileEntry()
-                self._files[name] = entry
-                self.n_creates += 1
-            else:
-                self.n_opens += 1
+        """Open ``name``, creating it (empty) if absent, so writers
+        sharing a file never truncate each other."""
+        entry = self._files.get(name)
+        if entry is None:
+            entry = bytearray()
+            self._files[name] = entry
+            self.n_creates += 1
+        else:
+            self.n_opens += 1
         return FileHandle(self, name, entry)
 
     def open(self, name: str) -> "FileHandle":
         """Open an existing file."""
-        with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                raise FileNotFoundError(f"no such file: {name}")
-            self.n_opens += 1
+        entry = self._files.get(name)
+        if entry is None:
+            raise FileNotFoundError(f"no such file: {name}")
+        self.n_opens += 1
         return FileHandle(self, name, entry)
 
     def exists(self, name: str) -> bool:
         """True when ``name`` exists."""
-        with self._lock:
-            return name in self._files
+        return name in self._files
 
     def unlink(self, name: str) -> None:
         """Remove ``name`` from the namespace."""
-        with self._lock:
-            if name not in self._files:
-                raise FileNotFoundError(f"no such file: {name}")
-            del self._files[name]
+        if name not in self._files:
+            raise FileNotFoundError(f"no such file: {name}")
+        del self._files[name]
 
     def listdir(self) -> list[str]:
         """Sorted names of all stored files."""
-        with self._lock:
-            return sorted(self._files)
+        return sorted(self._files)
 
     def size(self, name: str) -> int:
         """Size of ``name`` in bytes."""
-        with self._lock:
-            entry = self._files.get(name)
-            if entry is None:
-                raise FileNotFoundError(f"no such file: {name}")
-            return len(entry.data)
+        entry = self._files.get(name)
+        if entry is None:
+            raise FileNotFoundError(f"no such file: {name}")
+        return len(entry)
 
 
 class FileHandle:
     """Positional read/write access to one stored file."""
 
-    __slots__ = ("_store", "name", "_entry")
+    __slots__ = ("_store", "name", "_data")
 
-    def __init__(self, store: PFSStore, name: str, entry: _FileEntry):
+    def __init__(self, store: PFSStore, name: str, data: bytearray):
         self._store = store
         self.name = name
-        self._entry = entry
+        self._data = data
 
     def pwrite(self, offset: int, data) -> None:
         """Write ``data`` (any contiguous buffer) at ``offset``, growing
         the file as needed; only a hole before ``offset`` is zero-filled."""
-        with memoryview(data).cast("B") as view, self._entry.lock:
-            buf = self._entry.data
+        with memoryview(data).cast("B") as view:
+            buf = self._data
             if offset > len(buf):
                 buf += bytes(offset - len(buf))
             # Overwrite in place what exists, append the rest: a slice
@@ -124,7 +106,7 @@ class FileHandle:
 
     def pread(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` (short read past EOF)."""
-        with self._entry.lock, memoryview(self._entry.data) as view:
+        with memoryview(self._data) as view:
             out = bytes(view[offset:offset + length])
         self._store.bytes_read += len(out)
         return out
@@ -132,5 +114,4 @@ class FileHandle:
     @property
     def size(self) -> int:
         """Current file size in bytes."""
-        with self._entry.lock:
-            return len(self._entry.data)
+        return len(self._data)

@@ -95,8 +95,8 @@ class Proc:
         # ``simmpi.<kind>.{count,bytes}`` counters once.
         self.tally = {"send": [0, 0, 0], "recv": [0, 0, 0],
                       "coll": [0, 0, 0]}
-        # Causal ledger (:meth:`Engine.account`) and mailbox-depth series
-        # handle, made on first use: a rank that needs neither has none.
+        # Causal ledger (:meth:`Engine.account`) and mailbox-depth
+        # series, made on first use: a rank that needs neither has none.
         self.acct = None
         self.depth = None
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+
+#: Placeholder held by a singleton whose factory is still running.
+_BUILDING = object()
 
 
 @dataclass
@@ -41,7 +43,6 @@ class TaskContext:
         self.world = world
         self._links = links
         self._singletons = {}
-        self._singleton_lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -77,12 +78,20 @@ class TaskContext:
         """Create-once-per-task shared object (e.g. the task's VOL).
 
         Every rank calls this; the first caller runs ``factory()`` and
-        all ranks get the same object back.
+        all ranks get the same object back. ``factory`` must not block
+        in simmpi: a rank asking for ``key`` while it is still being
+        built gets a :class:`RuntimeError`.
         """
-        with self._singleton_lock:
-            if key not in self._singletons:
-                self._singletons[key] = factory()
-            return self._singletons[key]
+        if key not in self._singletons:
+            self._singletons[key] = _BUILDING
+            self._singletons[key] = factory()
+        obj = self._singletons[key]
+        if obj is _BUILDING:
+            raise RuntimeError(
+                f"singleton {key!r} requested while its factory is still "
+                "running (a factory must not block in simmpi)"
+            )
+        return obj
 
     # -- streaming ---------------------------------------------------------
 

@@ -145,11 +145,11 @@ class TestThreading:
                "    return t, e\n")
         assert codes(src) == ["ANL003", "ANL003"]
 
-    def test_locks_are_allowed(self):
+    def test_locks_are_flagged(self):
         src = ("import threading\n"
                "def f():\n"
                "    return threading.Lock(), threading.RLock()\n")
-        assert codes(src) == []
+        assert codes(src) == ["ANL003", "ANL003"]
 
     def test_engine_allowlist_covers_engine_file(self):
         src = ("import threading\n"

@@ -1,8 +1,8 @@
-"""Span recorder: nesting, parent links, per-thread stacks."""
+"""Span recorder: nesting, parent links, per-rank stacks."""
 
-import threading
-
+from repro.obs import span
 from repro.obs.spans import SpanRecorder
+from repro.simmpi import run_world
 
 
 class TestBasics:
@@ -66,9 +66,8 @@ class TestNesting:
         assert {s.name for s in rec.children_of(pe.span_id)} == {"s1", "s2"}
 
     def test_add_parent_is_explicit(self):
-        # add() must NOT adopt the calling thread's open span: a helper
-        # thread recording on behalf of another rank would otherwise
-        # get a bogus cross-rank parent. The link is opt-in.
+        # add() does not adopt an open span as its parent; the link is
+        # opt-in.
         rec = SpanRecorder()
         p = rec.begin(0, "p", "", 0.0)
         orphan = rec.add("measured", "", 0, 0.2, 0.8)
@@ -87,30 +86,26 @@ class TestNesting:
         assert after.parent_id is None  # stack fully unwound
 
 
-class TestThreads:
-    def test_stacks_are_per_thread(self):
-        rec = SpanRecorder()
-        barrier = threading.Barrier(2)  # noqa: ANL003 - thread-safety stress test
+class TestRanks:
+    def test_stacks_are_per_rank_across_a_handoff(self):
+        def main(comm):
+            if comm.rank == 0:
+                with span(comm, "outer"):
+                    comm.recv(source=1)  # rank 1 runs with this open
+                    with span(comm, "inner"):
+                        comm.send("done", dest=1)
+            else:
+                with span(comm, "outer"), span(comm, "inner"):
+                    comm.send("go", dest=0)
+                    comm.recv(source=0)  # rank 0 runs with these open
 
-        def worker(rank):
-            outer = rec.begin(rank, "outer", "", 0.0)
-            barrier.wait()  # both threads have an open span
-            inner = rec.begin(rank, "inner", "", 1.0)
-            rec.end(inner, 2.0)
-            barrier.wait()
-            rec.end(outer, 3.0)
-
-        threads = [threading.Thread(target=worker, args=(r,))  # noqa: ANL003
-                   for r in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        spans = run_world(2, main).obs.spans
         for rank in range(2):
-            inner, = rec.spans(name="inner", rank=rank)
-            outer, = rec.spans(name="outer", rank=rank)
-            # Parent is this thread's outer span, not the other's.
+            inner, = spans.spans(name="inner", rank=rank)
+            outer, = spans.spans(name="outer", rank=rank)
+            # Parent is this rank's outer span, not the other's.
             assert inner.parent_id == outer.span_id
+            assert outer.parent_id is None
 
 
 class TestQueries:

@@ -1,11 +1,10 @@
 """PFS byte-store tests."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.pfs import PFSStore
+from repro.simmpi import run_world
 
 
 def test_create_write_read():
@@ -107,20 +106,22 @@ def test_stats_counters():
     assert s.n_creates == 1
 
 
-def test_concurrent_disjoint_writes():
+def test_ranks_write_disjoint_ranges_through_one_handle():
     s = PFSStore()
     h = s.create("f")
     n, span = 8, 1000
+    half = span // 2
 
-    def writer(i):
-        h.pwrite(i * span, bytes([i]) * span)
+    def writer(comm):
+        i = comm.rank
+        # Upper half first, so later ranks extend past holes that
+        # earlier ranks fill after the baton has moved on.
+        h.pwrite(i * span + half, bytes([i]) * (span - half))
+        comm.barrier()
+        h.pwrite(i * span, bytes([i]) * half)
 
-    threads = [threading.Thread(target=writer, args=(i,))  # noqa: ANL003
-               for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_world(n, writer)
+    assert h.size == n * span
     data = h.pread(0, n * span)
     for i in range(n):
         assert data[i * span:(i + 1) * span] == bytes([i]) * span

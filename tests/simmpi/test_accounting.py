@@ -17,7 +17,7 @@ from repro.bench.drivers import run_lowfive_memory
 from repro.bench.registry import ELEMS, NPROCS
 from repro.faults import CrashRule, FaultPlan, MessageFaultRule
 from repro.obs import ObsContext
-from repro.obs.metrics import BoundCounter, MetricsRegistry
+from repro.obs.metrics import CounterValue, MetricsRegistry
 from repro.simmpi import ANY_SOURCE, Comm, Engine, RankFailure
 from repro.synth import SyntheticWorkload
 
@@ -137,7 +137,7 @@ class TestRegistryWrites:
     def test_writes_grow_with_ranks_and_kinds_not_messages(self,
                                                            monkeypatch):
         writes = Counter()
-        real_bound, real_plain = BoundCounter.inc, MetricsRegistry.inc
+        real_bound, real_plain = CounterValue.inc, MetricsRegistry.inc
 
         def bound(self, *args, **kwargs):
             writes["bound"] += 1
@@ -147,7 +147,7 @@ class TestRegistryWrites:
             writes["plain"] += 1
             return real_plain(self, *args, **kwargs)
 
-        monkeypatch.setattr(BoundCounter, "inc", bound)
+        monkeypatch.setattr(CounterValue, "inc", bound)
         monkeypatch.setattr(MetricsRegistry, "inc", plain)
         per_run = []
         for iters in (10, 40):

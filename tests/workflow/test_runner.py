@@ -74,6 +74,23 @@ def test_singleton_shared_per_task():
     assert sorted(created) == ["a", "b"]
 
 
+def test_singleton_factory_that_blocks_raises():
+    """A factory that waits in simmpi lets a second rank ask for the
+    same key before the object exists: that rank gets a RuntimeError
+    naming the key instead of a second object or a hang."""
+    def main(ctx):
+        def factory():
+            ctx.comm.barrier()
+            return object()
+
+        return ctx.singleton("shared-vol", factory)
+
+    wf = Workflow()
+    wf.add_task("a", 2, main)
+    with pytest.raises(RuntimeError, match="'shared-vol'"):
+        wf.run(timeout=5)
+
+
 def test_validation_errors():
     wf = Workflow()
     wf.add_task("a", 1, lambda ctx: None)
