@@ -15,16 +15,16 @@ text argues for:
 """
 
 import numpy as np
-import pytest
 
 import repro.h5 as h5
-from conftest import executed_workload
-from repro.bench import format_table, run_lowfive_memory, write_result
+from repro.bench import format_table, write_result
+from repro.bench.figures import EXEC_WL
 from repro.h5.native import NativeVOL
-from repro.lowfive import CostConfig, DistMetadataVOL
+from repro.lowfive import DistMetadataVOL, StagedMetadataVOL, staging_main
 from repro.perfmodel import THETA_KNL
 from repro.perfmodel.transports import grid_geometry
 from repro.pfs import PFSStore
+from repro.simmpi import run_world
 from repro.synth import (
     SyntheticWorkload,
     consumer_grid_selection,
@@ -83,10 +83,10 @@ def _pipeline(nprod, ncons, wl, zero_copy=False, push=False):
     return res.vtime
 
 
-def test_ablation_zero_copy(benchmark, exec_wl):
+def test_ablation_zero_copy():
     """Zero-copy removes the producer-side deep copy."""
-    t_deep = _pipeline(6, 2, exec_wl, zero_copy=False)
-    t_shallow = _pipeline(6, 2, exec_wl, zero_copy=True)
+    t_deep = _pipeline(6, 2, EXEC_WL, zero_copy=False)
+    t_shallow = _pipeline(6, 2, EXEC_WL, zero_copy=True)
     assert t_shallow < t_deep
     write_result("ablation_zero_copy.txt", format_table(
         ["ownership", "completion (s)"],
@@ -95,14 +95,12 @@ def test_ablation_zero_copy(benchmark, exec_wl):
         title="Ablation: per-dataset ownership (6 producers -> 2 "
               "consumers, executed)",
     ))
-    benchmark.pedantic(lambda: _pipeline(6, 2, exec_wl, zero_copy=True),
-                       rounds=2, iterations=1)
 
 
-def test_ablation_push_vs_query(benchmark, exec_wl):
+def test_ablation_push_vs_query():
     """Producer push removes the consumer's query round trips."""
-    t_query = _pipeline(6, 2, exec_wl, push=False)
-    t_push = _pipeline(6, 2, exec_wl, push=True)
+    t_query = _pipeline(6, 2, EXEC_WL, push=False)
+    t_push = _pipeline(6, 2, EXEC_WL, push=True)
     assert t_push < t_query
     write_result("ablation_push_vs_query.txt", format_table(
         ["protocol", "completion (s)"],
@@ -112,11 +110,9 @@ def test_ablation_push_vs_query(benchmark, exec_wl):
         title="Ablation: redistribution protocol (6 producers -> 2 "
               "consumers, executed)",
     ))
-    benchmark.pedantic(lambda: _pipeline(6, 2, exec_wl, push=True),
-                       rounds=2, iterations=1)
 
 
-def test_ablation_serialization_cost(benchmark):
+def test_ablation_serialization_cost():
     """Contiguous bulk serialization vs point-at-a-time (the Fig. 7
     mechanism), isolated via the cost model."""
     wl = SyntheticWorkload()
@@ -133,116 +129,76 @@ def test_ablation_serialization_cost(benchmark):
          ["ratio", t_points / t_contig]],
         title="Ablation: serialization strategy (cost model, Theta KNL)",
     ))
-    benchmark(lambda: net.pack_elements_time(n))
 
 
-def test_ablation_direct_vs_staged(benchmark, exec_wl):
+def test_ablation_direct_vs_staged():
     """Direct messaging vs in-transit staging under a late consumer --
     the decoupling trade-off of the paper's Sec. II-B, made concrete
     with LowFive's own staged mode."""
-    import repro.h5 as h5_
-    import numpy as np
-    from repro.lowfive import StagedMetadataVOL, staging_main
-    from repro.synth import (
-        consumer_grid_selection as cgs,
-        grid_values as gv,
-        producer_grid_selection as pgs,
-    )
-
-    shape = exec_wl.grid_shape(4)
+    shape = EXEC_WL.grid_shape(4)
     delay = 1.0
 
-    def run_staged():
-        def producer(ctx):
+    def run(staged):
+        # Direct: producers serve consumers. Staged: both sides talk to
+        # two staging ranks, and each side finalizes staging at the end.
+        def vol(ctx, role):
             def mk():
-                vol = StagedMetadataVOL(comm=ctx.comm,
-                                        under=NativeVOL(PFSStore()))
-                vol.set_memory("o.h5")
-                vol.stage_on_close("o.h5", ctx.intercomm("staging"))
-                return vol
+                cls = StagedMetadataVOL if staged else DistMetadataVOL
+                v = cls(comm=ctx.comm, under=NativeVOL(PFSStore()))
+                v.set_memory("o.h5")
+                if staged:
+                    attach = ("stage_on_close" if role == "producer"
+                              else "set_staged_consumer")
+                    peer = "staging"
+                else:
+                    attach = ("serve_on_close" if role == "producer"
+                              else "set_consumer")
+                    peer = "consumer" if role == "producer" else "producer"
+                getattr(v, attach)("o.h5", ctx.intercomm(peer))
+                return v
 
-            vol = ctx.singleton("vol", mk)
-            f = h5_.File("o.h5", "w", comm=ctx.comm, vol=vol)
+            return ctx.singleton("vol", mk)
+
+        def finalize(ctx):
+            if staged:
+                StagedMetadataVOL.finalize_staging(ctx.intercomm("staging"))
+
+        def producer(ctx):
+            f = h5.File("o.h5", "w", comm=ctx.comm, vol=vol(ctx, "producer"))
             d = f.create_dataset("d", shape=shape, dtype="u8")
-            sel = pgs(shape, ctx.rank, ctx.size)
-            d.write(gv(sel, shape), file_select=sel)
+            sel = producer_grid_selection(shape, ctx.rank, ctx.size)
+            d.write(grid_values(sel, shape), file_select=sel)
             f.close()
             t = ctx.comm.vtime
-            StagedMetadataVOL.finalize_staging(ctx.intercomm("staging"))
+            finalize(ctx)
             return t
 
         def consumer(ctx):
-            def mk():
-                vol = StagedMetadataVOL(comm=ctx.comm,
-                                        under=NativeVOL(PFSStore()))
-                vol.set_memory("o.h5")
-                vol.set_staged_consumer("o.h5", ctx.intercomm("staging"))
-                return vol
-
-            vol = ctx.singleton("vol", mk)
+            v = vol(ctx, "consumer")
             ctx.comm.compute(delay)
-            f = h5_.File("o.h5", "r", comm=ctx.comm, vol=vol)
-            sel = cgs(shape, ctx.rank, ctx.size)
+            f = h5.File("o.h5", "r", comm=ctx.comm, vol=v)
+            sel = consumer_grid_selection(shape, ctx.rank, ctx.size)
             vals = f["d"].read(sel, reshape=False)
             f.close()
-            StagedMetadataVOL.finalize_staging(ctx.intercomm("staging"))
-            return np.array_equal(vals, gv(sel, shape))
+            finalize(ctx)
+            return np.array_equal(vals, grid_values(sel, shape))
 
         wf = Workflow()
         wf.add_task("producer", 4, producer)
         wf.add_task("consumer", 2, consumer)
-        wf.add_task("staging", 2,
-                    lambda ctx: staging_main([ctx.intercomm("producer"),
-                                              ctx.intercomm("consumer")]))
-        wf.add_link("producer", "staging")
-        wf.add_link("consumer", "staging")
+        if staged:
+            wf.add_task("staging", 2, lambda ctx: staging_main(
+                [ctx.intercomm("producer"), ctx.intercomm("consumer")]))
+            wf.add_link("producer", "staging")
+            wf.add_link("consumer", "staging")
+        else:
+            wf.add_link("producer", "consumer")
         res = wf.run(timeout=120.0)
         assert all(res.returns["consumer"])
         return max(res.returns["producer"]), res.vtime
 
-    def run_direct():
-        def producer(ctx):
-            def mk():
-                vol = DistMetadataVOL(comm=ctx.comm,
-                                      under=NativeVOL(PFSStore()))
-                vol.set_memory("o.h5")
-                vol.serve_on_close("o.h5", ctx.intercomm("consumer"))
-                return vol
-
-            vol = ctx.singleton("vol", mk)
-            f = h5_.File("o.h5", "w", comm=ctx.comm, vol=vol)
-            d = f.create_dataset("d", shape=shape, dtype="u8")
-            sel = pgs(shape, ctx.rank, ctx.size)
-            d.write(gv(sel, shape), file_select=sel)
-            f.close()
-            return ctx.comm.vtime
-
-        def consumer(ctx):
-            def mk():
-                vol = DistMetadataVOL(comm=ctx.comm,
-                                      under=NativeVOL(PFSStore()))
-                vol.set_memory("o.h5")
-                vol.set_consumer("o.h5", ctx.intercomm("producer"))
-                return vol
-
-            vol = ctx.singleton("vol", mk)
-            ctx.comm.compute(delay)
-            f = h5_.File("o.h5", "r", comm=ctx.comm, vol=vol)
-            sel = cgs(shape, ctx.rank, ctx.size)
-            vals = f["d"].read(sel, reshape=False)
-            f.close()
-            return np.array_equal(vals, gv(sel, shape))
-
-        wf = Workflow()
-        wf.add_task("producer", 4, producer)
-        wf.add_task("consumer", 2, consumer)
-        wf.add_link("producer", "consumer")
-        res = wf.run(timeout=120.0)
-        assert all(res.returns["consumer"])
-        return max(res.returns["producer"]), res.vtime
-
-    t_prod_staged, t_staged = run_staged()
-    t_prod_direct, t_direct = run_direct()
+    t_prod_staged, t_staged = run(staged=True)
+    t_prod_direct, t_direct = run(staged=False)
     # The staging property: producers decouple from the slow consumer.
     assert t_prod_staged < delay / 2
     assert t_prod_direct > delay
@@ -255,15 +211,11 @@ def test_ablation_direct_vs_staged(benchmark, exec_wl):
               f"{delay:.0f}s-late consumer (4 producers, 2 consumers, "
               "executed)",
     ))
-    benchmark.pedantic(run_staged, rounds=2, iterations=1)
 
 
-def test_ablation_chunked_layout(benchmark):
+def test_ablation_chunked_layout():
     """Chunked vs contiguous file layout under a strided parallel write
     (the situation chunking exists for on Lustre)."""
-    import numpy as np
-
-    from repro.simmpi import run_world
 
     def write_time(chunks):
         vol = NativeVOL()
@@ -296,11 +248,9 @@ def test_ablation_chunked_layout(benchmark):
         title="Ablation: storage layout under aligned parallel slab "
               "writes (4 ranks, executed)",
     ))
-    benchmark.pedantic(lambda: write_time((16, 64)), rounds=3,
-                       iterations=1)
 
 
-def test_ablation_memory_footprint(benchmark):
+def test_ablation_memory_footprint():
     """Per-producer memory copies of each transport configuration --
     the paper's 'up to three copies' discussion made quantitative."""
     from repro.perfmodel.memory import footprint_table, lowfive_footprint
@@ -320,10 +270,9 @@ def test_ablation_memory_footprint(benchmark):
         title="Ablation: producer-side memory footprint "
               "(1e6+1e6 elements per producer, ~19 MiB native)",
     ))
-    benchmark(lambda: footprint_table(bytes_pp))
 
 
-def test_ablation_common_decomposition_fanout(benchmark):
+def test_ablation_common_decomposition_fanout():
     """How many producers each consumer contacts, as shapes vary --
     the quantity LowFive's common decomposition keeps small."""
     wl = SyntheticWorkload()
@@ -350,4 +299,3 @@ def test_ablation_common_decomposition_fanout(benchmark):
         title="Ablation: redistribution fan-out under the common "
               "decomposition (grid dataset)",
     ))
-    benchmark(lambda: grid_geometry(wl.grid_shape(48), 48, 16))

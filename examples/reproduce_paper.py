@@ -1,119 +1,17 @@
 #!/usr/bin/env python
 """Reproduce every table and figure of the paper in one command.
 
-Prints Table I, Figures 5-9 and 11 (as tables + ASCII log-log plots),
-and Table II from the analytic models at the paper's full scales --
-seconds of laptop time instead of supercomputer allocations. For the
-executed (data-moving, validated) versions of the same experiments, run
-``pytest benchmarks/ --benchmark-only``.
+Prints Table I, Figures 5-9 and 11 (tables + ASCII log-log plots) and
+Table II from the analytic models at the paper's full scales, seconds
+of laptop time instead of supercomputer allocations. The executed,
+data-validating points of the same experiments are written to
+``results/`` by ``PYTHONPATH=src python -m pytest benchmarks -q``.
 
-Run:  python examples/reproduce_paper.py
+Run:  PYTHONPATH=src python examples/reproduce_paper.py
 """
 
-from repro.bench import ascii_loglog, format_series_table, format_table
-from repro.perfmodel import (
-    CORI_HASWELL,
-    THETA_KNL,
-    bredala_times,
-    dataspaces_time,
-    lowfive_file_time,
-    lowfive_memory_time,
-    pure_hdf5_time,
-    pure_mpi_time,
-)
-from repro.perfmodel.nyx_reeber import table2_rows
-from repro.synth import SyntheticWorkload
-
-SCALES = [4, 16, 64, 256, 1024, 4096, 16384]
-WL = SyntheticWorkload()
-
-
-def series(fn, scales, machine, wl=WL, **kw):
-    out = []
-    for P in scales:
-        nprod, ncons = wl.split_procs(P)
-        out.append(fn(nprod, ncons, wl, machine, **kw))
-    return out
-
-
-def main():
-    # -- Table I ---------------------------------------------------------
-    rows = []
-    for P in SCALES:
-        nprod, ncons = WL.split_procs(P)
-        rows.append([P, nprod, ncons, f"{WL.total_grid_points(nprod):.1e}",
-                     f"{WL.total_particles(nprod):.1e}",
-                     round(WL.total_bytes(nprod) / 2**30, 2)])
-    print(format_table(
-        ["total", "producers", "consumers", "grid points", "particles",
-         "GiB"], rows, title="Table I: weak-scaling configuration"))
-
-    # -- Figure 5 ----------------------------------------------------------
-    mem = series(lowfive_memory_time, SCALES, THETA_KNL)
-    fil = [lowfive_file_time(*WL.split_procs(P), WL, THETA_KNL)
-           if P <= 1024 else None for P in SCALES]
-    print(ascii_loglog(SCALES, {"LowFive File Mode": fil,
-                                "LowFive Memory Mode": mem},
-                       title="Figure 5: file vs memory mode (Theta)"))
-
-    # -- Figure 6 ------------------------------------------------------------
-    s6 = [P for P in SCALES if P <= 1024]
-    lf6 = series(lowfive_file_time, s6, THETA_KNL)
-    h56 = series(pure_hdf5_time, s6, THETA_KNL)
-    print(format_series_table(
-        s6, {"LowFive File Mode": lf6, "Pure HDF5": h56},
-        title="Figure 6: LowFive file mode vs pure HDF5 (Theta)"))
-
-    # -- Figure 7 --------------------------------------------------------------
-    mpi = series(pure_mpi_time, SCALES, THETA_KNL)
-    print(ascii_loglog(SCALES, {"LowFive Memory Mode": mem,
-                                "Pure MPI": mpi},
-                       title="Figure 7: LowFive vs hand-written MPI "
-                             "(Theta)"))
-
-    # -- Figure 8 ----------------------------------------------------------------
-    s8 = [P for P in SCALES if P <= 4096]
-    lf8 = series(lowfive_memory_time, s8, CORI_HASWELL)
-    ds8 = series(dataspaces_time, s8, CORI_HASWELL)
-    print(format_series_table(
-        s8, {"LowFive Memory Mode": lf8, "DataSpaces": ds8},
-        title="Figure 8: LowFive vs DataSpaces (Cori Haswell, "
-              "+4 staging ranks)"))
-
-    # -- Figure 9 ------------------------------------------------------------------
-    br = [bredala_times(*WL.split_procs(P), WL, THETA_KNL) for P in s8]
-    lf9 = series(lowfive_memory_time, s8, THETA_KNL)
-    print(ascii_loglog(
-        s8,
-        {
-            "LowFive Memory Mode": lf9,
-            "Bredala total": [b["total"] for b in br],
-            "Bredala grid": [b["grid"] for b in br],
-            "Bredala particles": [b["particles"] for b in br],
-        },
-        title="Figure 9: LowFive vs Bredala (Theta)"))
-
-    # -- Figure 11 ---------------------------------------------------------------------
-    wl10 = SyntheticWorkload(grid_points_per_proc=10**7,
-                             particles_per_proc=10**7)
-    lf11 = series(lowfive_memory_time, s8, CORI_HASWELL, wl=wl10)
-    ds11 = series(dataspaces_time, s8, CORI_HASWELL, wl=wl10)
-    mp11 = series(pure_mpi_time, s8, CORI_HASWELL, wl=wl10)
-    print(format_series_table(
-        s8, {"LowFive": lf11, "DataSpaces": ds11, "MPI": mp11},
-        title="Figure 11: 10x data (0.55 TiB at 4K), Cori Haswell"))
-
-    # -- Table II -------------------------------------------------------------------------
-    print(format_table(
-        ["grid", "LowFive write", "LowFive read", "HDF5 write",
-         "HDF5 read", "plotfiles write", "vs HDF5", "vs plotfiles"],
-        [[f"{r['grid']}^3", r["lowfive_write"], r["lowfive_read"],
-          r["hdf5_write"], r["hdf5_read"], r["plotfile_write"],
-          r["speedup_vs_hdf5"], r["speedup_vs_plotfiles"]]
-         for r in table2_rows()],
-        title="Table II: Nyx-Reeber use case (4096+1024 ranks, "
-              "2 snapshots; x = DNF in 1.5h)"))
-
+from repro.bench.figures import EXHIBITS, render
 
 if __name__ == "__main__":
-    main()
+    for ex in EXHIBITS:
+        print(render(ex, ex.evaluate()))

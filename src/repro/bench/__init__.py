@@ -1,14 +1,15 @@
 """Benchmark harness: executed drivers + table/series formatting.
 
-The ``benchmarks/`` suite regenerates every table and figure of the
-paper's evaluation (see DESIGN.md's experiment index). Each experiment
-combines:
+:mod:`repro.bench.figures` states the paper's evaluation as one table
+(see DESIGN.md's experiment index). Each table or figure combines:
 
 - **modeled** points from :mod:`repro.perfmodel` at the paper's full
-  scales (4 ... 16384 ranks, 1e6 elements/process), and
+  scales (4 ... 16384 ranks, 1e6 elements/process), whose shapes
+  tier-1 checks, and
 - **executed** points from real simmpi runs (threads) at small scales
   with a reduced per-process workload, which validate the model and
-  validate data correctness (position-encoded values).
+  validate data correctness (position-encoded values);
+  ``benchmarks/bench_paper.py`` runs them and writes ``results/``.
 """
 
 from repro.bench.drivers import (

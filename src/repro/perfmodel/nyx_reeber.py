@@ -93,7 +93,3 @@ def nyx_reeber_times(grid_size: int, nprod: int = 4096, ncons: int = 1024,
     }
     return out
 
-
-def table2_rows(grid_sizes=(256, 512, 1024, 2048), **kw) -> list[dict]:
-    """All of Table II."""
-    return [nyx_reeber_times(n, **kw) for n in grid_sizes]

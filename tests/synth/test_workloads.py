@@ -80,6 +80,7 @@ class TestEncoding:
         vals = grid_values(sel, shape)
         coords = sel.coords()
         expected = coords[:, 0] * 5 + coords[:, 1]
+        assert vals.dtype == np.uint64
         np.testing.assert_array_equal(vals, expected.astype(np.uint64))
 
     def test_validate_grid_detects_corruption(self):

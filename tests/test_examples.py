@@ -3,8 +3,9 @@
 Every example runs as its own process in a fresh working directory (some
 write a ``*_trace.json`` next to themselves) and must exit 0. The
 quickstart, streaming and race-demo examples run in CI jobs of their
-own; ``reproduce_paper.py`` is too slow for tier-1 and runs in the
-``bench`` job.
+own. ``reproduce_paper.py`` evaluates the model at 16 K ranks (~20 s),
+which tier-1 already does once in ``tests/bench/test_figures.py``; it
+runs in the ``bench`` job.
 """
 
 import os
