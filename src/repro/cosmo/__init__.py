@@ -5,16 +5,17 @@
 - :mod:`repro.cosmo.nyx` -- a particle-mesh cosmology proxy producing
   baryon-density snapshots through the h5 API, including the AMReX
   writer's *repack* behaviour that defeats LowFive's zero-copy;
+- :mod:`repro.cosmo.amr_fields` -- multi-field AMR snapshots, for the
+  claim that LowFive moves only the dataset the consumer reads;
 - :mod:`repro.cosmo.reeber` -- a Reeber-like distributed halo finder
   (connected components above a density threshold, merged across ranks
-  with a union-find, like Reeber's merge trees);
+  with a union-find where Reeber uses merge trees);
 - :mod:`repro.cosmo.plotfile` -- an AMReX plotfile-style multi-file
   binary snapshot format, the second I/O baseline of Table II.
 """
 
 from repro.cosmo.amr import Box, BoxArray, DistributionMapping, MultiFab
 from repro.cosmo.amr_fields import derive_fields, write_amr_snapshot
-from repro.cosmo.merge_tree import MergeTree, build_merge_tree, halos_at
 from repro.cosmo.nyx import NyxProxy, write_snapshot_h5
 from repro.cosmo.reeber import Halo, find_halos_distributed, find_halos_serial
 from repro.cosmo.plotfile import write_plotfile, read_plotfile_header
@@ -26,9 +27,6 @@ __all__ = [
     "MultiFab",
     "derive_fields",
     "write_amr_snapshot",
-    "MergeTree",
-    "build_merge_tree",
-    "halos_at",
     "NyxProxy",
     "write_snapshot_h5",
     "Halo",

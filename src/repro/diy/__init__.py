@@ -8,19 +8,14 @@ implemented here:
 - :class:`~repro.diy.decomposer.RegularDecomposer` -- the *common
   decomposition*: factor ``n`` processes into ``d`` near-equal factors
   and cut the domain into an ``n1 x ... x nd`` grid of blocks
-  (paper Sec. III-B, Fig. 4),
-- :class:`~repro.diy.assigner.ContiguousAssigner` /
-  :class:`~repro.diy.assigner.RoundRobinAssigner` -- block->rank maps.
+  (paper Sec. III-B, Fig. 4), with block ``gid`` owned by rank ``gid``.
 """
 
 from repro.diy.bounds import Bounds
 from repro.diy.decomposer import RegularDecomposer, balanced_factors
-from repro.diy.assigner import ContiguousAssigner, RoundRobinAssigner
 
 __all__ = [
     "Bounds",
     "RegularDecomposer",
     "balanced_factors",
-    "ContiguousAssigner",
-    "RoundRobinAssigner",
 ]

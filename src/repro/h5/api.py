@@ -100,15 +100,6 @@ class _Container:
             token = self._vol.group_create(token, part)
         return Group(self._vol, token, path)
 
-    def require_group(self, path: str) -> "Group":
-        """Open ``path`` as a group, creating it if absent."""
-        if self._vol.link_exists(self._token, path):
-            kind, token = self._vol.object_open(self._token, path)
-            if kind != "group":
-                raise H5Error(f"{path!r} exists and is not a group")
-            return Group(self._vol, token, path)
-        return self.create_group(path)
-
     # -- datasets -----------------------------------------------------------
 
     def create_dataset(self, path: str, shape=None, dtype=None, data=None,
@@ -116,9 +107,10 @@ class _Container:
                        dcpl: DatasetCreateProps | None = None) -> "Dataset":
         """Create a dataset; optionally write ``data`` into all of it.
 
-        ``maxshape`` permits later :meth:`Dataset.resize` up to the given
-        per-dimension limits (:data:`repro.h5.dataspace.UNLIMITED` for no
-        limit). ``chunks`` selects a chunked storage layout.
+        ``maxshape`` records per-dimension extent limits in the dataspace
+        (:data:`repro.h5.dataspace.UNLIMITED` for no limit), as HDF5 does;
+        the extent itself is fixed at creation. ``chunks`` selects a
+        chunked storage layout.
         """
         if chunks is not None:
             dcpl = DatasetCreateProps(
@@ -151,32 +143,11 @@ class _Container:
 
     # -- navigation ---------------------------------------------------------------
 
-    def require_dataset(self, path: str, shape, dtype) -> "Dataset":
-        """Open ``path`` as a dataset with the given shape/dtype,
-        creating it if absent (h5py semantics)."""
-        if self._vol.link_exists(self._token, path):
-            kind, token = self._vol.object_open(self._token, path)
-            if kind != "dataset":
-                raise H5Error(f"{path!r} exists and is not a dataset")
-            dset = Dataset(self._vol, token, path)
-            if dset.shape != tuple(shape) or dset.dtype != as_datatype(dtype):
-                raise H5Error(
-                    f"{path!r} exists with different shape/dtype"
-                )
-            return dset
-        return self.create_dataset(path, shape=shape, dtype=dtype)
-
-    # -- navigation ---------------------------------------------------------------
-
     def __getitem__(self, path: str):
         kind, token = self._vol.object_open(self._token, path)
         if kind == "dataset":
             return Dataset(self._vol, token, path)
         return Group(self._vol, token, path)
-
-    def __delitem__(self, name: str) -> None:
-        """Unlink a direct child (group or dataset)."""
-        self._vol.link_delete(self._token, name)
 
     def __contains__(self, path: str) -> bool:
         return bool(self._vol.link_exists(self._token, path))
@@ -404,16 +375,6 @@ class Dataset:
 
     def __setitem__(self, key, value) -> None:
         self.write(np.asarray(value), self._key_to_selection(key))
-
-    def resize(self, new_shape) -> None:
-        """Change the extent within ``maxshape`` (HDF5 semantics:
-        growing keeps data, shrinking discards what falls outside)."""
-        self._vol.dataset_resize(self._token, new_shape)
-
-    @property
-    def maxshape(self) -> tuple:
-        """Per-dimension resize limits."""
-        return self.space.maxshape
 
     def close(self) -> None:
         """Close this dataset handle."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.h5.errors import SelectionError
+from repro.h5.errors import H5Error, SelectionError
 from repro.h5.selection import (
     AllSelection,
     HyperslabSelection,
@@ -24,8 +24,9 @@ class Dataspace:
     not mutate them (unlike the HDF5 C API's stateful selected dataspace,
     our API passes selections explicitly, which is equivalent and safer).
 
-    ``maxshape`` bounds future resizes: each entry is an upper limit or
-    :data:`UNLIMITED`. Omitted -> fixed extent (``maxshape == shape``).
+    ``maxshape`` records HDF5's per-dimension extent limits: each entry
+    is an upper limit or :data:`UNLIMITED`. Omitted -> ``maxshape ==
+    shape``. It is validated and encoded; nothing changes an extent.
     """
 
     __slots__ = ("shape", "maxshape")
@@ -49,23 +50,6 @@ class Dataspace:
                     raise SelectionError(
                         f"maxshape {self.maxshape} below shape {self.shape}"
                     )
-
-    def resized(self, new_shape) -> "Dataspace":
-        """A copy with a new extent, validated against ``maxshape``."""
-        new_shape = tuple(int(s) for s in new_shape)
-        if len(new_shape) != len(self.shape):
-            raise SelectionError("resize cannot change rank")
-        for s, m in zip(new_shape, self.maxshape):
-            if s < 0 or (m != UNLIMITED and s > m):
-                raise SelectionError(
-                    f"new shape {new_shape} exceeds maxshape {self.maxshape}"
-                )
-        return Dataspace(new_shape, self.maxshape)
-
-    @property
-    def resizable(self) -> bool:
-        """True when the extent may still grow."""
-        return self.maxshape != self.shape
 
     @property
     def ndim(self) -> int:
@@ -107,16 +91,20 @@ class Dataspace:
 
     @classmethod
     def decode(cls, blob: bytes) -> "Dataspace":
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode`; :class:`H5Error` on a malformed
+        blob."""
         import ast
 
-        obj = ast.literal_eval(blob.decode("ascii"))
-        if (isinstance(obj, tuple) and len(obj) == 2
-                and isinstance(obj[0], tuple)
-                and all(isinstance(v, int) for v in obj[0])
-                and isinstance(obj[1], tuple)):
-            return cls(obj[0], obj[1])
-        return cls(obj)  # legacy: plain shape tuple
+        try:
+            obj = ast.literal_eval(blob.decode("ascii"))
+            if (isinstance(obj, tuple) and len(obj) == 2
+                    and isinstance(obj[0], tuple)
+                    and all(isinstance(v, int) for v in obj[0])
+                    and isinstance(obj[1], tuple)):
+                return cls(obj[0], obj[1])
+            return cls(obj)  # legacy: plain shape tuple
+        except (SyntaxError, ValueError, TypeError) as exc:
+            raise H5Error(f"corrupt file: dataspace {blob!r}") from exc
 
     # -- value semantics --------------------------------------------------------
 
@@ -130,7 +118,7 @@ class Dataspace:
         return hash((self.shape, self.maxshape))
 
     def __repr__(self):
-        if self.resizable:
+        if self.maxshape != self.shape:
             return (f"Dataspace(shape={self.shape}, "
                     f"maxshape={self.maxshape})")
         return f"Dataspace(shape={self.shape})"

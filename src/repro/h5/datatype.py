@@ -83,11 +83,15 @@ class Datatype:
 
     @classmethod
     def decode(cls, blob: bytes) -> "Datatype":
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode`; :class:`H5Error` on a malformed
+        blob."""
         import ast
 
-        descr = ast.literal_eval(blob.decode("utf-8"))
-        return cls(np.lib.format.descr_to_dtype(descr))
+        try:
+            descr = ast.literal_eval(blob.decode("utf-8"))
+            return cls(np.lib.format.descr_to_dtype(descr))
+        except (SyntaxError, ValueError, TypeError) as exc:
+            raise H5Error(f"corrupt file: datatype {blob!r}") from exc
 
     # -- value semantics -----------------------------------------------------
 

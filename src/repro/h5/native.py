@@ -241,13 +241,6 @@ class NativeVOL(VOLBase):
         node = dtoken.node
         return node.dtype, node.space
 
-    def dataset_resize(self, dtoken, new_shape):
-        state = dtoken.state
-        if state.mode == "r":
-            raise ModeError("file opened read-only")
-        dtoken.node.resize(new_shape)
-        self._charge(state.comm, self.lustre.metadata_op_time())
-
     def dataset_write(self, dtoken, selection, data, dxpl):
         state = dtoken.state
         if state.mode == "r":
@@ -365,13 +358,3 @@ class NativeVOL(VOLBase):
         if isinstance(node, GroupNode):
             return "group", _Token(parent.state, node)
         raise NotFoundError(f"cannot open object at {path!r}")
-
-    def link_delete(self, parent, name):
-        state = parent.state
-        if state.mode == "r":
-            raise ModeError("file opened read-only")
-        node = parent.node
-        if not isinstance(node, GroupNode):
-            raise NotFoundError(f"{node.path} is not a group")
-        node.remove_child(name)
-        self._charge(state.comm, self.lustre.metadata_op_time())

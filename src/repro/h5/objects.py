@@ -19,7 +19,7 @@ import numpy as np
 from repro.h5.datatype import Datatype
 from repro.h5.dataspace import Dataspace
 from repro.h5.errors import ExistsError, NotFoundError, SelectionError
-from repro.h5.selection import HyperslabSelection, Selection
+from repro.h5.selection import Selection
 
 #: LowFive made a private copy of the data.
 OWN_DEEP = "deep"
@@ -102,13 +102,6 @@ class GroupNode(Node):
         self.children[node.name] = node
         return node
 
-    def remove_child(self, name: str) -> None:
-        """Unlink the child called ``name``."""
-        try:
-            del self.children[name]
-        except KeyError:
-            raise NotFoundError(f"no link {name!r} in {self.path}") from None
-
     # -- traversal --------------------------------------------------------------
 
     def lookup(self, path: str) -> Node:
@@ -133,19 +126,6 @@ class GroupNode(Node):
             return True
         except NotFoundError:
             return False
-
-    def require_groups(self, path: str) -> "GroupNode":
-        """Create (or traverse) intermediate groups along ``path``."""
-        node: Node = self.file_node if path.startswith("/") else self
-        for part in split_path(path):
-            assert isinstance(node, GroupNode)
-            child = node.children.get(part)
-            if child is None:
-                child = node.add_child(GroupNode(part))
-            node = child
-        if not isinstance(node, GroupNode):
-            raise ExistsError(f"{node.path} exists and is not a group")
-        return node
 
     def walk(self):
         """Yield every descendant node, depth first, children sorted."""
@@ -304,38 +284,6 @@ class DatasetNode(Node):
     def total_written_bytes(self) -> int:
         """Bytes held across all written pieces."""
         return sum(p.nbytes for p in self.pieces)
-
-    # -- resizing -----------------------------------------------------------
-
-    def resize(self, new_shape) -> None:
-        """Change the extent (within ``maxshape``), HDF5-style.
-
-        Growing keeps all data; shrinking discards elements outside the
-        new extent (clipping pieces that straddle the boundary).
-        """
-        new_space = self.space.resized(new_shape)
-        old_shape = self.space.shape
-        new_shape = new_space.shape
-        keep_counts = tuple(min(o, n) for o, n in zip(old_shape, new_shape))
-        shrinks = any(n < o for o, n in zip(old_shape, new_shape))
-        new_pieces: list[DataPiece] = []
-        origin = (0,) * len(old_shape)
-        keep = HyperslabSelection(old_shape, origin, keep_counts)
-        for piece in self.pieces:
-            sel = piece.selection
-            overlap = sel.intersect(keep) if shrinks else sel
-            if not shrinks or 0 < overlap.npoints == sel.npoints:
-                new_pieces.append(DataPiece(
-                    sel.translate(origin, new_shape), piece.data,
-                    piece.ownership))
-            elif overlap.npoints:
-                # Straddling piece: keep only the surviving values (a copy,
-                # since the clipped layout no longer matches user memory).
-                new_pieces.append(DataPiece(
-                    overlap.translate(origin, new_shape),
-                    piece.values(overlap), OWN_DEEP))
-        self.pieces = new_pieces
-        self.space = new_space
 
 
 class AttributeNode(Node):

@@ -79,10 +79,6 @@ class VOLBase(ABC):
     def dataset_close(self, dtoken):
         """Close a dataset handle (default: no-op)."""
 
-    def dataset_resize(self, dtoken, new_shape):
-        """Change a dataset's extent within its maxshape."""
-        raise NotImplementedError(f"{self.name} does not support resize")
-
     # -- attributes ---------------------------------------------------------
 
     @abstractmethod
@@ -119,10 +115,6 @@ class VOLBase(ABC):
     @abstractmethod
     def object_open(self, parent, path):
         """Open ``path``; return ``(kind, token)``."""
-
-    def link_delete(self, parent, name):
-        """Remove the link ``name`` under a group token."""
-        raise NotImplementedError(f"{self.name} does not support deletion")
 
 
 class PassthroughVOL(VOLBase):
@@ -185,9 +177,6 @@ class PassthroughVOL(VOLBase):
     def dataset_close(self, dtoken):
         return self._require_under().dataset_close(dtoken)
 
-    def dataset_resize(self, dtoken, new_shape):
-        return self._require_under().dataset_resize(dtoken, new_shape)
-
     def attr_create(self, obj, name, dtype, space):
         return self._require_under().attr_create(obj, name, dtype, space)
 
@@ -211,6 +200,3 @@ class PassthroughVOL(VOLBase):
 
     def object_open(self, parent, path):
         return self._require_under().object_open(parent, path)
-
-    def link_delete(self, parent, name):
-        return self._require_under().link_delete(parent, name)

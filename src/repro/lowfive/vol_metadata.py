@@ -240,13 +240,6 @@ class MetadataVOL(LowFiveBase):
             return dtoken.node.dtype, dtoken.node.space
         return self._require_under().dataset_meta(dtoken.under)
 
-    def dataset_resize(self, dtoken, new_shape):
-        if dtoken.node is not None:
-            dtoken.node.resize(new_shape)
-        if dtoken.under is not None:
-            self._require_under().dataset_resize(dtoken.under, new_shape)
-        self._charge_op(dtoken.comm)
-
     def dataset_write(self, dtoken, selection, data, dxpl):
         comm = dtoken.comm
         fname = dtoken.fstate.fname
@@ -353,10 +346,3 @@ class MetadataVOL(LowFiveBase):
             return kind, LFToken(parent.fstate, node, under)
         kind, under = self._require_under().object_open(parent.under, path)
         return kind, LFToken(parent.fstate, None, under)
-
-    def link_delete(self, parent, name):
-        if parent.node is not None:
-            parent.node.remove_child(name)
-        if parent.under is not None:
-            self._require_under().link_delete(parent.under, name)
-        self._charge_op(parent.comm)

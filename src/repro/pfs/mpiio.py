@@ -2,12 +2,10 @@
 
 :class:`~repro.pfs.lustre.LustreModel` folds collective-buffering costs
 into a single bandwidth term, which is what the calibrated benchmarks
-use. This module exposes the *mechanism* separately for analysis: the
-shuffle phase (every rank redistributes its pieces to stripe-aligned
-aggregators over the interconnect) followed by the write phase (one
-aggregator per stripe streams to its OST). Useful for studying where
-collective I/O time goes and when collective buffering stops paying
-off.
+use. This module exposes the *mechanism* separately: the shuffle phase
+(every rank redistributes its pieces to stripe-aligned aggregators over
+the interconnect) followed by the write phase (one aggregator per stripe
+streams to its OST), pipelined over collective-buffer rounds.
 """
 
 from __future__ import annotations
@@ -65,29 +63,6 @@ class TwoPhaseModel:
         per_round = self.naggregators(nprocs) * self.cb_buffer
         return max(1, math.ceil(total_bytes / per_round))
 
-    def shuffle_time(self, total_bytes: int, nprocs: int) -> float:
-        """Phase 1: redistribute pieces to aggregators (alltoall-ish).
-
-        Each aggregator ingests its share; every round pays per-peer
-        latency (one exchange with each non-aggregator per round).
-        """
-        nagg = self.naggregators(nprocs)
-        per_agg = total_bytes / nagg
-        nrounds = self.nrounds(total_bytes, nprocs)
-        return (per_agg / (self.net.bandwidth
-                           / self.net.contention_factor(nprocs))
-                + nrounds * nprocs / nagg * (self.net.latency
-                                             + 2 * self.net.msg_overhead))
-
-    def write_time(self, total_bytes: int, nprocs: int) -> float:
-        """Phase 2: aggregators stream stripe-aligned data to OSTs."""
-        nagg = self.naggregators(nprocs)
-        per_agg = total_bytes / nagg
-        stream = per_agg / (self.lustre.ost_bandwidth
-                            * self.lustre.slowest_ost_factor())
-        return stream + self.nrounds(total_bytes, nprocs) * \
-            self.lustre.md_small_op
-
     def collective_write_time(self, total_bytes: int, nprocs: int) -> float:
         """End-to-end two-phase time.
 
@@ -110,35 +85,3 @@ class TwoPhaseModel:
         s, w = self._round_times(per_round, nprocs)
         return (s + (nrounds - 2) * max(s, w)
                 + max(w, s_last) + w_last)
-
-    def independent_write_time(self, total_bytes: int, nprocs: int) -> float:
-        """The non-collective comparison: every rank writes its own
-        non-contiguous pieces, paying full extent-lock contention."""
-        return self.lustre.write_time(
-            total_bytes // max(1, nprocs), nprocs, collective=False
-        )
-
-    def account(self, metrics, total_bytes: int, nprocs: int) -> float:
-        """Record the two-phase breakdown of one collective write into an
-        obs :class:`~repro.obs.metrics.MetricsRegistry` and return the
-        end-to-end time.
-
-        Histograms keep the shuffle/write split visible per job size, so
-        analysis sweeps can report where collective I/O time goes.
-        """
-        ts = self.shuffle_time(total_bytes, nprocs)
-        tw = self.write_time(total_bytes, nprocs)
-        metrics.observe("mpiio.shuffle_seconds", ts, nprocs=nprocs)
-        metrics.observe("mpiio.write_seconds", tw, nprocs=nprocs)
-        metrics.inc("mpiio.bytes", total_bytes, nprocs=nprocs)
-        return self.collective_write_time(total_bytes, nprocs)
-
-    def breakeven_procs(self, total_bytes: int, max_procs: int = 1 << 15) -> int:
-        """Smallest job size where collective beats independent I/O."""
-        p = 1
-        while p <= max_procs:
-            if self.collective_write_time(total_bytes, p) < \
-                    self.independent_write_time(total_bytes, p):
-                return p
-            p *= 2
-        return max_procs

@@ -313,9 +313,6 @@ class Comm:
     _COST_ALIAS = {
         "allgather_split": "allgather",
         "dup": "barrier",
-        "scan": "allreduce",
-        "exscan": "allreduce",
-        "reduce_scatter": "allreduce",
     }
 
     def _collective(self, kind: str, contribution, reducer, nbytes: int = 0):
@@ -477,80 +474,6 @@ class Comm:
         """Combined send+receive (deadlock-free shift patterns)."""
         self.send(payload, dest, sendtag, nbytes=nbytes)
         return self.recv(source, recvtag)
-
-    def scan(self, payload, op=None):
-        """Inclusive prefix reduction: rank i gets op-fold of ranks 0..i."""
-        import functools
-
-        op = op or (lambda a, b: a + b)
-        me = self.rank
-
-        def reducer(entries):
-            vals = [entries[i] for i in range(len(entries))]
-            out = [vals[0]]
-            for v in vals[1:]:
-                out.append(op(out[-1], v))
-            return out
-
-        res = self._collective(
-            "scan", payload, reducer, nbytes=payload_nbytes(payload)
-        )
-        return res[me]
-
-    def exscan(self, payload, op=None, initial=None):
-        """Exclusive prefix reduction; rank 0 gets ``initial``."""
-        import functools
-
-        op = op or (lambda a, b: a + b)
-        me = self.rank
-
-        def reducer(entries):
-            vals = [entries[i] for i in range(len(entries))]
-            out = [initial]
-            acc = None
-            for i, v in enumerate(vals[:-1]):
-                acc = v if acc is None else op(acc, v)
-                out.append(acc)
-            return out
-
-        res = self._collective(
-            "exscan", payload, reducer, nbytes=payload_nbytes(payload)
-        )
-        return res[me]
-
-    def gatherv(self, payload, root: int = 0):
-        """Gather variable-size contributions (list form of gather)."""
-        return self.gather(payload, root)
-
-    def scatterv(self, payloads=None, root: int = 0):
-        """Scatter variable-size payloads (list form of scatter)."""
-        return self.scatter(payloads, root)
-
-    def alltoallv(self, payloads):
-        """All-to-all with per-destination payloads of any size."""
-        return self.alltoall(payloads)
-
-    def reduce_scatter(self, payloads, op=None):
-        """Reduce ``payloads[j]`` across ranks; rank j gets the result."""
-        import functools
-
-        op = op or (lambda a, b: a + b)
-        if len(payloads) != self.size:
-            raise ValueError("reduce_scatter requires a size-length list")
-        me = self.rank
-
-        def reducer(entries):
-            out = []
-            for j in range(len(entries)):
-                vals = [entries[i][j] for i in range(len(entries))]
-                out.append(functools.reduce(op, vals))
-            return out
-
-        res = self._collective(
-            "reduce_scatter", list(payloads), reducer,
-            nbytes=max(payload_nbytes(p) for p in payloads),
-        )
-        return res[me]
 
     # -- derived communicators ---------------------------------------------------
 

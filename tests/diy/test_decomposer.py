@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.diy import (
-    Bounds,
-    ContiguousAssigner,
-    RegularDecomposer,
-    RoundRobinAssigner,
-    balanced_factors,
-)
+from repro.diy import Bounds, RegularDecomposer, balanced_factors
 
 
 class TestBalancedFactors:
@@ -139,37 +133,3 @@ class TestRegularDecomposer:
         want = {g for g in range(dec.ngrid_blocks)
                 if dec.block_bounds(g).intersects(q)}
         assert got == want
-
-
-class TestAssigners:
-    def test_contiguous_even(self):
-        a = ContiguousAssigner(4, 8)
-        assert [a.rank(g) for g in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert a.gids(2) == [4, 5]
-
-    def test_contiguous_uneven(self):
-        a = ContiguousAssigner(3, 7)
-        counts = [len(a.gids(r)) for r in range(3)]
-        assert counts == [3, 2, 2]
-        for r in range(3):
-            for g in a.gids(r):
-                assert a.rank(g) == r
-
-    def test_round_robin(self):
-        a = RoundRobinAssigner(3, 7)
-        assert [a.rank(g) for g in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-        assert a.gids(1) == [1, 4]
-
-    def test_bounds_checks(self):
-        a = ContiguousAssigner(2, 4)
-        with pytest.raises(IndexError):
-            a.rank(4)
-        with pytest.raises(IndexError):
-            a.gids(2)
-        r = RoundRobinAssigner(2, 4)
-        with pytest.raises(IndexError):
-            r.rank(-1)
-        with pytest.raises(IndexError):
-            r.gids(5)
-        with pytest.raises(ValueError):
-            ContiguousAssigner(0, 4)

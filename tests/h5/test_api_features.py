@@ -1,94 +1,14 @@
-"""Tests for link deletion, require_dataset, and visit."""
+"""Tests for ``visit``."""
 
-import numpy as np
 import pytest
 
 import repro.h5 as h5
-from repro.h5.errors import H5Error, ModeError, NotFoundError
 from repro.h5.native import NativeVOL
-from repro.lowfive import MetadataVOL
-from repro.pfs import PFSStore
 
 
 @pytest.fixture
 def vol():
     return NativeVOL()
-
-
-class TestDelete:
-    def test_delete_dataset(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("d", data=[1])
-            del f["d"]
-            assert "d" not in f
-
-    def test_delete_group_subtree(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("g/inner/d", data=[1])
-            del f["g"]
-            assert "g" not in f
-
-    def test_delete_persists_through_close(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("keep", data=[1])
-            f.create_dataset("drop", data=[2])
-            del f["drop"]
-        with h5.File("a.h5", "r", vol=vol) as f:
-            assert f.keys() == ["keep"]
-
-    def test_delete_missing_raises(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            with pytest.raises(NotFoundError):
-                del f["nope"]
-
-    def test_delete_readonly_raises(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("d", data=[1])
-        with h5.File("a.h5", "r", vol=vol) as f:
-            with pytest.raises(ModeError):
-                del f["d"]
-
-    def test_delete_then_recreate(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("d", data=[1], dtype="i4")
-            del f["d"]
-            f.create_dataset("d", data=[1.5, 2.5])
-            np.testing.assert_array_equal(f["d"].read(), [1.5, 2.5])
-
-    def test_delete_in_lowfive_memory_mode(self):
-        lf = MetadataVOL(under=NativeVOL(PFSStore()))
-        lf.set_memory("*")
-        with h5.File("m.h5", "w", vol=lf) as f:
-            f.create_dataset("x", data=[1])
-            del f["x"]
-            assert "x" not in f
-
-
-class TestRequireDataset:
-    def test_creates_when_absent(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            d = f.require_dataset("d", (3,), "f8")
-            assert d.shape == (3,)
-
-    def test_returns_existing(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("d", data=np.arange(3, dtype="f8"))
-            d = f.require_dataset("d", (3,), "f8")
-            np.testing.assert_array_equal(d.read(), [0, 1, 2])
-
-    def test_shape_mismatch_raises(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_dataset("d", shape=(3,), dtype="f8")
-            with pytest.raises(H5Error):
-                f.require_dataset("d", (4,), "f8")
-            with pytest.raises(H5Error):
-                f.require_dataset("d", (3,), "i4")
-
-    def test_group_conflict_raises(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            f.create_group("g")
-            with pytest.raises(H5Error):
-                f.require_dataset("g", (1,), "i1")
 
 
 class TestVisit:

@@ -49,15 +49,6 @@ class TestSerial:
             assert isinstance(items["a"], h5.Group)
             assert isinstance(items["c"], h5.Dataset)
 
-    def test_require_group(self, vol):
-        with h5.File("a.h5", "w", vol=vol) as f:
-            g = f.require_group("g")
-            g2 = f.require_group("g")
-            assert g.name == g2.name
-            f.create_dataset("d", data=[1])
-            with pytest.raises(H5Error):
-                f.require_group("d")
-
     def test_hyperslab_write_read(self, vol):
         with h5.File("a.h5", "w", vol=vol) as f:
             d = f.create_dataset("m", shape=(6, 6), dtype=h5.FLOAT64)

@@ -196,6 +196,31 @@ def test_piece_length_must_match_selection():
         h5format.decode_file(h5format.encode_file(root))
 
 
+def _swap_blob(image, old, new):
+    """``image`` with the length-prefixed metadata blob ``old`` replaced
+    by ``new`` and the header's metadata length adjusted."""
+    w_old, w_new = h5format.Writer(), h5format.Writer()
+    w_old.blob(old)
+    w_new.blob(new)
+    old, new = b"".join(w_old.chunks), b"".join(w_new.chunks)
+    assert image.count(old) == 1
+    magic, version, meta_off, meta_len = h5format.HEADER.unpack_from(image)
+    header = h5format.HEADER.pack(magic, version, meta_off,
+                                  meta_len + len(new) - len(old))
+    return header + image[h5format.HEADER.size:].replace(old, new)
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"((4,), (4,))", b"((4,), (4,)("),    # dataspace: SyntaxError
+    (b"((4,), (4,))", b"((4,), 'x4')"),    # dataspace: TypeError
+    (b"'<u8'", b"'<q8'"),                  # datatype: TypeError
+])
+def test_corrupt_metadata_blob_is_typed_failure(old, new):
+    blob = _swap_blob(_one_dataset_image(4), old, new)
+    with pytest.raises(H5Error, match="corrupt file"):
+        h5format.decode_file(blob)
+
+
 def test_truncated_metadata_through_store_handle():
     blob = _one_dataset_image()
     with pytest.raises(H5Error, match="truncated metadata"):

@@ -70,24 +70,6 @@ def test_duplicate_link_rejected():
         f.add_child(GroupNode("group1"))
 
 
-def test_remove_child():
-    f, g1, *_ = make_tree()
-    f.remove_child("group1")
-    assert not f.exists("group1")
-    with pytest.raises(NotFoundError):
-        f.remove_child("group1")
-
-
-def test_require_groups_creates_intermediates():
-    f = FileNode("x")
-    g = f.require_groups("a/b/c")
-    assert g.path == "/a/b/c"
-    assert f.require_groups("a/b/c") is g
-    g.add_child(DatasetNode("d", h5.UINT8, Dataspace((1,))))
-    with pytest.raises(ExistsError):
-        f.require_groups("a/b/c/d")  # exists, not a group
-
-
 def test_walk_depth_first_sorted():
     f, *_ = make_tree()
     names = [n.path for n in f.walk()]

@@ -299,9 +299,9 @@ def test_codec_bytes_and_roundtrip(data):
 @settings(max_examples=300, deadline=None)
 @given(pairs())
 def test_derived_selections_keep_their_kind_on_disk(pair):
-    # What intersect/translate hand back is what gets encoded into file
-    # images after a resize: a solid box is a unit-stride hyperslab,
-    # anything else separable an explicit index set, points stay points.
+    # What intersect/translate hand back can reach the selection codec:
+    # a solid box is a unit-stride hyperslab, anything else separable an
+    # explicit index set, points stay points.
     a, b = pair
     for got in (a.intersect(b), a.translate((0,) * a.ndim, a.shape)):
         if got.npoints == 0:

@@ -13,6 +13,16 @@ def model():
     return TwoPhaseModel(NetworkModel(), LustreModel())
 
 
+def phase_totals(model, nbytes, p):
+    """(shuffle, write) summed over every buffer round, the last round
+    moving only the residual bytes."""
+    per_round = model.naggregators(p) * model.cb_buffer
+    n = model.nrounds(nbytes, p)
+    s, w = model._round_times(per_round, p)
+    s_last, w_last = model._round_times(nbytes - per_round * (n - 1), p)
+    return (n - 1) * s + s_last, (n - 1) * w + w_last
+
+
 class TestPhases:
     def test_aggregator_count_capped_by_stripes(self, model):
         assert model.naggregators(2) == 2
@@ -20,38 +30,22 @@ class TestPhases:
 
     def test_shuffle_faster_than_write_for_big_data(self, model):
         # Interconnect bandwidth >> OST bandwidth.
-        nbytes = 10**9
-        assert model.shuffle_time(nbytes, 64) < model.write_time(nbytes, 64)
+        shuffle, write = phase_totals(model, 10**9, 64)
+        assert shuffle < write
 
     def test_total_bounded_by_phase_sum(self, model):
         nbytes, p = 10**9, 256
+        assert model.nrounds(nbytes, p) > 1
         total = model.collective_write_time(nbytes, p)
-        assert total <= model.shuffle_time(nbytes, p) + \
-            model.write_time(nbytes, p) + 1e-9
-        assert total >= max(model.shuffle_time(nbytes, p),
-                            model.write_time(nbytes, p)) - 1e-9
+        shuffle, write = phase_totals(model, nbytes, p)
+        assert max(shuffle, write) - 1e-9 <= total <= shuffle + write + 1e-9
 
     def test_pipelining_hides_fast_phase(self, model):
         """With many rounds, total ~ slow phase, not the sum."""
         nbytes = 100 * model.cb_buffer * model.lustre.stripe_count
+        assert model.nrounds(nbytes, 512) == 100
         total = model.collective_write_time(nbytes, 512)
-        slow = max(model.shuffle_time(nbytes, 512),
-                   model.write_time(nbytes, 512))
-        assert total < 1.1 * slow
-
-
-class TestCollectiveVsIndependent:
-    def test_collective_wins_at_scale(self, model):
-        nbytes = 10**10
-        assert model.collective_write_time(nbytes, 1024) < \
-            model.independent_write_time(nbytes, 1024)
-
-    def test_breakeven_exists(self, model):
-        p = model.breakeven_procs(10**9)
-        assert 1 <= p <= 1 << 15
-        # Beyond breakeven the gap widens.
-        assert model.collective_write_time(10**9, 4 * p) < \
-            model.independent_write_time(10**9, 4 * p)
+        assert total < 1.1 * max(phase_totals(model, nbytes, 512))
 
 
 @given(st.integers(1, 10**10), st.integers(1, 1 << 14))

@@ -87,3 +87,12 @@ def test_public_methods_documented():
                 if not inspect.getdoc(target):
                     missing.append(f"{mod.__name__}.{cname}.{mname}")
     assert not missing, f"undocumented public methods: {missing}"
+
+
+def test_every_all_name_resolves():
+    """A deletion that leaves a dangling export fails here, not in a
+    user's ``from repro.x import *``."""
+    dangling = [f"{mod.__name__}.{name}" for mod in iter_modules()
+                for name in getattr(mod, "__all__", ())
+                if not hasattr(mod, name)]
+    assert not dangling, f"__all__ names that do not resolve: {dangling}"
