@@ -13,11 +13,22 @@ Layout::
 The metadata section is a little tag-length-value encoding of the
 :mod:`repro.h5.objects` tree. Dataset data is *not* embedded in the
 metadata; each written piece records the offset/length of its payload in
-the data section. Decoding reads the header and the metadata section
-only: every decoded :class:`~repro.h5.objects.DataPiece` fetches its own
-payload with one positional read the first time its values are touched.
-From a store handle that read is a ``pread`` copy; from an in-memory
-image it is a read-only view of the image.
+the data section.
+
+Each payload byte is copied once on each side: one full-size copy per
+byte where there were two.
+
+- Writing: :func:`encode_chunks` lists the header, every piece's values
+  (flat views) and the metadata, and ``PFSStore.create(name,
+  contents=...)`` joins them straight into the new file (before: a
+  joined blob, then a ``pwrite`` copying it into a growing entry).
+- Reading: decoding reads the header and the metadata section only. A
+  decoded :class:`~repro.h5.objects.DataPiece` stays on file; reading an
+  overlap gathers that overlap's byte runs
+  (:meth:`~repro.h5.selection.Selection.runs`) in one read (before: the
+  whole piece was read, then the overlap copied out of it). Only
+  re-encoding a piece fetches its whole payload; from an in-memory
+  image that is a read-only view of the image.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from repro.h5.selection import (
     PointSelection,
     Selection,
 )
+from repro.pfs.store import gather as gather_image
 
 MAGIC = b"REPROH5\x00"
 VERSION = 1
@@ -276,26 +288,44 @@ def _encode_group(w: Writer, group: GroupNode, data: Writer):
         _encode_node(w, group.children[name], data)
 
 
-def _payload(read, data_len: int, off: int, length: int, dtype, npoints):
-    """Fetcher of one piece's values: checked against the file's layout
-    now, against what the read returns when first touched."""
-    if off + length > data_len or length != npoints * dtype.itemsize:
-        raise H5Error(
-            f"corrupt file: payload ({off}, {length}) of a {npoints} x "
-            f"{dtype.itemsize} B piece, data section of {data_len} B"
-        )
+class _Payload:
+    """A decoded piece's values, left on file: checked against the
+    file's layout now, against what each read returns when touched."""
 
-    def fetch() -> np.ndarray:
-        raw = read(HEADER.size + off, length)
-        if len(raw) != length:
-            raise H5Error(f"truncated file: {len(raw)} of {length} B of "
-                          f"the payload at {off}")
-        return np.frombuffer(raw, dtype=dtype)
+    __slots__ = ("_read", "_gather", "_off", "nbytes", "_dtype")
 
-    return fetch
+    def __init__(self, src, data_len: int, off: int, length: int, dtype,
+                 npoints: int):
+        if off + length > data_len or length != npoints * dtype.itemsize:
+            raise H5Error(
+                f"corrupt file: payload ({off}, {length}) of a {npoints} x "
+                f"{dtype.itemsize} B piece, data section of {data_len} B"
+            )
+        self._read, self._gather = src
+        self._off = HEADER.size + off
+        self.nbytes = length
+        self._dtype = dtype
+
+    def _check(self, got: int, want: int) -> None:
+        if got != want:
+            raise H5Error(f"truncated file: {got} of {want} B of the "
+                          f"payload at {self._off - HEADER.size}")
+
+    def fetch(self) -> np.ndarray:
+        """The whole values."""
+        raw = self._read(self._off, self.nbytes)
+        self._check(len(raw), self.nbytes)
+        return np.frombuffer(raw, dtype=self._dtype)
+
+    def gather(self, starts: np.ndarray, run: int) -> np.ndarray:
+        """The element runs ``[s, s + run)``, back to back, in one read."""
+        size = self._dtype.itemsize
+        raw = self._gather(self._off + starts * size, run * size)
+        self._check(raw.nbytes, len(starts) * run * size)
+        return raw.view(self._dtype)
 
 
-def _decode_node(r: Reader, parent: GroupNode, read, data_len: int) -> None:
+def _decode_node(r: Reader, parent: GroupNode, src, data_len: int) -> None:
     kind = r.u8()
     name = r.text()
     if kind == _KIND_DATASET:
@@ -316,51 +346,60 @@ def _decode_node(r: Reader, parent: GroupNode, read, data_len: int) -> None:
             sel = decode_selection(r)
             off = r.u64()
             length = r.u64()
-            node.pieces.append(DataPiece(sel, _payload(
-                read, data_len, off, length, node.dtype.np, sel.npoints)))
+            node.pieces.append(DataPiece(sel, _Payload(
+                src, data_len, off, length, node.dtype.np, sel.npoints)))
     elif kind == _KIND_GROUP:
         node = GroupNode(name, parent)
-        _decode_group(r, node, read, data_len)
+        _decode_group(r, node, src, data_len)
     else:
         raise H5Error(f"unknown node kind {kind}")
     parent.children[name] = node
 
 
-def _decode_group(r: Reader, group: GroupNode, read, data_len: int):
+def _decode_group(r: Reader, group: GroupNode, src, data_len: int):
     _decode_attrs(r, group)
     for _ in range(r.u32()):
-        _decode_node(r, group, read, data_len)
+        _decode_node(r, group, src, data_len)
 
 
 # -- whole-file codec ---------------------------------------------------------------
 
 
-def encode_file(root: FileNode) -> bytes:
-    """Serialize a file tree to the on-disk byte layout (the join is the
-    one copy made of every piece's values)."""
+def encode_chunks(root: FileNode) -> list:
+    """The on-disk byte layout of a file tree as buffers: the header,
+    every piece's values (flat views of them, not copies) and the
+    metadata. Joining them is the one copy of the values."""
     meta = Writer()
     data = Writer()
     _encode_group(meta, root, data)
     header = HEADER.pack(
         MAGIC, VERSION, HEADER.size + data.nbytes, meta.nbytes
     )
-    return b"".join([header, *data.chunks, *meta.chunks])
+    return [header, *data.chunks, *meta.chunks]
+
+
+def encode_file(root: FileNode) -> bytes:
+    """Serialize a file tree to one immutable image."""
+    return b"".join(encode_chunks(root))
 
 
 def decode_file(src, name: str = "") -> FileNode:
     """Parse a file into a tree, reading its header and metadata only.
 
-    ``src`` is an in-memory image (piece values are read-only views of
-    it, fetched on first touch like any other) or an open store handle
-    (each piece does one ``pread`` when first touched).
+    ``src`` is an in-memory image or an open store handle; either way a
+    piece's overlap is gathered in one read when first asked for (see
+    the module docstring).
     """
     if hasattr(src, "pread"):
-        read = src.pread
+        read, gather = src.pread, src.gather
     else:
         image = memoryview(src)
 
         def read(off, length):
             return image[off:off + length]
+
+        def gather(offsets, length):
+            return gather_image(image, offsets, length)
 
     head = read(0, HEADER.size)
     if len(head) < HEADER.size:
@@ -371,6 +410,6 @@ def decode_file(src, name: str = "") -> FileNode:
     if version != VERSION:
         raise H5Error(f"unsupported format version {version}")
     root = FileNode(name, None)
-    _decode_group(Reader(bytes(read(meta_off, meta_len))), root, read,
-                  meta_off - HEADER.size)
+    _decode_group(Reader(bytes(read(meta_off, meta_len))), root,
+                  (read, gather), meta_off - HEADER.size)
     return root

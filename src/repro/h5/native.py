@@ -8,12 +8,13 @@ Semantics follow parallel HDF5:
 - dataset writes go into the shared in-core image and are charged to the
   Lustre cost model (collective two-phase by default),
 - on close, rank 0 serializes the image through :mod:`repro.h5.format`
-  into the :class:`~repro.pfs.store.PFSStore`.
+  into the :class:`~repro.pfs.store.PFSStore`, each value copied once,
+  straight into the new file.
 
 Readers decode a private tree per open from the header and metadata
-section alone; a piece's payload is fetched with one positional read the
-first time a ``dataset_read`` overlaps it, from the contents that were
-open then (re-creating the file does not change what an open reader
+section alone; a ``dataset_read`` gathers, per piece it overlaps, the
+byte runs of that overlap alone in one read, from the contents that
+were open (re-creating the file does not change what an open reader
 sees). Costs are charged from the model (``open_time(nprocs)``,
 ``values.nbytes``), never from bytes fetched.
 """
@@ -147,8 +148,8 @@ class NativeVOL(VOLBase):
                 return _Token(state, state.root)
         if not self.store.exists(fname):
             raise NotFoundError(f"no such file: {fname}")
-        # A private tree decoded from the metadata alone; each piece
-        # fetches its payload at first touch (charged at dataset_read).
+        # A private tree decoded from the metadata alone; a read gathers
+        # only its overlap of each piece (charged at dataset_read).
         root = h5format.decode_file(self.store.open(fname), fname)
         state = _FileState(fname, root, mode, comm, nprocs)
         state.refcount = 1
@@ -176,8 +177,8 @@ class NativeVOL(VOLBase):
         if state.refcount <= 0:
             state.closed = True
         if writeback and (comm is None or comm.rank == 0):
-            blob = h5format.encode_file(state.root)
-            self.store.create(state.name).pwrite(0, blob)
+            self.store.create(state.name,
+                              contents=h5format.encode_chunks(state.root))
         if writeback:
             if state.closed and self._images.get(state.name) is state:
                 del self._images[state.name]

@@ -144,9 +144,10 @@ class FileNode(GroupNode):
 
 class DataPiece:
     """One write's worth of data: where it lives in the file dataspace,
-    the values, and whether we own them. ``data`` may be given as a
-    zero-argument callable (a piece decoded from a file): it is called
-    once, the first time the values are touched."""
+    the values, and whether we own them. ``data`` may be given as a lazy
+    payload (a piece decoded from a file) that stays on file: an object
+    with ``nbytes``, ``fetch()`` (the whole values) and ``gather(starts,
+    run)`` (the element runs ``[s, s + run)``, back to back)."""
 
     __slots__ = ("selection", "ownership", "_data")
 
@@ -157,15 +158,16 @@ class DataPiece:
 
     @property
     def data(self) -> np.ndarray:
-        """The values, in selection order (fetched on first use)."""
-        if callable(self._data):
-            self._data = self._data()
+        """The values, in selection order. A lazy payload is fetched
+        whole and kept: only re-encoding the piece needs that."""
+        if not isinstance(self._data, np.ndarray):
+            self._data = self._data.fetch()
         return self._data
 
     @property
     def nbytes(self) -> int:
         """Size of this piece's values in bytes."""
-        return int(self.data.nbytes)
+        return int(self._data.nbytes)
 
     def values(self, overlap: Selection) -> np.ndarray:
         """Values of ``overlap`` -- a subset of this piece's selection --
@@ -174,11 +176,15 @@ class DataPiece:
 
         Always a fresh array, never a view of :attr:`data`: the result
         is shipped to other ranks, and an ``OWN_SHALLOW`` piece's data
-        is the producer's own memory.
+        is the producer's own memory. A piece still on file reads the
+        runs of the overlap alone, in one gathered read, and keeps
+        nothing.
         """
         local = self.selection.locate(overlap)
-        out = local.extract(self.data.reshape(local.shape))
-        return out.copy() if np.may_share_memory(out, self.data) else out
+        if not isinstance(self._data, np.ndarray):
+            return self._data.gather(*local.runs())
+        out = local.extract(self._data.reshape(local.shape))
+        return out.copy() if np.may_share_memory(out, self._data) else out
 
 
 class DatasetNode(Node):

@@ -161,6 +161,14 @@ class Selection(ABC):
         element, in selection order."""
         return np.ravel_multi_index(tuple(self.coords().T), self.shape)
 
+    def runs(self) -> tuple[np.ndarray, int]:
+        """The selection as equal-length runs of its row-major extent:
+        ``(starts, length)``, flat element offsets in selection order.
+        Reading ``[s, s + length)`` for each start, back to back, yields
+        :meth:`extract`'s values of a flat array. Single elements here;
+        a separable selection merges its solid inner dimensions."""
+        return self.linear_indices(), 1
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box as (inclusive mins, exclusive maxs); empty -> zeros."""
         if self.npoints == 0:
@@ -274,6 +282,25 @@ class _SeparableSelection(Selection):
         for a, extent in zip(self.axes(), self.shape):
             flat = np.add.outer(flat * extent, _indices(a))
         return flat.reshape(-1)
+
+    def runs(self) -> tuple[np.ndarray, int]:
+        # Inner dimensions join the run while they are solid intervals;
+        # the outermost of them may be partial, those inside it are full.
+        axes, shape = self.axes(), self.shape
+        if not all(len(a) for a in axes):
+            return np.empty(0, dtype=np.int64), 1
+        k, length = len(axes), 1
+        while k and isinstance(axes[k - 1], range) and axes[k - 1].step == 1:
+            k -= 1
+            length *= len(axes[k])
+            if len(axes[k]) != shape[k]:
+                break
+        flat = np.zeros((), dtype=np.int64)
+        for a, extent in zip(axes[:k], shape[:k]):
+            flat = np.add.outer(flat * extent, _indices(a))
+        inner = math.prod(shape[k:])
+        first = axes[k].start * (inner // shape[k]) if k < len(axes) else 0
+        return (flat * inner + first).reshape(-1), length
 
     def _index(self):
         """Basic slices when every axis is an interval, else open-mesh

@@ -5,6 +5,13 @@ globally visible). It holds whole files as resizable bytearrays and
 supports positional reads/writes, which is all the native VOL's file
 format needs.
 
+Each byte is copied once on each side. A create given ``contents`` (the
+encoder's buffers) joins them straight into the new entry: one copy,
+where a ``pwrite`` of one pre-joined blob made two. A gathered read
+(:meth:`FileHandle.gather`) copies the byte runs of one overlap into one
+fresh array: one copy of only the bytes asked for, where a whole-piece
+``pread`` and then the overlap's extraction made two.
+
 A handle keeps the contents it opened, like a descriptor its inode: a
 truncating create installs a fresh entry under the name. Every read is a
 copy; no view of a file's bytearray leaves this module (an exported
@@ -12,6 +19,31 @@ buffer would make the next extending write raise ``BufferError``).
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def gather(buf, offsets, length: int) -> np.ndarray:
+    """The runs ``buf[o:o + length]`` for every ``o`` in ``offsets``, back
+    to back in one fresh ``uint8`` array: each byte is copied once. A
+    run reaching past the end of ``buf`` is cut short there (a short
+    read, as :meth:`FileHandle.pread` makes)."""
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
+    size = len(buf)
+    if offsets.size == 0:
+        return np.empty(0, dtype=np.uint8)
+    if int(offsets.max()) + length > size:
+        view = memoryview(buf)
+        return np.frombuffer(bytearray().join(
+            [view[o:o + length] for o in offsets.tolist()]), dtype=np.uint8)
+    # Row o of the window view is buf[o:o + length]; fancy indexing
+    # copies the chosen rows out, and dropping the views unpins buf.
+    base = np.frombuffer(buf, dtype=np.uint8)
+    windows = np.lib.stride_tricks.as_strided(
+        base, (size - length + 1, length), (1, 1), writeable=False)
+    out = windows[offsets].reshape(-1)
+    del base, windows
+    return out
 
 
 class PFSStore:
@@ -30,11 +62,17 @@ class PFSStore:
 
     # -- namespace ------------------------------------------------------------
 
-    def create(self, name: str, truncate: bool = True) -> "FileHandle":
-        """Create (or truncate) a file and return a handle."""
+    def create(self, name: str, truncate: bool = True,
+               contents=()) -> "FileHandle":
+        """Create (or truncate) a file and return a handle.
+
+        ``contents``, a sequence of buffers, becomes the file's bytes in
+        one join: each byte is copied once, straight into the entry.
+        """
         if not truncate and name in self._files:
             raise FileExistsError(f"file exists: {name}")
-        entry = self._files[name] = bytearray()
+        entry = self._files[name] = bytearray().join(contents)
+        self.bytes_written += len(entry)
         self.n_creates += 1
         return FileHandle(self, name, entry)
 
@@ -109,6 +147,13 @@ class FileHandle:
         with memoryview(self._data) as view:
             out = bytes(view[offset:offset + length])
         self._store.bytes_read += len(out)
+        return out
+
+    def gather(self, offsets, length: int) -> np.ndarray:
+        """Read the ``length``-byte runs at ``offsets`` into one fresh
+        ``uint8`` array (see :func:`gather`; short past EOF)."""
+        out = gather(self._data, offsets, length)
+        self._store.bytes_read += out.nbytes
         return out
 
     @property

@@ -17,6 +17,7 @@ from repro.h5.selection import (
     PointSelection,
 )
 from repro.pfs import PFSStore
+from repro.pfs.store import gather
 
 
 def roundtrip(root):
@@ -237,11 +238,16 @@ def test_short_read_at_fetch_is_typed_failure():
         def pread(self, offset, length):
             return self.blob[offset:offset + length]
 
+        def gather(self, offsets, length):
+            return gather(self.blob, offsets, length)
+
     handle = Handle(_one_dataset_image())
     d = h5format.decode_file(handle).lookup("d")
     handle.blob = handle.blob[:h5format.HEADER.size + 40]
     with pytest.raises(H5Error, match="truncated file"):
         d.read(AllSelection((100,)))
+    with pytest.raises(H5Error, match="truncated file"):
+        d.pieces[0].data  # the whole-piece fetch of re-encoding
 
 
 def test_decoded_image_values_are_views_of_the_blob():

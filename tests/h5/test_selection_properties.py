@@ -2,11 +2,12 @@
 
 ``Selection.coords()`` is the oracle: every operation that no longer
 materializes coordinates (``npoints``, ``bounds``, ``intersect``,
-``translate``, ``locate``, ``extract``, ``scatter``, ``same_elements``,
-``linear_indices``, ``chunks_touched``) must agree with the same thing
-computed from the full coordinate arrays, for every selection kind and
-every mix of kinds. The one piece-values helper (``DataPiece.values``)
-is pinned against the dict-of-coordinate-tuples gather it replaced, and
+``translate``, ``locate``, ``extract``, ``scatter``, ``runs``,
+``same_elements``, ``linear_indices``, ``chunks_touched``) must agree
+with the same thing computed from the full coordinate arrays, for every
+selection kind and every mix of kinds. The one piece-values helper
+(``DataPiece.values``, in memory and gathered from a file) is pinned
+against the dict-of-coordinate-tuples gather it replaced, and
 the selection codec against a byte-level reference of the file format,
 so file images and ``bytes_sent`` cannot move.
 """
@@ -18,8 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.h5.datatype import INT64
 from repro.h5.dataspace import Dataspace
-from repro.h5.format import Reader, Writer, decode_selection, encode_selection
-from repro.h5.objects import DataPiece, DatasetNode
+from repro.h5.format import (
+    Reader,
+    Writer,
+    decode_file,
+    decode_selection,
+    encode_chunks,
+    encode_selection,
+)
+from repro.h5.objects import DataPiece, DatasetNode, FileNode
 from repro.h5.selection import (
     AllSelection,
     HyperslabSelection,
@@ -28,6 +36,7 @@ from repro.h5.selection import (
     PointSelection,
     chunks_touched,
 )
+from repro.pfs import PFSStore
 
 # -- strategies ---------------------------------------------------------------
 
@@ -167,6 +176,11 @@ def test_extract_and_scatter(data):
     at = tuple(sel.coords().T)
     arr = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
     np.testing.assert_array_equal(sel.extract(arr), arr[at])
+    starts, run = sel.runs()
+    flat = arr.reshape(-1)
+    np.testing.assert_array_equal(
+        np.concatenate([flat[s:s + run] for s in starts] + [flat[:0]]),
+        arr[at])
     vals = np.arange(100, 100 + sel.npoints)
     got = np.zeros(shape, dtype=np.int64)
     want = got.copy()
@@ -226,6 +240,16 @@ def test_piece_values_match_dict_gather(data):
     got = piece.values(overlap)
     np.testing.assert_array_equal(got, dict_gather(piece, overlap))
     assert not np.may_share_memory(got, piece.data)
+    # The same piece on file: its overlap is gathered in one read.
+    root = FileNode("f")
+    root.add_child(DatasetNode("d", INT64, Dataspace(shape))).write(
+        stored, piece.data)
+    store = PFSStore()
+    store.create("f", contents=encode_chunks(root))
+    on_file = decode_file(store.open("f")).lookup("d").pieces[0]
+    store.bytes_read = 0
+    np.testing.assert_array_equal(on_file.values(overlap), got)
+    assert store.bytes_read == got.nbytes
 
 
 @settings(max_examples=150, deadline=None)

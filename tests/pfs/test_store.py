@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.h5 as h5
+from repro.h5.native import NativeVOL
 from repro.pfs import PFSStore
 from repro.simmpi import run_world
 
@@ -125,3 +127,49 @@ def test_ranks_write_disjoint_ranges_through_one_handle():
     data = h.pread(0, n * span)
     for i in range(n):
         assert data[i * span:(i + 1) * span] == bytes([i]) * span
+
+
+def test_create_joins_contents_into_the_file():
+    s = PFSStore()
+    h = s.create("f", contents=[b"ab", np.arange(2, dtype="<u2"),
+                                memoryview(b"zz")])
+    assert h.pread(0, 100) == b"ab\0\0\1\0zz"
+    assert s.bytes_written == s.size("f") == 8
+    h.pwrite(8, b"!")  # the joined entry grows like any other
+    assert s.open("f").pread(6, 3) == b"zz!"
+
+
+def test_gather_counts_exactly_the_bytes_it_returns():
+    s = PFSStore()
+    h = s.create("f", contents=[bytes(range(20))])
+    got = h.gather(np.array([12, 0, 5]), 3)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == bytes([12, 13, 14, 0, 1, 2, 5, 6, 7])
+    assert s.bytes_read == 9
+    assert h.gather(np.array([], dtype=np.int64), 3).size == 0
+    assert s.bytes_read == 9
+
+
+def test_gather_reads_short_past_eof():
+    s = PFSStore()
+    h = s.create("f", contents=[b"abcdef"])
+    assert h.gather([4, 0, 9], 3).tobytes() == b"efabc"
+    assert s.bytes_read == 5
+
+
+def test_gather_hands_out_no_view():
+    s = PFSStore()
+    h = s.create("f", contents=[b"abcdef"])
+    got = h.gather([1, 3], 2)
+    h.pwrite(0, b"XXXXXX")
+    h.pwrite(6, b"grows")  # no export pins the entry
+    assert got.tobytes() == b"bcde"
+    got[:] = 0
+    assert h.pread(0, 6) == b"XXXXXX"
+
+
+def test_close_writes_the_file_once():
+    s = PFSStore()
+    with h5.File("f.h5", "w", vol=NativeVOL(s)) as f:
+        f.create_dataset("d", data=np.arange(1000))
+    assert s.bytes_written == s.size("f.h5") > 8000
