@@ -70,7 +70,7 @@ def analysis(ctx):
 
 def build_workflow():
     """The quickstart workflow graph (used by ``main`` and by
-    ``python -m repro.tools critpath --example examples/quickstart.py``)."""
+    ``python -m repro.tools run --example examples/quickstart.py``)."""
     wf = Workflow()
     wf.add_task("simulation", nprocs=4, main=producer)
     wf.add_task("analysis", nprocs=2, main=analysis)

@@ -8,18 +8,18 @@ compute before the send).
 
 Clean run: arrivals follow post order, the match is stable, and
 
-    python -m repro.tools analyze --example examples/race_demo.py
+    python -m repro.tools run --example examples/race_demo.py --strict
 
-reports no findings. Delay rank 1's message past rank 2's arrival and
-the earlier-posted message arrives *later* -- the wildcard winner is
-now decided purely by modeled transfer times, which is exactly what
-the race detector flags:
+reports no findings (exit 0). Delay rank 1's message past rank 2's
+arrival and the earlier-posted message arrives *later* -- the wildcard
+winner is now decided purely by modeled transfer times, which is
+exactly what the race detector flags:
 
-    python -m repro.tools analyze --example examples/race_demo.py \\
-        --delay 0.01 --delay-src 1 --delay-dst 0
+    python -m repro.tools run --example examples/race_demo.py \\
+        --delay 0.01 --delay-src 1 --delay-dst 0 --strict
 
 deterministically reports one wildcard-race finding naming both
-candidates.
+candidates (exit 1).
 """
 
 from repro.simmpi import ANY_SOURCE
@@ -42,7 +42,7 @@ def peer(ctx):
 
 
 def build_workflow():
-    """Used by ``python -m repro.tools analyze --example <this file>``."""
+    """Used by ``python -m repro.tools run --example <this file>``."""
     wf = Workflow()
     wf.add_task("peer", nprocs=3, main=peer)
     return wf

@@ -15,7 +15,8 @@ collective-mismatch, message-leak and stream-epoch-leak checks
 request handles, raw thread primitives, float clock equality, unclosed
 h5 files and swallowed rank failures out of virtual-time code.
 
-Command line: ``python -m repro.tools analyze`` / ``... lint``.
+Command line: ``python -m repro.tools run`` (every dynamic check, on
+one run) / ``... lint``.
 """
 
 from __future__ import annotations

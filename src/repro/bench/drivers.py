@@ -54,9 +54,8 @@ from repro.workflow import Workflow
 class ExecutedResult:
     """One executed benchmark point.
 
-    ``metrics`` is the run's plain-dict obs metrics dump (counters and
-    histograms from every instrumented layer); ``None`` only
-    for hand-built results. ``attribution`` is the causal summary
+    ``metrics`` is the run's plain-dict obs metrics dump (the counters
+    of every instrumented layer); ``None`` only for hand-built results. ``attribution`` is the causal summary
     (:meth:`repro.obs.critpath.CausalReport.summary`): critical-path
     category/phase shares, wait-state totals, conservation status.
     """

@@ -5,8 +5,7 @@ One :class:`ObsContext` per simulated machine (the
 every layer -- simmpi messages and collectives, LowFive transport
 phases, PFS I/O, workflow tasks -- behind a single API:
 
-- :mod:`repro.obs.metrics` -- counters and histograms
-  keyed by ``(name, labels)``;
+- :mod:`repro.obs.metrics` -- counters keyed by ``(name, labels)``;
 - :mod:`repro.obs.spans` -- virtual-clock span tracing with
   parent/child links;
 - :mod:`repro.obs.causal` -- message flow edges, collective straggler

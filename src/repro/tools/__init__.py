@@ -6,12 +6,13 @@
   contents to and from a real directory on disk, so simulated runs can
   leave artifacts that other tooling can read back;
 - :func:`render_timeline` / :func:`communication_matrix` -- ASCII views
-  of a run's causal record;
-- :func:`run_workload` -- run the workload :func:`workload_args`
-  selects, as the run-and-inspect subcommands do.
+  of a run's causal record.
 
 Also usable as a module: ``python -m repro.tools h5dump <dir> <file>``,
-``python -m repro.tools trace <out.json>``, ... (``--help`` lists all).
+``python -m repro.tools run --trace run.json``, ... The subcommands are
+``h5ls``, ``h5dump``, ``lint``, ``regress`` and ``run``, the one verb
+that runs a workload once and inspects it (``--help`` lists each
+one's options).
 """
 
 from repro.tools.inspect import h5dump, h5ls
@@ -21,7 +22,6 @@ from repro.tools.timeline import (
     render_timeline,
 )
 from repro.tools.transfer import export_store, import_store
-from repro.tools.workload import run_workload, workload_args
 
 __all__ = [
     "h5ls",
@@ -31,6 +31,4 @@ __all__ = [
     "render_timeline",
     "communication_matrix",
     "render_matrix",
-    "run_workload",
-    "workload_args",
 ]

@@ -231,9 +231,15 @@ class TestRebuiltSetsOnRealRuns:
     def test_lowfive_memory_48_16(self):
         """The fig5 shape at P = 64: over a thousand wildcard matches
         through the ``(ANY_SOURCE, tag)`` serve lanes."""
-        from repro.tools import run_workload, workload_args
+        from repro.bench.drivers import lowfive_workflow
+        from repro.perfmodel.transports import THETA_KNL
+        from repro.pfs import PFSStore
+        from repro.synth import SyntheticWorkload
 
-        res = run_workload(workload_args(nprod=48, ncons=16))
+        res = lowfive_workflow(
+            48, 16, SyntheticWorkload(4096, 2048), THETA_KNL, "memory",
+            PFSStore()).run(model=THETA_KNL.net, timeout=240.0)
+        assert all(res.returns["consumer"])  # consumer-side validation
         assert sum(e.spec is not None for e in res.obs.causal.edges()) \
             > 1000
         _assert_rule(res.obs)

@@ -194,10 +194,15 @@ class TestMessageRecord:
         assert all(m.t_recv is not None for m in res.obs.causal.messages())
 
     def test_fig5_memory(self):
-        from repro.tools import run_workload, workload_args
+        from repro.bench.drivers import lowfive_workflow
+        from repro.perfmodel.transports import THETA_KNL
+        from repro.pfs import PFSStore
+        from repro.synth import SyntheticWorkload
 
-        res = run_workload(workload_args(
-            nprod=2, ncons=1, grid_points=512, particles=256))
+        res = lowfive_workflow(
+            2, 1, SyntheticWorkload(512, 256), THETA_KNL, "memory",
+            PFSStore()).run(model=THETA_KNL.net, timeout=240.0)
+        assert all(res.returns["consumer"])  # consumer-side validation
         self._assert_one_record_per_message(res)
 
 

@@ -224,9 +224,9 @@ class TestCLITraceVerb:
         from repro.tools.__main__ import main
 
         path = tmp_path / "demo.json"
-        assert main(["trace", str(path), "--nprod", "2",
+        assert main(["run", "--trace", str(path), "--nprod", "2",
                      "--ncons", "1"]) == 0
-        assert "wrote" in capsys.readouterr().out
+        assert f"wrote trace {path}" in capsys.readouterr().out
         doc = json.loads(path.read_text())
         validate_chrome_trace(doc)
         cats = {e["cat"] for e in doc["traceEvents"] if e["ph"] == "X"}
@@ -236,7 +236,7 @@ class TestCLITraceVerb:
         from repro.tools.__main__ import main
 
         path = tmp_path / "demo.json"
-        assert main(["trace", str(path), "--nprod", "2",
+        assert main(["run", "--trace", str(path), "--nprod", "2",
                      "--ncons", "1"]) == 0
         out = capsys.readouterr().out
         metrics = json.loads(path.read_text())["otherData"]["metrics"]

@@ -223,12 +223,22 @@ class TestCheckReference:
 
 
 class TestRecordFromResult:
+    @staticmethod
+    def _run():
+        from repro.bench.drivers import lowfive_workflow
+        from repro.perfmodel.transports import THETA_KNL
+        from repro.pfs import PFSStore
+        from repro.synth import SyntheticWorkload
+
+        res = lowfive_workflow(
+            2, 1, SyntheticWorkload(512, 256), THETA_KNL, "memory",
+            PFSStore()).run(model=THETA_KNL.net, timeout=240.0)
+        assert all(res.returns["consumer"])  # consumer-side validation
+        return res
+
     @pytest.fixture(scope="class")
     def res(self):
-        from repro.tools import run_workload, workload_args
-
-        return run_workload(workload_args(
-            nprod=2, ncons=1, grid_points=512, particles=256))
+        return self._run()
 
     def test_distills_workflow_result(self, res):
         rec = record_from_result(res, "demo", mode="memory",
@@ -243,10 +253,7 @@ class TestRecordFromResult:
     def test_same_seed_records_are_byte_identical(self, res):
         # The acceptance criterion: same-seed runs differ only in the
         # volatile fields, so the stable digest must agree exactly.
-        from repro.tools import run_workload, workload_args
-
-        res2 = run_workload(workload_args(
-            nprod=2, ncons=1, grid_points=512, particles=256))
+        res2 = self._run()
         a = record_from_result(res, "demo", mode="memory",
                                wall_seconds=1.0)
         b = record_from_result(res2, "demo", mode="memory",

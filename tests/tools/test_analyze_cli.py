@@ -1,4 +1,5 @@
-"""``python -m repro.tools analyze`` and ``... lint`` CLIs."""
+"""The schedule analyzer behind ``python -m repro.tools run``, and the
+``lint`` CLI."""
 
 import json
 import os
@@ -15,34 +16,39 @@ _SMALL = ["--grid-points", "512", "--particles", "256",
 
 class TestAnalyze:
     def test_fig5_memory_is_silent(self, capsys):
-        rc = main(["analyze", "--example", "fig5", "--mode", "memory",
-                   *_SMALL])
+        rc = main(["run", "--example", "fig5", "--mode", "memory",
+                   *_SMALL, "--strict"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "no findings" in out
 
     def test_race_demo_clean_run_is_silent(self, capsys):
-        rc = main(["analyze", "--example", RACE_DEMO, "--timeout", "30"])
+        rc = main(["run", "--example", RACE_DEMO, "--timeout", "30",
+                   "--strict"])
         assert rc == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_injected_delay_reports_race_and_exits_nonzero(
             self, capsys, tmp_path):
-        report = str(tmp_path / "findings.json")
-        rc = main(["analyze", "--example", RACE_DEMO, "--timeout", "30",
+        report = str(tmp_path / "report.json")
+        rc = main(["run", "--example", RACE_DEMO, "--timeout", "30",
                    "--delay", "0.01", "--delay-src", "1",
-                   "--delay-dst", "0", "--report", report])
-        out = capsys.readouterr().out
+                   "--delay-dst", "0", "--report", report, "--strict"])
+        captured = capsys.readouterr()
         assert rc == 1
-        assert "FINDING [wildcard-race]" in out
-        findings = json.loads(open(report).read())
+        assert "FINDING [wildcard-race]" in captured.out
+        assert "1 analyzer finding(s)" in captured.err
+        doc = json.loads(open(report).read())
+        assert doc["conservation_ok"] is True
+        findings = doc["findings"]
         assert len(findings) == 1
+        assert findings[0]["kind"] == "wildcard-race"
         assert len(findings[0]["candidates"]) == 2
 
     def test_no_strict_exits_zero_on_findings(self, capsys):
-        rc = main(["analyze", "--example", RACE_DEMO, "--timeout", "30",
+        rc = main(["run", "--example", RACE_DEMO, "--timeout", "30",
                    "--delay", "0.01", "--delay-src", "1",
-                   "--delay-dst", "0", "--no-strict"])
+                   "--delay-dst", "0"])
         assert rc == 0
         assert "FINDING" in capsys.readouterr().out
 

@@ -189,10 +189,15 @@ class TestMatrix:
     def test_fig5_matrix_accounts_for_every_message(self):
         # The causal record is complete: one post per message, and the
         # matrix carries every payload byte the engine counted.
-        from repro.tools import run_workload, workload_args
+        from repro.bench.drivers import lowfive_workflow
+        from repro.perfmodel.transports import THETA_KNL
+        from repro.pfs import PFSStore
+        from repro.synth import SyntheticWorkload
 
-        res = run_workload(workload_args(
-            nprod=2, ncons=1, grid_points=512, particles=256))
+        res = lowfive_workflow(
+            2, 1, SyntheticWorkload(512, 256), THETA_KNL, "memory",
+            PFSStore()).run(model=THETA_KNL.net, timeout=240.0)
+        assert all(res.returns["consumer"])  # consumer-side validation
         assert len(res.obs.causal.messages()) == res.messages
         assert communication_matrix(res.obs, 3).sum() == res.bytes_sent
 
