@@ -57,15 +57,26 @@ class TestExampleWorkload:
         assert "top 3 critical-path segments" in out
         assert "conservation      OK" in out
 
-    def test_unusable_example_exits_with_a_message(self, tmp_path):
-        # One loader behind the verb: no raw traceback.
+    # Each case is the ``run`` invocation that now does what the named
+    # former verb did: the summary alone (critpath), the strict analyzer
+    # pass (analyze), a Chrome trace (trace) and a causal report (report).
+    @pytest.mark.parametrize("command", ["critpath", "analyze", "trace",
+                                         "report"])
+    def test_unusable_example_exits_with_a_message(self, command,
+                                                   tmp_path):
+        # One loader behind the verb, whatever it writes: no raw traceback.
+        flags = {"critpath": [],
+                 "analyze": ["--strict"],
+                 "trace": ["--trace", str(tmp_path / "t.json")],
+                 "report": ["--report", str(tmp_path / "r.json")]}[command]
         bad = tmp_path / "bad.py"
         bad.write_text("x = 1\n")
         with pytest.raises(SystemExit, match="build_workflow"):
-            main(["run", "--example", str(bad)])
+            main(["run", *flags, "--example", str(bad)])
         (tmp_path / "notes.txt").write_text("not python\n")
         with pytest.raises(SystemExit, match="cannot import"):
-            main(["run", "--example", str(tmp_path / "notes.txt")])
+            main(["run", *flags, "--example", str(tmp_path / "notes.txt")])
+        assert not any(tmp_path.glob("*.json"))
 
 
 class TestOneRun:
