@@ -52,7 +52,7 @@ from repro.h5.selection import (
 )
 from repro.h5.dataspace import Dataspace, UNLIMITED
 from repro.h5.plist import FileAccessProps, DatasetCreateProps, TransferProps
-from repro.h5.vol import VOLBase, PassthroughVOL
+from repro.h5.vol import VOLBase
 from repro.h5.native import NativeVOL
 from repro.h5.api import File, Group, Dataset, Attribute
 
@@ -89,7 +89,6 @@ __all__ = [
     "DatasetCreateProps",
     "TransferProps",
     "VOLBase",
-    "PassthroughVOL",
     "NativeVOL",
     "File",
     "Group",

@@ -24,20 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.h5 import format as h5format
-from repro.h5.datatype import as_datatype
 from repro.h5.errors import (
     ClosedError,
     ExistsError,
     ModeError,
     NotFoundError,
 )
-from repro.h5.objects import (
-    DatasetNode,
-    FileNode,
-    GroupNode,
-    Node,
-    OWN_DEEP,
-)
+from repro.h5.objects import FileNode, GroupNode, Node, OWN_DEEP
 from repro.h5.plist import DEFAULT_DCPL, DEFAULT_DXPL
 from repro.h5.vol import VOLBase
 from repro.obs import obs_of, span
@@ -186,57 +179,25 @@ class NativeVOL(VOLBase):
         if comm is not None and writeback:
             comm.barrier()
 
-    # -- groups ---------------------------------------------------------------
+    # -- groups and datasets ----------------------------------------------------
 
     def group_create(self, parent, name):
-        state = parent.state
-        node = parent.node
-        assert isinstance(node, GroupNode)
-        child = node.children.get(name)
-        if child is None:
-            child = node.add_child(GroupNode(name))
-        elif not isinstance(child, GroupNode):
-            raise ExistsError(f"{name!r} exists and is not a group")
-        self._charge(state.comm, self.lustre.metadata_op_time())
-        return _Token(state, child)
+        child = parent.node.require_group(name)
+        self._charge(parent.comm, self.lustre.metadata_op_time())
+        return _Token(parent.state, child)
 
     def group_open(self, parent, name):
-        node = parent.node.lookup(name)
-        if not isinstance(node, GroupNode):
-            raise NotFoundError(f"{name!r} is not a group")
-        return _Token(parent.state, node)
-
-    # -- datasets ------------------------------------------------------------------
+        return _Token(parent.state, parent.node.open(name, "group")[1])
 
     def dataset_create(self, parent, name, dtype, space, dcpl):
-        state = parent.state
-        dtype = as_datatype(dtype)
         dcpl = dcpl or DEFAULT_DCPL
-        node = parent.node
-        assert isinstance(node, GroupNode)
-        child = node.children.get(name)
-        if child is None:
-            child = node.add_child(
-                DatasetNode(name, dtype, space,
-                            fill_value=dcpl.fill_value,
-                            chunks=dcpl.chunks)
-            )
-        elif isinstance(child, DatasetNode):
-            # Collective create: later ranks must agree on the shape.
-            if child.dtype != dtype or child.space != space:
-                raise ExistsError(
-                    f"dataset {name!r} exists with different type/space"
-                )
-        else:
-            raise ExistsError(f"{name!r} exists and is not a dataset")
-        self._charge(state.comm, self.lustre.metadata_op_time())
-        return _Token(state, child)
+        child = parent.node.require_dataset(name, dtype, space,
+                                            dcpl.fill_value, dcpl.chunks)
+        self._charge(parent.comm, self.lustre.metadata_op_time())
+        return _Token(parent.state, child)
 
     def dataset_open(self, parent, name):
-        node = parent.node.lookup(name)
-        if not isinstance(node, DatasetNode):
-            raise NotFoundError(f"{name!r} is not a dataset")
-        return _Token(parent.state, node)
+        return _Token(parent.state, parent.node.open(name, "dataset")[1])
 
     def dataset_meta(self, dtoken):
         node = dtoken.node
@@ -310,26 +271,16 @@ class NativeVOL(VOLBase):
     # -- attributes ---------------------------------------------------------------
 
     def attr_create(self, obj, name, dtype, space):
-        # Overwrite semantics (h5py-like), which also makes collective
-        # attribute creation by every rank idempotent.
-        state = obj.state
-        dtype = as_datatype(dtype)
-        existing = obj.node.attributes.get(name)
-        if existing is not None and (existing.dtype != dtype
-                                     or existing.space != space):
-            del obj.node.attributes[name]
-            existing = None
-        attr = existing if existing is not None else \
-            obj.node.create_attribute(name, dtype, space)
-        self._charge(state.comm, self.lustre.metadata_op_time())
-        return _Token(state, attr)
+        attr = obj.node.require_attribute(name, dtype, space)
+        self._charge(obj.comm, self.lustre.metadata_op_time())
+        return _Token(obj.state, attr)
 
     def attr_open(self, obj, name):
         return _Token(obj.state, obj.node.get_attribute(name))
 
     def attr_write(self, atoken, value):
         atoken.node.write(value)
-        self._charge(atoken.state.comm, self.lustre.metadata_op_time())
+        self._charge(atoken.comm, self.lustre.metadata_op_time())
 
     def attr_read(self, atoken):
         return atoken.node.read()
@@ -344,18 +295,8 @@ class NativeVOL(VOLBase):
         return isinstance(node, GroupNode) and node.exists(path)
 
     def links(self, parent):
-        node = parent.node
-        out = []
-        for name in sorted(node.children):
-            child = node.children[name]
-            kind = "dataset" if isinstance(child, DatasetNode) else "group"
-            out.append((name, kind))
-        return out
+        return parent.node.links()
 
     def object_open(self, parent, path):
-        node = parent.node.lookup(path)
-        if isinstance(node, DatasetNode):
-            return "dataset", _Token(parent.state, node)
-        if isinstance(node, GroupNode):
-            return "group", _Token(parent.state, node)
-        raise NotFoundError(f"cannot open object at {path!r}")
+        kind, node = parent.node.open(path)
+        return kind, _Token(parent.state, node)

@@ -6,17 +6,18 @@ pieces* written so far -- each piece is (selection, array, ownership),
 where ownership records whether the node holds a deep copy or a shallow
 reference to user memory (configurable per dataset, paper Sec. I).
 
-The same node types back the native VOL's in-core image of a file and
-LowFive's metadata VOL, which is exactly the reuse the paper describes
-("we manage our own tree of HDF5 objects ... that replicates the user's
-HDF5 data model").
+The same node types, and the tree operations the VOL callbacks make on
+them (get-or-create, attribute overwrite, link listing, object open),
+back the native VOL's in-core image of a file and LowFive's metadata
+VOL, which is exactly the reuse the paper describes ("we manage our own
+tree of HDF5 objects ... that replicates the user's HDF5 data model").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.h5.datatype import Datatype
+from repro.h5.datatype import Datatype, as_datatype
 from repro.h5.dataspace import Dataspace
 from repro.h5.errors import ExistsError, NotFoundError, SelectionError
 from repro.h5.selection import Selection
@@ -73,6 +74,19 @@ class Node:
         self.attributes[name] = attr
         return attr
 
+    def require_attribute(self, name: str, dtype,
+                          space: Dataspace) -> "AttributeNode":
+        """The attribute ``name``, with h5py's overwrite semantics: an
+        existing one of the same type and space is kept, one of another
+        is replaced. This also makes collective creation by every rank
+        idempotent."""
+        dtype = as_datatype(dtype)
+        attr = self.attributes.get(name)
+        if attr is not None and attr.dtype == dtype and attr.space == space:
+            return attr
+        self.attributes.pop(name, None)
+        return self.create_attribute(name, dtype, space)
+
     def get_attribute(self, name: str) -> "AttributeNode":
         """Look up an attribute by name."""
         try:
@@ -126,6 +140,48 @@ class GroupNode(Node):
             return True
         except NotFoundError:
             return False
+
+    def open(self, path: str, kind: str | None = None) -> tuple[str, Node]:
+        """``(kind, node)`` at ``path``, ``kind`` being ``"group"`` or
+        ``"dataset"``; when ``kind`` is given, anything else is not
+        found."""
+        node = self.lookup(path)
+        got = "dataset" if isinstance(node, DatasetNode) else "group"
+        if kind is not None and got != kind:
+            raise NotFoundError(f"{path!r} is not a {kind}")
+        return got, node
+
+    def links(self) -> list[tuple[str, str]]:
+        """``(name, kind)`` of every child, sorted by name."""
+        return [(name, "dataset" if isinstance(c, DatasetNode) else "group")
+                for name, c in sorted(self.children.items())]
+
+    def require_group(self, name: str) -> "GroupNode":
+        """The child group ``name``, created when missing."""
+        child = self.children.get(name)
+        if child is None:
+            return self.add_child(GroupNode(name))
+        if not isinstance(child, GroupNode):
+            raise ExistsError(f"{name!r} exists and is not a group")
+        return child
+
+    def require_dataset(self, name: str, dtype, space: Dataspace,
+                        fill_value=None, chunks=None) -> "DatasetNode":
+        """The child dataset ``name``, created when missing. An existing
+        one must agree on type and space: every rank of a collective
+        create makes the same call."""
+        dtype = as_datatype(dtype)
+        child = self.children.get(name)
+        if child is None:
+            return self.add_child(DatasetNode(
+                name, dtype, space, fill_value=fill_value, chunks=chunks))
+        if not isinstance(child, DatasetNode):
+            raise ExistsError(f"{name!r} exists and is not a dataset")
+        if child.dtype != dtype or child.space != space:
+            raise ExistsError(
+                f"dataset {name!r} exists with different type/space"
+            )
+        return child
 
     def walk(self):
         """Yield every descendant node, depth first, children sorted."""

@@ -6,10 +6,11 @@ connector, mirroring HDF5 1.12's VOL. A connector receives opaque
 works exactly like HDF5 VOL stacking: LowFive's metadata VOL sits on top
 of (and optionally passes through to) the native VOL.
 
-:class:`VOLBase` defines the callback surface; :class:`PassthroughVOL`
-forwards everything to an underlying connector and is the base class for
-LowFive's layered design (paper Sec. III-A: base VOL -> metadata VOL ->
-distributed metadata VOL).
+:class:`VOLBase` defines the callback surface. There are two kinds of
+connector: the terminal :class:`~repro.h5.native.NativeVOL`, and
+LowFive's :class:`~repro.lowfive.vol_metadata.MetadataVOL` (and its
+distributed subclasses), which holds the connector it passes through to
+as ``under`` -- the paper's *base VOL* (Sec. III-A).
 """
 
 from __future__ import annotations
@@ -116,87 +117,3 @@ class VOLBase(ABC):
     def object_open(self, parent, path):
         """Open ``path``; return ``(kind, token)``."""
 
-
-class PassthroughVOL(VOLBase):
-    """Forwards every callback to an ``under`` connector.
-
-    This is the paper's *base VOL*: "any HDF5 functions that are not
-    redefined in the subsequent layers are caught at this base layer and
-    pass through to native HDF5 file I/O". Layered connectors subclass
-    this and override what they intercept.
-    """
-
-    name = "passthrough"
-
-    def __init__(self, under: VOLBase | None):
-        self.under = under
-
-    def _require_under(self):
-        if self.under is None:
-            raise RuntimeError(
-                f"{type(self).__name__} has no underlying VOL to pass "
-                "through to (operation not intercepted)"
-            )
-        return self.under
-
-    def file_create(self, fname, mode, fapl, comm):
-        return self._require_under().file_create(fname, mode, fapl, comm)
-
-    def file_open(self, fname, mode, fapl, comm):
-        return self._require_under().file_open(fname, mode, fapl, comm)
-
-    def file_close(self, ftoken):
-        return self._require_under().file_close(ftoken)
-
-    def file_flush(self, ftoken):
-        return self._require_under().file_flush(ftoken)
-
-    def group_create(self, parent, name):
-        return self._require_under().group_create(parent, name)
-
-    def group_open(self, parent, name):
-        return self._require_under().group_open(parent, name)
-
-    def dataset_create(self, parent, name, dtype, space, dcpl):
-        return self._require_under().dataset_create(
-            parent, name, dtype, space, dcpl
-        )
-
-    def dataset_open(self, parent, name):
-        return self._require_under().dataset_open(parent, name)
-
-    def dataset_meta(self, dtoken):
-        return self._require_under().dataset_meta(dtoken)
-
-    def dataset_write(self, dtoken, selection, data, dxpl):
-        return self._require_under().dataset_write(dtoken, selection, data, dxpl)
-
-    def dataset_read(self, dtoken, selection, dxpl):
-        return self._require_under().dataset_read(dtoken, selection, dxpl)
-
-    def dataset_close(self, dtoken):
-        return self._require_under().dataset_close(dtoken)
-
-    def attr_create(self, obj, name, dtype, space):
-        return self._require_under().attr_create(obj, name, dtype, space)
-
-    def attr_write(self, atoken, value):
-        return self._require_under().attr_write(atoken, value)
-
-    def attr_open(self, obj, name):
-        return self._require_under().attr_open(obj, name)
-
-    def attr_read(self, atoken):
-        return self._require_under().attr_read(atoken)
-
-    def attr_list(self, obj):
-        return self._require_under().attr_list(obj)
-
-    def link_exists(self, parent, path):
-        return self._require_under().link_exists(parent, path)
-
-    def links(self, parent):
-        return self._require_under().links(parent)
-
-    def object_open(self, parent, path):
-        return self._require_under().object_open(parent, path)

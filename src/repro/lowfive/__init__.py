@@ -1,10 +1,11 @@
 """LowFive: in situ data transport as an HDF5 VOL plugin (the paper's
 primary contribution).
 
-Three layered connectors, mirroring paper Sec. III-A:
+The three layers of paper Sec. III-A, in one connector stack:
 
-- :class:`~repro.lowfive.vol_base.LowFiveBase` -- the *base VOL*: any
-  operation not intercepted passes through to native file I/O;
+- the *base VOL* is :class:`~repro.lowfive.vol_metadata.MetadataVOL`'s
+  ``under`` connector (usually :class:`~repro.h5.native.NativeVOL`):
+  any operation not intercepted passes through to native file I/O;
 - :class:`~repro.lowfive.vol_metadata.MetadataVOL` -- builds an in-memory
   replica of the HDF5 metadata hierarchy per rank, with deep/shallow
   (zero-copy) data ownership configurable per dataset, and optional
@@ -13,7 +14,12 @@ Three layered connectors, mirroring paper Sec. III-A:
   metadata VOL*: producers index and serve their written data spaces,
   consumers query them, over an MPI RPC abstraction; implements the
   index-serve-query redistribution of paper Sec. III-B (Algorithms 1-3)
-  with full n-to-m generality.
+  with full n-to-m generality, and producer push;
+- :class:`~repro.lowfive.vol_staged.StagedMetadataVOL` -- the same with
+  an in-transit option through dedicated staging ranks.
+
+Per-phase profiles (index, serve, query, push, ...) are the ``lowfive``
+spans: ``obs.spans.spans(cat="lowfive", rank=world_rank)``.
 
 Typical wiring (one producer task, one consumer task)::
 
@@ -36,7 +42,6 @@ from repro.lowfive.rpc import (
     RPCServer,
     RPCTimeout,
 )
-from repro.lowfive.vol_base import LowFiveBase
 from repro.lowfive.vol_metadata import MetadataVOL
 from repro.lowfive.vol_dist import DistMetadataVOL
 from repro.lowfive.vol_staged import StagedMetadataVOL, staging_main
@@ -52,7 +57,6 @@ __all__ = [
     "RPCTimeout",
     "RetriesExhausted",
     "RetryPolicy",
-    "LowFiveBase",
     "MetadataVOL",
     "DistMetadataVOL",
     "StagedMetadataVOL",

@@ -19,17 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.h5.datatype import as_datatype
-from repro.h5.errors import NotFoundError
-from repro.h5.objects import (
-    DatasetNode,
-    FileNode,
-    GroupNode,
-    OWN_DEEP,
-    OWN_SHALLOW,
-)
+from repro.h5.objects import FileNode, OWN_DEEP, OWN_SHALLOW
+from repro.h5.plist import DEFAULT_DCPL
+from repro.h5.vol import VOLBase
 from repro.lowfive.config import CostConfig, LowFiveConfig
-from repro.lowfive.vol_base import LowFiveBase
 
 
 @dataclass
@@ -44,6 +37,8 @@ class LFFile:
     #: RPC client towards the producer task when this file was opened
     #: remotely by a consumer (set by the distributed VOL).
     remote_client: object | None = None
+    #: Opened against a staging task rather than the producers.
+    staged: bool = False
 
 
 @dataclass
@@ -60,15 +55,16 @@ class LFToken:
         return self.fstate.comm
 
 
-class MetadataVOL(LowFiveBase):
+class MetadataVOL(VOLBase):
     """In-memory metadata hierarchy with optional file passthrough.
 
     Parameters
     ----------
     under:
         Underlying connector for passthrough (usually
-        :class:`~repro.h5.native.NativeVOL`); optional when every file is
-        memory-only.
+        :class:`~repro.h5.native.NativeVOL`) -- the paper's *base VOL*:
+        whatever is not intercepted goes there. Optional when every file
+        is memory-only.
     config:
         Pattern rules; defaults to memory-everything (``set_memory("*")``
         is applied when no rule is given would be surprising, so the
@@ -81,7 +77,7 @@ class MetadataVOL(LowFiveBase):
 
     def __init__(self, under=None, config: LowFiveConfig | None = None,
                  costs: CostConfig | None = None):
-        super().__init__(under)
+        self.under = under
         self.config = config if config is not None else LowFiveConfig()
         self.costs = costs if costs is not None else CostConfig()
         self._trees: dict[tuple[int, str], FileNode] = {}
@@ -113,6 +109,23 @@ class MetadataVOL(LowFiveBase):
     def _charge_elements(self, comm, nelements: int) -> None:
         if comm is not None:
             comm.compute(self.costs.per_element_handle * nelements)
+
+    def _require_under(self):
+        if self.under is None:
+            raise RuntimeError(
+                f"{type(self).__name__} has no underlying VOL to pass "
+                "through to (operation not intercepted)"
+            )
+        return self.under
+
+    def _mirror(self, tok, on_node, on_under):
+        """Token of ``on_node(node)`` on our tree and ``on_under(under
+        VOL, under token)`` on the passthrough, each applied only where
+        ``tok`` has that side."""
+        node = None if tok.node is None else on_node(tok.node)
+        under = None if tok.under is None else \
+            on_under(self._require_under(), tok.under)
+        return LFToken(tok.fstate, node, under)
 
     # -- tree bookkeeping ---------------------------------------------------------
 
@@ -171,69 +184,32 @@ class MetadataVOL(LowFiveBase):
         if ftoken.fstate.under_token is not None:
             self._require_under().file_flush(ftoken.fstate.under_token)
 
-    # -- groups ------------------------------------------------------------------------
+    # -- groups and datasets ---------------------------------------------------
 
     def group_create(self, parent, name):
-        node = None
-        if parent.node is not None:
-            pnode = parent.node
-            assert isinstance(pnode, GroupNode)
-            node = pnode.children.get(name)
-            if node is None:
-                node = pnode.add_child(GroupNode(name))
-        under = None
-        if parent.under is not None:
-            under = self._require_under().group_create(parent.under, name)
+        tok = self._mirror(parent, lambda n: n.require_group(name),
+                           lambda u, t: u.group_create(t, name))
         self._charge_op(parent.comm)
-        return LFToken(parent.fstate, node, under)
+        return tok
 
     def group_open(self, parent, name):
-        node = None
-        if parent.node is not None:
-            node = parent.node.lookup(name)
-            if not isinstance(node, GroupNode):
-                raise NotFoundError(f"{name!r} is not a group")
-        under = None
-        if parent.under is not None:
-            under = self._require_under().group_open(parent.under, name)
-        return LFToken(parent.fstate, node, under)
-
-    # -- datasets -----------------------------------------------------------------------
-
-    def _dset_path(self, token) -> str:
-        return token.node.path if token.node is not None else "*"
+        return self._mirror(parent, lambda n: n.open(name, "group")[1],
+                            lambda u, t: u.group_open(t, name))
 
     def dataset_create(self, parent, name, dtype, space, dcpl):
-        dtype = as_datatype(dtype)
-        node = None
-        if parent.node is not None:
-            pnode = parent.node
-            node = pnode.children.get(name)
-            if node is None:
-                fill = dcpl.fill_value if dcpl is not None else None
-                chunks = dcpl.chunks if dcpl is not None else None
-                node = pnode.add_child(
-                    DatasetNode(name, dtype, space, fill_value=fill,
-                                chunks=chunks)
-                )
-        under = None
-        if parent.under is not None:
-            under = self._require_under().dataset_create(
-                parent.under, name, dtype, space, dcpl
-            )
+        pl = dcpl or DEFAULT_DCPL
+        tok = self._mirror(
+            parent,
+            lambda n: n.require_dataset(name, dtype, space, pl.fill_value,
+                                        pl.chunks),
+            lambda u, t: u.dataset_create(t, name, dtype, space, dcpl),
+        )
         self._charge_op(parent.comm)
-        return LFToken(parent.fstate, node, under)
+        return tok
 
     def dataset_open(self, parent, name):
-        node = None
-        if parent.node is not None:
-            node = parent.node.lookup(name)
-            if not isinstance(node, DatasetNode):
-                raise NotFoundError(f"{name!r} is not a dataset")
-        under = None
-        if parent.under is not None:
-            under = self._require_under().dataset_open(parent.under, name)
-        return LFToken(parent.fstate, node, under)
+        return self._mirror(parent, lambda n: n.open(name, "dataset")[1],
+                            lambda u, t: u.dataset_open(t, name))
 
     def dataset_meta(self, dtoken):
         if dtoken.node is not None:
@@ -273,32 +249,15 @@ class MetadataVOL(LowFiveBase):
     # -- attributes -------------------------------------------------------------------------
 
     def attr_create(self, obj, name, dtype, space):
-        dtype = as_datatype(dtype)
-        node = None
-        if obj.node is not None:
-            existing = obj.node.attributes.get(name)
-            if existing is not None and (existing.dtype != dtype
-                                         or existing.space != space):
-                del obj.node.attributes[name]
-                existing = None
-            node = existing if existing is not None else \
-                obj.node.create_attribute(name, dtype, space)
-        under = None
-        if obj.under is not None:
-            under = self._require_under().attr_create(
-                obj.under, name, dtype, space
-            )
+        tok = self._mirror(obj,
+                           lambda n: n.require_attribute(name, dtype, space),
+                           lambda u, t: u.attr_create(t, name, dtype, space))
         self._charge_op(obj.comm)
-        return LFToken(obj.fstate, node, under)
+        return tok
 
     def attr_open(self, obj, name):
-        node = None
-        if obj.node is not None:
-            node = obj.node.get_attribute(name)
-        under = None
-        if obj.under is not None:
-            under = self._require_under().attr_open(obj.under, name)
-        return LFToken(obj.fstate, node, under)
+        return self._mirror(obj, lambda n: n.get_attribute(name),
+                            lambda u, t: u.attr_open(t, name))
 
     def attr_write(self, atoken, value):
         if atoken.node is not None:
@@ -326,23 +285,14 @@ class MetadataVOL(LowFiveBase):
 
     def links(self, parent):
         if parent.node is not None:
-            out = []
-            for name in sorted(parent.node.children):
-                child = parent.node.children[name]
-                kind = "dataset" if isinstance(child, DatasetNode) else "group"
-                out.append((name, kind))
-            return out
+            return parent.node.links()
         return self._require_under().links(parent.under)
 
     def object_open(self, parent, path):
+        node = under = None
+        if parent.under is not None:
+            kind, under = self._require_under().object_open(parent.under,
+                                                            path)
         if parent.node is not None:
-            node = parent.node.lookup(path)
-            kind = "dataset" if isinstance(node, DatasetNode) else "group"
-            under = None
-            if parent.under is not None:
-                _, under = self._require_under().object_open(
-                    parent.under, path
-                )
-            return kind, LFToken(parent.fstate, node, under)
-        kind, under = self._require_under().object_open(parent.under, path)
-        return kind, LFToken(parent.fstate, None, under)
+            kind, node = parent.node.open(path)
+        return kind, LFToken(parent.fstate, node, under)

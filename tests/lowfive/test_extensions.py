@@ -5,13 +5,10 @@ finer-grained communication profiling, and reducing synchronization by
 scheduling/pushing communication.
 """
 
-import numpy as np
-import pytest
-
 import repro.h5 as h5
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
-from repro.lowfive.vol_dist import PhaseStats
+from repro.obs import obs_of
 from repro.pfs import PFSStore
 from repro.synth import (
     consumer_grid_selection,
@@ -22,6 +19,16 @@ from repro.synth import (
 from repro.workflow import Workflow
 
 SHAPE = (12, 8)
+
+
+def phase_seconds(comm):
+    """This rank's ``lowfive`` span seconds so far, by phase."""
+    out = {}
+    rank = comm.world_rank(comm.rank)
+    for s in obs_of(comm).spans.spans(cat="lowfive", rank=rank):
+        phase = s.labels["phase"]
+        out[phase] = out.get(phase, 0.0) + s.duration
+    return out
 
 
 def build_workflow(nprod, ncons, push=False, collect=None,
@@ -51,7 +58,7 @@ def build_workflow(nprod, ncons, push=False, collect=None,
         sel = producer_grid_selection(SHAPE, ctx.rank, ctx.size)
         d.write(grid_values(sel, SHAPE), file_select=sel)
         f.close()
-        return vol.phase_stats(ctx.comm).seconds
+        return phase_seconds(ctx.comm)
 
     def consumer(ctx):
         vol = make_vol(ctx, "consumer", "producer")
@@ -63,7 +70,7 @@ def build_workflow(nprod, ncons, push=False, collect=None,
             vals = f["d"].read(sel, reshape=False)
             out = validate_grid(sel, SHAPE, vals)
         f.close()
-        return out, dict(vol.phase_stats(ctx.comm).seconds)
+        return out, phase_seconds(ctx.comm)
 
     wf = Workflow()
     wf.add_task("producer", nprod, producer)
@@ -86,25 +93,6 @@ class TestProfiling:
             assert ok
             assert "metadata_open" in phases
             assert "query" in phases
-
-    def test_phase_stats_breakdown_sums_to_one(self):
-        st = PhaseStats()
-        st.add("a", 3.0)
-        st.add("b", 1.0)
-        bd = st.breakdown()
-        assert bd["a"] == pytest.approx(0.75)
-        assert sum(bd.values()) == pytest.approx(1.0)
-        assert st.total() == 4.0
-        assert st.counts == {"a": 1, "b": 1}
-
-    def test_empty_breakdown(self):
-        assert PhaseStats().breakdown() == {}
-        assert PhaseStats().total() == 0.0
-
-    def test_phase_stats_without_comm_is_empty(self):
-        # Serial code (no simulated machine) has no span record.
-        vol = DistMetadataVOL(comm=None, under=NativeVOL(PFSStore()))
-        assert vol.phase_stats().seconds == {}
 
 
 class TestPush:

@@ -103,6 +103,35 @@ class TestZeroCopy:
             np.testing.assert_array_equal(f["deep"].read(), [0, 1, 2])
 
 
+def memory_only_vol():
+    vol = MetadataVOL()
+    vol.set_memory("*")
+    return vol
+
+
+@pytest.mark.parametrize("make", [lambda: NativeVOL(PFSStore()),
+                                  memory_only_vol],
+                         ids=["native", "metadata"])
+def test_tree_operations_agree_with_native(make):
+    """Both VOLs share one implementation of the tree operations: a
+    dataset handle closes without an underlying VOL, and creating over
+    an existing object of another kind or shape is refused."""
+    with h5.File("t.h5", "w", vol=make()) as f:
+        d = f.create_dataset("x", shape=(4,), dtype="i8")
+        d.close()
+        with pytest.raises(h5.ExistsError):
+            f.create_group("x")
+        with pytest.raises(h5.ExistsError):
+            f.create_dataset("x", shape=(2, 3), dtype="i8")
+        f.create_group("g")
+        with pytest.raises(h5.ExistsError):
+            f.create_dataset("g", shape=(4,), dtype="i8")
+        # A collective re-create with the same type and shape is the
+        # same dataset.
+        f.create_dataset("x", shape=(4,), dtype="i8").write(np.arange(4))
+        np.testing.assert_array_equal(f["x"].read(), np.arange(4))
+
+
 class TestPassthrough:
     def test_memory_plus_passthru_writes_file_too(self):
         store = PFSStore()

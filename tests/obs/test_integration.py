@@ -1,13 +1,14 @@
 """End-to-end observability: a LowFive memory-mode workflow produces
-spans from every instrumented layer, and ``phase_stats()`` is exactly
-the per-rank fold of the ``lowfive`` spans."""
+spans from every instrumented layer, and a rank's per-phase profile,
+queried inside its task as ``spans(cat="lowfive", rank=...)``, is the
+record the run returns."""
 
 import pytest
 
 import repro.h5 as h5
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
-from repro.obs import validate_chrome_trace
+from repro.obs import obs_of, validate_chrome_trace
 from repro.pfs import PFSStore
 from repro.synth import (
     consumer_grid_selection,
@@ -25,10 +26,15 @@ def run_workflow(obs=None):
     """Producer/consumer LowFive memory-mode run at test scale.
 
     Returns ``(result, stats)`` where ``stats`` maps
-    ``(role, local rank)`` -> ``(world rank, PhaseStats)`` captured via
-    the ``phase_stats()`` accessor inside each task.
+    ``(role, local rank)`` -> ``(world rank, lowfive spans)`` queried
+    inside each task at its end.
     """
     stats = {}
+
+    def profile(ctx):
+        world = ctx.comm.world_rank(ctx.rank)
+        spans = obs_of(ctx.comm).spans.spans(cat="lowfive", rank=world)
+        return world, spans
 
     def make_vol(ctx, role, peer):
         def factory():
@@ -50,9 +56,7 @@ def run_workflow(obs=None):
         sel = producer_grid_selection(GRID, ctx.rank, ctx.size)
         d.write(grid_values(sel, GRID), file_select=sel)
         f.close()  # indexes, then serves until consumers detach
-        stats[("producer", ctx.rank)] = (
-            ctx.comm.world_rank(ctx.rank), vol.phase_stats(ctx.comm)
-        )
+        stats[("producer", ctx.rank)] = profile(ctx)
         return True
 
     def consumer(ctx):
@@ -61,9 +65,7 @@ def run_workflow(obs=None):
         sel = consumer_grid_selection(GRID, ctx.rank, ctx.size)
         vals = f["g/d"].read(sel, reshape=False)
         f.close()
-        stats[("consumer", ctx.rank)] = (
-            ctx.comm.world_rank(ctx.rank), vol.phase_stats(ctx.comm)
-        )
+        stats[("consumer", ctx.rank)] = profile(ctx)
         return validate_grid(sel, GRID, vals)
 
     wf = Workflow()
@@ -129,15 +131,25 @@ class TestSpans:
             assert c.t1 <= task_start[c.rank] + 1e-12
 
 
+def by_phase(spans):
+    """``{phase: (total seconds, count)}`` of ``lowfive`` spans."""
+    out = {}
+    for sp in spans:
+        secs, n = out.get(sp.labels["phase"], (0.0, 0))
+        out[sp.labels["phase"]] = (secs + sp.duration, n + 1)
+    return out
+
+
 class TestPhaseStats:
     def test_totals_equal_span_totals_exactly(self, run):
-        # One record: phase_stats() reads the spans, so the totals are
-        # the same floats, not two measurements pinned approximately.
+        # One record: the in-task query reads the spans the run
+        # returns, so the totals are the same floats.
         res, stats = run
         assert stats  # every task rank reported
-        for (role, local), (world, ps) in stats.items():
-            assert ps.seconds, f"{role}:{local} profiled nothing"
-            for phase, secs in ps.seconds.items():
+        for (role, local), (world, spans) in stats.items():
+            phases = by_phase(spans)
+            assert phases, f"{role}:{local} profiled nothing"
+            for phase, (secs, _n) in phases.items():
                 span_total = res.obs.spans.total(
                     cat="lowfive", name=f"lowfive.{phase}", rank=world
                 )
@@ -149,16 +161,16 @@ class TestPhaseStats:
 
         res, stats = run_workflow(obs=NullObsContext())
         assert stats
-        for _world, ps in stats.values():
-            assert ps.seconds == {} and ps.counts == {}
+        for _world, spans in stats.values():
+            assert spans == []
 
     def test_counts_match_span_counts(self, run):
         res, stats = run
-        for (_role, _local), (world, ps) in stats.items():
-            for phase, n in ps.counts.items():
-                spans = res.obs.spans.spans(cat="lowfive", rank=world,
-                                            phase=phase)
-                assert len(spans) == n
+        for (_role, _local), (world, spans) in stats.items():
+            for phase, (_secs, n) in by_phase(spans).items():
+                got = res.obs.spans.spans(cat="lowfive", rank=world,
+                                          phase=phase)
+                assert len(got) == n
 
 
 class TestExportAndMetrics:
