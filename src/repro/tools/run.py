@@ -32,6 +32,7 @@ from __future__ import annotations
 import html
 import importlib.util
 import json
+import os
 import sys
 from collections import defaultdict
 
@@ -92,12 +93,14 @@ def fault_plan(args):
     return FaultPlan(args.seed, messages=[rule])
 
 
-def run_record(args, res):
-    """The ledger row of the run. Only fig5 runs LowFive, so only it
-    records a transport mode and the LowFive cost digest; only the
-    built-in jobs take the workload parameters."""
+def run_record(args, res, report):
+    """The ledger row of the run, attributed from the causal ``report``
+    the verb already made. Only fig5 runs LowFive, so only it records a
+    transport mode and the LowFive cost digest; only the built-in jobs
+    take the workload parameters. An example file is keyed by its stem,
+    whatever the path it was given by."""
     kw: dict = {}
-    label = args.example
+    label = os.path.splitext(os.path.basename(args.example))[0]
     if args.example == "fig5":
         label = f"lowfive_{args.mode}"
         kw = {"mode": args.mode, "costs": THETA_KNL.lf}
@@ -105,7 +108,10 @@ def run_record(args, res):
         kw["params"] = {"nprod": args.nprod, "ncons": args.ncons,
                         "grid_points": args.grid_points,
                         "particles": args.particles}
-    return res.run_record(f"run/{label}/P{len(res.clocks)}", **kw)
+    record = res.run_record(f"run/{label}/P{len(res.clocks)}",
+                            attribution=False, **kw)
+    record.attribution = report.summary()
+    return record
 
 
 # -- terminal output ----------------------------------------------------------
@@ -407,7 +413,8 @@ def run(args) -> int:
         else:
             print(f"wrote trace {args.trace}: {trace_summary(doc)}")
     html_report = (args.report or "").endswith(".html")
-    record = run_record(args, res) if args.ledger or html_report else None
+    record = (run_record(args, res, report)
+              if args.ledger or html_report else None)
     if args.report:
         with open(args.report, "w") as f:
             if html_report:

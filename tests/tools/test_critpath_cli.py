@@ -102,6 +102,25 @@ class TestOneRun:
         assert json.loads(report.read_text())["findings"] == []
 
 
+    def test_one_causal_analysis_per_run(self, tmp_path, monkeypatch,
+                                         capsys):
+        # The HTML report and the ledger row reuse the report the verb
+        # printed, rather than analysing the run again.
+        import repro.obs.critpath as critpath
+
+        calls = []
+        real = critpath.analyze
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(critpath, "analyze", counting)
+        assert main(["run", *_SMALL, "--report", str(tmp_path / "r.html"),
+                     "--ledger", str(tmp_path / "l.jsonl")]) == 0
+        assert len(calls) == 1
+
+
 class TestStrict:
     def test_trace_validation_failure_fails_only_under_strict(
             self, tmp_path, monkeypatch, capsys):

@@ -110,11 +110,18 @@ class TestLedgerRows:
         assert rec.params == {"nprod": 2, "ncons": 1,
                               "grid_points": 512, "particles": 256}
 
-    def test_example_file_row(self, tmp_path):
+    def test_example_file_row(self, tmp_path, monkeypatch):
         rec = _ledger_row(tmp_path, "--example", QUICKSTART)
-        assert rec.workload == f"run/{QUICKSTART}/P{rec.nprocs}"
+        assert rec.workload == f"run/quickstart/P{rec.nprocs}"
         assert rec.mode is None and rec.cost_digest is None
         assert rec.params == {}
+        # The key does not depend on how the path was spelled.
+        monkeypatch.chdir(_REPO)
+        again = tmp_path / "again"
+        again.mkdir()
+        rel = _ledger_row(again, "--example",
+                          os.path.join("examples", "quickstart.py"))
+        assert rel.workload == rec.workload
 
 
 class TestTraceMetrics:
