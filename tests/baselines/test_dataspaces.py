@@ -110,3 +110,16 @@ def test_get_blocks_until_coverage():
 def test_requires_at_least_one_server():
     with pytest.raises(ValueError):
         DataSpaces(0)
+
+
+def test_executed_virtual_pin():
+    """The executed 3 -> 1 point over two servers, exactly: a
+    calibration change to any ``DSCosts`` term (``per_get`` included,
+    which no paper exhibit can see) moves it."""
+    from repro.bench import run_dataspaces as run_point
+    from repro.synth import SyntheticWorkload
+
+    res = run_point(3, 1, SyntheticWorkload(8000, 8000), nservers=2)
+    assert res.validated
+    assert (res.vtime, res.messages, res.bytes_sent) == (
+        0.3147874288500832, 24, 5474)

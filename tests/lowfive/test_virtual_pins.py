@@ -1,18 +1,23 @@
 """Exact virtual results of the LowFive paths that no reference row or
-bench workload covers: producer push, staging, and ``mode="both"``.
+bench workload covers: producer push, staging, ``mode="both"`` and a
+backpressured stream.
 
 A refactor of the VOL stack must leave ``(vtime, messages,
 bytes_sent)`` of each bit-identical; a change that moves one states the
 move and the new value here.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analyze import analyze_obs
-from repro.bench.drivers import lowfive_workflow
+from repro.bench.drivers import lowfive_workflow, stream_workflow
 from repro.perfmodel.transports import THETA_KNL
 from repro.pfs import PFSStore
 from repro.synth import SyntheticWorkload
+from tests.analyze.schedfuzz import causal_table
 from tests.lowfive.test_extensions import build_workflow as build_direct
 from tests.lowfive.test_staged import build as build_staged
 
@@ -57,3 +62,18 @@ class TestBoth:
 
     def test_fig5_both_has_no_findings(self, both):
         assert analyze_obs(both.obs) == []
+
+
+class TestStream:
+    def test_backpressured_4_to_4(self):
+        # max_lag=1: every producer waits on the slowest consumer's
+        # release, so the serve loop answers queries inside the
+        # backpressure gate as well as at the final drain.
+        res = stream_workflow(4, 4, 6, max_lag=1).run()
+        for seen, _ in res.returns["consumer"]:
+            assert seen == [(step, True) for step in range(6)]
+        assert res.obs.spans.spans(name="stream.backpressure")
+        assert virtual(res) == (3.2408251082581807, 332, 51840)
+        doc = json.dumps(causal_table(res.obs), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "3fc6493a02a68b0a41dd63839524fac141a0f9d8c456f088a0756ee554313e0a")
