@@ -103,7 +103,7 @@ class DataSpaces:
             inter.send(
                 ("register",
                  (name, version, tuple(selection.shape),
-                  tuple(bb.min), tuple(bb.max), comm.rank)),
+                  bb.min, bb.max, comm.rank)),
                 srank, _TAG_CTRL,
             )
 
@@ -128,7 +128,7 @@ class DataSpaces:
             found = client.call(
                 srank, "query",
                 name, version, tuple(selection.shape),
-                tuple(qbb.min), tuple(qbb.max),
+                qbb.min, qbb.max,
             )
             hits.update((p, tuple(bmin), tuple(bmax))
                         for p, bmin, bmax in found)
@@ -138,12 +138,8 @@ class DataSpaces:
         box_shape = tuple(int(h - l) for l, h in zip(lo, hi))
         box = np.full(box_shape, fill, dtype=dtype)
         regs = list(self._registry.get((name, version), []))
-        by_key = {
-            (reg.producer,
-             tuple(Bounds.from_selection(reg.selection).min),
-             tuple(Bounds.from_selection(reg.selection).max)): reg
-            for reg in regs
-        }
+        by_key = {(reg.producer, *reg.selection.bounds()): reg
+                  for reg in regs}
         fetched_elems = 0
         for key in sorted(hits):
             reg = by_key[key]
@@ -213,7 +209,7 @@ def dataspaces_server_main(dataspaces: DataSpaces, inters) -> None:
         if got < region.size:
             raise Defer()
         return [
-            (producer, tuple(b.min), tuple(b.max))
+            (producer, b.min, b.max)
             for b, producer in entries
             if b.intersects(qbb)
         ]

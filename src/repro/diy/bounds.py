@@ -2,31 +2,40 @@
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
+
+def _ints(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints (a 1-d sequence required)."""
+    try:
+        return tuple(map(int, values))
+    except TypeError:
+        raise ValueError(f"{name} must be a 1-d integer sequence") from None
 
 
 class Bounds:
     """An axis-aligned integer box ``[min, max)`` in N dimensions.
 
-    Empty boxes (any ``max <= min``) are normalized to zero extent so
-    ``size == 0`` and intersections behave.
+    ``min`` and ``max`` are tuples of Python ints. Empty boxes (any
+    ``max <= min``) are normalized to zero extent so ``size == 0`` and
+    intersections behave.
     """
 
     __slots__ = ("min", "max")
 
     def __init__(self, mins, maxs):
-        self.min = np.asarray(mins, dtype=np.int64).copy()
-        self.max = np.asarray(maxs, dtype=np.int64).copy()
-        if self.min.shape != self.max.shape or self.min.ndim != 1:
+        lo = _ints(mins, "min")
+        hi = _ints(maxs, "max")
+        if len(lo) != len(hi):
             raise ValueError("min/max must be 1-d and the same length")
-        collapsed = self.max < self.min
-        self.max[collapsed] = self.min[collapsed]
+        self.min = lo
+        self.max = tuple(map(max, lo, hi))
 
     @classmethod
     def from_shape(cls, shape) -> "Bounds":
         """The full box of a dataspace shape."""
-        shape = tuple(int(s) for s in shape)
-        return cls([0] * len(shape), list(shape))
+        shape = _ints(shape, "shape")
+        return cls((0,) * len(shape), shape)
 
     @classmethod
     def from_selection(cls, sel) -> "Bounds":
@@ -42,46 +51,42 @@ class Bounds:
     @property
     def shape(self) -> tuple[int, ...]:
         """Per-dimension extent of the box."""
-        return tuple(int(v) for v in (self.max - self.min))
+        return tuple(h - l for l, h in zip(self.min, self.max))
 
     @property
     def size(self) -> int:
         """Number of integer points inside the box."""
-        ext = self.max - self.min
-        return int(np.prod(np.maximum(ext, 0))) if self.ndim else 1
+        return math.prod(h - l for l, h in zip(self.min, self.max))
 
     @property
     def empty(self) -> bool:
         """True when the box contains no points."""
-        return self.size == 0
+        return any(h == l for l, h in zip(self.min, self.max))
 
     def intersect(self, other: "Bounds") -> "Bounds":
         """The overlapping box (possibly empty)."""
         self._check(other)
-        return Bounds(
-            np.maximum(self.min, other.min), np.minimum(self.max, other.max)
-        )
+        return Bounds(map(max, self.min, other.min),
+                      map(min, self.max, other.max))
 
     def intersects(self, other: "Bounds") -> bool:
         """True when the boxes overlap."""
         self._check(other)
-        return bool(
-            ((np.minimum(self.max, other.max)
-              - np.maximum(self.min, other.min)) > 0).all()
-        )
+        return all(max(a, b) < min(c, d) for a, b, c, d
+                   in zip(self.min, other.min, self.max, other.max))
 
     def contains_point(self, pt) -> bool:
         """True when ``pt`` lies inside the box."""
-        pt = np.asarray(pt, dtype=np.int64)
-        return bool(((pt >= self.min) & (pt < self.max)).all())
+        return all(l <= int(x) < h
+                   for l, x, h in zip(self.min, pt, self.max))
 
     def contains(self, other: "Bounds") -> bool:
         """True when ``other`` lies entirely inside this box."""
         self._check(other)
         if other.empty:
             return True
-        return bool((other.min >= self.min).all()
-                    and (other.max <= self.max).all())
+        return all(l <= ol and oh <= h for l, ol, oh, h
+                   in zip(self.min, other.min, other.max, self.max))
 
     def union_bound(self, other: "Bounds") -> "Bounds":
         """Smallest box covering both."""
@@ -90,34 +95,30 @@ class Bounds:
             return Bounds(other.min, other.max)
         if other.empty:
             return Bounds(self.min, self.max)
-        return Bounds(
-            np.minimum(self.min, other.min), np.maximum(self.max, other.max)
-        )
+        return Bounds(map(min, self.min, other.min),
+                      map(max, self.max, other.max))
 
     def to_selection(self, shape):
         """As a contiguous hyperslab over a dataspace of ``shape``."""
         from repro.h5.selection import HyperslabSelection, NoneSelection
 
         if self.empty:
-            return NoneSelection(tuple(shape))
-        return HyperslabSelection(
-            tuple(shape), tuple(self.min), tuple(self.max - self.min)
-        )
+            return NoneSelection(shape)
+        return HyperslabSelection(shape, self.min, self.shape)
 
     def _check(self, other: "Bounds") -> None:
-        if self.ndim != other.ndim:
+        if len(self.min) != len(other.min):
             raise ValueError(
                 f"dimension mismatch: {self.ndim} vs {other.ndim}"
             )
 
     def __eq__(self, other):
         if isinstance(other, Bounds):
-            return (self.min == other.min).all() and \
-                (self.max == other.max).all()
+            return self.min == other.min and self.max == other.max
         return NotImplemented
 
     def __hash__(self):
-        return hash((tuple(self.min), tuple(self.max)))
+        return hash((self.min, self.max))
 
     def __repr__(self):
         return f"Bounds(min={list(self.min)}, max={list(self.max)})"

@@ -8,6 +8,10 @@ id) is owned by producer process ``i``.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from repro.diy.bounds import Bounds
@@ -34,8 +38,7 @@ def balanced_factors(n: int, ndim: int) -> tuple[int, ...]:
         raise ValueError("n and ndim must be >= 1")
     factors = [1] * ndim
     for p in sorted(_prime_factors(n), reverse=True):
-        i = int(np.argmin(factors))
-        factors[i] *= p
+        factors[factors.index(min(factors))] *= p
     return tuple(sorted(factors, reverse=True))
 
 
@@ -44,7 +47,8 @@ class RegularDecomposer:
 
     Per dimension, extents divide as evenly as possible: with extent
     ``L`` over ``k`` slots, the first ``L % k`` slots get ``L//k + 1``
-    points. Block ids are row-major over the grid of slots.
+    points. Block ids are row-major over the grid of slots. Every
+    offset, coordinate and gid is a Python int.
 
     Both the producer and the consumer construct this object
     independently from ``(shape, nblocks)`` and agree on it without
@@ -67,24 +71,17 @@ class RegularDecomposer:
         self._offsets = []
         for extent, k in zip(self.shape, self.grid):
             base, rem = divmod(extent, k)
-            sizes = np.full(k, base, dtype=np.int64)
-            sizes[:rem] += 1
-            self._offsets.append(
-                np.concatenate([[0], np.cumsum(sizes)])
-            )
+            self._offsets.append(tuple(accumulate(
+                [base + 1] * rem + [base] * (k - rem), initial=0)))
 
     @staticmethod
     def _clamp_grid(grid, shape) -> tuple[int, ...]:
-        grid = list(grid)
-        for d, (g, s) in enumerate(zip(grid, shape)):
-            if g > s:
-                grid[d] = s
-        return tuple(grid)
+        return tuple(min(g, s) for g, s in zip(grid, shape))
 
     @property
     def ngrid_blocks(self) -> int:
         """Number of grid cells (= min(nblocks, prod(clamped grid)))."""
-        return int(np.prod(self.grid))
+        return math.prod(self.grid)
 
     # -- gid <-> grid coords -------------------------------------------------
 
@@ -92,22 +89,32 @@ class RegularDecomposer:
         """Grid coordinates of block ``gid``."""
         if not 0 <= gid < self.ngrid_blocks:
             raise IndexError(f"gid {gid} out of range")
-        return tuple(
-            int(c) for c in np.unravel_index(gid, self.grid)
-        )
+        gid = int(gid)
+        coords = []
+        for k in reversed(self.grid):
+            gid, c = divmod(gid, k)
+            coords.append(c)
+        return tuple(reversed(coords))
 
     def coords_to_gid(self, coords) -> int:
         """Row-major gid of grid ``coords``."""
-        return int(np.ravel_multi_index(tuple(coords), self.grid))
+        coords = tuple(coords)
+        if len(coords) != len(self.grid):
+            raise ValueError(f"need {len(self.grid)} grid coordinates")
+        gid = 0
+        for c, k in zip(coords, self.grid):
+            if not 0 <= c < k:
+                raise ValueError(f"grid coordinate {c} outside [0, {k})")
+            gid = gid * k + int(c)
+        return gid
 
     # -- geometry ----------------------------------------------------------------
 
     def block_bounds(self, gid: int) -> Bounds:
         """The box ``[min, max)`` of block ``gid``."""
         coords = self.gid_to_coords(gid)
-        mins = [int(self._offsets[d][c]) for d, c in enumerate(coords)]
-        maxs = [int(self._offsets[d][c + 1]) for d, c in enumerate(coords)]
-        return Bounds(mins, maxs)
+        return Bounds([offs[c] for offs, c in zip(self._offsets, coords)],
+                      [offs[c + 1] for offs, c in zip(self._offsets, coords)])
 
     def point_gid(self, pt) -> int:
         """gid of the block containing point ``pt``."""
@@ -116,7 +123,7 @@ class RegularDecomposer:
             offs = self._offsets[d]
             if not 0 <= x < offs[-1]:
                 raise IndexError(f"point coordinate {x} outside dim {d}")
-            coords.append(int(np.searchsorted(offs, x, side="right")) - 1)
+            coords.append(bisect_right(offs, x) - 1)
         return self.coords_to_gid(coords)
 
     def point_gids(self, coords) -> np.ndarray:
@@ -137,23 +144,26 @@ class RegularDecomposer:
         return np.ravel_multi_index(tuple(slot.T), self.grid)
 
     def blocks_intersecting(self, bounds: Bounds) -> list[int]:
-        """gids of all blocks overlapping ``bounds`` (vectorized per dim)."""
+        """gids of all blocks overlapping ``bounds``, ascending.
+
+        Closed form: per axis, the slots the box spans are one index
+        range (two bisections of the offsets, after clipping the box to
+        the domain); the gids are their row-major product, so the order
+        is that of :meth:`all_bounds`.
+        """
         if bounds.ndim != len(self.shape):
             raise ValueError("bounds dimensionality mismatch")
-        if bounds.empty:
-            return []
-        ranges = []
-        for d in range(len(self.shape)):
-            offs = self._offsets[d]
-            lo = int(np.clip(bounds.min[d], 0, self.shape[d] - 1))
-            hi = int(np.clip(bounds.max[d] - 1, 0, self.shape[d] - 1))
-            first = int(np.searchsorted(offs, lo, side="right")) - 1
-            last = int(np.searchsorted(offs, hi, side="right")) - 1
-            ranges.append(np.arange(first, last + 1))
-        grids = np.meshgrid(*ranges, indexing="ij")
-        return np.ravel_multi_index(
-            tuple(g.ravel() for g in grids), self.grid
-        ).tolist()
+        gids = [0]
+        for offs, k, lo, hi in zip(self._offsets, self.grid,
+                                   bounds.min, bounds.max):
+            lo = max(lo, 0)
+            hi = min(hi, offs[-1])
+            if lo >= hi:
+                return []
+            slots = range(bisect_right(offs, lo) - 1,
+                          bisect_right(offs, hi - 1))
+            gids = [g * k + c for g in gids for c in slots]
+        return gids
 
     def all_bounds(self) -> list[Bounds]:
         """Bounds of every block, ordered by gid."""

@@ -261,17 +261,20 @@ class RPCServer:
         return tuple((inter.comm_id, ANY_SOURCE, tag)
                      for inter in self._inters for tag in tags)
 
-    def _take(self, msg) -> None:
-        """Receive and dispatch ``msg``, the best queued message over
-        every lane (so also the best of its own lane)."""
+    def _take(self, proc, msg) -> None:
+        """Receive and dispatch ``msg``: the best queued message over
+        every lane (so also the best of its own lane), which the
+        scheduler lets this rank commit now. It is taken as it is, not
+        matched again; its causal record keeps the ``(ANY_SOURCE,
+        tag)`` spec of the lane it came in on."""
         inter = next(i for i in self._inters if i.comm_id == msg.comm_id)
-        payload, status = inter._try_recv(ANY_SOURCE, msg.tag)
+        inter._take_match(proc, msg, ANY_SOURCE, msg.tag, proc.clock)
         if msg.tag == TAG_REQUEST:
-            self._handle_request(inter, payload, status.source)
+            self._handle_request(inter, msg.payload, msg.src)
         elif msg.tag == TAG_CTRL:
-            self._handle_ctrl(inter, payload, status.source)
+            self._handle_ctrl(inter, msg.payload, msg.src)
         else:
-            self._lane_handlers[msg.tag](inter, payload, status.source)
+            self._lane_handlers[msg.tag](inter, msg.payload, msg.src)
         # New traffic may unblock previously deferred requests (e.g. a
         # registration arriving completes coverage).
         if self._pending:
@@ -292,10 +295,13 @@ class RPCServer:
         if not self._inters:
             return False
         engine = self._inters[0].engine
-        msg = engine.current_proc().best_match(self._lanes())
+        proc = engine.current_proc()
+        msg = proc.best_match(self._lanes())
         if msg is None or not engine.is_next(msg.arrival):
             return False
-        self._take(msg)
+        if engine.faults is not None:
+            engine.maybe_crash()
+        self._take(proc, msg)
         return True
 
     def _replay_pending(self) -> None:
@@ -349,12 +355,11 @@ class RPCServer:
             # this rank the baton for its best queued message or, when
             # every other rank's next action lies past it, to give up.
             deadline = proc.clock + timeout
-            engine.park(proc, desc, deadline)
-            msg = proc.best_match(lanes)
+            msg = engine.park(proc, desc, deadline)
             if msg is None or msg.arrival > deadline:
                 proc.clock = deadline
                 raise RPCTimeout(
                     f"serve loop starved for {timeout:.0f}s virtual "
                     f"time waiting for {what}"
                 )
-            self._take(msg)
+            self._take(proc, msg)

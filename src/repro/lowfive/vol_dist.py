@@ -210,7 +210,7 @@ class DistMetadataVOL(MetadataVOL):
                 ntests += max(1, len(gids))
                 for gid in gids:
                     outgoing[gid].append(
-                        (node.path, tuple(bb.min), tuple(bb.max))
+                        (node.path, bb.min, bb.max)
                     )
         comm.compute(self.costs.per_box_test * ntests)
         # Synchronization skew of the collective index + close epoch.
@@ -404,7 +404,7 @@ class DistMetadataVOL(MetadataVOL):
         for gid in gids:
             owners.update(
                 client.call(gid, "intersects", fstate.fname, path,
-                            tuple(qbb.min), tuple(qbb.max))
+                            qbb.min, qbb.max)
             )
         # Step 2: request and receive the data, assemble locally.
         return self._assemble_remote(dtoken, selection, sorted(owners))

@@ -185,15 +185,17 @@ class Comm:
             return tuple(self._sender_members())
         return (self._src_world(source),)
 
-    def _take_match(self, proc, source: int, tag: int, t_start: float):
-        """Pop the best queued match for ``(source, tag)``, advance the
-        clock, charge the wait/transfer split to the rank's ledger,
-        complete the message's causal record and tally the receive
-        (together, so a crash after the receive leaves both agreeing).
+    def _take_match(self, proc, msg: Message, source: int, tag: int,
+                    t_start: float) -> Message:
+        """Dequeue ``msg`` -- the best queued match for ``(source,
+        tag)``, as the caller just found it -- advance the clock, charge
+        the wait/transfer split to the rank's ledger, complete the
+        message's causal record and tally the receive (together, so a
+        crash after the receive leaves both agreeing).
 
         Matching is an indexed bucket-head lookup (see
         :class:`~repro.simmpi.mailbox.CommMailbox`); non-matching queued
-        messages are never touched. The popped message is never an
+        messages are never touched. The taken message is never an
         injected twin: a twin arrives no earlier than its original, gets
         a later seq and shares its ``(src, tag)`` bucket, so it sorts
         after it, and taking the original records its seq in
@@ -208,8 +210,7 @@ class Comm:
         (wire time). Fault plans may rewrite ``arrival``, so both
         pieces are clamped to be non-negative.
         """
-        msg = proc.mailbox[self.comm_id].pop_match(source, tag,
-                                                   proc.consumed)
+        proc.mailbox[self.comm_id].take(msg)
         if msg.has_dup:
             proc.consumed.add(msg.seq)
         arrival = msg.arrival
@@ -254,9 +255,9 @@ class Comm:
         if engine.faults is not None:
             engine.maybe_crash()
         t_start = proc.clock
-        engine.park(proc, self._descs.get(("recv", source, tag))
-                    or self._wait_desc("recv", source, tag))
-        msg = self._take_match(proc, source, tag, t_start)
+        msg = engine.park(proc, self._descs.get(("recv", source, tag))
+                          or self._wait_desc("recv", source, tag))
+        self._take_match(proc, msg, source, tag, t_start)
         if engine.faults is not None:
             engine.maybe_crash()
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
@@ -271,10 +272,10 @@ class Comm:
         proc = engine.current_proc()
         if engine.faults is not None:
             engine.maybe_crash()
-        head = self._peek(proc, source, tag)
-        if head is None or not engine.is_next(head.arrival):
+        msg = self._peek(proc, source, tag)
+        if msg is None or not engine.is_next(msg.arrival):
             return None
-        msg = self._take_match(proc, source, tag, proc.clock)
+        self._take_match(proc, msg, source, tag, proc.clock)
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
@@ -292,10 +293,11 @@ class Comm:
         """
         proc = self.engine.current_proc()
         if block:
-            self.engine.park(proc, self._wait_desc("probe", source, tag))
-        m = self._peek(proc, source, tag)
-        if m is None or not (block or self.engine.is_next(m.arrival)):
-            return None
+            m = self.engine.park(proc, self._wait_desc("probe", source, tag))
+        else:
+            m = self._peek(proc, source, tag)
+            if m is None or not self.engine.is_next(m.arrival):
+                return None
         return Status(m.src, m.tag, m.nbytes)
 
     # -- collectives -----------------------------------------------------------

@@ -143,6 +143,12 @@ class CommMailbox:
         self._count -= 1
         return msg
 
+    def take(self, msg: Message) -> None:
+        """Dequeue ``msg``, the live head of its bucket as
+        :meth:`peek_match` just returned it (nothing ran in between)."""
+        heapq.heappop(self._buckets[msg.src, msg.tag])
+        self._count -= 1
+
     def peek_match(self, source: int, tag: int, consumed) -> Message | None:
         """Best queued match without consuming it (probe)."""
         key = self._best_key(source, tag, consumed)

@@ -127,13 +127,12 @@ class StreamProducer:
         self.window.release(inter._src_world(source), upto)
         self._retire()
 
-    def _done_worlds(self) -> set:
-        """Consumer world ranks that already signalled end-of-stream."""
-        worlds: set[int] = set()
-        for i in self.inters:
-            for s in self.server._done.get(id(i), ()):
-                worlds.add(i._src_world(s))
-        return worlds
+    def _done_worlds(self):
+        """Consumer world ranks that already signalled end-of-stream
+        (``()`` while none has)."""
+        done = self.server._done
+        return {i._src_world(s) for i in self.inters
+                for s in done.get(id(i), ())} or ()
 
     def _window_ok(self) -> bool:
         return (self.window.depth(self._done_worlds())

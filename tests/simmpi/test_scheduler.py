@@ -193,18 +193,19 @@ class TestDuplicateTwinsNeverMatch:
 
     @pytest.fixture
     def popped(self, monkeypatch):
-        """``(source, tag, message)`` of every ``pop_match``."""
-        from repro.simmpi.mailbox import CommMailbox
+        """``(source, tag, message)`` of every receive: ``recv``,
+        ``_try_recv`` and serve loops all dequeue through
+        ``Comm._take_match``."""
+        from repro.simmpi.comm import Comm
 
         out = []
-        real = CommMailbox.pop_match
+        real = Comm._take_match
 
-        def spy(self, source, tag, consumed):
-            msg = real(self, source, tag, consumed)
+        def spy(self, proc, msg, source, tag, t_start):
             out.append((source, tag, msg))
-            return msg
+            return real(self, proc, msg, source, tag, t_start)
 
-        monkeypatch.setattr(CommMailbox, "pop_match", spy)
+        monkeypatch.setattr(Comm, "_take_match", spy)
         return out
 
     @staticmethod
