@@ -4,11 +4,17 @@ LowFive depends on the DIY block-parallel model "to perform efficient
 data redistribution" (paper Fig. 2). The parts it actually uses are
 implemented here:
 
-- :class:`~repro.diy.bounds.Bounds` -- integer bounding boxes,
+- :class:`~repro.diy.bounds.Bounds` -- integer bounding boxes whose
+  ``min``/``max`` are tuples of Python ints,
 - :class:`~repro.diy.decomposer.RegularDecomposer` -- the *common
   decomposition*: factor ``n`` processes into ``d`` near-equal factors
   and cut the domain into an ``n1 x ... x nd`` grid of blocks
   (paper Sec. III-B, Fig. 4), with block ``gid`` owned by rank ``gid``.
+  Its ``blocks_intersecting`` is closed form (per axis, two bisections
+  of the int slot offsets; the gids are the row-major product of those
+  slot ranges) and returns gids ascending, the order of ``all_bounds()``.
+  Callers rely on that order: the query sends its ``intersects`` RPCs in
+  it.
 """
 
 from repro.diy.bounds import Bounds

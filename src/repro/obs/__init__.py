@@ -37,8 +37,8 @@ Instrumentation points reach the context through their communicator::
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from collections.abc import Iterable
+from contextlib import AbstractContextManager, nullcontext
 from typing import Any, cast
 
 from repro.obs.causal import (
@@ -160,23 +160,16 @@ class ObsContext:
 
     # -- span production ---------------------------------------------------
 
-    @contextmanager
     def span(self, comm: Any, name: str, cat: str = "",
-             **labels: object) -> Iterator[Any]:
+             **labels: object) -> AbstractContextManager[Any]:
         """Measure a region of ``comm``'s calling rank in virtual time.
 
-        Yields the open-span handle. No-op when ``comm`` is None (code
-        running outside a simulated machine).
+        Entering yields the open-span handle. No-op when ``comm`` is
+        None (code running outside a simulated machine).
         """
         if comm is None:
-            yield None
-            return
-        handle = self.spans.begin(comm.world_rank(comm.rank), name, cat,
-                                  comm.vtime, labels)
-        try:
-            yield handle
-        finally:
-            self.spans.end(handle, comm.vtime)
+            return nullcontext()
+        return _Scope(self.spans, comm, name, cat, labels)
 
     # -- export ------------------------------------------------------------
 
@@ -187,6 +180,31 @@ class ObsContext:
     def write_chrome_trace(self, path: str) -> dict[str, object]:
         """Export the trace as JSON at ``path``."""
         return write_chrome_trace(path, self)
+
+
+class _Scope:
+    """One ``with obs.span(...)``: the span opens on entry and closes
+    on exit, at the rank's virtual clock of each. Internal."""
+
+    __slots__ = ("_spans", "_comm", "_name", "_cat", "_labels", "_handle")
+
+    def __init__(self, spans: SpanRecorder, comm: Any, name: str, cat: str,
+                 labels: dict[str, object]) -> None:
+        self._spans = spans
+        self._comm = comm
+        self._name = name
+        self._cat = cat
+        self._labels = labels
+
+    def __enter__(self) -> Any:
+        comm = self._comm
+        self._handle = self._spans.begin(comm.world_rank(comm.rank),
+                                         self._name, self._cat, comm.vtime,
+                                         self._labels)
+        return self._handle
+
+    def __exit__(self, *exc: object) -> None:
+        self._spans.end(self._handle, self._comm.vtime)
 
 
 # Subclasses ObsContext, so it can only be imported once that exists.

@@ -50,6 +50,8 @@ def payload_nbytes(obj) -> int:
         return n
     if obj is None:
         return 0
+    if cls is str:
+        return len(obj.encode("utf-8", "replace"))
     nb = getattr(obj, "nbytes", None)
     if nb is not None and isinstance(nb, (int, np.integer)):
         return int(nb)
