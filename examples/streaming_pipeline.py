@@ -27,6 +27,7 @@ from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL, StreamConfig
 from repro.lowfive.config import CostConfig
 from repro.pfs import PFSStore
+from repro.stream import max_depth
 from repro.workflow import Workflow
 
 GRID = (64, 48)
@@ -72,6 +73,11 @@ def build(level=0):
     return wf
 
 
+def build_workflow():
+    """The level-0 pipeline, for ``python -m repro.tools run --example``."""
+    return build()
+
+
 def main():
     # -- 1. a lagging consumer hits the backpressure gate ------------------
     plan = FaultPlan(7, slowdowns=(ComputeSlowRule(2, 6.0),))
@@ -88,7 +94,7 @@ def main():
     print(f"producer spent {bp * 1e3:.1f} ms gated on backpressure, "
           f"caused by lagging consumer rank(s) {sorted(causes)}")
 
-    depth = res.obs.stream.max_depth("sim")
+    depth = max_depth(res.obs, "sim")
     print(f"live-epoch window stayed bounded: max depth {depth} "
           f"<= max_lag {MAX_LAG}")
 

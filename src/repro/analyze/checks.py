@@ -75,23 +75,33 @@ def check_leaks(obs: Any) -> list[Finding]:
 def check_stream_leaks(obs: Any) -> list[Finding]:
     """Report stream epochs acquired but never released.
 
-    Reads the :class:`~repro.obs.streamstat.StreamLedger`: an epoch a
-    consumer rank acquired whose id exceeds that rank's cumulative
-    release high-water mark is retained forever -- the producer keeps
-    it live (and its memory pinned) for the rest of the stream.
-    Typically a consumer that called ``Epoch.retain()`` and exited
-    without the matching ``release()``.
+    Reads the ``stream``-category span instants: an epoch a consumer
+    rank acquired whose id exceeds that rank's cumulative release
+    high-water mark (a release of epoch ``e`` covers every epoch
+    ``<= e``) is retained forever -- the producer keeps it live (and
+    its memory pinned) for the rest of the stream. Typically a
+    consumer that called ``Epoch.retain()`` and exited without the
+    matching ``release()``.
     """
-    ledger = getattr(obs, "stream", None)
-    if ledger is None:
+    spans = getattr(obs, "spans", None)
+    if spans is None:
         return []
-    findings: list[Finding] = []
-    for stream, epoch, rank in ledger.open_acquisitions():
-        findings.append(Finding(
-            EPOCH_LEAK, rank,
-            f"stream {stream!r} epoch {epoch} was acquired by rank "
-            f"{rank} and never released (the producer retains it for "
-            "the rest of the stream)",
-            {"stream": stream, "epoch": epoch, "rank": rank},
-        ))
-    return findings
+    hwm: dict[tuple[str, int], int] = {}
+    acq: dict[tuple[str, int], set[int]] = {}
+    for i in spans.instants(cat="stream"):
+        key = (i.labels["stream"], i.rank)
+        if i.name == "stream.acquire":
+            acq.setdefault(key, set()).add(i.labels["epoch"])
+        elif i.name == "stream.release":
+            hwm[key] = max(hwm.get(key, -1), i.labels["epoch"])
+    leaks = sorted((stream, epoch, rank)
+                   for (stream, rank), epochs in acq.items()
+                   for epoch in epochs
+                   if epoch > hwm.get((stream, rank), -1))
+    return [Finding(
+        EPOCH_LEAK, rank,
+        f"stream {stream!r} epoch {epoch} was acquired by rank "
+        f"{rank} and never released (the producer retains it for "
+        "the rest of the stream)",
+        {"stream": stream, "epoch": epoch, "rank": rank},
+    ) for stream, epoch, rank in leaks]

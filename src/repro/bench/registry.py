@@ -28,6 +28,7 @@ from repro.bench.drivers import (
 from repro.obs.ledger import EXACT_FIELDS
 from repro.obs.noop import NullObsContext
 from repro.simmpi import Engine
+from repro.stream import max_depth
 from repro.synth import SyntheticWorkload
 
 ELEMS = 60_000          # elements per producer rank, Fig. 5/7 rows
@@ -91,7 +92,7 @@ def _stream(P, level=None):
         return _row(f"stream/direct/P{P}", P, res, digest=stream_digest(res))
     return _row(f"stream/level{level}/P{P}", P, res, reduction_level=level,
                 digest=stream_digest(res),
-                max_depth=res.obs.stream.max_depth())
+                max_depth=max_depth(res.obs))
 
 
 def _rate_mismatch():
@@ -101,7 +102,7 @@ def _rate_mismatch():
     bp = [w for w in res.causal_report().waits
           if w.category == "backpressure"]
     return _row("stream/rate_mismatch/P4", 4, res,
-                max_depth=res.obs.stream.max_depth("sim"), max_lag=MAX_LAG,
+                max_depth=max_depth(res.obs, "sim"), max_lag=MAX_LAG,
                 backpressure_seconds=sum(w.seconds for w in bp),
                 backpressure_cause_ranks=sorted({w.cause_rank for w in bp}))
 

@@ -51,7 +51,7 @@ from repro.h5.selection import (
     select_all,
 )
 from repro.h5.dataspace import Dataspace, UNLIMITED
-from repro.h5.plist import FileAccessProps, DatasetCreateProps, TransferProps
+from repro.h5.plist import DatasetCreateProps, TransferProps
 from repro.h5.vol import VOLBase
 from repro.h5.native import NativeVOL
 from repro.h5.api import File, Group, Dataset, Attribute
@@ -85,7 +85,6 @@ __all__ = [
     "select_all",
     "Dataspace",
     "UNLIMITED",
-    "FileAccessProps",
     "DatasetCreateProps",
     "TransferProps",
     "VOLBase",

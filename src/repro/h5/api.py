@@ -115,7 +115,6 @@ class _Container:
         if chunks is not None:
             dcpl = DatasetCreateProps(
                 fill_value=dcpl.fill_value if dcpl else None,
-                track_order=dcpl.track_order if dcpl else False,
                 chunks=tuple(chunks),
             )
         if data is not None:
@@ -208,15 +207,15 @@ class File(_Container):
     """
 
     def __init__(self, name: str, mode: str = "r", comm=None,
-                 vol: VOLBase | None = None, fapl=None):
+                 vol: VOLBase | None = None):
         if vol is None:
             from repro.h5.native import NativeVOL
 
             vol = NativeVOL()
         if mode in ("w", "x"):
-            token = vol.file_create(name, mode, fapl, comm)
+            token = vol.file_create(name, mode, comm)
         elif mode in ("r", "a"):
-            token = vol.file_open(name, mode, fapl, comm)
+            token = vol.file_open(name, mode, comm)
         else:
             raise H5Error(f"unknown file mode {mode!r}")
         super().__init__(vol, token, name)

@@ -102,9 +102,9 @@ class Dataspace:
                     and all(isinstance(v, int) for v in obj[0])
                     and isinstance(obj[1], tuple)):
                 return cls(obj[0], obj[1])
-            return cls(obj)  # legacy: plain shape tuple
         except (SyntaxError, ValueError, TypeError) as exc:
             raise H5Error(f"corrupt file: dataspace {blob!r}") from exc
+        raise H5Error(f"corrupt file: dataspace {blob!r}")
 
     # -- value semantics --------------------------------------------------------
 

@@ -248,7 +248,7 @@ def _decode_attrs(r: Reader, node: Node):
             attr.write(val.reshape(space.shape))
 
 
-def _encode_node(w: Writer, node: Node, data: Writer):
+def _encode_node(w: Writer, node: Node, data: Writer | None):
     if isinstance(node, DatasetNode):
         w.u8(_KIND_DATASET)
         w.text(node.name)
@@ -260,6 +260,10 @@ def _encode_node(w: Writer, node: Node, data: Writer):
             w.blob(
                 np.asarray(node.fill_value, dtype=node.dtype.np).tobytes()
             )
+        if data is None:  # metadata only: no chunk layout, no pieces
+            w.u8(0)
+            w.u32(0)
+            return
         if node.chunks is None:
             w.u8(0)
         else:
@@ -281,7 +285,7 @@ def _encode_node(w: Writer, node: Node, data: Writer):
         raise H5Error(f"cannot encode node {type(node).__name__}")
 
 
-def _encode_group(w: Writer, group: GroupNode, data: Writer):
+def _encode_group(w: Writer, group: GroupNode, data: Writer | None):
     _encode_attrs(w, group)
     w.u32(len(group.children))
     for name in sorted(group.children):
@@ -381,6 +385,16 @@ def encode_chunks(root: FileNode) -> list:
 def encode_file(root: FileNode) -> bytes:
     """Serialize a file tree to one immutable image."""
     return b"".join(encode_chunks(root))
+
+
+def encode_skeleton(root: FileNode) -> bytes:
+    """The image of ``root``'s metadata alone -- groups, datasets and
+    attributes, with no pieces and no chunk layout -- as LowFive serves
+    it to a consumer opening the file."""
+    meta = Writer()
+    _encode_group(meta, root, None)
+    return b"".join([HEADER.pack(MAGIC, VERSION, HEADER.size, meta.nbytes),
+                     *meta.chunks])
 
 
 def decode_file(src, name: str = "") -> FileNode:

@@ -112,7 +112,7 @@ class NativeVOL(VOLBase):
 
     # -- files -----------------------------------------------------------------
 
-    def file_create(self, fname, mode, fapl, comm):
+    def file_create(self, fname, mode, comm):
         if mode not in ("w", "x"):
             raise ModeError(f"file_create mode must be w/x, got {mode!r}")
         nprocs = self._nprocs(comm)
@@ -127,7 +127,7 @@ class NativeVOL(VOLBase):
             self._charge(comm, self.lustre.open_time(nprocs))
         return _Token(state, state.root)
 
-    def file_open(self, fname, mode, fapl, comm):
+    def file_open(self, fname, mode, comm):
         if mode not in ("r", "a"):
             raise ModeError(f"file_open mode must be r/a, got {mode!r}")
         nprocs = self._nprocs(comm)

@@ -1,26 +1,12 @@
-"""Property lists: knobs passed to create/open/transfer calls.
+"""Property lists: knobs passed to dataset-create and transfer calls.
 
-These mirror HDF5's fapl/dcpl/dxpl property lists at the granularity our
+These mirror HDF5's dcpl/dxpl property lists at the granularity our
 transports need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass
-class FileAccessProps:
-    """File-access properties (HDF5 ``fapl``).
-
-    Attributes
-    ----------
-    collective_metadata:
-        Whether metadata operations (create/open/close) are collective
-        over the file's communicator.
-    """
-
-    collective_metadata: bool = True
 
 
 @dataclass
@@ -34,7 +20,6 @@ class DatasetCreateProps:
     """
 
     fill_value: object | None = None
-    track_order: bool = False
     chunks: tuple | None = None
 
 
@@ -54,6 +39,5 @@ class TransferProps:
 
 
 #: Defaults used when a call does not pass an explicit property list.
-DEFAULT_FAPL = FileAccessProps()
 DEFAULT_DCPL = DatasetCreateProps()
 DEFAULT_DXPL = TransferProps()

@@ -31,11 +31,11 @@ class VOLBase(ABC):
     # -- files ------------------------------------------------------------
 
     @abstractmethod
-    def file_create(self, fname, mode, fapl, comm):
+    def file_create(self, fname, mode, comm):
         """Create (``mode`` in ``{"w", "x"}``) a file; return a token."""
 
     @abstractmethod
-    def file_open(self, fname, mode, fapl, comm):
+    def file_open(self, fname, mode, comm):
         """Open an existing file (``mode`` in ``{"r", "a"}``)."""
 
     @abstractmethod

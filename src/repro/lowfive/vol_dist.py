@@ -29,7 +29,7 @@ import numpy as np
 from repro.diy import Bounds, RegularDecomposer
 from repro.h5 import format as h5format
 from repro.h5.errors import NotFoundError
-from repro.h5.objects import DatasetNode, FileNode, GroupNode, OWN_SHALLOW
+from repro.h5.objects import DatasetNode, FileNode, OWN_SHALLOW
 from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
 from repro.obs import span as obs_span
 from repro.lowfive.rpc import (
@@ -50,34 +50,6 @@ class IndexedBox:
 
     bounds: Bounds
     owner: int  # producer rank holding the actual data
-
-
-def _skeleton_bytes(root: FileNode) -> bytes:
-    """Serialize the metadata hierarchy without any data payloads."""
-    copy = FileNode(root.name)
-
-    def clone(src, dst_parent):
-        for name in sorted(src.children):
-            child = src.children[name]
-            if isinstance(child, DatasetNode):
-                node = DatasetNode(name, child.dtype, child.space,
-                                   fill_value=child.fill_value)
-                dst_parent.add_child(node)
-            else:
-                node = dst_parent.add_child(GroupNode(name))
-                clone(child, node)
-            for aname, attr in child.attributes.items():
-                a = node.create_attribute(aname, attr.dtype, attr.space)
-                if attr.value is not None:
-                    a.write(attr.value)
-        return dst_parent
-
-    for aname, attr in root.attributes.items():
-        a = copy.create_attribute(aname, attr.dtype, attr.space)
-        if attr.value is not None:
-            a.write(attr.value)
-    clone(root, copy)
-    return h5format.encode_file(copy)
 
 
 class _RankState:
@@ -289,7 +261,7 @@ class DistMetadataVOL(MetadataVOL):
 
         def metadata(source, fname):
             root = _require_served(fname)
-            blob = _skeleton_bytes(root)
+            blob = h5format.encode_skeleton(root)
             comm.charge_memcpy(len(blob))
             return blob
 
@@ -411,7 +383,7 @@ class DistMetadataVOL(MetadataVOL):
 
     # -- VOL overrides ---------------------------------------------------------------------
 
-    def file_open(self, fname, mode, fapl, comm):
+    def file_open(self, fname, mode, comm):
         inters = self._matches("consumer", fname)
         intercepted = self.config.file_intercepted(fname)
         if inters and intercepted and self.get_tree(comm, fname) is None:
@@ -422,7 +394,7 @@ class DistMetadataVOL(MetadataVOL):
             # File mode: wait until the producer announces the physical
             # file is complete, then read it from storage.
             self._wait_file_ready(fname, inters[0], comm)
-        return super().file_open(fname, mode, fapl, comm)
+        return super().file_open(fname, mode, comm)
 
     def file_close(self, ftoken):
         fstate = ftoken.fstate

@@ -142,7 +142,7 @@ class MetadataVOL(VOLBase):
 
     # -- files ----------------------------------------------------------------------
 
-    def file_create(self, fname, mode, fapl, comm):
+    def file_create(self, fname, mode, comm):
         intercepted = self.config.file_intercepted(fname)
         passthru = self.config.file_passthru(fname) or not intercepted
         root = None
@@ -151,14 +151,12 @@ class MetadataVOL(VOLBase):
             self._trees[self._tree_key(comm, fname)] = root
         under_token = None
         if passthru:
-            under_token = self._require_under().file_create(
-                fname, mode, fapl, comm
-            )
+            under_token = self._require_under().file_create(fname, mode, comm)
         self._charge_op(comm)
         fstate = LFFile(fname, comm, mode, root, under_token)
         return LFToken(fstate, root, under_token)
 
-    def file_open(self, fname, mode, fapl, comm):
+    def file_open(self, fname, mode, comm):
         intercepted = self.config.file_intercepted(fname)
         if intercepted:
             root = self.get_tree(comm, fname)
@@ -168,7 +166,7 @@ class MetadataVOL(VOLBase):
                 return LFToken(fstate, root, None)
             # Intercepted but nothing in memory on this rank: fall back
             # to storage when possible (e.g. reading a checkpoint).
-        under_token = self._require_under().file_open(fname, mode, fapl, comm)
+        under_token = self._require_under().file_open(fname, mode, comm)
         self._charge_op(comm)
         fstate = LFFile(fname, comm, mode, None, under_token)
         return LFToken(fstate, None, under_token)

@@ -15,7 +15,12 @@ while keeping the full hierarchical data model:
 - **staging task** (:func:`staging_main`): holds the staged trees and
   answers consumer queries; a file becomes visible once, for every
   producer rank, its data bundle has been applied *and* its completion
-  marker has arrived (queries arriving earlier are deferred).
+  marker has arrived (queries arriving earlier are deferred). For a
+  stream, each stream's staged epochs sit in one
+  :class:`~repro.stream.state.EpochWindow` whose release quorum is every
+  consumer rank; an epoch every consumer released is dropped (and a
+  ``stream.drop`` instant recorded), so the stagers hold a bounded
+  window of live epochs.
 - **consumer** (:meth:`set_staged_consumer`): opens files against the
   staging task and reads with single-hop queries -- the staging
   placement is deterministic, so no redirect step is needed.
@@ -37,11 +42,11 @@ from repro.obs import span as obs_span
 from repro.lowfive.vol_dist import (
     DistMetadataVOL,
     _read_reply,
-    _skeleton_bytes,
     apply_bundle,
     split_bundles,
 )
 from repro.lowfive.vol_metadata import MetadataVOL
+from repro.stream.state import EpochWindow
 
 
 class StagedMetadataVOL(DistMetadataVOL):
@@ -82,7 +87,7 @@ class StagedMetadataVOL(DistMetadataVOL):
                       file=fname):
             nstage = inter.remote_size
             if comm is None or comm.rank == 0:
-                blob = _skeleton_bytes(root)
+                blob = h5format.encode_skeleton(root)
                 for srank in range(nstage):
                     inter.send(("skeleton", fname, blob), srank,
                                self.TAG_STAGE)
@@ -110,12 +115,12 @@ class StagedMetadataVOL(DistMetadataVOL):
 
     # -- VOL overrides -----------------------------------------------------------------
 
-    def file_open(self, fname, mode, fapl, comm):
+    def file_open(self, fname, mode, comm):
         inters = self._matches("staged_consumer", fname)
         if inters and self.config.file_intercepted(fname) \
                 and self.get_tree(comm, fname) is None:
             return self._open_remote(fname, comm, inters[0], staged=True)
-        return super().file_open(fname, mode, fapl, comm)
+        return super().file_open(fname, mode, comm)
 
     def file_close(self, ftoken):
         fname = ftoken.fstate.fname
@@ -195,31 +200,31 @@ def staging_main(inters, costs=None, timeout: float = 60.0) -> dict:
     # Epoch-aware retention: streaming consumers release epochs with
     # cumulative high-water marks (``__release__(stream, upto, world)``,
     # ``world`` disambiguating ranks across multiple consumer inters).
-    # Once every consumer rank has released epoch ``e`` of a stream,
-    # its staged tree is dropped -- the stagers hold a bounded window
-    # of live epochs instead of the whole history.
-    released: dict[str, dict[int, int]] = {}
-    dropped: dict[str, int] = {}  # stream -> first epoch not yet dropped
-    ncons = sum(i.remote_size for i in inters[1:])
+    # Each stream keeps one EpochWindow whose quorum is every consumer
+    # rank: once all of them released epoch ``e``, its staged tree is
+    # dropped -- the stagers hold a bounded window of live epochs
+    # instead of the whole history.
+    consumers = [w for i in inters[1:] for w in i.remote_members]
+    windows: dict[str, EpochWindow] = {}
     my_world = inters[0].world_rank(inters[0].rank)
     obs = inters[0].engine.obs
 
     def release(source, stream, upto, world):
-        hw = released.setdefault(stream, {})
-        hw[world] = max(hw.get(world, -1), upto)
-        if ncons == 0 or len(hw) < ncons:
-            return
-        floor = min(hw.values())
-        e = dropped.get(stream, 0)
-        while e <= floor:
+        window = windows.get(stream)
+        if window is None:
+            window = windows[stream] = EpochWindow(consumers)
+        window.release(world, upto)
+        if window.floor() < 0:
+            return  # some consumer rank has released nothing yet
+        for e in window.retire_ready():
             fname = f"{stream}@{e}"
             if fname in skeletons:
                 skeletons.pop(fname, None)
                 trees.pop(fname, None)
                 complete.pop(fname, None)
-                obs.stream.drop(stream, e, my_world, inters[0].vtime)
-            e += 1
-        dropped[stream] = e
+                obs.spans.instant("stream.drop", "stream", my_world,
+                                  inters[0].vtime,
+                                  {"stream": stream, "epoch": e})
         live = sum(1 for f in skeletons if f.startswith(stream + "@"))
         obs.series.record("stream.staged_live", inters[0].vtime, live,
                           rank=my_world, stream=stream)

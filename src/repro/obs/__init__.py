@@ -7,7 +7,8 @@ phases, PFS I/O, workflow tasks -- behind a single API:
 
 - :mod:`repro.obs.metrics` -- counters keyed by ``(name, labels)``;
 - :mod:`repro.obs.spans` -- virtual-clock span tracing with
-  parent/child links;
+  parent/child links, plus point instants (injected faults, stream
+  epoch lifecycle);
 - :mod:`repro.obs.causal` -- message flow edges, collective straggler
   records, per-rank compute/transfer/wait ledgers and the wait-state
   classifier with its conservation check;
@@ -25,7 +26,10 @@ phases, PFS I/O, workflow tasks -- behind a single API:
 
 Each fact of a run lives in exactly one recorder, and readers query
 that recorder in place (``obs.metrics.to_dict()``,
-``obs.series.digests()``, ``obs.stream.events()``, ...).
+``obs.series.digests()``, ``obs.spans.instants(cat="stream")``, ...).
+Stream lifecycle events (publish, acquire, release, drop) are
+``stream``-category span instants, so they reach the exported trace
+beside the spans they gate.
 
 Instrumentation points reach the context through their communicator::
 
@@ -73,7 +77,6 @@ from repro.obs.ledger import (
 )
 from repro.obs.series import SeriesRecorder, SeriesValue
 from repro.obs.spans import InstantEvent, SpanEvent, SpanRecorder
-from repro.obs.streamstat import StreamEvent, StreamLedger
 
 __all__ = [
     "ObsContext",
@@ -83,8 +86,6 @@ __all__ = [
     "SpanRecorder",
     "SpanEvent",
     "InstantEvent",
-    "StreamLedger",
-    "StreamEvent",
     "CausalRecorder",
     "FlowEdge",
     "CollectiveRecord",
@@ -124,8 +125,6 @@ class ObsContext:
         self.spans = SpanRecorder()
         #: Flow edges, collective records and per-rank time ledgers.
         self.causal = CausalRecorder()
-        #: Epoch-lifecycle events of streaming pipelines.
-        self.stream = StreamLedger()
         #: Bounded virtual-time series (queue depths, bytes, attempts).
         self.series = SeriesRecorder()
         self._rank_tasks: dict[int, str] = {}

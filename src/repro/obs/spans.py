@@ -10,15 +10,19 @@ phase.
 Producers use either the context-manager form (via
 :meth:`repro.obs.ObsContext.span`) or the explicit
 :meth:`SpanRecorder.begin` / :meth:`SpanRecorder.end` pair when the
-start clock is known before any waiting happens.
+start clock is known before any waiting happens. Point events --
+injected faults, a stream epoch's publish/acquire/release/drop -- are
+:class:`InstantEvent` records beside the spans, queried and exported
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpanEvent:
     """One completed span.
 
@@ -52,7 +56,7 @@ class SpanEvent:
         return self.t1 - self.t0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InstantEvent:
     """One point-in-time event (no duration)."""
 
@@ -61,6 +65,25 @@ class InstantEvent:
     rank: int
     t: float
     labels: dict[str, object] = field(default_factory=dict)
+
+
+_Event = TypeVar("_Event", SpanEvent, InstantEvent)
+
+
+def _select(events: list[_Event], cat: str | None, name: str | None,
+            rank: int | None,
+            label_filter: dict[str, object]) -> list[_Event]:
+    """The ``events`` matching every given field and label."""
+    out = list(events)
+    if cat is not None:
+        out = [e for e in out if e.cat == cat]
+    if name is not None:
+        out = [e for e in out if e.name == name]
+    if rank is not None:
+        out = [e for e in out if e.rank == rank]
+    for k, v in label_filter.items():
+        out = [e for e in out if e.labels.get(k) == v]
+    return out
 
 
 class _OpenSpan:
@@ -162,20 +185,13 @@ class SpanRecorder:
               rank: int | None = None,
               **label_filter: object) -> list[SpanEvent]:
         """Completed spans, optionally filtered."""
-        out = list(self._spans)
-        if cat is not None:
-            out = [s for s in out if s.cat == cat]
-        if name is not None:
-            out = [s for s in out if s.name == name]
-        if rank is not None:
-            out = [s for s in out if s.rank == rank]
-        for k, v in label_filter.items():
-            out = [s for s in out if s.labels.get(k) == v]
-        return out
+        return _select(self._spans, cat, name, rank, label_filter)
 
-    def instants(self) -> list[InstantEvent]:
-        """All recorded instants."""
-        return list(self._instants)
+    def instants(self, cat: str | None = None, name: str | None = None,
+                 rank: int | None = None,
+                 **label_filter: object) -> list[InstantEvent]:
+        """Recorded instants, filtered as :meth:`spans` filters."""
+        return _select(self._instants, cat, name, rank, label_filter)
 
     def total(self, cat: str | None = None, name: str | None = None,
               rank: int | None = None, **label_filter: object) -> float:

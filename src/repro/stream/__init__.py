@@ -12,6 +12,16 @@ subsampling and simulated compression, both driven by
 ``CostConfig.reduction_level``) happens at serve time, so the data cut
 never exists on the consumer side of the wire.
 
+Every epoch's lifecycle is recorded as ``stream``-category span
+instants -- ``stream.publish`` and ``stream.drop`` (with the live
+``depth``) on producer ranks, ``stream.acquire`` and
+``stream.release`` on consumer ranks, each labelled with its
+``stream`` and ``epoch`` -- so it lands in the exported trace beside
+the ``stream.backpressure`` spans it explains. Query them with
+``obs.spans.instants(cat="stream", stream=...)``; a caller that needs
+them in order sorts by ``(t, stream, epoch, rank, name)``.
+:func:`max_depth` reads the deepest live window off them.
+
 Typical producer loop::
 
     prod = StreamProducer(vol, comm, inter, "sim", StreamConfig(max_lag=2))
@@ -52,5 +62,15 @@ __all__ = [
     "TAG_STREAM_CTRL",
     "TAG_STREAM_RELEASE",
     "epoch_fname",
+    "max_depth",
     "stream_pattern",
 ]
+
+
+def max_depth(obs, stream: str | None = None) -> int:
+    """Largest live-epoch queue depth recorded on a publish or drop
+    instant of ``stream`` (of any stream when None); -1 if none was."""
+    labels = {} if stream is None else {"stream": stream}
+    return max((i.labels["depth"]
+                for i in obs.spans.instants(cat="stream", **labels)
+                if "depth" in i.labels), default=-1)

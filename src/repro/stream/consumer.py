@@ -150,8 +150,9 @@ class StreamConsumer:
             e = max(e, newest)
         f = h5.File(epoch_fname(self.name, e), "r", comm=self.comm,
                     vol=self.vol)
-        self._obs.stream.acquire(self.name, e, self._world,
-                                 self.comm.vtime)
+        self._obs.spans.instant("stream.acquire", "stream", self._world,
+                                self.comm.vtime,
+                                {"stream": self.name, "epoch": e})
         self._next = e + 1
         return Epoch(self, e, f)
 
@@ -168,8 +169,9 @@ class StreamConsumer:
             yield ep
 
     def _release_upto(self, epoch: int) -> None:
-        self._obs.stream.release(self.name, epoch, self._world,
-                                 self.comm.vtime)
+        self._obs.spans.instant("stream.release", "stream", self._world,
+                                self.comm.vtime,
+                                {"stream": self.name, "epoch": epoch})
         for dest in range(self.inter.remote_size):
             self.inter.send((self.name, epoch), dest,
                             TAG_STREAM_RELEASE)

@@ -148,8 +148,9 @@ class StreamProducer:
         t = self.comm.vtime
         for e in ready:
             self.vol.drop_file(self.comm, epoch_fname(self.name, e))
-            self._obs.stream.drop(self.name, e, self._world, t,
-                                  depth=depth)
+            self._obs.spans.instant("stream.drop", "stream", self._world,
+                                    t, {"stream": self.name, "epoch": e,
+                                        "depth": depth})
         self._obs.series.record("stream.queue_depth", t, depth,
                                 rank=self._world, stream=self.name)
 
@@ -198,7 +199,9 @@ class StreamProducer:
         self.window.publish()
         depth = self.window.depth(self._done_worlds())
         t = self.comm.vtime
-        self._obs.stream.publish(self.name, e, self._world, t, depth)
+        self._obs.spans.instant("stream.publish", "stream", self._world, t,
+                                {"stream": self.name, "epoch": e,
+                                 "depth": depth})
         self._obs.series.record("stream.queue_depth", t, depth,
                                 rank=self._world, stream=self.name)
         if self.comm.rank == 0:

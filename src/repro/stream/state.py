@@ -4,13 +4,16 @@ Each producer rank tracks which epochs it has published and the
 cumulative release high-water mark of every consumer rank. An epoch is
 *live* until every consumer rank's mark covers it; the number of live
 epochs is the queue depth the ``max_lag`` backpressure rule bounds.
+A staging rank (:func:`~repro.lowfive.vol_staged.staging_main`) keeps
+one window per stream for the release quorum alone: it never publishes,
+and drops the staged epochs :meth:`EpochWindow.retire_ready` returns.
 """
 
 from __future__ import annotations
 
 
 class EpochWindow:
-    """Publish/release ledger of one producer rank.
+    """Publish/release ledger of one producer (or staging) rank.
 
     Parameters
     ----------

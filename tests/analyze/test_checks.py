@@ -72,20 +72,31 @@ class TestLeaks:
         assert check_leaks(res.obs) == []
 
 
+def stream_instants(*events):
+    """A span recorder holding ``(kind, epoch, rank, t)`` lifecycle
+    instants of stream ``"sim"``, labelled as the stream layer labels
+    them."""
+    from repro.obs import SpanRecorder
+
+    spans = SpanRecorder()
+    for kind, epoch, rank, t in events:
+        spans.instant(f"stream.{kind}", "stream", rank, t,
+                      {"stream": "sim", "epoch": epoch})
+    return spans
+
+
 class TestEpochLeaks:
     def test_open_acquisition_reported_with_epoch_id(self):
         from types import SimpleNamespace
 
         from repro.analyze import check_stream_leaks
-        from repro.obs.streamstat import StreamLedger
 
-        ledger = StreamLedger()
-        ledger.publish("sim", 0, 0, 0.1, 1)
-        ledger.publish("sim", 1, 0, 0.2, 2)
-        ledger.acquire("sim", 0, 1, 0.3)
-        ledger.acquire("sim", 1, 1, 0.4)
-        ledger.release("sim", 0, 1, 0.5)  # hwm 0: epoch 1 still open
-        findings = check_stream_leaks(SimpleNamespace(stream=ledger))
+        spans = stream_instants(("publish", 0, 0, 0.1),
+                                ("publish", 1, 0, 0.2),
+                                ("acquire", 0, 1, 0.3),
+                                ("acquire", 1, 1, 0.4),
+                                ("release", 0, 1, 0.5))  # hwm 0: 1 open
+        findings = check_stream_leaks(SimpleNamespace(spans=spans))
         assert len(findings) == 1
         f = findings[0]
         assert f.kind == "epoch-leak"
@@ -97,13 +108,12 @@ class TestEpochLeaks:
         from types import SimpleNamespace
 
         from repro.analyze import check_stream_leaks
-        from repro.obs.streamstat import StreamLedger
 
-        ledger = StreamLedger()
-        ledger.acquire("sim", 0, 1, 0.1)
-        ledger.acquire("sim", 3, 1, 0.2)  # caught-up consumer skipped
-        ledger.release("sim", 3, 1, 0.3)  # hwm 3 covers everything
-        assert check_stream_leaks(SimpleNamespace(stream=ledger)) == []
+        spans = stream_instants(
+            ("acquire", 0, 1, 0.1),
+            ("acquire", 3, 1, 0.2),  # caught-up consumer skipped
+            ("release", 3, 1, 0.3))  # hwm 3 covers everything
+        assert check_stream_leaks(SimpleNamespace(spans=spans)) == []
 
     def test_obs_without_ledger_is_clean(self):
         from repro.analyze import check_stream_leaks

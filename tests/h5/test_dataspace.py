@@ -4,7 +4,7 @@ encoding (memory mode ships it inside the encoded metadata)."""
 import pytest
 
 from repro.h5.dataspace import UNLIMITED, Dataspace
-from repro.h5.errors import SelectionError
+from repro.h5.errors import H5Error, SelectionError
 
 
 class TestDataspaceMaxshape:
@@ -24,3 +24,9 @@ class TestDataspaceMaxshape:
     def test_encode_decode_keeps_maxshape(self):
         sp = Dataspace((2, 3), maxshape=(UNLIMITED, 3))
         assert Dataspace.decode(sp.encode()) == sp
+
+    @pytest.mark.parametrize("blob", [b"(2, 3)", b"shape"])
+    def test_decode_malformed_blob_raises(self, blob):
+        # A plain shape tuple is not an encoding: only (shape, maxshape).
+        with pytest.raises(H5Error):
+            Dataspace.decode(blob)

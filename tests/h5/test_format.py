@@ -271,3 +271,87 @@ def test_prop_dataset_values_roundtrip(values):
         np.testing.assert_array_equal(
             out.read(AllSelection((n,))), np.array(values, dtype=np.uint64)
         )
+
+
+def _clone_skeleton(root):
+    """Reference for :func:`h5format.encode_skeleton`: deep-copy every
+    group, dataset and attribute into a fresh tree without pieces or
+    chunk layout, then encode that tree."""
+    copy = FileNode(root.name)
+
+    def clone(src, dst_parent):
+        for name in sorted(src.children):
+            child = src.children[name]
+            if isinstance(child, DatasetNode):
+                node = DatasetNode(name, child.dtype, child.space,
+                                   fill_value=child.fill_value)
+                dst_parent.add_child(node)
+            else:
+                node = dst_parent.add_child(GroupNode(name))
+                clone(child, node)
+            for aname, attr in child.attributes.items():
+                a = node.create_attribute(aname, attr.dtype, attr.space)
+                if attr.value is not None:
+                    a.write(attr.value)
+
+    for aname, attr in root.attributes.items():
+        a = copy.create_attribute(aname, attr.dtype, attr.space)
+        if attr.value is not None:
+            a.write(attr.value)
+    clone(root, copy)
+    return h5format.encode_file(copy)
+
+
+_DTYPES = (h5.INT32, h5.UINT64, h5.FLOAT64, h5.UINT8)
+
+
+def _draw_attrs(data, node):
+    for k in range(data.draw(st.integers(0, 2))):
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        shape = data.draw(st.sampled_from([(), (2,), (2, 3)]))
+        a = node.create_attribute(f"a{k}", dtype, Dataspace(shape))
+        if data.draw(st.booleans()):
+            a.write(np.arange(int(np.prod(shape))).reshape(shape) + k)
+
+
+def _draw_dataset(data, name):
+    dtype = data.draw(st.sampled_from(_DTYPES))
+    shape = data.draw(st.sampled_from([(4,), (4, 6), (3, 2, 2)]))
+    fill = data.draw(st.sampled_from([None, 0, 7]))
+    chunks = data.draw(st.sampled_from(
+        [None, tuple(max(1, s // 2) for s in shape)]))
+    d = DatasetNode(name, dtype, Dataspace(shape), fill_value=fill,
+                    chunks=chunks)
+    for _ in range(data.draw(st.integers(0, 2))):
+        lo = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        cnt = tuple(data.draw(st.integers(1, s - o))
+                    for s, o in zip(shape, lo))
+        sel = HyperslabSelection(shape, lo, cnt)
+        d.write(sel, np.arange(sel.npoints))
+    return d
+
+
+def _draw_group(data, group, depth):
+    _draw_attrs(data, group)
+    for k in range(data.draw(st.integers(0, 3))):
+        if depth < 2 and data.draw(st.booleans()):
+            _draw_group(data, group.add_child(GroupNode(f"g{k}")),
+                        depth + 1)
+        else:
+            d = group.add_child(_draw_dataset(data, f"d{k}"))
+            _draw_attrs(data, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prop_skeleton_matches_clone_reference(data):
+    """The served skeleton is byte-identical to encoding a pieceless,
+    chunkless clone, over random nested trees with attributes, fill
+    values, chunked datasets and written pieces."""
+    root = FileNode("f.h5")
+    _draw_group(data, root, 0)
+    blob = h5format.encode_skeleton(root)
+    assert blob == _clone_skeleton(root)
+    out = h5format.decode_file(blob, "f.h5")
+    assert all(not n.pieces and n.chunks is None for n in out.walk()
+               if isinstance(n, DatasetNode))

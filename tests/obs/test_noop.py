@@ -13,7 +13,6 @@ from repro.obs import (
     ObsContext,
     SeriesRecorder,
     SpanRecorder,
-    StreamLedger,
     validate_chrome_trace,
 )
 
@@ -23,7 +22,6 @@ SURFACE = {
     "metrics": MetricsRegistry,
     "spans": SpanRecorder,
     "causal": CausalRecorder,
-    "stream": StreamLedger,
     "series": SeriesRecorder,
 }
 
@@ -147,9 +145,10 @@ class TestNullSurface:
         acct = obs.causal.account(0)
         acct.compute += 1.0  # comm.py mutates accounts directly
         acct.wait += 0.5
-        obs.stream.publish("s", 0, 0, 0.0, 1)
+        obs.spans.instant("stream.publish", "stream", 0, 0.0,
+                          {"stream": "s", "epoch": 0, "depth": 1})
         assert obs.causal.accounts() == {}
-        assert obs.stream.events() == []
+        assert obs.spans.instants() == []
 
     def test_task_tracking_is_noop(self):
         obs = NullObsContext()

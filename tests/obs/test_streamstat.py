@@ -1,32 +1,34 @@
-"""Stream ledger queries, including a staged run."""
+"""Stream lifecycle events as ``stream``-category span instants:
+queries, a staged run, and the Chrome trace export."""
 
-from repro.obs.streamstat import StreamEvent, StreamLedger
+from repro.analyze import check_stream_leaks
+from repro.obs import ObsContext, validate_chrome_trace
+from repro.stream import max_depth
 
 
 def _filled():
-    led = StreamLedger()
-    led.publish("s", 0, 0, 0.1, 1)
-    led.acquire("s", 0, 2, 0.2)
-    led.release("s", 0, 2, 0.3)
-    led.drop("s", 0, 0, 0.4, 0)
-    return led
+    obs = ObsContext()
+    for name, epoch, rank, t, extra in (
+            ("publish", 0, 0, 0.1, {"depth": 1}),
+            ("acquire", 0, 2, 0.2, {}),
+            ("release", 0, 2, 0.3, {}),
+            ("drop", 0, 0, 0.4, {"depth": 0})):
+        obs.spans.instant(f"stream.{name}", "stream", rank, t,
+                          {"stream": "s", "epoch": epoch, **extra})
+    return obs
 
 
 class TestQueries:
     def test_ledger_answers_queries(self):
-        led = _filled()
-        assert led.streams() == ["s"]
-        assert led.max_depth("s") == 1
-        assert led.open_acquisitions() == []
-        assert [e.kind for e in led.events("s")] == \
-            ["publish", "acquire", "release", "drop"]
-
-
-class TestMerge:
-    def test_identical_events_are_equal(self):
-        x = StreamEvent("publish", "s", 0, 0, 0.1, 1)
-        y = StreamEvent("publish", "s", 0, 0, 0.1, 1)
-        assert x == y and hash(x) == hash(y)
+        obs = _filled()
+        assert max_depth(obs, "s") == 1
+        assert max_depth(obs, "other") == -1
+        assert check_stream_leaks(obs) == []
+        assert [i.name for i in obs.spans.instants("stream", stream="s")] \
+            == ["stream.publish", "stream.acquire", "stream.release",
+                "stream.drop"]
+        assert [i.t for i in obs.spans.instants(name="stream.drop",
+                                                 rank=0)] == [0.4]
 
 
 def _run_staged(nsteps=3):
@@ -99,10 +101,10 @@ class TestStagedRun:
         """A staged-mode pipeline records one drop per epoch and leaves
         no acquisition open."""
         res = _run_staged()
-        led = res.obs.stream
-        drops = led.events("sim", "drop")
-        assert sorted(ev.epoch for ev in drops) == [0, 1, 2]
-        assert led.open_acquisitions() == []
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
+        assert sorted(i.labels["epoch"] for i in drops) == [0, 1, 2]
+        assert check_stream_leaks(res.obs) == []
 
     def test_staged_retention_series_recorded(self):
         # vol_staged samples the stagers' live-epoch count into the
@@ -111,3 +113,23 @@ class TestStagedRun:
         live = [v for k, v in res.obs.series.items()
                 if k[0] == "stream.staged_live"]
         assert live and sum(s.count for s in live) == 3
+
+
+class TestTrace:
+    def test_lifecycle_instants_reach_the_chrome_trace(self):
+        from repro.bench.drivers import stream_workflow
+
+        res = stream_workflow(2, 2, 4).run(timeout=120.0)
+        doc = res.obs.chrome_trace()
+        validate_chrome_trace(doc)
+        instants = [ev for ev in doc["traceEvents"]
+                    if ev["ph"] == "i" and ev["cat"] == "stream"]
+        kinds = {ev["name"] for ev in instants}
+        assert kinds == {"stream.publish", "stream.acquire",
+                         "stream.release", "stream.drop"}
+        for ev in instants:
+            assert ev["args"]["stream"] == "sim"
+            assert ev["args"]["epoch"] in range(4)
+        published = {ev["args"]["epoch"] for ev in instants
+                     if ev["name"] == "stream.publish"}
+        assert published == set(range(4))

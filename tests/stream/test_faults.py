@@ -17,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.h5 as h5
+from repro.analyze import check_stream_leaks
 from repro.faults import ComputeSlowRule, CrashRule, FaultPlan
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL, StreamConfig
 from repro.pfs import PFSStore
+from repro.stream import max_depth
 from repro.workflow import RestartPolicy, Workflow
 
 SHAPE = (10, 6)
@@ -89,7 +91,7 @@ class TestLaggingConsumer:
         bp = [w for w in rep.waits if w.category == "backpressure"]
         assert {w.rank for w in bp} == {0}
         assert {w.cause_rank for w in bp} == {1}
-        assert res.obs.stream.max_depth("sim") <= 2
+        assert max_depth(res.obs, "sim") <= 2
 
     def test_slowdown_scales_virtual_cost(self):
         wf_fast = build_stream_wf(4, consumer_compute=0.05)
@@ -120,9 +122,10 @@ class TestCrashRecovery:
         assert seen[-1][0] == 5  # reached end of stream
         # The successful attempt's first acquisition is a catch-up:
         # the late joiner starts past epoch 0.
-        acquires = res.obs.stream.events("sim", "acquire")
-        assert min(ev.epoch for ev in acquires) > 0
-        assert res.obs.stream.open_acquisitions() == []
+        acquires = res.obs.spans.instants("stream", "stream.acquire",
+                                          stream="sim")
+        assert min(i.labels["epoch"] for i in acquires) > 0
+        assert check_stream_leaks(res.obs) == []
 
     def test_crash_without_restart_policy_propagates(self):
         from repro.simmpi import RankFailure
@@ -148,4 +151,4 @@ class TestDepthInvariant:
         res = wf.run(timeout=120.0, faults=plan)
         seen = res.returns["consumer"][0]
         assert [e for e, _ in seen] == list(range(nsteps))
-        assert res.obs.stream.max_depth("sim") <= max_lag
+        assert max_depth(res.obs, "sim") <= max_lag

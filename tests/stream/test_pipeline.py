@@ -3,8 +3,8 @@
 Every test runs a producer task publishing a series of epochs through
 the VOL while a consumer task subscribes -- the ``repro.stream``
 tentpole. Values are position+epoch encoded so cross-epoch mixups are
-caught, and the stream ledger is asserted against the lifecycle the
-run should have produced.
+caught, and the ``stream``-category span instants are asserted against
+the lifecycle the run should have produced.
 """
 
 import sys
@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import repro.h5 as h5
+from repro.analyze import check_stream_leaks
 from repro.bench.drivers import epoch_values, stream_workflow
 from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
 from repro.lowfive.config import CostConfig
 from repro.lowfive.reduce import reduction_stride
 from repro.pfs import PFSStore
+from repro.stream import max_depth
 from repro.synth import (
     consumer_grid_selection,
     grid_values,
@@ -78,22 +80,21 @@ class TestPipeline:
 
     def test_epochs_are_retired_once_released(self):
         res = run_stream(1, 1, 6, max_lag=2)
-        ledger = res.obs.stream
-        drops = ledger.events("sim", "drop")
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
         # Every epoch is eventually dropped by the producer rank.
-        assert sorted(e.epoch for e in drops) == list(range(6))
-        assert ledger.open_acquisitions() == []
+        assert sorted(i.labels["epoch"] for i in drops) == list(range(6))
+        assert check_stream_leaks(res.obs) == []
 
     def test_ledger_lifecycle_per_epoch(self):
         res = run_stream(1, 1, 3)
-        ledger = res.obs.stream
         for e in range(3):
-            kinds = [ev.kind for ev in ledger.events("sim")
-                     if ev.epoch == e]
-            assert "publish" in kinds
-            assert "acquire" in kinds
-            assert "release" in kinds
-            assert "drop" in kinds
+            names = [i.name for i in res.obs.spans.instants(
+                "stream", stream="sim", epoch=e)]
+            assert "stream.publish" in names
+            assert "stream.acquire" in names
+            assert "stream.release" in names
+            assert "stream.drop" in names
 
 
 class TestBackpressure:
@@ -101,7 +102,7 @@ class TestBackpressure:
         # Consumer 2x+ slower than the producer.
         res = run_stream(1, 1, 8, max_lag=2, producer_compute=0.01,
                          consumer_compute=0.08)
-        assert res.obs.stream.max_depth("sim") <= 2
+        assert max_depth(res.obs, "sim") <= 2
 
     def test_backpressure_wait_attributed_to_lagging_consumer(self):
         res = run_stream(1, 1, 8, max_lag=2, producer_compute=0.01,
@@ -125,7 +126,7 @@ class TestBackpressure:
 
     def test_max_lag_1_lockstep(self):
         res = run_stream(1, 1, 5, max_lag=1, consumer_compute=0.02)
-        assert res.obs.stream.max_depth("sim") <= 1
+        assert max_depth(res.obs, "sim") <= 1
         for seen in epochs_read(res):
             assert [e for e, _ in seen] == list(range(5))
 
@@ -144,13 +145,14 @@ class TestCatchUp:
         assert ids == sorted(ids)
         assert ids[-1] == 7  # reached the end of the stream
         assert len(ids) < 8  # actually skipped some epochs
-        assert res.obs.stream.open_acquisitions() == []
+        assert check_stream_leaks(res.obs) == []
 
     def test_catch_up_releases_cover_skipped_epochs(self):
         res = run_stream(1, 1, 8, max_lag=4, producer_compute=0.001,
                          consumer_compute=0.2, catch_up=True)
-        drops = res.obs.stream.events("sim", "drop")
-        assert sorted(e.epoch for e in drops) == list(range(8))
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
+        assert sorted(i.labels["epoch"] for i in drops) == list(range(8))
 
 
 class TestReduction:
@@ -269,12 +271,14 @@ class TestRetain:
     def test_retained_last_epoch_readable_after_eos_then_released(self):
         res = _run_retain(release_after_loop=True)
         assert res.returns["consumer"] == [True]
-        assert res.obs.stream.open_acquisitions() == []
-        drops = res.obs.stream.events("sim", "drop")
-        assert sorted(e.epoch for e in drops) == [0, 1, 2]
+        assert check_stream_leaks(res.obs) == []
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
+        assert sorted(i.labels["epoch"] for i in drops) == [0, 1, 2]
 
     def test_unreleased_retained_epoch_is_an_open_acquisition(self):
         res = _run_retain(release_after_loop=False)
         assert res.returns["consumer"] == [True]
         # World rank 1 (the consumer) still holds epoch 2.
-        assert res.obs.stream.open_acquisitions() == [("sim", 2, 1)]
+        assert [f.detail for f in check_stream_leaks(res.obs)] == \
+            [{"stream": "sim", "epoch": 2, "rank": 1}]

@@ -116,8 +116,9 @@ class TestStagedRetention:
         # Every epoch released -> none retained by the staging rank.
         for held in res.returns["staging"]:
             assert not any(f.startswith("sim@") for f in held)
-        drops = res.obs.stream.events("sim", "drop")
-        assert sorted(ev.epoch for ev in drops) == list(range(4))
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
+        assert sorted(i.labels["epoch"] for i in drops) == list(range(4))
 
     def test_unreleased_tail_is_retained(self):
         res = build_staged_stream(1, 1, 1, 4, release_upto=2)
@@ -125,8 +126,9 @@ class TestStagedRetention:
         held = res.returns["staging"][0]
         assert epoch_fname("sim", 3) in held
         assert not any(epoch_fname("sim", e) in held for e in range(3))
-        drops = res.obs.stream.events("sim", "drop")
-        assert sorted(ev.epoch for ev in drops) == [0, 1, 2]
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
+        assert sorted(i.labels["epoch"] for i in drops) == [0, 1, 2]
 
     def test_n_to_m_quorum_release(self):
         # A drop needs the release quorum: every consumer rank, across
@@ -135,7 +137,8 @@ class TestStagedRetention:
         assert all(res.returns["consumer"])
         for held in res.returns["staging"]:
             assert not any(f.startswith("sim@") for f in held)
-        drops = res.obs.stream.events("sim", "drop")
+        drops = res.obs.spans.instants("stream", "stream.drop",
+                                       stream="sim")
         # Each staging rank drops its copy of every epoch.
-        assert sorted(ev.epoch for ev in drops) == sorted(
+        assert sorted(i.labels["epoch"] for i in drops) == sorted(
             list(range(3)) * 2)
