@@ -22,9 +22,13 @@ from repro.h5.dataspace import Dataspace
 from repro.h5.errors import ExistsError, NotFoundError, SelectionError
 from repro.h5.selection import Selection
 
-#: LowFive made a private copy of the data.
+#: LowFive owns the buffer: a private copy made at write, or a received
+#: bundle adopted as it arrived. Nobody writes into it, so its overlaps
+#: are served as read-only views.
 OWN_DEEP = "deep"
-#: The node references user-owned memory (zero-copy).
+#: The node references user-owned memory (zero-copy). The user may
+#: change it once the write returns, so its overlaps are served as
+#: copies.
 OWN_SHALLOW = "shallow"
 
 
@@ -203,7 +207,9 @@ class DataPiece:
     the values, and whether we own them. ``data`` may be given as a lazy
     payload (a piece decoded from a file) that stays on file: an object
     with ``nbytes``, ``fetch()`` (the whole values) and ``gather(starts,
-    run)`` (the element runs ``[s, s + run)``, back to back)."""
+    run)`` (the element runs ``[s, s + run)``, back to back). An
+    adopted piece (:meth:`DatasetNode.adopt`) may hold an N-d view
+    shaped as its selection's grid."""
 
     __slots__ = ("selection", "ownership", "_data")
 
@@ -214,11 +220,12 @@ class DataPiece:
 
     @property
     def data(self) -> np.ndarray:
-        """The values, in selection order. A lazy payload is fetched
-        whole and kept: only re-encoding the piece needs that."""
+        """The values, flat and in selection order (C order of an N-d
+        view; a copy when the view is strided). A lazy payload is
+        fetched whole and kept: only re-encoding the piece needs that."""
         if not isinstance(self._data, np.ndarray):
             self._data = self._data.fetch()
-        return self._data
+        return self._data.reshape(-1)
 
     @property
     def nbytes(self) -> int:
@@ -230,17 +237,32 @@ class DataPiece:
         in ``overlap``'s order, whatever the piece's layout (solid box,
         strided slab, index set, point list).
 
-        Always a fresh array, never a view of :attr:`data`: the result
-        is shipped to other ranks, and an ``OWN_SHALLOW`` piece's data
-        is the producer's own memory. A piece still on file reads the
-        runs of the overlap alone, in one gathered read, and keeps
-        nothing.
+        Who owns the buffer decides whether the result is a view. When
+        LowFive does (``OWN_DEEP``) and ``overlap`` is a box, possibly
+        strided, of the piece's grid, the result is a read-only view of
+        the piece's data shaped as ``overlap``'s grid, whose C order is
+        ``overlap``'s order: the value is shipped to other ranks by
+        reference, and the reader's scatter is its one host copy. Any
+        other overlap, and every overlap of a user-owned
+        (``OWN_SHALLOW``) piece, is a fresh flat array: the user may
+        change that memory while the reply waits in a mailbox. A piece
+        still on file reads the runs of the overlap alone, in one
+        gathered read, and keeps nothing. The result is read-only
+        either way.
         """
         local = self.selection.locate(overlap)
-        if not isinstance(self._data, np.ndarray):
-            return self._data.gather(*local.runs())
-        out = local.extract(self._data.reshape(local.shape))
-        return out.copy() if np.may_share_memory(out, self._data) else out
+        data = self._data
+        if not isinstance(data, np.ndarray):
+            out = data.gather(*local.runs())
+        else:
+            data = data.reshape(local.shape)
+            out = local.view(data) if self.ownership == OWN_DEEP else None
+            if out is None:
+                out = local.extract(data)
+                if np.may_share_memory(out, data):
+                    out = out.copy()
+        out.flags.writeable = False
+        return out
 
 
 class DatasetNode(Node):
@@ -275,24 +297,43 @@ class DatasetNode(Node):
               ownership: str = OWN_DEEP) -> DataPiece:
         """Record ``data`` (in selection order) for ``selection``.
 
-        ``ownership == OWN_DEEP`` copies; ``OWN_SHALLOW`` keeps a
-        reference to the caller's array (zero-copy; the caller must not
-        modify it until the piece is consumed -- paper Sec. I).
+        ``ownership == OWN_DEEP`` copies, once: a strided or
+        type-converted input is already a private array after
+        flattening. ``OWN_SHALLOW`` keeps a reference to the caller's
+        array (zero-copy; the caller must not modify it until the piece
+        is consumed -- paper Sec. I).
         """
+        if ownership not in (OWN_DEEP, OWN_SHALLOW):
+            raise ValueError(f"unknown ownership {ownership!r}")
+        self._check_extent(selection)
+        arr = np.asarray(data, dtype=self.dtype.np).reshape(-1)
+        if ownership == OWN_DEEP and np.may_share_memory(arr, data):
+            arr = arr.copy()
+        return self._append(selection, arr, ownership)
+
+    def adopt(self, selection: Selection, values: np.ndarray) -> DataPiece:
+        """Record ``values`` that LowFive already owns -- a bundle
+        received from another rank, possibly a read-only N-d view of the
+        sender's piece shaped as ``selection``'s grid -- as an
+        ``OWN_DEEP`` piece, without a copy. Its overlaps are served as
+        views again."""
+        self._check_extent(selection)
+        return self._append(selection, np.asarray(values, self.dtype.np),
+                            OWN_DEEP)
+
+    def _check_extent(self, selection: Selection) -> None:
         if selection.shape != self.space.shape:
             raise SelectionError(
                 f"selection extent {selection.shape} != dataset shape "
                 f"{self.space.shape}"
             )
-        arr = np.asarray(data, dtype=self.dtype.np).reshape(-1)
+
+    def _append(self, selection: Selection, arr: np.ndarray,
+                ownership: str) -> DataPiece:
         if arr.size != selection.npoints:
             raise SelectionError(
                 f"data size {arr.size} != selection size {selection.npoints}"
             )
-        if ownership == OWN_DEEP:
-            arr = arr.copy()
-        elif ownership != OWN_SHALLOW:
-            raise ValueError(f"unknown ownership {ownership!r}")
         piece = DataPiece(selection, arr, ownership)
         self.pieces.append(piece)
         return piece
@@ -305,11 +346,7 @@ class DatasetNode(Node):
         Returns a flat array in selection order. Elements never written
         get the fill value (default 0).
         """
-        if selection.shape != self.space.shape:
-            raise SelectionError(
-                f"selection extent {selection.shape} != dataset shape "
-                f"{self.space.shape}"
-            )
+        self._check_extent(selection)
         return self.assemble(selection, self.overlaps(selection))
 
     def overlaps(self, selection: Selection, thin=None):

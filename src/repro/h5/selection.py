@@ -152,7 +152,16 @@ class Selection(ABC):
 
     @abstractmethod
     def scatter(self, values: np.ndarray, arr: np.ndarray) -> None:
-        """Inverse of :meth:`extract`: place ``values`` into ``arr``."""
+        """Inverse of :meth:`extract`: place ``values`` into ``arr``.
+        A separable selection also takes values shaped as its grid
+        (one axis per dimension), as :meth:`view` returns them."""
+
+    def view(self, arr: np.ndarray) -> np.ndarray | None:
+        """The selected elements of ``arr`` (shaped ``shape``) as a view
+        of it, shaped as the selection's grid -- possible when every
+        axis is an interval (a box, or a strided box); None otherwise.
+        Its C order is the selection order."""
+        return None
 
     @abstractmethod
     def intersect(self, other: "Selection") -> "Selection":
@@ -314,13 +323,25 @@ class _SeparableSelection(Selection):
         first = axes[k].start * (inner // shape[k]) if k < len(axes) else 0
         return (flat * inner + first).reshape(-1), length
 
-    def _index(self):
-        """Basic slices when every axis is an interval, else open-mesh
-        index arrays; either way ``arr[index]`` is the selected grid."""
+    def _slices(self):
+        """One basic slice per axis when every axis is an interval."""
         axes = self.axes()
         if all(isinstance(a, range) for a in axes):
             return tuple(slice(a.start, a.stop, a.step) for a in axes)
-        return np.ix_(*self.per_dim_indices())
+        return None
+
+    def _index(self):
+        """Basic slices when every axis is an interval, else open-mesh
+        index arrays; either way ``arr[index]`` is the selected grid."""
+        slices = self._slices()
+        return np.ix_(*self.per_dim_indices()) if slices is None else slices
+
+    def view(self, arr: np.ndarray) -> np.ndarray | None:
+        slices = self._slices()
+        if slices is None:
+            return None
+        self._check_array(arr)
+        return arr[slices]
 
     def extract(self, arr: np.ndarray) -> np.ndarray:
         self._check_array(arr)
@@ -328,12 +349,17 @@ class _SeparableSelection(Selection):
 
     def scatter(self, values: np.ndarray, arr: np.ndarray) -> None:
         self._check_array(arr)
-        values = np.asarray(values).reshape(-1)
-        if values.size != self.npoints:
-            raise SelectionError(
-                f"value count {values.size} != selection size {self.npoints}"
-            )
-        arr[self._index()] = values.reshape([len(a) for a in self.axes()])
+        grid = tuple(len(a) for a in self.axes())
+        values = np.asarray(values)
+        if values.shape != grid:
+            # Flat values in selection order; grid-shaped ones (a view
+            # of a piece, possibly strided) go in as they are, since
+            # flattening a strided view would copy it.
+            if values.size != self.npoints:
+                raise SelectionError(f"value count {values.size} != "
+                                     f"selection size {self.npoints}")
+            values = values.reshape(grid)
+        arr[self._index()] = values
 
     def intersect(self, other: Selection) -> Selection:
         self._check_extent(other)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.diy import Bounds, RegularDecomposer
 from repro.h5 import format as h5format
 from repro.h5.errors import NotFoundError
-from repro.h5.objects import DatasetNode, FileNode, OWN_SHALLOW
+from repro.h5.objects import DatasetNode, FileNode
 from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
 from repro.obs import span as obs_span
 from repro.lowfive.rpc import (
@@ -526,6 +526,12 @@ def split_bundles(root: FileNode, nblocks: int) -> tuple[list, list]:
 
 
 def apply_bundle(root: FileNode, bundle) -> None:
-    """Store a received bundle's values in ``root``, zero-copy."""
+    """Store a received bundle's values in ``root``, zero-copy.
+
+    The values are LowFive's own -- read-only views of the sender's
+    pieces, or copies made for the bundle -- so they are adopted as
+    LowFive-owned pieces (:meth:`DatasetNode.adopt`), and this rank
+    (a stager, or a push consumer) serves their overlaps as views
+    again. A user-owned piece never reaches a bundle uncopied."""
     for path, overlap, values in bundle:
-        root.lookup(path).write(overlap, values, OWN_SHALLOW)
+        root.lookup(path).adopt(overlap, values)

@@ -1,5 +1,7 @@
 """Metadata-hierarchy (tree) tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +130,41 @@ class TestDatasetPieces:
         d.write(AllSelection((3,)), buf, ownership=OWN_DEEP)
         buf[:] = 0
         np.testing.assert_array_equal(d.read(AllSelection((3,))), [1, 2, 3])
+
+    #: Inputs a deep write must copy: contiguous, strided N-d (its
+    #: flattening already copies) and type-converting (its conversion
+    #: already copies).
+    DEEP_INPUTS = {
+        "contiguous": lambda n: np.arange(n, dtype=np.int64),
+        "strided": lambda n: np.arange(2 * n, dtype=np.int64).reshape(
+            -1, 8)[:, :4],
+        "converted": lambda n: np.arange(n, dtype=np.int32),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_INPUTS))
+    def test_deep_write_never_aliases_input(self, kind):
+        buf = self.DEEP_INPUTS[kind](48)
+        want = buf.reshape(-1).astype(np.int64)
+        d = DatasetNode("d", h5.INT64, Dataspace((48,)))
+        piece = d.write(AllSelection((48,)), buf, ownership=OWN_DEEP)
+        assert not np.may_share_memory(piece.data, buf)
+        buf[...] = -1
+        np.testing.assert_array_equal(piece.data, want)
+        np.testing.assert_array_equal(d.read(AllSelection((48,))), want)
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_INPUTS))
+    def test_deep_write_copies_once(self, kind):
+        n = 1 << 17
+        buf = self.DEEP_INPUTS[kind](n)
+        d = DatasetNode("d", h5.INT64, Dataspace((n,)))
+        tracemalloc.start()
+        try:
+            d.write(AllSelection((n,)), buf, ownership=OWN_DEEP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One private array of the payload, not a second copy of it.
+        assert peak < 1.5 * n * 8
 
     def test_shallow_reference_sees_user_buffer(self):
         d = DatasetNode("d", h5.INT64, Dataspace((3,)))

@@ -27,7 +27,13 @@ from repro.h5.format import (
     encode_chunks,
     encode_selection,
 )
-from repro.h5.objects import DataPiece, DatasetNode, FileNode
+from repro.h5.objects import (
+    OWN_DEEP,
+    OWN_SHALLOW,
+    DataPiece,
+    DatasetNode,
+    FileNode,
+)
 from repro.h5.selection import (
     AllSelection,
     HyperslabSelection,
@@ -232,14 +238,21 @@ def test_piece_values_match_dict_gather(data):
     stored = data.draw(st.one_of(
         hyperslabs(shape), index_sets(shape),
         point_lists(shape, unique=True), st.just(AllSelection(shape))))
-    piece = DataPiece(stored, np.arange(1000, 1000 + stored.npoints))
+    ownership = data.draw(st.sampled_from([OWN_DEEP, OWN_SHALLOW]))
+    buf = np.arange(1000, 1000 + stored.npoints)
+    piece = DataPiece(stored, buf, ownership)
     query = data.draw(selections(shape, unique_points=True))
     overlap = stored.intersect(query)
     if overlap.npoints == 0:
         return
     got = piece.values(overlap)
-    np.testing.assert_array_equal(got, dict_gather(piece, overlap))
-    assert not np.may_share_memory(got, piece.data)
+    # Flat C order is the overlap's order, whether ``got`` is a grid
+    # view of a LowFive-owned piece or a flat copy.
+    np.testing.assert_array_equal(got.reshape(-1),
+                                  dict_gather(piece, overlap))
+    assert not got.flags.writeable
+    if ownership == OWN_SHALLOW:
+        assert not np.may_share_memory(got, buf)
     # The same piece on file: its overlap is gathered in one read.
     root = FileNode("f")
     root.add_child(DatasetNode("d", INT64, Dataspace(shape))).write(
@@ -248,7 +261,8 @@ def test_piece_values_match_dict_gather(data):
     store.create("f", contents=encode_chunks(root))
     on_file = decode_file(store.open("f")).lookup("d").pieces[0]
     store.bytes_read = 0
-    np.testing.assert_array_equal(on_file.values(overlap), got)
+    np.testing.assert_array_equal(on_file.values(overlap),
+                                  got.reshape(-1))
     assert store.bytes_read == got.nbytes
 
 
