@@ -21,7 +21,9 @@ from repro.synth import SyntheticWorkload
 #: The paper's weak-scaling process counts (Table I).
 PAPER_SCALES = (4, 16, 64, 256, 1024, 4096, 16384)
 TO_1K, TO_4K = PAPER_SCALES[:5], PAPER_SCALES[:6]
-#: Scales small enough to execute with one thread per rank.
+#: The executed points of the table, at :data:`EXEC_ELEMS` per process.
+#: A choice of run time, not a limit: both LowFive modes also execute
+#: at P = 1 024 on reduced workloads and agree with the model there.
 EXECUTED_SCALES = (4, 8, 16)
 WL = SyntheticWorkload()  # the paper's 1e6 + 1e6 per producer process
 WL10 = SyntheticWorkload(10**7, 10**7)  # Fig. 11's 10x data

@@ -5,8 +5,6 @@
 - :mod:`repro.cosmo.nyx` -- a particle-mesh cosmology proxy producing
   baryon-density snapshots through the h5 API, including the AMReX
   writer's *repack* behaviour that defeats LowFive's zero-copy;
-- :mod:`repro.cosmo.amr_fields` -- multi-field AMR snapshots, for the
-  claim that LowFive moves only the dataset the consumer reads;
 - :mod:`repro.cosmo.reeber` -- a Reeber-like distributed halo finder
   (connected components above a density threshold, merged across ranks
   with a union-find where Reeber uses merge trees);
@@ -15,7 +13,6 @@
 """
 
 from repro.cosmo.amr import Box, BoxArray, DistributionMapping, MultiFab
-from repro.cosmo.amr_fields import derive_fields, write_amr_snapshot
 from repro.cosmo.nyx import NyxProxy, write_snapshot_h5
 from repro.cosmo.reeber import Halo, find_halos_distributed, find_halos_serial
 from repro.cosmo.plotfile import write_plotfile, read_plotfile_header
@@ -25,8 +22,6 @@ __all__ = [
     "BoxArray",
     "DistributionMapping",
     "MultiFab",
-    "derive_fields",
-    "write_amr_snapshot",
     "NyxProxy",
     "write_snapshot_h5",
     "Halo",

@@ -88,16 +88,6 @@ class Bounds:
         return all(l <= ol and oh <= h for l, ol, oh, h
                    in zip(self.min, other.min, other.max, self.max))
 
-    def union_bound(self, other: "Bounds") -> "Bounds":
-        """Smallest box covering both."""
-        self._check(other)
-        if self.empty:
-            return Bounds(other.min, other.max)
-        if other.empty:
-            return Bounds(self.min, self.max)
-        return Bounds(map(min, self.min, other.min),
-                      map(max, self.max, other.max))
-
     def to_selection(self, shape):
         """As a contiguous hyperslab over a dataspace of ``shape``."""
         from repro.h5.selection import HyperslabSelection, NoneSelection

@@ -96,18 +96,6 @@ class RegularDecomposer:
             coords.append(c)
         return tuple(reversed(coords))
 
-    def coords_to_gid(self, coords) -> int:
-        """Row-major gid of grid ``coords``."""
-        coords = tuple(coords)
-        if len(coords) != len(self.grid):
-            raise ValueError(f"need {len(self.grid)} grid coordinates")
-        gid = 0
-        for c, k in zip(coords, self.grid):
-            if not 0 <= c < k:
-                raise ValueError(f"grid coordinate {c} outside [0, {k})")
-            gid = gid * k + int(c)
-        return gid
-
     # -- geometry ----------------------------------------------------------------
 
     def block_bounds(self, gid: int) -> Bounds:
@@ -116,18 +104,9 @@ class RegularDecomposer:
         return Bounds([offs[c] for offs, c in zip(self._offsets, coords)],
                       [offs[c + 1] for offs, c in zip(self._offsets, coords)])
 
-    def point_gid(self, pt) -> int:
-        """gid of the block containing point ``pt``."""
-        coords = []
-        for d, x in enumerate(pt):
-            offs = self._offsets[d]
-            if not 0 <= x < offs[-1]:
-                raise IndexError(f"point coordinate {x} outside dim {d}")
-            coords.append(bisect_right(offs, x) - 1)
-        return self.coords_to_gid(coords)
-
     def point_gids(self, coords) -> np.ndarray:
-        """Vectorized :meth:`point_gid` for an (n, d) coordinate array."""
+        """gid of the block containing each row of an (n, d) coordinate
+        array."""
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != len(self.shape):
             raise ValueError(f"coords must be (n, {len(self.shape)})")

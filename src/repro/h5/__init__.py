@@ -26,8 +26,6 @@ User code looks like h5py/HDF5::
 from repro.h5.errors import H5Error, NotFoundError, ExistsError, SelectionError
 from repro.h5.datatype import (
     Datatype,
-    compound,
-    string_,
     INT8,
     INT16,
     INT32,
@@ -62,8 +60,6 @@ __all__ = [
     "ExistsError",
     "SelectionError",
     "Datatype",
-    "compound",
-    "string_",
     "INT8",
     "INT16",
     "INT32",

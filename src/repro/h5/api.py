@@ -161,24 +161,6 @@ class _Container:
     def __iter__(self):
         return iter(self.keys())
 
-    def visit(self, fn):
-        """Call ``fn(path)`` for every descendant, depth first (h5py's
-        ``visit``); stop early when ``fn`` returns non-None and return
-        that value."""
-        def walk(container, prefix):
-            for name, kind in self._vol.links(container._token):
-                path = f"{prefix}{name}"
-                out = fn(path)
-                if out is not None:
-                    return out
-                if kind == "group":
-                    out = walk(container[name], f"{path}/")
-                    if out is not None:
-                        return out
-            return None
-
-        return walk(self, "")
-
 
 class Group(_Container):
     """Handle to a group."""

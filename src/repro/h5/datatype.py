@@ -3,8 +3,9 @@
 The paper relies on HDF5's "internal facilities" for datatype
 manipulation and serialization; our equivalent internal facility is
 numpy's dtype system, which supports atomic types and nested compound
-(structured) types. :class:`Datatype` is a thin value wrapper adding the
-HDF5 notions (type class, serialization for the file format).
+(structured) types. :class:`Datatype` is a thin value wrapper adding
+what HDF5 needs of a type: immutability and serialization for the file
+format.
 """
 
 from __future__ import annotations
@@ -12,12 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.h5.errors import H5Error
-
-#: HDF5-like type classes.
-CLASS_INTEGER = "integer"
-CLASS_FLOAT = "float"
-CLASS_STRING = "string"
-CLASS_COMPOUND = "compound"
 
 
 class Datatype:
@@ -38,41 +33,12 @@ class Datatype:
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Datatype is immutable")
 
-    # -- classification -----------------------------------------------------
-
-    @property
-    def type_class(self) -> str:
-        """The HDF5-like type class of this datatype."""
-        k = self.np.kind
-        if self.np.names:
-            return CLASS_COMPOUND
-        if k in "iu":
-            return CLASS_INTEGER
-        if k == "f":
-            return CLASS_FLOAT
-        if k in "SU":
-            return CLASS_STRING
-        raise H5Error(f"unsupported numpy kind {k!r}")
+    # -- layout ---------------------------------------------------------------
 
     @property
     def itemsize(self) -> int:
         """Size of one element in bytes."""
         return self.np.itemsize
-
-    @property
-    def is_compound(self) -> bool:
-        """True for compound (structured) types."""
-        return self.np.names is not None
-
-    @property
-    def fields(self):
-        """Mapping of field name -> (Datatype, offset) for compounds."""
-        if not self.is_compound:
-            raise H5Error("not a compound type")
-        return {
-            name: (Datatype(self.np.fields[name][0]), self.np.fields[name][1])
-            for name in self.np.names
-        }
 
     # -- serialization --------------------------------------------------------
 
@@ -105,18 +71,6 @@ class Datatype:
 
     def __repr__(self) -> str:
         return f"Datatype({self.np!r})"
-
-
-def compound(fields) -> Datatype:
-    """Build a compound datatype from ``[(name, dtype-like), ...]``."""
-    return Datatype(np.dtype([(n, np.dtype(getattr(d, "np", d))) for n, d in fields]))
-
-
-def string_(length: int) -> Datatype:
-    """Fixed-length byte-string type of ``length`` characters."""
-    if length < 1:
-        raise ValueError("string length must be >= 1")
-    return Datatype(f"S{length}")
 
 
 INT8 = Datatype(np.int8)

@@ -280,30 +280,6 @@ class RPCServer:
         if self._pending:
             self._replay_pending()
 
-    def poll_once(self) -> bool:
-        """Handle the single best queued message across every lane.
-
-        Selection is global virtual arrival order -- the minimum
-        ``(arrival, comm_id, src, seq)`` over every attached intercomm
-        and tag lane -- never attachment or tag priority, and the
-        winner is taken only when no parked rank could still post an
-        earlier one (:meth:`Engine.is_next`), so which message a server
-        answers next is a function of virtual time alone.
-
-        Returns True when a message was handled.
-        """
-        if not self._inters:
-            return False
-        engine = self._inters[0].engine
-        proc = engine.current_proc()
-        msg = proc.best_match(self._lanes())
-        if msg is None or not engine.is_next(msg.arrival):
-            return False
-        if engine.faults is not None:
-            engine.maybe_crash()
-        self._take(proc, msg)
-        return True
-
     def _replay_pending(self) -> None:
         """Replay requests deferred from earlier epochs (e.g. queries
         for a file that had not been closed/indexed at the time)."""

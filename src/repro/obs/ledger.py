@@ -312,14 +312,6 @@ class Ledger:
                     out.append(RunRecord.from_json(json.loads(line)))
         return out
 
-    def latest(self, workload: str) -> RunRecord | None:
-        """The most recent record of ``workload`` (or ``None``)."""
-        found = None
-        for rec in self.records():
-            if rec.workload == workload:
-                found = rec
-        return found
-
     def runs_doc(self) -> dict[str, Any]:
         """The ledger as a comparator-ready ``{"runs": [...]}`` doc,
         keeping only the newest record per workload."""
@@ -401,16 +393,20 @@ def compare_runs(runs: list[dict[str, Any]], ref: dict[str, Any], *,
 
 
 def load_runs_doc(path: str) -> dict[str, Any]:
-    """Load a run document: bench JSON (``{"runs": [...]}``) or a
-    JSONL ledger (one record per line)."""
-    if path.endswith(".jsonl"):
-        return Ledger(path).runs_doc()
+    """Load a run document, whatever the file is called.
+
+    The content decides: a file that parses as one object with a
+    ``runs`` list is a bench document; anything else is a JSONL ledger
+    (one record per line), read as :meth:`Ledger.runs_doc`.
+    """
     with open(path) as f:
-        head = f.read(1)
-        f.seek(0)
-        if head == "{":
-            doc: dict[str, Any] = json.load(f)
-            return doc
+        text = f.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:  # more than one line of records
+        doc = None
+    if isinstance(doc, dict) and "runs" in doc:
+        return doc
     return Ledger(path).runs_doc()
 
 

@@ -112,7 +112,7 @@ class SpanRecorder:
     context-manager form guarantees this).
     """
 
-    PRODUCERS = ("begin", "end", "add", "instant")  # see ObsContext
+    PRODUCERS = ("begin", "end", "instant")  # see ObsContext
 
     def __init__(self) -> None:
         self._spans: list[SpanEvent] = []
@@ -152,22 +152,6 @@ class SpanRecorder:
         ev = SpanEvent(open_span.span_id, open_span.parent_id,
                        open_span.name, open_span.cat, open_span.rank,
                        open_span.t0, t1, open_span.labels)
-        self._spans.append(ev)
-        return ev
-
-    def add(self, name: str, cat: str, rank: int, t0: float, t1: float,
-            labels: dict[str, object] | None = None,
-            parent_id: int | None = None) -> SpanEvent:
-        """Record an already-measured span (no nesting bookkeeping).
-
-        The parent link is *explicit*: pass ``parent_id`` (e.g. from an
-        open span's handle) to nest the span, or leave it ``None`` for
-        a top-level span. No open-span stack is consulted.
-        """
-        sid = self._next_id
-        self._next_id += 1
-        ev = SpanEvent(sid, parent_id, name, cat, rank, t0, t1,
-                       dict(labels) if labels else {})
         self._spans.append(ev)
         return ev
 

@@ -54,10 +54,9 @@ class Comm:
         self.members = list(members)
         self._world_to_local = {w: i for i, w in enumerate(self.members)}
         self.comm_id = engine.next_comm_id() if comm_id is None else comm_id
-        # Wait descriptions, built once: a receive or probe spec's,
-        # keyed (kind, source, tag), does not depend on the calling
-        # rank; a collective waiter's is keyed ("collective", kind,
-        # world rank).
+        # Wait descriptions, built once: a receive spec's, keyed
+        # ("recv", source, tag), does not depend on the calling rank; a
+        # collective waiter's is keyed ("collective", kind, world rank).
         self._descs: dict[tuple, _engine.WaitDesc] = {}
 
     # -- identity ----------------------------------------------------------
@@ -228,19 +227,13 @@ class Comm:
         proc.record("recv", msg.nbytes)
         return msg
 
-    def _wait_desc(self, kind: str, source: int, tag: int):
-        key = (kind, source, tag)
-        desc = self._descs.get(key)
-        if desc is None:
-            desc = self._descs[key] = _engine.WaitDesc(
-                kind, self.comm_id, source, tag, self._spec_senders(source),
-                lanes=((self.comm_id, source, tag),),
-            )
+    def _wait_desc(self, source: int, tag: int):
+        """Build and cache the wait description of ``recv(source, tag)``."""
+        desc = self._descs[("recv", source, tag)] = _engine.WaitDesc(
+            "recv", self.comm_id, source, tag, self._spec_senders(source),
+            lanes=((self.comm_id, source, tag),),
+        )
         return desc
-
-    def _peek(self, proc, source: int, tag: int):
-        """Best queued match for ``(source, tag)``, not consumed."""
-        return proc.best_match(((self.comm_id, source, tag),))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns ``(payload, Status)``.
@@ -256,49 +249,11 @@ class Comm:
             engine.maybe_crash()
         t_start = proc.clock
         msg = engine.park(proc, self._descs.get(("recv", source, tag))
-                          or self._wait_desc("recv", source, tag))
+                          or self._wait_desc(source, tag))
         self._take_match(proc, msg, source, tag, t_start)
         if engine.faults is not None:
             engine.maybe_crash()
         return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
-
-    def _try_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive; ``(payload, Status)`` or ``None``.
-
-        A queued candidate that some parked rank could still overtake
-        (:meth:`Engine.is_next`) is reported as "nothing there".
-        """
-        engine = self.engine
-        proc = engine.current_proc()
-        if engine.faults is not None:
-            engine.maybe_crash()
-        msg = self._peek(proc, source, tag)
-        if msg is None or not engine.is_next(msg.arrival):
-            return None
-        self._take_match(proc, msg, source, tag, proc.clock)
-        return msg.payload, Status(msg.src, msg.tag, msg.nbytes)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive returning a :class:`Request`."""
-        return Request(self, "recv", source, tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-              block: bool = True):
-        """Check for a matching message without consuming it.
-
-        Returns a :class:`Status`, or ``None`` when ``block=False`` and
-        nothing matches yet. Same commit rule as :meth:`recv` /
-        :meth:`_try_recv`: the reported message is the one a receive
-        would take.
-        """
-        proc = self.engine.current_proc()
-        if block:
-            m = self.engine.park(proc, self._wait_desc("probe", source, tag))
-        else:
-            m = self._peek(proc, source, tag)
-            if m is None or not self.engine.is_next(m.arrival):
-                return None
-        return Status(m.src, m.tag, m.nbytes)
 
     # -- collectives -----------------------------------------------------------
 
@@ -312,10 +267,7 @@ class Comm:
     def _my_coll_key(self) -> int:
         return self.rank
 
-    _COST_ALIAS = {
-        "allgather_split": "allgather",
-        "dup": "barrier",
-    }
+    _COST_ALIAS = {"allgather_split": "allgather"}
 
     def _collective(self, kind: str, contribution, reducer, nbytes: int = 0):
         engine = self.engine
@@ -390,23 +342,6 @@ class Comm:
         finally:
             obs.spans.end(h, self.engine.current_proc().clock)
 
-    def bcast(self, payload=None, root: int = 0):
-        """Broadcast ``payload`` from ``root``; every rank returns it."""
-        nb = payload_nbytes(payload) if self.rank == root else 0
-        return self._collective(
-            "bcast", payload if self.rank == root else None,
-            lambda e: e[root], nbytes=nb,
-        )
-
-    def gather(self, payload, root: int = 0):
-        """Gather; ``root`` returns the rank-ordered list, others ``None``."""
-        res = self._collective(
-            "gather", payload,
-            lambda e: [e[i] for i in range(len(e))],
-            nbytes=payload_nbytes(payload),
-        )
-        return res if self.rank == root else None
-
     def allgather(self, payload):
         """Gather-to-all; every rank returns the rank-ordered list."""
         return self._collective(
@@ -414,20 +349,6 @@ class Comm:
             lambda e: [e[i] for i in range(len(e))],
             nbytes=payload_nbytes(payload),
         )
-
-    def scatter(self, payloads=None, root: int = 0):
-        """Scatter a list from ``root``; each rank returns its element."""
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise ValueError("scatter root must supply size-length list")
-            nb = max(payload_nbytes(p) for p in payloads)
-        else:
-            nb = 0
-        res = self._collective(
-            "scatter", payloads if self.rank == root else None,
-            lambda e: e[root], nbytes=nb,
-        )
-        return res[self.rank]
 
     def alltoall(self, payloads):
         """All-to-all: rank i sends ``payloads[j]`` to rank j."""
@@ -440,21 +361,6 @@ class Comm:
             nbytes=max(payload_nbytes(p) for p in payloads),
         )
         return [res[j][me] for j in range(self.size)]
-
-    def reduce(self, payload, op=None, root: int = 0):
-        """Reduce with binary ``op`` (default ``+``); root gets the result."""
-        import functools
-
-        op = op or (lambda a, b: a + b)
-
-        def reducer(entries):
-            vals = [entries[i] for i in range(len(entries))]
-            return functools.reduce(op, vals)
-
-        res = self._collective(
-            "reduce", payload, reducer, nbytes=payload_nbytes(payload)
-        )
-        return res if self.rank == root else None
 
     def allreduce(self, payload, op=None):
         """Reduce-to-all with binary ``op`` (default ``+``)."""
@@ -469,13 +375,6 @@ class Comm:
         return self._collective(
             "allreduce", payload, reducer, nbytes=payload_nbytes(payload)
         )
-
-    def sendrecv(self, payload, dest: int, source: int = ANY_SOURCE,
-                 sendtag: int = 0, recvtag: int = ANY_TAG,
-                 nbytes: int | None = None):
-        """Combined send+receive (deadlock-free shift patterns)."""
-        self.send(payload, dest, sendtag, nbytes=nbytes)
-        return self.recv(source, recvtag)
 
     # -- derived communicators ---------------------------------------------------
 
@@ -507,14 +406,6 @@ class Comm:
             return None
         comm_id, local_ranks = groups[color]
         return Comm(engine, [self.members[r] for r in local_ranks], comm_id)
-
-    def dup(self):
-        """Duplicate: same group, fresh communication context."""
-        def reducer(entries):
-            return self.engine.next_comm_id()
-
-        new_id = self._collective("dup", None, reducer)
-        return Comm(self.engine, self.members, new_id)
 
 
 class Intercomm(Comm):
@@ -595,6 +486,3 @@ class Intercomm(Comm):
 
     def split(self, color, key=None):  # pragma: no cover - guard
         raise NotImplementedError("cannot split an intercommunicator")
-
-    def dup(self):  # pragma: no cover - guard
-        raise NotImplementedError("cannot dup an intercommunicator")

@@ -3,12 +3,12 @@
 Rank bodies are OS threads, but exactly one of them holds the *baton*
 and runs, so the caller of any simmpi operation is the baton holder
 (:attr:`Engine.running`). A rank gives the baton up only inside a
-blocking simmpi operation -- a receive or probe, a collective it does
-not complete, an idle serve loop, its exit -- and :meth:`Engine.park`
+blocking simmpi operation -- a receive, a collective it does not
+complete, an idle serve loop, its exit -- and :meth:`Engine.park`
 hands it to the parked rank with the smallest *event time*, ties by
 world rank:
 
-- the arrival of its best queued candidate, for a receive, probe or
+- the arrival of its best queued candidate, for a receive or a
   serve-loop wait (capped by the serve loop's virtual deadline);
 - its own clock, when it has not started yet or a collective it waited
   in has completed;
@@ -42,7 +42,7 @@ from repro.simmpi.netmodel import NetworkModel
 class WaitDesc(NamedTuple):
     """What a parked rank is waiting for (scheduler + deadlock explainer).
 
-    ``kind`` is ``"recv"``, ``"probe"``, ``"serve"`` or ``"collective"``;
+    ``kind`` is ``"recv"``, ``"serve"`` or ``"collective"``;
     ``source``/``tag`` are the local spec (``ANY_SOURCE``/``ANY_TAG`` for
     wildcards and serve loops); ``senders`` is the resolved set of world
     ranks whose action could wake this rank (``None`` = any rank).
@@ -55,7 +55,7 @@ class WaitDesc(NamedTuple):
     senders: tuple | None
     detail: str = ""
     #: The ``(comm_id, source, tag)`` specs this waiter matches messages
-    #: against (one for a receive/probe, several for a serve loop; empty
+    #: against (one for a receive, several for a serve loop; empty
     #: for collectives). Its event time is the arrival of the best
     #: message queued on them.
     lanes: tuple = ()
@@ -282,14 +282,6 @@ class Engine:
                 return head
             heapq.heappop(events)
         return None
-
-    def is_next(self, arrival: float) -> bool:
-        """True when the baton holder may commit a message that arrived
-        at ``arrival``: no parked rank has an earlier event, so none can
-        still post one that arrives before it. Nonblocking operations
-        report "nothing there" otherwise."""
-        head = self._head()
-        return head is None or arrival <= head[0]
 
     def _next(self) -> Proc:
         """Take the rank to run next off the schedule.

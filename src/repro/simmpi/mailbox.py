@@ -150,7 +150,8 @@ class CommMailbox:
         self._count -= 1
 
     def peek_match(self, source: int, tag: int, consumed) -> Message | None:
-        """Best queued match without consuming it (probe)."""
+        """Best queued match without consuming it (what a parked
+        rank's event time is read from)."""
         key = self._best_key(source, tag, consumed)
         if key is None:
             return None

@@ -6,9 +6,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-#: Wildcard source for :meth:`Comm.recv` / :meth:`Comm.probe`.
+#: Wildcard source for :meth:`Comm.recv`.
 ANY_SOURCE = -1
-#: Wildcard tag for :meth:`Comm.recv` / :meth:`Comm.probe`.
+#: Wildcard tag for :meth:`Comm.recv`.
 ANY_TAG = -1
 
 _seq = itertools.count()

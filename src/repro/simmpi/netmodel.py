@@ -161,15 +161,11 @@ class NetworkModel:
         lg = math.log2(nprocs)
         alpha = self.latency + self.msg_overhead
         beta = self.contention_factor(nprocs) / self.bandwidth
-        if kind in ("barrier",):
+        if kind == "barrier":
             return 2.0 * lg * alpha
-        if kind in ("bcast", "reduce", "scatter"):
-            return lg * alpha + nbytes * beta
-        if kind in ("allreduce",):
+        if kind == "allreduce":
             return 2.0 * lg * alpha + 2.0 * nbytes * beta
-        if kind in ("gather", "allgather"):
-            # root/all receive nprocs * nbytes in total
-            return lg * alpha + nprocs * nbytes * beta
-        if kind in ("alltoall",):
+        if kind in ("allgather", "alltoall"):
+            # every rank receives nprocs * nbytes in total
             return lg * alpha + nprocs * nbytes * beta
         raise ValueError(f"unknown collective kind: {kind!r}")

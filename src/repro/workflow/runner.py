@@ -124,53 +124,6 @@ class Workflow:
         """Total simulated ranks across all tasks."""
         return sum(t.nprocs for t in self._tasks)
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "Workflow":
-        """Build a workflow from a declarative description.
-
-        ADIOS describes data in an external XML file and Decaf wires its
-        graph from a Python driver; this is the equivalent here::
-
-            Workflow.from_spec({
-                "tasks": [
-                    {"name": "sim", "nprocs": 4, "main": simulate},
-                    {"name": "ana", "nprocs": 2,
-                     "main": "mypkg.analysis:main"},
-                ],
-                "links": [["sim", "ana"]],
-            })
-
-        ``main`` is a callable or a ``"module:attribute"`` entry-point
-        string (resolved with :func:`importlib.import_module`).
-        """
-        import importlib
-
-        wf = cls()
-        tasks = spec.get("tasks")
-        if not tasks:
-            raise ValueError("spec needs a non-empty 'tasks' list")
-        for t in tasks:
-            try:
-                name, nprocs, main = t["name"], t["nprocs"], t["main"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"task entries need name/nprocs/main: {t!r}"
-                ) from exc
-            if isinstance(main, str):
-                mod_name, _, attr = main.partition(":")
-                if not attr:
-                    raise ValueError(
-                        f"entry point {main!r} must be 'module:attr'"
-                    )
-                main = getattr(importlib.import_module(mod_name), attr)
-            if not callable(main):
-                raise ValueError(f"task {name!r} main is not callable")
-            wf.add_task(name, int(nprocs), main)
-        for link in spec.get("links", []):
-            prod, cons = link
-            wf.add_link(prod, cons)
-        return wf
-
     def run(self, model: NetworkModel | None = None,
             timeout: float = 60.0, faults=None,
             restart: RestartPolicy | None = None,

@@ -21,10 +21,10 @@ def fanin(ctx):
             comm.recv(source=src, tag=BASE + src)
     comm.barrier()
     if not me == 0:
-        out = comm.bcast(None, root=0)
+        out = comm.allgather(None)
     else:
-        out = comm.bcast("payload", root=0)
-    return out
+        out = comm.allgather("payload")
+    return out[0]
 
 
 def build_workflow():

@@ -133,7 +133,8 @@ def test_point_gids_vectorized_matches_scalar():
     dec = RegularDecomposer((12, 8), 6)
     pts = np.array([[0, 0], [11, 7], [5, 3], [6, 4]])
     got = dec.point_gids(pts)
-    want = [dec.point_gid(tuple(p)) for p in pts]
+    want = [next(g for g in range(dec.ngrid_blocks)
+                 if dec.block_bounds(g).contains_point(p)) for p in pts]
     assert list(got) == want
     with pytest.raises(IndexError):
         dec.point_gids(np.array([[12, 0]]))

@@ -49,15 +49,6 @@ def test_contains():
     assert not a.contains_point((4, 0))
 
 
-def test_union_bound():
-    a = Bounds([0, 0], [2, 2])
-    b = Bounds([3, 1], [5, 4])
-    assert a.union_bound(b) == Bounds([0, 0], [5, 4])
-    empty = Bounds([1, 1], [1, 1])
-    assert a.union_bound(empty) == a
-    assert empty.union_bound(a) == a
-
-
 def test_to_selection():
     b = Bounds([1, 2], [3, 5])
     sel = b.to_selection((10, 10))

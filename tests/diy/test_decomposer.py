@@ -71,18 +71,10 @@ class TestRegularDecomposer:
     def test_gid_coords_roundtrip(self):
         dec = RegularDecomposer((8, 8, 8), 8)
         for gid in range(dec.ngrid_blocks):
-            assert dec.coords_to_gid(dec.gid_to_coords(gid)) == gid
+            coords = dec.gid_to_coords(gid)
+            assert np.ravel_multi_index(coords, dec.grid) == gid
         with pytest.raises(IndexError):
             dec.gid_to_coords(dec.ngrid_blocks)
-
-    def test_point_gid(self):
-        dec = RegularDecomposer((10,), 2)
-        assert dec.point_gid((0,)) == 0
-        assert dec.point_gid((4,)) == 0
-        assert dec.point_gid((5,)) == 1
-        assert dec.point_gid((9,)) == 1
-        with pytest.raises(IndexError):
-            dec.point_gid((10,))
 
     def test_blocks_intersecting_interior_box(self):
         dec = RegularDecomposer((12, 12), 4)  # 2x2 grid of 6x6 blocks

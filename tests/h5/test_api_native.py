@@ -174,7 +174,7 @@ class TestSerial:
                 d.write([1, 2, 3])
 
     def test_compound_dataset(self, vol):
-        ptype = h5.compound([("pos", "3f4"), ("id", "u8")])
+        ptype = h5.Datatype([("pos", "3f4"), ("id", "u8")])
         with h5.File("a.h5", "w", vol=vol) as f:
             d = f.create_dataset("p", shape=(4,), dtype=ptype)
             vals = np.zeros(4, dtype=ptype.np)

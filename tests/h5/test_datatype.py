@@ -4,56 +4,24 @@ import numpy as np
 import pytest
 
 import repro.h5 as h5
-from repro.h5.datatype import (
-    CLASS_COMPOUND,
-    CLASS_FLOAT,
-    CLASS_INTEGER,
-    CLASS_STRING,
-    as_datatype,
-)
+from repro.h5.datatype import as_datatype
 
 
 def test_predefined_types():
     assert h5.UINT64.itemsize == 8
     assert h5.FLOAT32.itemsize == 4
     assert h5.INT8.itemsize == 1
-    assert h5.UINT64.type_class == CLASS_INTEGER
-    assert h5.FLOAT64.type_class == CLASS_FLOAT
-
-
-def test_string_type():
-    s = h5.string_(16)
-    assert s.itemsize == 16
-    assert s.type_class == CLASS_STRING
-    with pytest.raises(ValueError):
-        h5.string_(0)
-
-
-def test_compound_type():
-    particle = h5.compound([("x", h5.FLOAT32), ("y", h5.FLOAT32),
-                            ("z", h5.FLOAT32), ("id", h5.UINT64)])
-    assert particle.type_class == CLASS_COMPOUND
-    assert particle.is_compound
-    assert particle.itemsize == 20
-    fields = particle.fields
-    assert set(fields) == {"x", "y", "z", "id"}
-    ftype, offset = fields["z"]
-    assert ftype == h5.FLOAT32 and offset == 8
-
-
-def test_compound_fields_on_atomic_raises():
-    with pytest.raises(h5.H5Error):
-        h5.UINT64.fields
 
 
 def test_encode_decode_roundtrip_atomic():
     for t in (h5.INT8, h5.INT16, h5.INT32, h5.INT64, h5.UINT8, h5.UINT16,
-              h5.UINT32, h5.UINT64, h5.FLOAT32, h5.FLOAT64, h5.string_(4)):
+              h5.UINT32, h5.UINT64, h5.FLOAT32, h5.FLOAT64,
+              h5.Datatype("S4")):
         assert h5.Datatype.decode(t.encode()) == t
 
 
 def test_encode_decode_roundtrip_compound():
-    t = h5.compound([("pos", "3f4"), ("mass", h5.FLOAT64)])
+    t = h5.Datatype([("pos", "3f4"), ("mass", "f8")])
     assert h5.Datatype.decode(t.encode()) == t
 
 
@@ -73,9 +41,3 @@ def test_as_datatype_coercions():
     assert as_datatype("f8") == h5.FLOAT64
     assert as_datatype(np.float32) == h5.FLOAT32
     assert as_datatype(h5.UINT8) is h5.UINT8
-
-
-def test_unsupported_kind_rejected():
-    t = h5.Datatype(np.dtype("O"))
-    with pytest.raises(h5.H5Error):
-        t.type_class

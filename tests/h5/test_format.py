@@ -84,7 +84,7 @@ def test_fill_value_preserved():
 
 
 def test_compound_dataset_roundtrip():
-    ptype = h5.compound([("x", "f4"), ("y", "f4"), ("z", "f4")])
+    ptype = h5.Datatype([("x", "f4"), ("y", "f4"), ("z", "f4")])
     root = FileNode("f")
     d = root.add_child(DatasetNode("particles", ptype, Dataspace((5,))))
     vals = np.zeros(5, dtype=ptype.np)

@@ -13,6 +13,7 @@ from repro.h5.native import NativeVOL
 from repro.lowfive import DistMetadataVOL
 from repro.pfs import PFSStore
 from repro.synth import (
+    SyntheticWorkload,
     consumer_grid_selection,
     consumer_particle_selection,
     grid_values,
@@ -125,6 +126,78 @@ class TestMemoryMode:
     def test_no_storage_traffic_in_memory_mode(self):
         store = PFSStore()
         run_producer_consumer(3, 1, store=store)
+        assert store.listdir() == []
+
+
+class TestPerDatasetTransport:
+    """Paper Sec. I: a consumer that reads one dataset of a file makes
+    LowFive move that dataset only -- "only the required dataset would
+    need to be sent"; the others are never sent, nor written."""
+
+    WL = SyntheticWorkload(grid_points_per_proc=512, particles_per_proc=2048)
+    NPROD, NCONS = 3, 2
+
+    def _run(self, read, store):
+        """Producers write the grid and the particles; consumers read
+        and validate the datasets named in ``read``."""
+        shape = self.WL.grid_shape(self.NPROD)
+        npart = self.WL.total_particles(self.NPROD)
+
+        def producer(ctx):
+            vol = make_dist_vol(ctx, [("out.h5", "consumer", "producer")],
+                                store=store)
+            f = h5.File("out.h5", "w", comm=ctx.comm, vol=vol)
+            grid = f.create_dataset("group1/grid", shape=shape,
+                                    dtype=h5.UINT64)
+            sel = producer_grid_selection(shape, ctx.rank, ctx.size)
+            grid.write(grid_values(sel, shape), file_select=sel)
+            parts = f.create_dataset("group2/particles", shape=(npart, 3),
+                                     dtype=h5.FLOAT32)
+            psel = producer_particle_selection(npart, ctx.rank, ctx.size)
+            parts.write(particle_values(psel), file_select=psel)
+            f.close()
+
+        def consumer(ctx):
+            vol = make_dist_vol(ctx, [("out.h5", "producer", "consumer")],
+                                store=store)
+            f = h5.File("out.h5", "r", comm=ctx.comm, vol=vol)
+            ok = True
+            if "grid" in read:
+                sel = consumer_grid_selection(shape, ctx.rank, ctx.size)
+                ok &= validate_grid(sel, shape, f["group1/grid"].read(
+                    sel, reshape=False))
+            if "particles" in read:
+                psel = consumer_particle_selection(npart, ctx.rank,
+                                                   ctx.size)
+                ok &= validate_particles(psel, f["group2/particles"].read(
+                    psel, reshape=False))
+            f.close()
+            return ok
+
+        wf = Workflow()
+        wf.add_task("producer", self.NPROD, producer)
+        wf.add_task("consumer", self.NCONS, consumer)
+        wf.add_link("producer", "consumer")
+        res = wf.run()
+        assert all(res.returns["consumer"])
+        return res.bytes_sent
+
+    def test_one_dataset_moves_only_its_bytes(self):
+        grid_b = self.WL.total_grid_points(self.NPROD) * 8
+        part_b = self.WL.total_particles(self.NPROD) * 12
+        none, grid, parts, both = (
+            self._run(read, PFSStore())
+            for read in ((), ("grid",), ("particles",),
+                         ("grid", "particles")))
+        # A read dataset's bytes cross the wire; the unread one's do
+        # not (they would take a read past the sum of both).
+        assert grid_b <= grid - none < grid_b + part_b
+        assert part_b <= parts - none < part_b + grid_b
+        assert both - grid >= part_b and both - parts >= grid_b
+
+    def test_unread_dataset_never_hits_storage(self):
+        store = PFSStore()
+        self._run(("grid",), store)
         assert store.listdir() == []
 
 

@@ -8,8 +8,6 @@ from repro.lowfive.rpc import (
     RPCError,
     RPCServer,
     RPCTimeout,
-    TAG_REPLY,
-    TAG_REQUEST,
 )
 from repro.simmpi import Engine, Intercomm
 
@@ -178,33 +176,6 @@ def test_serve_timeout_raises():
 
     res = eng.run(main)
     assert res.returns[1] == "timed-out"
-
-
-def test_poll_once_handles_the_next_message_or_nothing():
-    eng = Engine(2)
-    s_view, c_view = Intercomm.create(eng, [0], [1])
-
-    def main(world):
-        if world.rank == 0:  # the server runs first: nothing is queued
-            server = RPCServer()
-            server.register("echo", lambda source, x: x)
-            server.attach(s_view)
-            assert server.poll_once() is False
-            world.barrier()  # the client posts its call, then parks
-            assert server.poll_once() is True
-            assert server.poll_once() is False
-            server.serve()
-            return "served"
-        client = RPCClient(c_view)
-        req = c_view.isend(("echo", ("hi",)), 0, TAG_REQUEST)
-        world.barrier()
-        req.wait()
-        reply, _ = c_view.recv(source=0, tag=TAG_REPLY)
-        client.notify_all("__done__")
-        return reply
-
-    res = eng.run(main)
-    assert res.returns == ["served", (True, "hi")]
 
 
 def test_serve_without_intercomms_returns():

@@ -68,7 +68,7 @@ class TestClassification:
 
     def test_pfs_span_on_sender_means_contention(self):
         obs = ObsContext()
-        obs.spans.add("pfs.write", "pfs", 0, 0.0, 2.0)
+        obs.spans.end(obs.spans.begin(0, "pfs.write", "pfs", 0.0), 2.0)
         _edge(obs, t_post=2.0, t_arrival=2.5, t_recv=2.5)
         ws, = classify_waits(obs)
         assert ws.category == PFS_CONTENTION
@@ -76,7 +76,7 @@ class TestClassification:
 
     def test_serving_span_means_rpc_server_busy(self):
         obs = ObsContext()
-        obs.spans.add("rpc.handle", "rpc", 0, 0.0, 2.0)
+        obs.spans.end(obs.spans.begin(0, "rpc.handle", "rpc", 0.0), 2.0)
         _edge(obs, t_post=2.0, t_arrival=2.5, t_recv=2.5)
         ws, = classify_waits(obs)
         assert ws.category == RPC_SERVER_BUSY
@@ -91,8 +91,9 @@ class TestClassification:
         # The sender's wait-covering activity is the *deepest* span:
         # pfs.write inside task.producer.
         obs = ObsContext()
-        obs.spans.add("task.producer", "workflow", 0, 0.0, 10.0)
-        obs.spans.add("pfs.write", "pfs", 0, 0.0, 2.0)
+        obs.spans.end(
+            obs.spans.begin(0, "task.producer", "workflow", 0.0), 10.0)
+        obs.spans.end(obs.spans.begin(0, "pfs.write", "pfs", 0.0), 2.0)
         _edge(obs, t_post=2.0, t_arrival=2.5, t_recv=2.5)
         ws, = classify_waits(obs)
         assert ws.category == PFS_CONTENTION
@@ -107,8 +108,8 @@ class TestClassification:
 
     def test_collective_straggler(self):
         obs = ObsContext()
-        obs.spans.add("lowfive.index", "lowfive", 2, 0.0, 3.0,
-                      {"phase": "index"})
+        obs.spans.end(obs.spans.begin(2, "lowfive.index", "lowfive", 0.0,
+                                      {"phase": "index"}), 3.0)
         obs.causal.collective("barrier", 1, 0,
                               {0: 1.0, 1: 2.0, 2: 3.0}, 3.0, 3.5)
         waits = classify_waits(obs)
@@ -125,8 +126,8 @@ class TestDominantSpan:
 
     def test_deepest_covering_span_wins_per_slice(self):
         rec = ObsContext().spans
-        rec.add("outer", "", 0, 0.0, 10.0)
-        inner = rec.add("inner", "", 0, 2.0, 4.0)
+        rec.end(rec.begin(0, "outer", "", 0.0), 10.0)
+        inner = rec.end(rec.begin(0, "inner", "", 2.0), 4.0)
         spans = rec.spans()
         assert dominant_span(spans, 2.0, 4.0).name == "inner"
         # Over the full interval the outer span covers 8 of 10 seconds.
@@ -135,7 +136,7 @@ class TestDominantSpan:
 
     def test_empty_interval_is_none(self):
         rec = ObsContext().spans
-        rec.add("s", "", 0, 0.0, 1.0)
+        rec.end(rec.begin(0, "s", "", 0.0), 1.0)
         assert dominant_span(rec.spans(), 0.5, 0.5) is None
 
 

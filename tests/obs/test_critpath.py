@@ -88,10 +88,10 @@ class TestSyntheticWalks:
 
     def test_category_split_by_deepest_span(self):
         obs = ObsContext()
-        obs.spans.add("task.sim", "workflow", 0, 0.0, 5.0)
-        obs.spans.add("pfs.write", "pfs", 0, 1.0, 2.0)
-        obs.spans.add("lowfive.index", "lowfive", 0, 3.0, 4.5,
-                      {"phase": "index"})
+        obs.spans.end(obs.spans.begin(0, "task.sim", "workflow", 0.0), 5.0)
+        obs.spans.end(obs.spans.begin(0, "pfs.write", "pfs", 1.0), 2.0)
+        obs.spans.end(obs.spans.begin(0, "lowfive.index", "lowfive", 3.0,
+                                      {"phase": "index"}), 4.5)
         cp = critical_path(obs, [5.0])
         bd = cp.category_breakdown()
         assert set(bd) == set(CATEGORIES)

@@ -19,8 +19,9 @@ def _demo_obs():
     obs = ObsContext()
     obs.set_task("sim", [0, 1])
     obs.set_task("ana", [2])
-    obs.spans.add("lowfive.index", "lowfive", 0, 0.0, 1.5, {"file": "a.h5"})
-    obs.spans.add("task.ana", "workflow", 2, 0.0, 3.0)
+    obs.spans.end(obs.spans.begin(0, "lowfive.index", "lowfive", 0.0,
+                                  {"file": "a.h5"}), 1.5)
+    obs.spans.end(obs.spans.begin(2, "task.ana", "workflow", 0.0), 3.0)
     obs.spans.instant("stage.done", "lowfive", 1, 2.0)
     obs.metrics.inc("simmpi.send.bytes", 512, rank=0)
     return obs
@@ -39,7 +40,7 @@ class TestChromeTrace:
 
     def test_unknown_rank_maps_to_world(self):
         obs = ObsContext()
-        obs.spans.add("s", "", 5, 0.0, 1.0)
+        obs.spans.end(obs.spans.begin(5, "s", "", 0.0), 1.0)
         doc = chrome_trace(obs)
         span = [e for e in doc["traceEvents"] if e["ph"] == "X"][0]
         assert span["pid"] == WORLD_PID

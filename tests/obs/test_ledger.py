@@ -85,13 +85,6 @@ class TestLedgerFile:
         assert [r.workload for r in recs] == \
             ["fig5/lowfive_memory/P4", "fig7/pure_mpi/P4"]
 
-    def test_latest_returns_newest_of_workload(self, tmp_path):
-        led = Ledger(str(tmp_path / "l.jsonl"))
-        led.append(_record(vtime=1.0))
-        led.append(_record(vtime=2.0))
-        assert led.latest("fig5/lowfive_memory/P4").vtime == 2.0  # noqa: ANL004
-        assert led.latest("nope") is None
-
     def test_missing_file_is_empty(self, tmp_path):
         assert Ledger(str(tmp_path / "absent.jsonl")).records() == []
 

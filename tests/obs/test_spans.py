@@ -25,11 +25,10 @@ class TestBasics:
             ids.add(rec.end(h, 1.0).span_id)
         assert len(ids) == 10
 
-    def test_add_and_instant(self):
+    def test_instant(self):
         rec = SpanRecorder()
-        ev = rec.add("direct", "cat", 2, 0.0, 1.0)
         i = rec.instant("tick", "cat", 2, 0.5, {"n": 1})
-        assert rec.spans() == [ev]
+        assert rec.spans() == []
         assert rec.instants() == [i]
         assert i.t == 0.5 and i.labels == {"n": 1}
 
@@ -65,18 +64,6 @@ class TestNesting:
         assert s1.parent_id == pe.span_id == s2.parent_id
         assert {s.name for s in rec.children_of(pe.span_id)} == {"s1", "s2"}
 
-    def test_add_parent_is_explicit(self):
-        # add() does not adopt an open span as its parent; the link is
-        # opt-in.
-        rec = SpanRecorder()
-        p = rec.begin(0, "p", "", 0.0)
-        orphan = rec.add("measured", "", 0, 0.2, 0.8)
-        child = rec.add("measured2", "", 0, 0.2, 0.8,
-                        parent_id=p.span_id)
-        rec.end(p, 1.0)
-        assert orphan.parent_id is None
-        assert child.parent_id == p.span_id
-
     def test_end_pops_unclosed_children(self):
         rec = SpanRecorder()
         outer = rec.begin(0, "outer", "", 0.0)
@@ -111,9 +98,11 @@ class TestRanks:
 class TestQueries:
     def _populated(self):
         rec = SpanRecorder()
-        rec.add("lowfive.index", "lowfive", 0, 0.0, 1.0, {"file": "a.h5"})
-        rec.add("lowfive.query", "lowfive", 1, 0.0, 2.0, {"file": "a.h5"})
-        rec.add("pfs.write", "pfs", 0, 0.0, 4.0, {"file": "b.h5"})
+        for rank, name, t1, fname in ((0, "lowfive.index", 1.0, "a.h5"),
+                                      (1, "lowfive.query", 2.0, "a.h5"),
+                                      (0, "pfs.write", 4.0, "b.h5")):
+            cat = name.split(".")[0]
+            rec.end(rec.begin(rank, name, cat, 0.0, {"file": fname}), t1)
         return rec
 
     def test_filter_by_cat_name_rank(self):

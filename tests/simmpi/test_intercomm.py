@@ -109,8 +109,6 @@ def test_intercomm_no_split_or_dup():
         if local.rank == 0:
             with pytest.raises(NotImplementedError):
                 inter.split(0)
-            with pytest.raises(NotImplementedError):
-                inter.dup()
 
     run_with_intercomm(2, [0], [1], main)
 

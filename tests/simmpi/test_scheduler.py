@@ -25,6 +25,13 @@ def _mailbox_examined(engine: Engine) -> int:
                for mbox in p.mailbox.values())
 
 
+def _nothing_queued(comm) -> bool:
+    """No live message left for the calling rank on ``comm``: dead
+    twins are purged, and a live one would be the best match."""
+    proc = comm.engine.current_proc()
+    return proc.best_match(((comm.comm_id, ANY_SOURCE, ANY_TAG),)) is None
+
+
 class TestWildcardOrdering:
     def test_any_source_follows_arrival_order(self):
         """A wildcard receive takes the queued message with the
@@ -119,19 +126,6 @@ class TestTargetedWakeups:
 
         run_world(2, main, timeout=10.0)
 
-    def test_probe_woken_while_blocked(self):
-        def main(comm):
-            if comm.rank == 0:
-                st = comm.probe(source=1, tag=4)
-                assert (st.source, st.tag) == (1, 4)
-                payload, _ = comm.recv(source=1, tag=4)
-                assert payload == "probed"
-            else:
-                comm.compute(0.05)  # rank 0 is parked in the probe first
-                comm.send("probed", dest=0, tag=4)
-
-        run_world(2, main, timeout=10.0)
-
     def test_wakeups_correct_under_duplicates_and_delays(self):
         """Fault-injected duplicates and delays reorder and clone
         traffic; matching must still consume each logical message
@@ -166,8 +160,8 @@ class TestTargetedWakeups:
                 for src in range(comm.size - 1, 0, -1):
                     payload, _ = comm.recv(source=src, tag=src)
                     assert payload == src * 10
-                # Duplicates were deduped: nothing is left to probe.
-                assert comm.probe(block=False) is None
+                # Duplicates were deduped: nothing is left to match.
+                assert _nothing_queued(comm)
             else:
                 comm.send(comm.rank * 10, dest=0, tag=comm.rank)
 
@@ -193,9 +187,8 @@ class TestDuplicateTwinsNeverMatch:
 
     @pytest.fixture
     def popped(self, monkeypatch):
-        """``(source, tag, message)`` of every receive: ``recv``,
-        ``_try_recv`` and serve loops all dequeue through
-        ``Comm._take_match``."""
+        """``(source, tag, message)`` of every receive: ``recv`` and
+        serve loops both dequeue through ``Comm._take_match``."""
         from repro.simmpi.comm import Comm
 
         out = []
@@ -226,7 +219,7 @@ class TestDuplicateTwinsNeverMatch:
                 assert got == sorted((src, 10 + k)
                                      for src in range(1, comm.size)
                                      for k in range(3))
-                assert comm.probe(block=False) is None
+                assert _nothing_queued(comm)
                 return
             for k in (0, 1, 2, 10, 11, 12):
                 comm.send((comm.rank, k), dest=0, tag=k)

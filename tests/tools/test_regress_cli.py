@@ -139,6 +139,16 @@ class TestTolerancesAndLedgers:
         assert main(["regress", led.path, "--ref", REF,
                      "--check-ref"]) == 0
 
+    def test_ledger_named_json_is_read_by_content(self, tmp_path):
+        """``bench_gate --ledger L.json`` writes JSON lines whatever the
+        file is called; the content, not the suffix, says so."""
+        from repro.obs.ledger import Ledger
+
+        led = Ledger(str(tmp_path / "L.json"))
+        assert led.append_doc(json.load(open(REF))) > 1
+        assert main(["regress", led.path, "--ref", REF,
+                     "--check-ref"]) == 0
+
     def test_empty_document_is_an_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"runs": []}))

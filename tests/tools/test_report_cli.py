@@ -69,7 +69,7 @@ class TestReport:
         obs = ObsContext()
         durations = [float(d) for d in range(1, 201)]  # 1 .. 200
         for d in reversed(durations):
-            obs.spans.add("s", "c", 0, 0.0, d)
+            obs.spans.end(obs.spans.begin(0, "s", "c", 0.0), d)
         (row,) = span_stats(obs)
         # ceil(q * n)-th smallest: the 100th, 190th and 198th of 200.
         assert (row["p50"], row["p95"], row["p99"]) == (100.0, 190.0,

@@ -145,8 +145,8 @@ class TestTimeline:
 
     def test_spans_render_as_intervals(self):
         obs = ObsContext()
-        obs.spans.add("lowfive.index", "lowfive", 0, 0.0, 0.5)
-        obs.spans.add("pfs.write", "pfs", 1, 0.5, 1.0)
+        obs.spans.end(obs.spans.begin(0, "lowfive.index", "lowfive", 0.0), 0.5)
+        obs.spans.end(obs.spans.begin(1, "pfs.write", "pfs", 0.5), 1.0)
         coll(obs, 1.0)
         out = render_timeline(obs, 2, width=20, spans=obs.spans.spans())
         assert "LLL" in out and "PPP" in out  # painted extents
@@ -155,13 +155,13 @@ class TestTimeline:
 
     def test_spans_are_opt_in(self):
         obs = ObsContext()
-        obs.spans.add("lowfive.index", "lowfive", 0, 0.0, 0.5)
+        obs.spans.end(obs.spans.begin(0, "lowfive.index", "lowfive", 0.0), 0.5)
         coll(obs, 1.0)
         assert "L" not in render_timeline(obs, 1, width=20).split("\n")[0]
 
     def test_unknown_span_category_mark(self):
         obs = ObsContext()
-        obs.spans.add("custom", "mystery", 0, 0.0, 1.0)
+        obs.spans.end(obs.spans.begin(0, "custom", "mystery", 0.0), 1.0)
         assert "=" in render_timeline(obs, 1, width=12,
                                       spans=obs.spans.spans())
 
