@@ -10,9 +10,6 @@ ANL001    Wall-clock call (``time.time``, ``time.monotonic``,
           ``time.perf_counter``, ``time.sleep``, ``datetime.now``,
           ...) in virtual-time code. Real time must only appear in
           explicitly wall-clock harnesses.
-ANL002    An ``isend``/``irecv`` result that never reaches ``wait``
-          or ``test`` (dropped or forgotten request objects make the
-          nonblocking API lie about completion).
 ANL003    Raw ``threading`` primitives (``Thread``, ``Condition``,
           ``Event``, ``Semaphore``, ``Barrier``, ``Timer``, ``Lock``,
           ``RLock``, ``local``) outside the simmpi engine. Only the
@@ -49,7 +46,6 @@ from typing import TypeGuard
 #: Rule code -> one-line description (the lint rule table).
 RULES = {
     "ANL001": "wall-clock call in virtual-time code",
-    "ANL002": "isend/irecv result never reaches wait/test",
     "ANL003": "raw threading primitive outside simmpi.engine",
     "ANL004": "float equality on virtual clocks",
     "ANL005": "h5 file opened without with/close in this function",
@@ -176,209 +172,6 @@ def _clockish(node: ast.AST) -> bool:
     name = name.lower()
     return name in ("clock", "vtime") or name.endswith("_clock") \
         or name.endswith("_vtime")
-
-
-class _RequestTracker(ast.NodeVisitor):
-    """ANL002 within one function: requests must reach wait/test.
-
-    Requests are tracked through the shapes real code uses: direct
-    assignment, tuple unpacking (``ra, rb = comm.isend(...),
-    comm.irecv(...)``), container literals and comprehensions
-    (``reqs = [comm.isend(...) for ...]``) and ``append``/``extend``
-    onto a *local* container. A local container of requests must
-    itself reach a wait (as a call argument or by being iterated) or
-    escape. Stores into attributes or subscripts cannot be followed,
-    so they are reported as a distinct "unknown escape" instead of
-    silently trusted.
-    """
-
-    def __init__(self, out: list[Violation], path: str,
-                 suppressed: set[tuple[str, int]]) -> None:
-        self.out = out
-        self.path = path
-        self.suppressed = suppressed
-        # name -> (line, col) of the pending isend/irecv assignment
-        self.pending: dict[str, tuple[int, int]] = {}
-        # local container name -> origins of the requests it holds
-        self.containers: dict[str, list[tuple[int, int]]] = {}
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # nested defs are their own scope; walked separately
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    @staticmethod
-    def _is_req_call(node: ast.AST) -> TypeGuard[ast.Call]:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("isend", "irecv"))
-
-    def _collect(self, value: ast.AST) -> list[tuple[int, int]] | None:
-        """Request origins carried by ``value``, or None when it is
-        not a request-bearing expression we can follow."""
-        if self._is_req_call(value):
-            return [(value.lineno, value.col_offset)]
-        if isinstance(value, ast.Name):
-            if value.id in self.pending:
-                return [self.pending.pop(value.id)]
-            if value.id in self.containers:
-                return self.containers.pop(value.id)
-            return None
-        if isinstance(value, (ast.List, ast.Tuple, ast.Set)):
-            found: list[tuple[int, int]] = []
-            for elt in value.elts:
-                got = self._collect(elt)
-                if got:
-                    found.extend(got)
-            return found or None
-        if isinstance(value, (ast.ListComp, ast.SetComp,
-                              ast.GeneratorExp)) \
-                and self._is_req_call(value.elt):
-            return [(value.elt.lineno, value.elt.col_offset)]
-        return None
-
-    def visit_Expr(self, node: ast.Expr) -> None:
-        value = node.value
-        if self._is_req_call(value) \
-                and isinstance(value.func, ast.Attribute):
-            self._flag(node.lineno, node.col_offset,
-                       "request discarded: result of "
-                       f"{value.func.attr} is never waited on")
-            return
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        value = node.value
-        if len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                if self._is_req_call(value):
-                    self.pending[target.id] = (value.lineno,
-                                               value.col_offset)
-                    return
-                got = self._collect(value)
-                if got is not None:
-                    self.containers[target.id] = got
-                    return
-                if isinstance(value, (ast.List, ast.Set, ast.Dict)) \
-                        and not getattr(value, "elts",
-                                        getattr(value, "keys", ())):
-                    # ``reqs = []``: an empty *local* container we can
-                    # follow through later append/extend calls.
-                    self.containers[target.id] = []
-                    return
-            elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                self._unknown_escape(node, value)
-                return
-            elif isinstance(target, ast.Tuple) \
-                    and isinstance(value, ast.Tuple) \
-                    and len(target.elts) == len(value.elts):
-                for t, v in zip(target.elts, value.elts):
-                    if not isinstance(t, ast.Name):
-                        continue
-                    if self._is_req_call(v):
-                        self.pending[t.id] = (v.lineno, v.col_offset)
-                    else:
-                        got = self._collect(v)
-                        if got:
-                            self.containers[t.id] = got
-                return
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.target, ast.Name) \
-                and node.target.id in self.containers:
-            got = self._collect(node.value)
-            if got:
-                self.containers[node.target.id].extend(got)
-            return
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        f = node.func
-        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-            recv = f.value.id
-            if f.attr in ("wait", "test"):
-                self.pending.pop(recv, None)
-                self.containers.pop(recv, None)
-            elif f.attr in ("append", "extend", "add") \
-                    and recv in self.containers:
-                # Requests moved into a tracked local container stay
-                # tracked instead of escaping.
-                for arg in node.args:
-                    got = self._collect(arg)
-                    if got:
-                        self.containers[recv].extend(got)
-                return
-        # Passing a name to any other call (wait_all, a helper, ...)
-        # escapes it conservatively: the callee may wait it.
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Name):
-                    self.pending.pop(sub.id, None)
-                    self.containers.pop(sub.id, None)
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        # ``for r in reqs: r.wait()`` -- iterating a tracked container
-        # hands each element to the loop; treat it as consumed.
-        if isinstance(node.iter, ast.Name):
-            self.containers.pop(node.iter.id, None)
-        self.generic_visit(node)
-
-    def _escape(self, value: ast.AST | None) -> None:
-        if value is None:
-            return
-        for sub in ast.walk(value):
-            if isinstance(sub, ast.Name):
-                self.pending.pop(sub.id, None)
-                self.containers.pop(sub.id, None)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        self._escape(node.value)
-        self.generic_visit(node)
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self._escape(node.value)
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self._escape(node)
-
-    def _unknown_escape(self, node: ast.Assign, value: ast.AST) -> None:
-        """A store we cannot follow (attribute/subscript target)."""
-        for sub in ast.walk(value):
-            if not isinstance(sub, ast.Name):
-                continue
-            if sub.id in self.pending:
-                line, col = self.pending.pop(sub.id)
-                self._flag(line, col,
-                           f"request {sub.id!r} escapes into an "
-                           "attribute/subscript store (unknown "
-                           "escape); cannot verify it reaches "
-                           "wait/test")
-            elif sub.id in self.containers:
-                for line, col in self.containers.pop(sub.id):
-                    self._flag(line, col,
-                               f"request container {sub.id!r} escapes "
-                               "into an attribute/subscript store "
-                               "(unknown escape); cannot verify its "
-                               "requests reach wait/test")
-
-    def _flag(self, line: int, col: int, msg: str) -> None:
-        if ("ANL002", line) in self.suppressed:
-            return
-        self.out.append(Violation(self.path, line, col, "ANL002", msg))
-
-    def finish(self) -> None:
-        leaks = [(origin, f"request {name!r} never reaches wait/test")
-                 for name, origin in self.pending.items()]
-        leaks += [(origin, f"request in container {name!r} never "
-                           "reaches wait/test")
-                  for name, origins in self.containers.items()
-                  for origin in origins]
-        for (line, col), msg in sorted(leaks):
-            self._flag(line, col, msg)
 
 
 class _FileTracker(ast.NodeVisitor):
@@ -522,11 +315,6 @@ def lint_source(source: str, path: str,
                      "(simulated rank crashes); catch a narrower "
                      "type or re-raise")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if "ANL002" not in skip:
-                tracker = _RequestTracker(out, path, suppressed)
-                for stmt in node.body:
-                    tracker.visit(stmt)
-                tracker.finish()
             if "ANL005" not in skip:
                 files = _FileTracker(out, path, suppressed, alias)
                 for stmt in node.body:

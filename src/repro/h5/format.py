@@ -15,20 +15,21 @@ The metadata section is a little tag-length-value encoding of the
 metadata; each written piece records the offset/length of its payload in
 the data section.
 
-Each payload byte is copied once on each side: one full-size copy per
-byte where there were two.
+Each payload byte is copied once on each side.
 
-- Writing: :func:`encode_chunks` lists the header, every piece's values
-  (flat views) and the metadata, and ``PFSStore.create(name,
-  contents=...)`` joins them straight into the new file (before: a
-  joined blob, then a ``pwrite`` copying it into a growing entry).
+- Writing: an open file is an :class:`Image`, one bytearray with the
+  header reserved. A write appends the piece's bytes to it (the one
+  copy) and the tree keeps a lazy payload over them; the data section
+  is in write order. :meth:`Image.finish` appends the metadata, writes
+  the header in place and hands over the bytearray, which the store
+  adopts as the file. :func:`encode_file` is the same writer run over a
+  tree, its pieces appended in tree order.
 - Reading: decoding reads the header and the metadata section only. A
-  decoded :class:`~repro.h5.objects.DataPiece` stays on file; reading an
-  overlap gathers that overlap's byte runs
-  (:meth:`~repro.h5.selection.Selection.runs`) in one read (before: the
-  whole piece was read, then the overlap copied out of it). Only
-  re-encoding a piece fetches its whole payload; from an in-memory
-  image that is a read-only view of the image.
+  decoded :class:`~repro.h5.objects.DataPiece` stays in the image. A
+  box overlap of it, strided or not, is a read-only view of the image
+  (:meth:`~repro.h5.selection.Selection.view`), so the reader's scatter
+  is the one copy; any other overlap gathers its byte runs
+  (:meth:`~repro.h5.selection.Selection.runs`) in one read.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.h5.datatype import Datatype
 from repro.h5.dataspace import Dataspace
 from repro.h5.errors import H5Error
 from repro.h5.objects import (
-    DataPiece,
     DatasetNode,
     FileNode,
     GroupNode,
@@ -55,7 +55,7 @@ from repro.h5.selection import (
     PointSelection,
     Selection,
 )
-from repro.pfs.store import gather as gather_image
+from repro.pfs.store import gather, window
 
 MAGIC = b"REPROH5\x00"
 VERSION = 1
@@ -75,7 +75,7 @@ class Writer:
     """Append-only binary writer with small typed helpers."""
 
     def __init__(self):
-        self.chunks: list = []  # bytes, or flat uint8 views of piece data
+        self.chunks: list[bytes] = []
         self._len = 0
 
     def u8(self, v):
@@ -104,7 +104,7 @@ class Writer:
         self.blob(s.encode("utf-8"))
 
     def raw(self, b):
-        """Append raw bytes (or a flat byte view, kept by reference)."""
+        """Append raw bytes."""
         self.chunks.append(b)
         self._len += len(b)
 
@@ -248,7 +248,7 @@ def _decode_attrs(r: Reader, node: Node):
             attr.write(val.reshape(space.shape))
 
 
-def _encode_node(w: Writer, node: Node, data: Writer | None):
+def _encode_node(w: Writer, node: Node, extent):
     if isinstance(node, DatasetNode):
         w.u8(_KIND_DATASET)
         w.text(node.name)
@@ -260,7 +260,7 @@ def _encode_node(w: Writer, node: Node, data: Writer | None):
             w.blob(
                 np.asarray(node.fill_value, dtype=node.dtype.np).tobytes()
             )
-        if data is None:  # metadata only: no chunk layout, no pieces
+        if extent is None:  # metadata only: no chunk layout, no pieces
             w.u8(0)
             w.u32(0)
             return
@@ -273,85 +273,165 @@ def _encode_node(w: Writer, node: Node, data: Writer | None):
         w.u32(len(node.pieces))
         for piece in node.pieces:
             encode_selection(w, piece.selection)
-            payload = np.ascontiguousarray(piece.data).view(np.uint8)
-            w.u64(data.nbytes)  # offset within the data section
-            w.u64(len(payload))
-            data.raw(payload)
+            off, length = extent(piece)
+            w.u64(off)  # within the data section
+            w.u64(length)
     elif isinstance(node, GroupNode):
         w.u8(_KIND_GROUP)
         w.text(node.name)
-        _encode_group(w, node, data)
+        _encode_group(w, node, extent)
     else:  # pragma: no cover - tree invariant
         raise H5Error(f"cannot encode node {type(node).__name__}")
 
 
-def _encode_group(w: Writer, group: GroupNode, data: Writer | None):
+def _encode_group(w: Writer, group: GroupNode, extent):
+    """Encode ``group``'s subtree, each piece placed at ``extent(piece)``
+    in the data section; ``extent`` None encodes no pieces at all."""
     _encode_attrs(w, group)
     w.u32(len(group.children))
     for name in sorted(group.children):
-        _encode_node(w, group.children[name], data)
+        _encode_node(w, group.children[name], extent)
 
 
 class _Payload:
-    """A decoded piece's values, left on file: checked against the
-    file's layout now, against what each read returns when touched."""
+    """A piece's values left in a file image (an open :class:`Image`,
+    or a store handle): checked against the file's layout when made,
+    against what each read returns when touched. It holds no view of
+    the image, so an image being written can still grow."""
 
-    __slots__ = ("_read", "_gather", "_off", "nbytes", "_dtype")
+    __slots__ = ("_src", "_off", "nbytes", "_dtype")
 
-    def __init__(self, src, data_len: int, off: int, length: int, dtype,
-                 npoints: int):
-        if off + length > data_len or length != npoints * dtype.itemsize:
-            raise H5Error(
-                f"corrupt file: payload ({off}, {length}) of a {npoints} x "
-                f"{dtype.itemsize} B piece, data section of {data_len} B"
-            )
-        self._read, self._gather = src
-        self._off = HEADER.size + off
+    def __init__(self, src, off: int, length: int, dtype):
+        self._src = src
+        self._off = off
         self.nbytes = length
         self._dtype = dtype
+
+    @property
+    def extent(self) -> tuple[int, int]:
+        """``(offset within the data section, length)`` of the values."""
+        return self._off - HEADER.size, self.nbytes
 
     def _check(self, got: int, want: int) -> None:
         if got != want:
             raise H5Error(f"truncated file: {got} of {want} B of the "
                           f"payload at {self._off - HEADER.size}")
 
-    def fetch(self) -> np.ndarray:
-        """The whole values."""
-        raw = self._read(self._off, self.nbytes)
-        self._check(len(raw), self.nbytes)
-        return np.frombuffer(raw, dtype=self._dtype)
-
-    def gather(self, starts: np.ndarray, run: int) -> np.ndarray:
-        """The element runs ``[s, s + run)``, back to back, in one read."""
-        size = self._dtype.itemsize
-        raw = self._gather(self._off + starts * size, run * size)
-        self._check(raw.nbytes, len(starts) * run * size)
+    def _whole(self, raw: np.ndarray) -> np.ndarray:
+        self._check(raw.nbytes, self.nbytes)
         return raw.view(self._dtype)
+
+    def fetch(self) -> np.ndarray:
+        """The whole values, a read-only view of the image."""
+        return self._src.view(self._off, self.nbytes, self._whole)
+
+    def values(self, local) -> np.ndarray:
+        """The elements ``local`` selects from the values' grid (see
+        :meth:`~repro.h5.objects.DataPiece.values`): a read-only view of
+        the image shaped as ``local``'s grid when it is a box, else
+        ``local``'s element runs, back to back, in one gathered read."""
+        out = self._src.view(self._off, self.nbytes, lambda raw: local.view(
+            self._whole(raw).reshape(local.shape)))
+        if out is None:
+            starts, run = local.runs()
+            size = self._dtype.itemsize
+            raw = self._src.gather(self._off + starts * size, run * size)
+            self._check(raw.nbytes, len(starts) * run * size)
+            out = raw.view(self._dtype)
+        return out
+
+
+class Image:
+    """A file's bytes in memory, and the writer of a file being written.
+
+    ``buf`` is one bytearray: the header, then the data section, then,
+    once :meth:`finish` ran, the metadata. It is also a source that
+    :func:`decode_file` and lazy payloads read through, with the
+    methods of a store handle (``pread``, ``view``, ``gather``); reads
+    from an :class:`Image` are not counted. A view of ``buf`` lives no
+    longer than the read that took it, so a write can still grow it.
+    """
+
+    __slots__ = ("buf",)
+
+    def __init__(self, buf=None):
+        self.buf = bytearray(HEADER.size) if buf is None else buf
+
+    def pread(self, offset: int, length: int) -> bytes:
+        """A copy of ``length`` bytes at ``offset`` (short at the end)."""
+        return bytes(self.buf[offset:offset + length])
+
+    def view(self, offset: int, length: int, take):
+        """``take`` of the read-only view of ``length`` bytes at
+        ``offset`` (see :meth:`repro.pfs.store.FileHandle.view`)."""
+        return take(window(self.buf, offset, length))
+
+    def gather(self, offsets, length: int) -> np.ndarray:
+        """The ``length``-byte runs at ``offsets``, copied back to back."""
+        return gather(self.buf, offsets, length)
+
+    def append(self, values: np.ndarray) -> _Payload:
+        """Append ``values``' bytes to the data section -- their one
+        copy -- and return the lazy payload over them."""
+        flat = np.ascontiguousarray(values).reshape(-1)
+        off = len(self.buf)
+        self.buf += memoryview(flat.view(np.uint8))
+        return _Payload(self, off, flat.nbytes, flat.dtype)
+
+    def finish(self, root: FileNode) -> bytearray:
+        """The file of ``root``, ``buf`` itself: every piece of the tree
+        whose values are not in this image yet appended, in tree order
+        (in memory, or in another file: the one copy re-encoding
+        costs), then the metadata, then the header written in place."""
+        extents = {}
+        for piece in _pieces(root):
+            data = piece._data
+            if not (isinstance(data, _Payload) and data._src is self):
+                extents[id(piece)] = self.append(piece.data).extent
+        meta = Writer()
+        _encode_group(meta, root, lambda piece: extents.get(
+            id(piece)) or piece._data.extent)
+        meta_off = len(self.buf)
+        self.buf += meta.getvalue()
+        HEADER.pack_into(self.buf, 0, MAGIC, VERSION, meta_off, meta.nbytes)
+        return self.buf
+
+
+def _pieces(root: FileNode):
+    """Every piece of the tree in the order the encoder visits them."""
+    for node in root.walk():
+        if isinstance(node, DatasetNode):
+            yield from node.pieces
 
 
 def _decode_node(r: Reader, parent: GroupNode, src, data_len: int) -> None:
     kind = r.u8()
     name = r.text()
     if kind == _KIND_DATASET:
-        node = DatasetNode.__new__(DatasetNode)
-        Node.__init__(node, name, parent)
-        _decode_attrs(r, node)
-        node.dtype = Datatype.decode(r.blob())
-        node.space = Dataspace.decode(r.blob())
-        node.fill_value = None
+        attrs = Node(name)
+        _decode_attrs(r, attrs)
+        dtype = Datatype.decode(r.blob())
+        space = Dataspace.decode(r.blob())
+        fill_value = None
         if r.u8():
-            raw = r.blob()
-            node.fill_value = np.frombuffer(raw, dtype=node.dtype.np)[0]
+            fill_value = np.frombuffer(r.blob(), dtype=dtype.np)[0]
         nchunk_dims = r.u8()
-        node.chunks = tuple(r.u64() for _ in range(nchunk_dims)) \
+        chunks = tuple(r.u64() for _ in range(nchunk_dims)) \
             if nchunk_dims else None
-        node.pieces = []
+        node = DatasetNode(name, dtype, space, parent, fill_value, chunks)
+        node.attributes = attrs.attributes
         for _ in range(r.u32()):
             sel = decode_selection(r)
             off = r.u64()
             length = r.u64()
-            node.pieces.append(DataPiece(sel, _Payload(
-                src, data_len, off, length, node.dtype.np, sel.npoints)))
+            if off + length > data_len \
+                    or length != sel.npoints * dtype.itemsize:
+                raise H5Error(
+                    f"corrupt file: payload ({off}, {length}) of a "
+                    f"{sel.npoints} x {dtype.itemsize} B piece, data "
+                    f"section of {data_len} B")
+            node._append(sel, _Payload(src, HEADER.size + off, length,
+                                       dtype.np))
     elif kind == _KIND_GROUP:
         node = GroupNode(name, parent)
         _decode_group(r, node, src, data_len)
@@ -369,22 +449,10 @@ def _decode_group(r: Reader, group: GroupNode, src, data_len: int):
 # -- whole-file codec ---------------------------------------------------------------
 
 
-def encode_chunks(root: FileNode) -> list:
-    """The on-disk byte layout of a file tree as buffers: the header,
-    every piece's values (flat views of them, not copies) and the
-    metadata. Joining them is the one copy of the values."""
-    meta = Writer()
-    data = Writer()
-    _encode_group(meta, root, data)
-    header = HEADER.pack(
-        MAGIC, VERSION, HEADER.size + data.nbytes, meta.nbytes
-    )
-    return [header, *data.chunks, *meta.chunks]
-
-
-def encode_file(root: FileNode) -> bytes:
-    """Serialize a file tree to one immutable image."""
-    return b"".join(encode_chunks(root))
+def encode_file(root: FileNode) -> bytearray:
+    """Serialize a file tree to an image: the writer of :class:`Image`
+    run over the tree, each piece's values appended in tree order."""
+    return Image().finish(root)
 
 
 def encode_skeleton(root: FileNode) -> bytes:
@@ -400,22 +468,13 @@ def encode_skeleton(root: FileNode) -> bytes:
 def decode_file(src, name: str = "") -> FileNode:
     """Parse a file into a tree, reading its header and metadata only.
 
-    ``src`` is an in-memory image or an open store handle; either way a
-    piece's overlap is gathered in one read when first asked for (see
+    ``src`` is an open store handle, an :class:`Image`, or the bytes of
+    one; either way a piece's overlap is read when first asked for (see
     the module docstring).
     """
-    if hasattr(src, "pread"):
-        read, gather = src.pread, src.gather
-    else:
-        image = memoryview(src)
-
-        def read(off, length):
-            return image[off:off + length]
-
-        def gather(offsets, length):
-            return gather_image(image, offsets, length)
-
-    head = read(0, HEADER.size)
+    if not hasattr(src, "pread"):
+        src = Image(src)
+    head = src.pread(0, HEADER.size)
     if len(head) < HEADER.size:
         raise H5Error("file too small for header")
     magic, version, meta_off, meta_len = HEADER.unpack(head)
@@ -424,6 +483,6 @@ def decode_file(src, name: str = "") -> FileNode:
     if version != VERSION:
         raise H5Error(f"unsupported format version {version}")
     root = FileNode(name, None)
-    _decode_group(Reader(bytes(read(meta_off, meta_len))), root,
-                  (read, gather), meta_off - HEADER.size)
+    _decode_group(Reader(src.pread(meta_off, meta_len)), root, src,
+                  meta_off - HEADER.size)
     return root

@@ -4,19 +4,24 @@ Semantics follow parallel HDF5:
 
 - file create/open/close and object creates are collective over the
   file's communicator (every rank makes the same calls; the shared
-  in-core image is built once and reference-shared),
-- dataset writes go into the shared in-core image and are charged to the
-  Lustre cost model (collective two-phase by default),
-- on close, rank 0 serializes the image through :mod:`repro.h5.format`
-  into the :class:`~repro.pfs.store.PFSStore`, each value copied once,
-  straight into the new file.
+  in-core tree is built once and reference-shared),
+- the open file is its image (:class:`repro.h5.format.Image`): a
+  dataset write appends the piece's bytes to it, the one copy of the
+  caller's values, and is charged to the Lustre cost model (collective
+  two-phase by default),
+- on close, rank 0 appends the metadata, writes the header in place and
+  hands the image to the :class:`~repro.pfs.store.PFSStore`, which keeps
+  it as the file, uncopied.
 
-Readers decode a private tree per open from the header and metadata
-section alone; a ``dataset_read`` gathers, per piece it overlaps, the
-byte runs of that overlap alone in one read, from the contents that
-were open (re-creating the file does not change what an open reader
-sees). Costs are charged from the model (``open_time(nprocs)``,
-``values.nbytes``), never from bytes fetched.
+The readers of one file in one task share one tree, decoded once from
+the header and metadata section alone, and dropped at their last close;
+a truncating re-create of the file makes the next open decode the new
+one. A ``dataset_read`` reads, per piece it overlaps, that overlap alone:
+a read-only view of the stored image for a box, the overlap's byte runs
+gathered in one read otherwise; the reader's assembly is the one copy.
+An open reader keeps the contents it opened. Costs are charged per rank
+from the model (``open_time(nprocs)``, ``values.nbytes``), never from
+bytes fetched.
 """
 
 from __future__ import annotations
@@ -39,12 +44,20 @@ from repro.pfs.store import PFSStore
 
 
 class _FileState:
-    """Shared state of one open (for writing) native file."""
+    """Shared state of one open native file.
+
+    A file open for writing holds its tree and the ``image`` its writes
+    are appended to; a piece not in it yet (one an appending open
+    decoded, or one a close already handed to the store) is copied in
+    when the image is finished. A file open for reading holds the tree
+    decoded from the store ``source``, shared by the task's readers.
+    """
 
     __slots__ = ("name", "root", "mode", "comm", "nprocs", "refcount",
-                 "closed")
+                 "closed", "image", "source")
 
-    def __init__(self, name: str, root: FileNode, mode: str, comm, nprocs: int):
+    def __init__(self, name: str, root: FileNode, mode: str, comm,
+                 nprocs: int, image=None, source=None):
         self.name = name
         self.root = root
         self.mode = mode
@@ -52,6 +65,8 @@ class _FileState:
         self.nprocs = nprocs
         self.refcount = 0
         self.closed = False
+        self.image = image
+        self.source = source
 
 
 @dataclass
@@ -71,8 +86,9 @@ class NativeVOL(VOLBase):
     """The terminal VOL connector writing real bytes to the PFS.
 
     One ``NativeVOL`` instance is shared by all ranks of a task (they
-    cooperate on the shared in-core image). Different tasks may use
-    different instances as long as they share the :class:`PFSStore`.
+    cooperate on the shared in-core image, and share the tree of a file
+    they read). Different tasks may use different instances as long as
+    they share the :class:`PFSStore`.
     """
 
     name = "native"
@@ -82,6 +98,8 @@ class NativeVOL(VOLBase):
         self.store = store if store is not None else PFSStore()
         self.lustre = lustre if lustre is not None else LustreModel()
         self._images: dict[str, _FileState] = {}
+        # (name, comm) -> the tree a task's readers share
+        self._readers: dict[tuple, _FileState] = {}
 
     # -- cost charging -------------------------------------------------------
 
@@ -120,7 +138,8 @@ class NativeVOL(VOLBase):
         if state is None or state.closed:
             if mode == "x" and self.store.exists(fname):
                 raise ExistsError(f"file exists: {fname}")
-            state = _FileState(fname, FileNode(fname), "w", comm, nprocs)
+            state = _FileState(fname, FileNode(fname), "w", comm, nprocs,
+                               image=h5format.Image())
             self._images[fname] = state
         state.refcount += 1
         with span(comm, "pfs.open", cat="pfs", file=fname, mode=mode):
@@ -141,14 +160,23 @@ class NativeVOL(VOLBase):
                 return _Token(state, state.root)
         if not self.store.exists(fname):
             raise NotFoundError(f"no such file: {fname}")
-        # A private tree decoded from the metadata alone; a read gathers
-        # only its overlap of each piece (charged at dataset_read).
-        root = h5format.decode_file(self.store.open(fname), fname)
-        state = _FileState(fname, root, mode, comm, nprocs)
-        state.refcount = 1
+        # A tree decoded from the metadata alone; a read fetches only
+        # its overlap of each piece (charged at dataset_read). Readers
+        # share it; an appending open decodes its own.
+        handle = self.store.open(fname)
+        key = (fname, comm)
+        state = self._readers.get(key) if mode == "r" else None
+        if state is None or not state.source.same_file(handle):
+            state = _FileState(fname, h5format.decode_file(handle, fname),
+                               mode, comm, nprocs, source=handle,
+                               image=h5format.Image() if mode == "a"
+                               else None)
+            if mode == "r":
+                self._readers[key] = state
+        state.refcount += 1
         with span(comm, "pfs.open", cat="pfs", file=fname, mode=mode):
             self._charge(comm, self.lustre.open_time(nprocs))
-        return _Token(state, root)
+        return _Token(state, state.root)
 
     def file_close(self, ftoken):
         state = ftoken.state
@@ -170,11 +198,14 @@ class NativeVOL(VOLBase):
         if state.refcount <= 0:
             state.closed = True
         if writeback and (comm is None or comm.rank == 0):
-            self.store.create(state.name,
-                              contents=h5format.encode_chunks(state.root))
-        if writeback:
-            if state.closed and self._images.get(state.name) is state:
-                del self._images[state.name]
+            image, state.image = state.image, h5format.Image()
+            # The store's now: nothing extends it again.
+            self.store.create(state.name, image=image.finish(state.root))
+        if state.closed:
+            key = state.name if writeback else (state.name, comm)
+            owner = self._images if writeback else self._readers
+            if owner.get(key) is state:
+                del owner[key]
         self._charge(comm, self.lustre.close_time(nprocs))
         if comm is not None and writeback:
             comm.barrier()
@@ -209,7 +240,8 @@ class NativeVOL(VOLBase):
             raise ModeError("file opened read-only")
         dxpl = dxpl or DEFAULT_DXPL
         node = dtoken.node
-        piece = node.write(selection, data, OWN_DEEP)
+        piece = node.write(selection, data, OWN_DEEP,
+                           keep=state.image.append)
         comm = state.comm
         local = piece.nbytes
         with span(comm, "pfs.write", cat="pfs", file=state.name,

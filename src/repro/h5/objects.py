@@ -15,6 +15,9 @@ tree of HDF5 objects ... that replicates the user's HDF5 data model").
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from repro.h5.datatype import Datatype, as_datatype
@@ -40,12 +43,25 @@ def split_path(path: str) -> list[str]:
 class Node:
     """Base tree node."""
 
-    __slots__ = ("name", "parent", "attributes")
+    __slots__ = ("name", "_parent", "attributes", "__weakref__")
 
     def __init__(self, name: str, parent: "GroupNode | None" = None):
         self.name = name
         self.parent = parent
         self.attributes: dict[str, AttributeNode] = {}
+
+    @property
+    def parent(self) -> "GroupNode | None":
+        """The group holding this node; None at the root, or once the
+        tree above was dropped. The link is weak, so a tree holds no
+        reference cycle: dropping its root frees it, payload arrays
+        included, without waiting for the cyclic collector."""
+        ref = self._parent
+        return None if ref is None else ref()
+
+    @parent.setter
+    def parent(self, group: "GroupNode | None") -> None:
+        self._parent = None if group is None else weakref.ref(group)
 
     @property
     def path(self) -> str:
@@ -205,11 +221,11 @@ class FileNode(GroupNode):
 class DataPiece:
     """One write's worth of data: where it lives in the file dataspace,
     the values, and whether we own them. ``data`` may be given as a lazy
-    payload (a piece decoded from a file) that stays on file: an object
-    with ``nbytes``, ``fetch()`` (the whole values) and ``gather(starts,
-    run)`` (the element runs ``[s, s + run)``, back to back). An
-    adopted piece (:meth:`DatasetNode.adopt`) may hold an N-d view
-    shaped as its selection's grid."""
+    payload, values that stay in a file image (a piece written through
+    the native VOL, or decoded from a file): an object with ``nbytes``,
+    ``fetch()`` (the whole values) and ``values(local)`` (see
+    :meth:`values`). An adopted piece (:meth:`DatasetNode.adopt`) may
+    hold an N-d view shaped as its selection's grid."""
 
     __slots__ = ("selection", "ownership", "_data")
 
@@ -222,10 +238,12 @@ class DataPiece:
     def data(self) -> np.ndarray:
         """The values, flat and in selection order (C order of an N-d
         view; a copy when the view is strided). A lazy payload is
-        fetched whole and kept: only re-encoding the piece needs that."""
-        if not isinstance(self._data, np.ndarray):
-            self._data = self._data.fetch()
-        return self._data.reshape(-1)
+        fetched whole, as a read-only view of its image, and not kept:
+        only re-encoding the piece needs that."""
+        data = self._data
+        if not isinstance(data, np.ndarray):
+            data = data.fetch()
+        return data.reshape(-1)
 
     @property
     def nbytes(self) -> int:
@@ -238,22 +256,22 @@ class DataPiece:
         strided slab, index set, point list).
 
         Who owns the buffer decides whether the result is a view. When
-        LowFive does (``OWN_DEEP``) and ``overlap`` is a box, possibly
-        strided, of the piece's grid, the result is a read-only view of
-        the piece's data shaped as ``overlap``'s grid, whose C order is
-        ``overlap``'s order: the value is shipped to other ranks by
-        reference, and the reader's scatter is its one host copy. Any
-        other overlap, and every overlap of a user-owned
-        (``OWN_SHALLOW``) piece, is a fresh flat array: the user may
-        change that memory while the reply waits in a mailbox. A piece
-        still on file reads the runs of the overlap alone, in one
-        gathered read, and keeps nothing. The result is read-only
-        either way.
+        LowFive does (``OWN_DEEP``, which includes a piece in a file
+        image) and ``overlap`` is a box, possibly strided, of the
+        piece's grid, the result is a read-only view of the piece's data
+        shaped as ``overlap``'s grid, whose C order is ``overlap``'s
+        order: the value is shipped to other ranks by reference, and the
+        reader's scatter is its one host copy. Any other overlap, and
+        every overlap of a user-owned (``OWN_SHALLOW``) piece, is a
+        fresh flat array: the user may change that memory while the
+        reply waits in a mailbox. A piece in a file image gathers such
+        an overlap's runs alone, in one read, and keeps nothing. The
+        result is read-only either way.
         """
         local = self.selection.locate(overlap)
         data = self._data
         if not isinstance(data, np.ndarray):
-            out = data.gather(*local.runs())
+            out = data.values(local)
         else:
             data = data.reshape(local.shape)
             out = local.view(data) if self.ownership == OWN_DEEP else None
@@ -270,10 +288,13 @@ class DatasetNode(Node):
 
     Each :meth:`write` appends a piece; :meth:`read` assembles any
     requested selection from the stored pieces (zero-filled where
-    nothing was written, like HDF5's fill value).
+    nothing was written, like HDF5's fill value). A separable read
+    visits only the pieces whose first-axis extent meets its own (see
+    :class:`_PieceIndex`).
     """
 
-    __slots__ = ("dtype", "space", "pieces", "fill_value", "chunks")
+    __slots__ = ("dtype", "space", "pieces", "fill_value", "chunks",
+                 "_index")
 
     def __init__(self, name: str, dtype: Datatype, space: Dataspace,
                  parent: GroupNode | None = None, fill_value=None,
@@ -290,24 +311,30 @@ class DatasetNode(Node):
                     f"bad chunk shape {chunks} for rank {space.ndim}"
                 )
         self.chunks = chunks
+        self._index = _PieceIndex()
 
     # -- writing -------------------------------------------------------------
 
     def write(self, selection: Selection, data: np.ndarray,
-              ownership: str = OWN_DEEP) -> DataPiece:
+              ownership: str = OWN_DEEP, keep=None) -> DataPiece:
         """Record ``data`` (in selection order) for ``selection``.
 
         ``ownership == OWN_DEEP`` copies, once: a strided or
         type-converted input is already a private array after
-        flattening. ``OWN_SHALLOW`` keeps a reference to the caller's
-        array (zero-copy; the caller must not modify it until the piece
-        is consumed -- paper Sec. I).
+        flattening. ``keep(values)``, when given, makes that one copy
+        itself and returns what the piece holds (a file image appends
+        the bytes and returns their lazy payload). ``OWN_SHALLOW`` keeps
+        a reference to the caller's array (zero-copy; the caller must
+        not modify it until the piece is consumed -- paper Sec. I).
         """
         if ownership not in (OWN_DEEP, OWN_SHALLOW):
             raise ValueError(f"unknown ownership {ownership!r}")
         self._check_extent(selection)
         arr = np.asarray(data, dtype=self.dtype.np).reshape(-1)
-        if ownership == OWN_DEEP and np.may_share_memory(arr, data):
+        self._check_size(selection, arr.size)
+        if keep is not None:
+            arr = keep(arr)
+        elif ownership == OWN_DEEP and np.may_share_memory(arr, data):
             arr = arr.copy()
         return self._append(selection, arr, ownership)
 
@@ -318,8 +345,9 @@ class DatasetNode(Node):
         ``OWN_DEEP`` piece, without a copy. Its overlaps are served as
         views again."""
         self._check_extent(selection)
-        return self._append(selection, np.asarray(values, self.dtype.np),
-                            OWN_DEEP)
+        values = np.asarray(values, self.dtype.np)
+        self._check_size(selection, values.size)
+        return self._append(selection, values, OWN_DEEP)
 
     def _check_extent(self, selection: Selection) -> None:
         if selection.shape != self.space.shape:
@@ -328,13 +356,16 @@ class DatasetNode(Node):
                 f"{self.space.shape}"
             )
 
-    def _append(self, selection: Selection, arr: np.ndarray,
-                ownership: str) -> DataPiece:
-        if arr.size != selection.npoints:
+    @staticmethod
+    def _check_size(selection: Selection, size: int) -> None:
+        if size != selection.npoints:
             raise SelectionError(
-                f"data size {arr.size} != selection size {selection.npoints}"
+                f"data size {size} != selection size {selection.npoints}"
             )
-        piece = DataPiece(selection, arr, ownership)
+
+    def _append(self, selection: Selection, data,
+                ownership: str = OWN_DEEP) -> DataPiece:
+        piece = DataPiece(selection, data, ownership)
         self.pieces.append(piece)
         return piece
 
@@ -356,7 +387,7 @@ class DatasetNode(Node):
         ``thin(overlap) -> overlap`` optionally reduces each overlap
         before its values are gathered (wire-side subsampling).
         """
-        for piece in self.pieces:
+        for piece in self._index.candidates(self.pieces, selection):
             overlap = piece.selection.intersect(selection)
             if overlap.npoints == 0:
                 continue
@@ -383,6 +414,55 @@ class DatasetNode(Node):
     def total_written_bytes(self) -> int:
         """Bytes held across all written pieces."""
         return sum(p.nbytes for p in self.pieces)
+
+
+class _PieceIndex:
+    """A dataset's pieces by first-axis start, so that a read visits
+    only the pieces it can overlap.
+
+    ``starts``, ``stops`` and ``seqs`` are parallel lists sorted by
+    start: each indexed piece's first-axis extent ``[start, stop)`` and
+    its position in write order. ``reach`` is the longest extent. A
+    dataset's pieces are only ever appended; those appended since the
+    last read are indexed at the next one.
+    """
+
+    __slots__ = ("starts", "stops", "seqs", "reach", "count")
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.stops: list[int] = []
+        self.seqs: list[int] = []
+        self.reach = 0
+        self.count = 0
+
+    def candidates(self, pieces: list, selection: Selection) -> list:
+        """The pieces of ``pieces`` that ``selection`` can overlap, in
+        write order (the last write wins). Every piece when there is
+        one, the dataset is scalar, or ``selection`` is not separable
+        (a point list keeps the full scan)."""
+        if len(pieces) < 2 or not selection.is_separable \
+                or not selection.shape:
+            return pieces
+        for seq in range(self.count, len(pieces)):
+            sel = pieces[seq].selection
+            if sel.npoints:  # an empty piece overlaps nothing
+                (start, *_), (stop, *_) = sel.bounds()
+                at = bisect_right(self.starts, start)
+                self.starts.insert(at, start)
+                self.stops.insert(at, stop)
+                self.seqs.insert(at, seq)
+                self.reach = max(self.reach, stop - start)
+        self.count = len(pieces)
+        if not selection.npoints:
+            return []
+        (lo, *_), (hi, *_) = selection.bounds()
+        first = bisect_left(self.starts, lo - self.reach + 1)
+        last = bisect_left(self.starts, hi)
+        return [pieces[seq] for seq in sorted(
+            seq for seq, stop in zip(self.seqs[first:last],
+                                     self.stops[first:last])
+            if stop > lo)]
 
 
 class AttributeNode(Node):

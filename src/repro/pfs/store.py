@@ -5,17 +5,19 @@ globally visible). It holds whole files as resizable bytearrays and
 supports positional reads/writes, which is all the native VOL's file
 format needs.
 
-Each byte is copied once on each side. A create given ``contents`` (the
-encoder's buffers) joins them straight into the new entry: one copy,
-where a ``pwrite`` of one pre-joined blob made two. A gathered read
-(:meth:`FileHandle.gather`) copies the byte runs of one overlap into one
-fresh array: one copy of only the bytes asked for, where a whole-piece
-``pread`` and then the overlap's extraction made two.
+Each byte is copied once on each side. A create given a finished
+``image`` (the bytearray an h5 writer appended its data and metadata
+to) adopts it as the new entry, uncopied. A read of an h5 piece is a
+read-only view of the entry (:meth:`FileHandle.view`), or, for a
+selection a view cannot express, a gather (:meth:`FileHandle.gather`)
+that copies the byte runs of one overlap into one fresh array: either
+way the reader's own copy of only the bytes asked for is the one copy.
 
 A handle keeps the contents it opened, like a descriptor its inode: a
-truncating create installs a fresh entry under the name. Every read is a
-copy; no view of a file's bytearray leaves this module (an exported
-buffer would make the next extending write raise ``BufferError``).
+truncating create installs a fresh entry under the name. Views are taken
+only of h5 images, which nothing extends in place once they are stored
+(an exported buffer would make an extending ``pwrite`` raise
+``BufferError``); ``pread`` and ``gather`` return copies.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def gather(buf, offsets, length: int) -> np.ndarray:
     return out
 
 
+def window(buf, offset: int, length: int) -> np.ndarray:
+    """A read-only ``uint8`` view of ``buf[offset:offset + length]``, cut
+    short at the end of ``buf``."""
+    out = np.frombuffer(buf, dtype=np.uint8)[offset:offset + length]
+    out.flags.writeable = False
+    return out
+
+
 class PFSStore:
     """A flat namespace of files with positional I/O.
 
@@ -63,15 +73,16 @@ class PFSStore:
     # -- namespace ------------------------------------------------------------
 
     def create(self, name: str, truncate: bool = True,
-               contents=()) -> "FileHandle":
+               image: bytearray | None = None) -> "FileHandle":
         """Create (or truncate) a file and return a handle.
 
-        ``contents``, a sequence of buffers, becomes the file's bytes in
-        one join: each byte is copied once, straight into the entry.
+        ``image``, a finished file's bytes, becomes the entry itself:
+        no byte is copied, and its writer extends it no further.
         """
         if not truncate and name in self._files:
             raise FileExistsError(f"file exists: {name}")
-        entry = self._files[name] = bytearray().join(contents)
+        entry = bytearray() if image is None else image
+        self._files[name] = entry
         self.bytes_written += len(entry)
         self.n_creates += 1
         return FileHandle(self, name, entry)
@@ -148,6 +159,21 @@ class FileHandle:
             out = bytes(view[offset:offset + length])
         self._store.bytes_read += len(out)
         return out
+
+    def view(self, offset: int, length: int, take):
+        """``take(w)``, for ``w`` the read-only ``uint8`` view of the
+        ``length`` bytes at ``offset`` (short past EOF): a view of the
+        entry itself, counted as the bytes of what ``take`` returns
+        (nothing when it returns None)."""
+        out = take(window(self._data, offset, length))
+        if out is not None:
+            self._store.bytes_read += out.nbytes
+        return out
+
+    def same_file(self, other: "FileHandle") -> bool:
+        """True when both handles read the same contents: no truncating
+        create of the name came between their opens."""
+        return self._data is other._data
 
     def gather(self, offsets, length: int) -> np.ndarray:
         """Read the ``length``-byte runs at ``offsets`` into one fresh

@@ -30,7 +30,9 @@ The path set (:data:`PATHS`; ``run`` executes it in ``<out>/work``):
   report, fig7, fig5 in both modes, fig5 at 48 x 16, the streaming
   pipeline, the seeded race, the memory and file reports);
 - ``bench_layers/run.py --selftest``;
-- the two CI wall-limit steps (file mode at P = 128, stream at P = 64).
+- the two CI wall-limit steps (file mode, here at P = 128 where CI runs
+  P = 512: the same code paths at a quarter of the traced cost; stream
+  at P = 64).
 
 A step's exit status is printed, not enforced: the seeded-race step
 exits 1 by design, and the telemetry gate reads its overhead with the

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.h5 as h5
+from repro.h5 import format as h5format
 from repro.h5.errors import (
     ClosedError,
     ExistsError,
@@ -255,9 +256,64 @@ class TestParallel:
 
         store.bytes_read = 0
         run_world(n, reader)
-        # One pass over the payload plus N metadata reads (<= file_size
-        # + N * overhead); a whole-file read per rank is N * file_size.
-        assert store.bytes_read == n * per * 8 + n * overhead
+        # One pass over the payload plus one metadata read for the task,
+        # whose readers share the decoded tree; a whole-file read per
+        # rank is N * file_size.
+        assert store.bytes_read == n * per * 8 + overhead
+
+    def test_a_task_decodes_a_file_once(self, monkeypatch):
+        """The readers of one file in one task share one decoded tree,
+        dropped at their last close; a truncating re-create makes the
+        next open decode the new file."""
+        decoded = []
+        real = h5format.decode_file
+
+        def counting(src, name=""):
+            decoded.append(name)
+            return real(src, name)
+
+        monkeypatch.setattr(h5format, "decode_file", counting)
+        n = 4
+        store = PFSStore()
+        wvol, rvol = NativeVOL(store), NativeVOL(store)
+
+        def write(base):
+            def body(comm):
+                with h5.File("o.h5", "w", comm=comm, vol=wvol) as f:
+                    f.create_dataset("d", shape=(n,), dtype=h5.INT64).write(
+                        [base + comm.rank],
+                        file_select=h5.hyperslab((comm.rank,), (1,)))
+            run_world(n, body)
+
+        def read(comm, base):
+            with h5.File("o.h5", "r", comm=comm, vol=rvol) as f:
+                got = f["d"].read(
+                    file_select=h5.hyperslab((comm.rank,), (1,)))
+            assert got[0] == base + comm.rank
+
+        write(0)
+        run_world(n, lambda comm: read(comm, 0))
+        assert decoded == ["o.h5"]
+        run_world(n, lambda comm: read(comm, 0))  # all closed: dropped
+        assert len(decoded) == 2
+
+        old = h5.File("o.h5", "r", vol=rvol)
+        assert len(decoded) == 3
+        write(100)  # truncating re-create while a reader holds the old
+        new = h5.File("o.h5", "r", vol=rvol)
+        also_new = h5.File("o.h5", "r", vol=rvol)  # shares new's tree
+        assert len(decoded) == 4
+        np.testing.assert_array_equal(old["d"].read(), np.arange(n))
+        old.close()  # leaves the tree of the open readers of the new
+        with h5.File("o.h5", "r", vol=rvol) as f:
+            np.testing.assert_array_equal(f["d"].read(), np.arange(n) + 100)
+        assert len(decoded) == 4
+        np.testing.assert_array_equal(also_new["d"].read(),
+                                      np.arange(n) + 100)
+        new.close()
+        also_new.close()
+        run_world(n, lambda comm: read(comm, 100))
+        assert len(decoded) == 5
 
     def test_parallel_io_charges_lustre_time(self):
         store = PFSStore()

@@ -17,7 +17,7 @@ from repro.h5.selection import (
     PointSelection,
 )
 from repro.pfs import PFSStore
-from repro.pfs.store import gather
+from repro.pfs.store import gather, window
 
 
 def roundtrip(root):
@@ -238,6 +238,9 @@ def test_short_read_at_fetch_is_typed_failure():
         def pread(self, offset, length):
             return self.blob[offset:offset + length]
 
+        def view(self, offset, length, take):
+            return take(window(self.blob, offset, length))
+
         def gather(self, offsets, length):
             return gather(self.blob, offsets, length)
 
@@ -245,7 +248,9 @@ def test_short_read_at_fetch_is_typed_failure():
     d = h5format.decode_file(handle).lookup("d")
     handle.blob = handle.blob[:h5format.HEADER.size + 40]
     with pytest.raises(H5Error, match="truncated file"):
-        d.read(AllSelection((100,)))
+        d.read(AllSelection((100,)))  # a box: the view path
+    with pytest.raises(H5Error, match="truncated file"):
+        d.read(PointSelection((100,), [[3], [90]]))  # the gathered path
     with pytest.raises(H5Error, match="truncated file"):
         d.pieces[0].data  # the whole-piece fetch of re-encoding
 

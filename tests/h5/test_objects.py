@@ -1,6 +1,8 @@
 """Metadata-hierarchy (tree) tests."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from repro.h5.objects import (
     OWN_SHALLOW,
     split_path,
 )
-from repro.h5.selection import AllSelection, HyperslabSelection, PointSelection
+from repro.h5.selection import (
+    AllSelection,
+    HyperslabSelection,
+    PointSelection,
+    _SeparableSelection,
+)
 
 
 def make_tree():
@@ -249,3 +256,82 @@ def test_prop_piece_assembly_matches_dense_mirror(spans):
         d.write(sel, vals)
         mirror[start:start + length] = i + 1
     np.testing.assert_array_equal(d.read(AllSelection((extent,))), mirror)
+
+
+def test_dropped_tree_frees_its_arrays_without_the_collector():
+    """A child links to its parent weakly, so a tree holds no reference
+    cycle: dropping the root frees the payload at once."""
+    gc.disable()
+    try:
+        root = FileNode("f")
+        d = root.require_group("g").require_dataset(
+            "d", h5.FLOAT64, Dataspace((4,)))
+        d.write(AllSelection((4,)), np.arange(4.0))
+        payload = weakref.ref(d.pieces[0]._data)
+        assert d.parent.parent is root and d.path == "/g/d"
+        del d, root
+        assert payload() is None
+    finally:
+        gc.enable()
+
+
+def _count_intersects(monkeypatch):
+    calls = []
+    real = _SeparableSelection.intersect
+
+    def counting(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(_SeparableSelection, "intersect", counting)
+    return calls
+
+
+def test_box_read_visits_only_the_pieces_it_can_overlap(monkeypatch):
+    shape = (64, 4)
+    d = DatasetNode("d", h5.INT64, Dataspace(shape))
+    mirror = np.zeros(shape, dtype=np.int64)
+    for r in reversed(range(8)):  # slabs written out of start order
+        d.write(HyperslabSelection(shape, (8 * r, 0), (8, 4)),
+                np.full(32, r))
+        mirror[8 * r:8 * r + 8] = r
+    # A later write across slabs 1 and 2 wins where it lands.
+    d.write(HyperslabSelection(shape, (12, 1), (8, 2)), np.full(16, 99))
+    mirror[12:20, 1:3] = 99
+    calls = _count_intersects(monkeypatch)
+    box = HyperslabSelection(shape, (10, 0), (8, 4))
+    np.testing.assert_array_equal(d.read(box), mirror[10:18].reshape(-1))
+    assert len(calls) == 3  # slabs 1 and 2, and the later write
+    calls.clear()
+    pts = PointSelection(shape, [[0, 0], [63, 3], [13, 2]])
+    np.testing.assert_array_equal(d.read(pts), [0, 7, 99])
+    assert len(calls) == 9  # a point list scans every piece
+    # A piece appended after a read is indexed at the next one.
+    d.write(HyperslabSelection(shape, (0, 0), (64, 1)), np.full(64, -1))
+    mirror[:, 0] = -1
+    calls.clear()
+    np.testing.assert_array_equal(d.read(box), mirror[10:18].reshape(-1))
+    assert len(calls) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prop_indexed_box_reads_match_dense_mirror(data):
+    """Random row slabs of any length, some empty, and random box reads
+    (strided or not): the piece index loses no piece and keeps the last
+    write winning."""
+    shape = (20, 3)
+    d = DatasetNode("d", h5.INT64, Dataspace(shape))
+    mirror = np.zeros(shape, dtype=np.int64)
+    for i in range(data.draw(st.integers(2, 8))):
+        start = data.draw(st.integers(0, 19))
+        count = data.draw(st.integers(0, 20 - start))
+        d.write(HyperslabSelection(shape, (start, 0), (count, 3)),
+                np.full(3 * count, i + 1))
+        mirror[start:start + count] = i + 1
+    start = data.draw(st.integers(0, 19))
+    stride = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, (19 - start) // stride + 1))
+    box = HyperslabSelection(shape, (start, 1), (count, 2), (stride, 1))
+    want = mirror[start:start + stride * count:stride, 1:3]
+    np.testing.assert_array_equal(d.read(box), want.reshape(-1))

@@ -24,7 +24,7 @@ from repro.h5.format import (
     Writer,
     decode_file,
     decode_selection,
-    encode_chunks,
+    encode_file,
     encode_selection,
 )
 from repro.h5.objects import (
@@ -253,16 +253,21 @@ def test_piece_values_match_dict_gather(data):
     assert not got.flags.writeable
     if ownership == OWN_SHALLOW:
         assert not np.may_share_memory(got, buf)
-    # The same piece on file: its overlap is gathered in one read.
+    # The same piece on file: a box overlap is a grid-shaped read-only
+    # view of the file, anything else gathered in one read; either way
+    # exactly the overlap's bytes are read.
     root = FileNode("f")
     root.add_child(DatasetNode("d", INT64, Dataspace(shape))).write(
         stored, piece.data)
     store = PFSStore()
-    store.create("f", contents=encode_chunks(root))
+    store.create("f", image=encode_file(root))
     on_file = decode_file(store.open("f")).lookup("d").pieces[0]
     store.bytes_read = 0
-    np.testing.assert_array_equal(on_file.values(overlap),
-                                  got.reshape(-1))
+    from_file = on_file.values(overlap)
+    np.testing.assert_array_equal(from_file.reshape(-1), got.reshape(-1))
+    assert not from_file.flags.writeable
+    if ownership == OWN_DEEP:  # the same view as of the piece in memory
+        assert from_file.shape == got.shape
     assert store.bytes_read == got.nbytes
 
 

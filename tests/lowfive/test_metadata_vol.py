@@ -1,5 +1,8 @@
 """MetadataVOL tests (single task, no distribution)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,21 @@ class TestMemoryMode:
         assert vol.get_tree(None, "mem.h5") is not None
         vol.drop_file(None, "mem.h5")
         assert vol.get_tree(None, "mem.h5") is None
+
+    def test_dropped_tree_frees_its_arrays_without_the_collector(self):
+        vol = make_vol()
+        gc.disable()
+        try:
+            with h5.File("mem.h5", "w", vol=vol) as f:
+                f.create_dataset("g/d", data=np.arange(12.0))
+            del f
+            tree = vol.get_tree(None, "mem.h5")
+            payload = weakref.ref(tree.lookup("g/d").pieces[0]._data)
+            del tree
+            vol.drop_file(None, "mem.h5")
+            assert payload() is None
+        finally:
+            gc.enable()
 
     def test_attributes_in_memory(self):
         vol = make_vol()

@@ -129,19 +129,42 @@ def test_ranks_write_disjoint_ranges_through_one_handle():
         assert data[i * span:(i + 1) * span] == bytes([i]) * span
 
 
-def test_create_joins_contents_into_the_file():
+def test_create_adopts_the_image_as_the_file():
     s = PFSStore()
-    h = s.create("f", contents=[b"ab", np.arange(2, dtype="<u2"),
-                                memoryview(b"zz")])
+    image = bytearray(b"ab\0\0\1\0zz")
+    h = s.create("f", image=image)
     assert h.pread(0, 100) == b"ab\0\0\1\0zz"
     assert s.bytes_written == s.size("f") == 8
-    h.pwrite(8, b"!")  # the joined entry grows like any other
+    image[0:1] = b"A"  # the entry is the image itself, not a copy
+    assert s.open("f").pread(0, 2) == b"Ab"
+    h.pwrite(8, b"!")  # with no view taken, it grows like any other
     assert s.open("f").pread(6, 3) == b"zz!"
+
+
+def test_view_counts_what_take_returns_and_reads_short():
+    s = PFSStore()
+    h = s.create("f", image=bytearray(range(20)))
+    got = h.view(4, 8, lambda w: w[2:5])
+    assert got.tobytes() == bytes([6, 7, 8]) and not got.flags.writeable
+    assert s.bytes_read == 3
+    assert h.view(4, 8, lambda w: None) is None and s.bytes_read == 3
+    assert h.view(16, 8, lambda w: w).tobytes() == bytes([16, 17, 18, 19])
+    assert s.bytes_read == 7
+
+
+def test_same_file_tells_a_truncating_create():
+    s = PFSStore()
+    s.create("f", image=bytearray(b"old"))
+    a, b = s.open("f"), s.open("f")
+    assert a.same_file(b)
+    s.create("f", image=bytearray(b"new"))
+    c = s.open("f")
+    assert not a.same_file(c) and a.pread(0, 3) == b"old"
 
 
 def test_gather_counts_exactly_the_bytes_it_returns():
     s = PFSStore()
-    h = s.create("f", contents=[bytes(range(20))])
+    h = s.create("f", image=bytearray(range(20)))
     got = h.gather(np.array([12, 0, 5]), 3)
     assert got.dtype == np.uint8
     assert got.tobytes() == bytes([12, 13, 14, 0, 1, 2, 5, 6, 7])
@@ -152,14 +175,14 @@ def test_gather_counts_exactly_the_bytes_it_returns():
 
 def test_gather_reads_short_past_eof():
     s = PFSStore()
-    h = s.create("f", contents=[b"abcdef"])
+    h = s.create("f", image=bytearray(b"abcdef"))
     assert h.gather([4, 0, 9], 3).tobytes() == b"efabc"
     assert s.bytes_read == 5
 
 
 def test_gather_hands_out_no_view():
     s = PFSStore()
-    h = s.create("f", contents=[b"abcdef"])
+    h = s.create("f", image=bytearray(b"abcdef"))
     got = h.gather([1, 3], 2)
     h.pwrite(0, b"XXXXXX")
     h.pwrite(6, b"grows")  # no export pins the entry

@@ -58,7 +58,7 @@ class TestLint:
         rc = main(["lint", "--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for code in ("ANL001", "ANL002", "ANL003", "ANL004"):
+        for code in ("ANL001", "ANL003", "ANL004", "ANL005", "ANL006"):
             assert code in out
 
     def test_repo_tree_is_clean(self, capsys):
