@@ -161,8 +161,9 @@ class NativeVOL(VOLBase):
         if not self.store.exists(fname):
             raise NotFoundError(f"no such file: {fname}")
         # A tree decoded from the metadata alone; a read fetches only
-        # its overlap of each piece (charged at dataset_read). Readers
-        # share it; an appending open decodes its own.
+        # its overlap of each piece (charged at dataset_read). A task's
+        # readers share it; the ranks of an appending open share it and
+        # its image, as those of a creating open do.
         handle = self.store.open(fname)
         key = (fname, comm)
         state = self._readers.get(key) if mode == "r" else None
@@ -173,6 +174,8 @@ class NativeVOL(VOLBase):
                                else None)
             if mode == "r":
                 self._readers[key] = state
+            else:
+                self._images[fname] = state
         state.refcount += 1
         with span(comm, "pfs.open", cat="pfs", file=fname, mode=mode):
             self._charge(comm, self.lustre.open_time(nprocs))

@@ -71,10 +71,21 @@ def consumer_particle_selection(n_total: int, rank: int, ncons: int) -> Selectio
 
 
 def grid_values(selection: Selection, shape) -> np.ndarray:
-    """Values for ``selection``: each point's global row-major index."""
+    """Values for ``selection``: each point's global row-major index.
+
+    A separable selection's indices are an outer sum over its axes, taken
+    in the value dtype itself; any other goes through
+    :meth:`~repro.h5.selection.Selection.linear_indices`.
+    """
     if tuple(shape) != selection.shape:
         raise ValueError(f"selection extent {selection.shape} != {shape}")
-    return selection.linear_indices().astype(GRID_DTYPE.np)
+    dtype = GRID_DTYPE.np
+    if not selection.is_separable:
+        return selection.linear_indices().astype(dtype)
+    flat = np.zeros((), dtype=dtype)
+    for idx, extent in zip(selection.per_dim_indices(), shape):
+        flat = np.add.outer(flat * dtype.type(extent), idx.astype(dtype))
+    return flat.reshape(-1)
 
 
 def validate_grid(selection: Selection, shape, values: np.ndarray) -> bool:

@@ -365,3 +365,27 @@ class TestParallel:
         f = h5.File("o.h5", "r", vol=NativeVOL(store))
         np.testing.assert_array_equal(f["g/d"].read(), [0, 1, 2, 3])
         f.close()
+
+    def test_collective_append_keeps_every_ranks_writes(self):
+        """The ranks of an appending open share one tree and one image,
+        as a creating open does: every rank's write survives close."""
+        store = PFSStore()
+        vol = NativeVOL(store)
+
+        def write(comm):
+            f = h5.File("o.h5", "w", comm=comm, vol=vol)
+            d = f.create_dataset("d", shape=(4,), dtype="i4")
+            d.write([comm.rank], file_select=h5.hyperslab((comm.rank,), (1,)))
+            f.close()
+
+        def append(comm):
+            f = h5.File("o.h5", "a", comm=comm, vol=vol)
+            f["d"].write([10 + comm.rank],
+                         file_select=h5.hyperslab((comm.rank,), (1,)))
+            f.close()
+
+        run_world(4, write)
+        run_world(4, append)
+        f = h5.File("o.h5", "r", vol=NativeVOL(store))
+        np.testing.assert_array_equal(f["d"].read(), [10, 11, 12, 13])
+        f.close()

@@ -418,6 +418,11 @@ def _halo(comm):
     return total
 
 
+def _policy(comm):
+    """The scheduling policy of the thread running the rank."""
+    return os.sched_getscheduler(0)
+
+
 @pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"),
                     reason="no SCHED_BATCH on this platform")
 class TestSchedulingPolicy:
@@ -434,15 +439,26 @@ class TestSchedulingPolicy:
         assert os.sched_getscheduler(0) == before
 
     def test_refused_policy_changes_nothing_virtual(self, monkeypatch):
-        batch = run_world(8, _halo)
+        """A worker takes its policy once, when it starts, so a refused
+        policy reaches the workers a run larger than the pool starts."""
+        run_world(1, _policy)  # the pool shrinks to one worker
+
+        refused = []
 
         def refuse(*args):
+            refused.append(args)
             raise OSError("policy refused")
 
         monkeypatch.setattr(os, "sched_setscheduler", refuse)
-        policies = run_world(2, lambda comm: os.sched_getscheduler(0))
-        assert policies.returns == [os.sched_getscheduler(0)] * 2
-        default = run_world(8, _halo)
+        policies = run_world(8, _policy)
+        assert policies.returns == (
+            [os.SCHED_BATCH] + [os.sched_getscheduler(0)] * 7)
+        default = run_world(8, _halo)  # ranks 1-7 on refused workers
+        assert len(refused) == 7  # once per started worker, not per run
+        monkeypatch.undo()
+        run_world(1, _policy)  # the refused workers leave the pool
+        batch = run_world(8, _halo)
+        assert run_world(8, _policy).returns == [os.SCHED_BATCH] * 8
         assert (default.vtime, default.messages, default.bytes_sent) == (
             batch.vtime, batch.messages, batch.bytes_sent)
         assert default.returns == batch.returns

@@ -161,3 +161,50 @@ def test_prop_particle_redistribution_identity(nprod, ncons, total):
         sel = consumer_particle_selection(total, r, ncons)
         if sel.npoints:
             assert validate_particles(sel, sel.extract(mirror))
+
+
+def _general_grid(sel):
+    """Grid values through the general path: row-major linear indices."""
+    return sel.linear_indices().astype(GRID_DTYPE.np)
+
+
+@st.composite
+def _selections(draw, shape):
+    """A hyperslab (box, strided or blocked), an index set or a point
+    list over ``shape``."""
+    from repro.h5.selection import (HyperslabSelection, IndexSetSelection,
+                                    PointSelection)
+
+    kind = draw(st.sampled_from(["box", "strided", "indexset", "points"]))
+    if kind == "indexset":
+        return IndexSetSelection(shape, [
+            draw(st.lists(st.integers(0, n - 1), min_size=1,
+                          max_size=min(n, 10)))
+            for n in shape])
+    if kind == "points":
+        return PointSelection(shape, draw(st.lists(
+            st.tuples(*(st.integers(0, n - 1) for n in shape)),
+            min_size=1, max_size=20)))
+    start, count, stride, block = [], [], [], []
+    for n in shape:
+        s = draw(st.integers(0, n - 1))
+        step = draw(st.integers(1, 3)) if kind == "strided" else 1
+        b = draw(st.integers(1, min(step, n - s)))
+        start.append(s)
+        count.append(draw(st.integers(1, (n - s - b) // step + 1)))
+        stride.append(step)
+        block.append(b)
+    return HyperslabSelection(shape, start, count, stride, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prop_closed_form_grid_values_match_general_path(data):
+    """The per-axis closed form gives the general path's bytes on every
+    selection kind."""
+    shape = tuple(data.draw(st.lists(st.integers(1, 7), min_size=1,
+                                     max_size=3)))
+    sel = data.draw(_selections(shape))
+    got = grid_values(sel, shape)
+    want = _general_grid(sel)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
