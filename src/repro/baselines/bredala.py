@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from repro.diy import Bounds, RegularDecomposer
+from repro.diy import Bounds, RegularDecomposer, even_offsets
 
 REDIST_CONTIGUOUS = "contiguous"
 REDIST_BBOX = "bbox"
@@ -96,17 +96,6 @@ class Container:
         return len(self.fields)
 
 
-def _even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(total, parts)
-    out = []
-    start = 0
-    for r in range(parts):
-        count = base + (1 if r < rem else 0)
-        out.append((start, start + count))
-        start += count
-    return out
-
-
 def redistribute_producer(inter, comm, container: Container,
                           costs: BredalaCosts | None = None) -> None:
     """Producer side: split and send every field to the consumers.
@@ -128,7 +117,8 @@ def redistribute_producer(inter, comm, container: Container,
             total = sum(counts)
             comm.charge_pack_elements(0)  # appended in bulk
             comm.compute(costs.per_item_contiguous * nitems)
-            for crank, (c0, c1) in enumerate(_even_ranges(total, ncons)):
+            offs = even_offsets(total, ncons)
+            for crank, (c0, c1) in enumerate(zip(offs, offs[1:])):
                 lo = max(my_start, c0)
                 hi = min(my_start + nitems, c1)
                 if lo >= hi:
@@ -180,7 +170,8 @@ def redistribute_consumer(inter, comm, container: Container,
         tag = _TAG_BASE + fidx
         np_dtype = np.dtype(getattr(f.dtype, "np", f.dtype))
         if f.policy == REDIST_CONTIGUOUS:
-            c0, c1 = _even_ranges(f.global_count, ncons)[comm.rank]
+            offs = even_offsets(f.global_count, ncons)
+            c0, c1 = offs[comm.rank], offs[comm.rank + 1]
             buf = np.zeros((c1 - c0,) + tuple(f.item_shape), dtype=np_dtype)
             for _ in range(nprod):
                 (name, start, chunk), _st = inter.recv(tag=tag)

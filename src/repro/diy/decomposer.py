@@ -42,13 +42,23 @@ def balanced_factors(n: int, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(factors, reverse=True))
 
 
+def even_offsets(total: int, parts: int) -> tuple[int, ...]:
+    """The ``parts + 1`` Python-int boundaries of ``total`` split into
+    ``parts`` runs, the first ``total % parts`` one longer than the rest;
+    run ``i`` is ``[offs[i], offs[i + 1])``."""
+    total, parts = int(total), int(parts)
+    base, rem = divmod(total, parts)
+    return tuple(accumulate([base + 1] * rem + [base] * (parts - rem),
+                            initial=0))
+
+
 class RegularDecomposer:
     """Cut ``shape`` into a regular grid of ``nblocks`` blocks.
 
-    Per dimension, extents divide as evenly as possible: with extent
-    ``L`` over ``k`` slots, the first ``L % k`` slots get ``L//k + 1``
-    points. Block ids are row-major over the grid of slots. Every
-    offset, coordinate and gid is a Python int.
+    Per dimension, extents divide as evenly as possible
+    (:func:`even_offsets`); ``offsets[d]`` holds axis ``d``'s
+    ``grid[d] + 1`` slot boundaries. Block ids are row-major over the
+    grid of slots. Every offset, coordinate and gid is a Python int.
 
     Both the producer and the consumer construct this object
     independently from ``(shape, nblocks)`` and agree on it without
@@ -63,20 +73,14 @@ class RegularDecomposer:
         self.nblocks = int(nblocks)
         if self.nblocks < 1:
             raise ValueError("nblocks must be >= 1")
-        self.grid = balanced_factors(self.nblocks, len(self.shape))
-        # Don't cut a dimension finer than its extent when avoidable:
-        # clamp factors to extents and fold the excess into other dims.
-        self.grid = self._clamp_grid(self.grid, self.shape)
-        # Per-dim slot boundaries (k+1 offsets per dim).
-        self._offsets = []
-        for extent, k in zip(self.shape, self.grid):
-            base, rem = divmod(extent, k)
-            self._offsets.append(tuple(accumulate(
-                [base + 1] * rem + [base] * (k - rem), initial=0)))
-
-    @staticmethod
-    def _clamp_grid(grid, shape) -> tuple[int, ...]:
-        return tuple(min(g, s) for g, s in zip(grid, shape))
+        # Never cut a dimension finer than its extent: each factor is
+        # clamped to its extent, and the excess is dropped, not moved to
+        # another dim, so there may be fewer grid blocks than nblocks.
+        self.grid = tuple([
+            min(g, s) for g, s in
+            zip(balanced_factors(self.nblocks, len(self.shape)), self.shape)])
+        self.offsets = tuple([even_offsets(extent, k)
+                              for extent, k in zip(self.shape, self.grid)])
 
     @property
     def ngrid_blocks(self) -> int:
@@ -101,8 +105,8 @@ class RegularDecomposer:
     def block_bounds(self, gid: int) -> Bounds:
         """The box ``[min, max)`` of block ``gid``."""
         coords = self.gid_to_coords(gid)
-        return Bounds([offs[c] for offs, c in zip(self._offsets, coords)],
-                      [offs[c + 1] for offs, c in zip(self._offsets, coords)])
+        return Bounds([offs[c] for offs, c in zip(self.offsets, coords)],
+                      [offs[c + 1] for offs, c in zip(self.offsets, coords)])
 
     def point_gids(self, coords) -> np.ndarray:
         """gid of the block containing each row of an (n, d) coordinate
@@ -116,7 +120,7 @@ class RegularDecomposer:
             if c.size and (c.min() < 0 or c.max() >= self.shape[d]):
                 raise IndexError(f"coordinates outside dim {d}")
             slot[:, d] = np.searchsorted(
-                self._offsets[d], c, side="right"
+                self.offsets[d], c, side="right"
             ) - 1
         if coords.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
@@ -133,7 +137,7 @@ class RegularDecomposer:
         if bounds.ndim != len(self.shape):
             raise ValueError("bounds dimensionality mismatch")
         gids = [0]
-        for offs, k, lo, hi in zip(self._offsets, self.grid,
+        for offs, k, lo, hi in zip(self.offsets, self.grid,
                                    bounds.min, bounds.max):
             lo = max(lo, 0)
             hi = min(hi, offs[-1])

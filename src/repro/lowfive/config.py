@@ -46,18 +46,9 @@ class CostConfig:
         applied at serve time (Catalyst-ADIOS2 style: reduce on the
         wire instead of shipping full fidelity). Level 0 ships exact
         data on the exact code path used before reduction existed;
-        each level above 0 subsamples served hyperslabs with stride
-        ``reduce_stride_base ** level`` per dimension and multiplies
-        the wire bytes of the (already smaller) reply payload by
-        ``reduce_wire_ratio ** level`` to model a compression stage.
-    reduce_stride_base:
-        Per-level subsampling stride base (stride = base ** level).
-    reduce_wire_ratio:
-        Per-level multiplier on reply payload wire bytes modelling the
-        compressor's output size (< 1 shrinks the wire cost).
-    reduce_cost_per_byte:
-        CPU seconds per *input* byte charged to the server for running
-        the compression stage (reduction is not free).
+        each level above 0 subsamples served hyperslabs and models a
+        compression stage with the constants of
+        :mod:`repro.lowfive.reduce`.
     """
 
     per_h5_op: float = 5e-6
@@ -68,17 +59,10 @@ class CostConfig:
     rpc_max_retries: int = 3
     rpc_backoff: float = 2.0
     reduction_level: int = 0
-    reduce_stride_base: int = 2
-    reduce_wire_ratio: float = 0.6
-    reduce_cost_per_byte: float = 2.0e-10
 
     def __post_init__(self):
         if self.reduction_level < 0:
             raise ValueError("reduction_level must be >= 0")
-        if self.reduce_stride_base < 2:
-            raise ValueError("reduce_stride_base must be >= 2")
-        if not 0.0 < self.reduce_wire_ratio <= 1.0:
-            raise ValueError("reduce_wire_ratio must be in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,12 @@ from repro.diy import Bounds, RegularDecomposer
 from repro.h5 import format as h5format
 from repro.h5.errors import NotFoundError
 from repro.h5.objects import DatasetNode, FileNode
-from repro.lowfive.reduce import reduced_nbytes, reduction_stride, subsample
+from repro.lowfive.reduce import (
+    COST_PER_BYTE,
+    reduced_nbytes,
+    reduction_stride,
+    subsample,
+)
 from repro.obs import span as obs_span
 from repro.lowfive.rpc import (
     TAG_CTRL,
@@ -502,7 +507,7 @@ def _read_reply(comm, costs, node: DatasetNode, selection):
         # Simulated compression stage: CPU cost per input byte,
         # wire bytes scaled down; the payload itself is intact.
         raw = payload_nbytes((True, out))
-        comm.compute(costs.reduce_cost_per_byte * raw)
+        comm.compute(COST_PER_BYTE * raw)
         return Reply(out, reduced_nbytes(raw, costs))
     return out
 

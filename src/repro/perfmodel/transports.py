@@ -8,13 +8,15 @@ executed-vs-modeled agreement checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from repro.baselines.bredala import BredalaCosts
 from repro.baselines.dataspaces import DSCosts
-from repro.diy import RegularDecomposer
+from repro.diy import RegularDecomposer, even_offsets
 from repro.lowfive.config import CostConfig
 from repro.pfs.lustre import LustreModel
 from repro.simmpi import NetworkModel
@@ -93,16 +95,13 @@ CORI_HASWELL = replace(
 # -- geometry -----------------------------------------------------------------
 
 
-def _even_offsets(total: int, parts: int) -> np.ndarray:
-    base, rem = divmod(total, parts)
-    sizes = np.full(parts, base, dtype=np.int64)
-    sizes[:rem] += 1
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
 @dataclass
-class _GridGeometry:
-    """Per-consumer and per-producer traffic of the grid dataset."""
+class Geometry:
+    """Per-consumer and per-producer traffic of one dataset.
+
+    A *cell* is one element of the decomposed domain: a grid point, or
+    one item of a list.
+    """
 
     cons_cells: np.ndarray      # cells read by each consumer
     cons_owners: np.ndarray     # producers supplying each consumer
@@ -111,70 +110,55 @@ class _GridGeometry:
     prod_reqs: np.ndarray       # data requests served by each producer
 
 
-def grid_geometry(shape, nprod: int, ncons: int) -> _GridGeometry:
-    """Traffic of row-slab producers -> block consumers for ``shape``."""
-    shape = tuple(shape)
-    prod_offs = _even_offsets(shape[0], nprod)
+def _overlaps(offs, other) -> np.ndarray:
+    """How many non-empty runs of the split ``other`` each run of the
+    split ``offs`` overlaps (0 for an empty run). Both splits cover the
+    same range, so each overlapping pair is counted once."""
+    offs = np.asarray(offs, dtype=np.int64)
+    lo, hi = offs[:-1], offs[1:]
+    first = np.searchsorted(other, lo, side="right")
+    last = np.searchsorted(other, hi - 1, side="right")
+    return np.where(hi > lo, last - first + 1, 0)
+
+
+def grid_geometry(shape, nprod: int, ncons: int) -> Geometry:
+    """Traffic of row-slab producers -> block consumers for ``shape``.
+
+    A consumer block is one slot per axis, so its cells and its common
+    blocks are products of per-slot counts. Its producers are those of
+    its first-axis slot; a producer serves each first-axis slot it
+    overlaps once per block in that slot, and every cell of its slab.
+    Consumers past the decomposer's grid read nothing.
+    """
+    prod_offs = even_offsets(shape[0], nprod)
     cdec = RegularDecomposer(shape, ncons)
     common = RegularDecomposer(shape, nprod)
-    ncb = cdec.ngrid_blocks
-    cons_cells = np.zeros(ncons, dtype=np.int64)
-    cons_owners = np.zeros(ncons, dtype=np.int64)
-    cons_common = np.zeros(ncons, dtype=np.int64)
-    prod_cells = np.zeros(nprod, dtype=np.int64)
-    prod_reqs = np.zeros(nprod, dtype=np.int64)
-    for c in range(ncb):
-        b = cdec.block_bounds(c)
-        cons_cells[c] = b.size
-        x0, x1 = int(b.min[0]), int(b.max[0])
-        first = int(np.searchsorted(prod_offs, x0, side="right")) - 1
-        last = int(np.searchsorted(prod_offs, x1 - 1, side="right")) - 1
-        cons_owners[c] = last - first + 1
-        cross = b.size // max(1, x1 - x0)
-        for p in range(first, last + 1):
-            rows = min(x1, int(prod_offs[p + 1])) - max(x0, int(prod_offs[p]))
-            prod_cells[p] += rows * cross
-            prod_reqs[p] += 1
+    ones = [np.ones(k, dtype=np.int64) for k in cdec.grid[1:]]
+
+    def per_block(*per_axis):
+        out = np.zeros(ncons, dtype=np.int64)
+        out[:cdec.ngrid_blocks] = reduce(np.multiply.outer, per_axis).ravel()
+        return out
+
+    return Geometry(
+        cons_cells=per_block(*map(np.diff, cdec.offsets)),
+        cons_owners=per_block(_overlaps(cdec.offsets[0], prod_offs), *ones),
         # Step-1 intersect queries go to common-decomposition owners.
-        cons_common[c] = len(common.blocks_intersecting(b))
-    return _GridGeometry(cons_cells, cons_owners, cons_common,
-                         prod_cells, prod_reqs)
+        cons_common=per_block(*map(_overlaps, cdec.offsets, common.offsets)),
+        prod_cells=np.diff(prod_offs) * math.prod(cdec.shape[1:]),
+        prod_reqs=(_overlaps(prod_offs, cdec.offsets[0])
+                   * math.prod(cdec.grid[1:])),
+    )
 
 
-@dataclass
-class _ListGeometry:
-    """Per-consumer/producer traffic of the contiguous particle list."""
-
-    cons_items: np.ndarray
-    cons_owners: np.ndarray
-    cons_common: np.ndarray
-    prod_items: np.ndarray
-    prod_reqs: np.ndarray
-
-
-def list_geometry(n_total: int, nprod: int, ncons: int) -> _ListGeometry:
+def list_geometry(n_total: int, nprod: int, ncons: int) -> Geometry:
     """Traffic of contiguous-range producers -> contiguous consumers."""
-    prod_offs = _even_offsets(n_total, nprod)
-    cons_offs = _even_offsets(n_total, ncons)
-    cons_items = np.diff(cons_offs)
-    cons_owners = np.zeros(ncons, dtype=np.int64)
-    cons_common = np.zeros(ncons, dtype=np.int64)
-    prod_items = np.zeros(nprod, dtype=np.int64)
-    prod_reqs = np.zeros(nprod, dtype=np.int64)
-    for c in range(ncons):
-        lo, hi = int(cons_offs[c]), int(cons_offs[c + 1])
-        if hi <= lo:
-            continue
-        first = int(np.searchsorted(prod_offs, lo, side="right")) - 1
-        last = int(np.searchsorted(prod_offs, hi - 1, side="right")) - 1
-        cons_owners[c] = last - first + 1
-        cons_common[c] = cons_owners[c]  # 1-d: common decomp = producers
-        for p in range(first, last + 1):
-            got = min(hi, int(prod_offs[p + 1])) - max(lo, int(prod_offs[p]))
-            prod_items[p] += got
-            prod_reqs[p] += 1
-    return _ListGeometry(cons_items, cons_owners, cons_common,
-                         prod_items, prod_reqs)
+    prod_offs = even_offsets(n_total, nprod)
+    cons_offs = even_offsets(n_total, ncons)
+    owners = _overlaps(cons_offs, prod_offs)
+    # 1-d: the common decomposition is the producers' split.
+    return Geometry(np.diff(cons_offs), owners, owners, np.diff(prod_offs),
+                    _overlaps(prod_offs, cons_offs))
 
 
 def _rtt(net: NetworkModel) -> float:
@@ -214,7 +198,7 @@ def lowfive_memory_time(nprod: int, ncons: int,
     # Consumer critical path (serial RPC rounds, as implemented).
     rtt = _rtt(net)
     grid_bytes = gg.cons_cells * 8
-    part_bytes = lg.cons_items * 12
+    part_bytes = lg.cons_cells * 12
     t_cons = (
         rtt + net.memcpy_time(2048) + 2 * c.per_h5_op  # metadata open
         + 0.5 * c.sync_factor * net.epoch_jitter(P)
@@ -224,12 +208,12 @@ def lowfive_memory_time(nprod: int, ncons: int,
             1.0 / (net.bandwidth / net.contention_factor(P))
             + 1.0 / net.memcpy_bandwidth  # producer-side extract
         )
-        + c.per_element_handle * (gg.cons_cells + 3 * lg.cons_items)
+        + c.per_element_handle * (gg.cons_cells + 3 * lg.cons_cells)
     )
 
     # Producer serve load (requests are answered serially per producer).
     t_serve = (
-        (gg.prod_cells * 8 + lg.prod_items * 12) / net.memcpy_bandwidth
+        (gg.prod_cells * 8 + lg.prod_cells * 12) / net.memcpy_bandwidth
         + (gg.prod_reqs + lg.prod_reqs) * 3 * net.msg_overhead
     )
     return float(t_prod + max(float(t_cons.max()), float(t_serve.max()))
@@ -260,9 +244,9 @@ def pure_mpi_time(nprod: int, ncons: int,
     # Consumer: per-point unpack plus wire time, then straggler skew
     # (post-receive, so it does not hide behind the producer's packing;
     # see pure_mpi_consumer).
-    bytes_c = gg.cons_cells * 8 + lg.cons_items * 12
+    bytes_c = gg.cons_cells * 8 + lg.cons_cells * 12
     t_cons = (
-        net.pack_elements_time(gg.cons_cells + 3 * lg.cons_items)
+        net.pack_elements_time(gg.cons_cells + 3 * lg.cons_cells)
         + bytes_c / (net.bandwidth / net.contention_factor(P))
         + (gg.cons_owners + lg.cons_owners) * net.msg_overhead
         + 0.65 * net.epoch_jitter(P)
@@ -292,14 +276,14 @@ def dataspaces_time(nprod: int, ncons: int,
     t_prod = 2 * dsc.per_put + 2 * net.msg_overhead * min(nservers, 4)
 
     # Consumer: DHT queries + one-sided fetches.
-    bytes_c = gg.cons_cells * 8 + lg.cons_items * 12
+    bytes_c = gg.cons_cells * 8 + lg.cons_cells * 12
     nshards = min(nservers, 4)
     t_cons = (
         dsc.sync_factor * net.epoch_jitter(P)
         + 2 * dsc.per_get + 2 * nshards * rtt
         + (gg.cons_owners + lg.cons_owners) * dsc.per_rdma_fetch
         + bytes_c / (net.bandwidth / net.contention_factor(P))
-        + dsc.per_element_handle * (gg.cons_cells + 3 * lg.cons_items)
+        + dsc.per_element_handle * (gg.cons_cells + 3 * lg.cons_cells)
     )
     return float(t_prod + t_cons.max())
 
@@ -339,10 +323,10 @@ def bredala_times(nprod: int, ncons: int,
         + net.collective_time("allgather", nprod, 8)
         + br.per_item_contiguous * parts_pp
         + net.memcpy_time(parts_pp * 12)
-        + float((br.per_item_contiguous * lg.cons_items
-                 + (lg.cons_items * 12)
+        + float((br.per_item_contiguous * lg.cons_cells
+                 + (lg.cons_cells * 12)
                  / (net.bandwidth / net.contention_factor(P))
-                 + (lg.cons_items * 12) / net.memcpy_bandwidth
+                 + (lg.cons_cells * 12) / net.memcpy_bandwidth
                  ).max())
     )
     return {"grid": t_grid, "particles": t_parts,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.h5 as h5
-from repro.diy import RegularDecomposer
+from repro.diy import RegularDecomposer, even_offsets
 from repro.h5.selection import HyperslabSelection, Selection
 
 #: Grid scalars: 64-bit unsigned integers (8 bytes each; paper Sec. IV-B).
@@ -37,12 +37,9 @@ def grid_shape_for(points_per_proc: int, nprod: int) -> tuple[int, int, int]:
 
 def producer_grid_selection(shape, rank: int, nprod: int) -> Selection:
     """Row-slab written by producer ``rank`` (first-axis decomposition)."""
-    nx_total = shape[0]
-    base, rem = divmod(nx_total, nprod)
-    start = rank * base + min(rank, rem)
-    count = base + (1 if rank < rem else 0)
-    starts = (start,) + (0,) * (len(shape) - 1)
-    counts = (count,) + tuple(shape[1:])
+    offs = even_offsets(shape[0], nprod)
+    starts = (offs[rank],) + (0,) * (len(shape) - 1)
+    counts = (offs[rank + 1] - offs[rank],) + tuple(shape[1:])
     return HyperslabSelection(shape, starts, counts)
 
 
@@ -59,10 +56,9 @@ def consumer_grid_selection(shape, rank: int, ncons: int) -> Selection:
 
 def producer_particle_selection(n_total: int, rank: int, nprod: int) -> Selection:
     """Contiguous particle range written by producer ``rank``."""
-    base, rem = divmod(n_total, nprod)
-    start = rank * base + min(rank, rem)
-    count = base + (1 if rank < rem else 0)
-    return HyperslabSelection((n_total, 3), (start, 0), (count, 3))
+    offs = even_offsets(n_total, nprod)
+    return HyperslabSelection((n_total, 3), (offs[rank], 0),
+                              (offs[rank + 1] - offs[rank], 3))
 
 
 def consumer_particle_selection(n_total: int, rank: int, ncons: int) -> Selection:

@@ -11,7 +11,7 @@ from repro.baselines import (
     redistribute_consumer,
     redistribute_producer,
 )
-from repro.baselines.bredala import BredalaCosts, _even_ranges
+from repro.baselines.bredala import BredalaCosts
 from repro.diy import RegularDecomposer
 from repro.workflow import Workflow
 
@@ -29,12 +29,6 @@ def test_container_rejects_duplicates():
     with pytest.raises(ValueError):
         c.append(Field("a", REDIST_CONTIGUOUS, np.float32, global_count=4))
     assert len(c) == 1
-
-
-def test_even_ranges():
-    assert _even_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
-    assert _even_ranges(4, 4) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert _even_ranges(2, 3) == [(0, 1), (1, 2), (2, 2)]
 
 
 def run_bredala(nprod, ncons, n_particles=60, domain=(12, 8)):

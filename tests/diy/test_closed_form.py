@@ -9,7 +9,7 @@ returns, so it must equal a scan of ``all_bounds()`` order included.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.diy import Bounds, RegularDecomposer
+from repro.diy import Bounds, RegularDecomposer, even_offsets
 
 
 @st.composite
@@ -57,11 +57,21 @@ def test_whole_domain_hits_every_block_in_gid_order(dec):
 @settings(max_examples=100, deadline=None)
 @given(decompositions())
 def test_offsets_and_block_bounds_are_python_ints(dec):
-    for offs in dec._offsets:
+    for offs, extent, k in zip(dec.offsets, dec.shape, dec.grid):
+        assert offs == even_offsets(extent, k)
         assert all(type(v) is int for v in offs)
     for gid, b in enumerate(dec.all_bounds()):
         assert all(type(v) is int for v in b.min + b.max)
         assert np.ravel_multi_index(dec.gid_to_coords(gid), dec.grid) == gid
+
+
+def test_even_offsets():
+    """The one even-split rule: the first ``total % parts`` runs are
+    one longer; more parts than elements leaves empty runs last."""
+    assert even_offsets(10, 3) == (0, 4, 7, 10)
+    assert even_offsets(4, 4) == (0, 1, 2, 3, 4)
+    assert even_offsets(2, 3) == (0, 1, 2, 2)
+    assert all(type(v) is int for v in even_offsets(np.int64(7), 2))
 
 
 # -- Bounds against a numpy reference -------------------------------------
